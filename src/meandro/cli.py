@@ -8,7 +8,6 @@ byte-identical.
 
 Exit codes: 0 success, 1 computation error, 2 configuration/schema error,
 3 success but with flagged rows (points inside removed discs).
-Set MEANDRO_THREADS to cap the parallel evaluation of grid points.
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 import click
 import jsonschema
@@ -187,21 +184,6 @@ def _as_complex(spec: Any) -> complex:
     return complex(spec[0], spec[1])
 
 
-def _thread_count() -> int:
-    env = os.environ.get("MEANDRO_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    """Pure map over grid points; rows come back in grid order."""
-    if len(items) <= 1 or _thread_count() == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -341,7 +323,7 @@ def cmd_eval(config_path, model_name, out_path, out_format, tol, cutoff, json_er
             except PoleProximity as exc:
                 return [z.real, z.imag, None, None, None, None, f"pole_proximity:{exc.sheet}"]
 
-        rows = _parallel_map(one, points)
+        rows = [one(z) for z in points]
         flagged = sum(1 for r in rows if r[-1] != "ok")
         _write_rows(out_path, out_format, "eval", header, rows)
         return 3 if flagged else 0
@@ -508,7 +490,7 @@ def cmd_residual(config_path, model_name, out_path, out_format, tol, cutoff, jso
                 pole.imag if pole is not None else None,
             ]
 
-        rows = _parallel_map(one, points)
+        rows = [one(z) for z in points]
         header = ["z_re", "z_im", "status", "witness_sheet", "pole_re", "pole_im"]
         _write_rows(out_path, out_format, "residual", header, rows)
         return 0
@@ -542,7 +524,7 @@ def cmd_covering(config_path, model_name, out_path, out_format, tol, cutoff, jso
             except HypothesisViolated as exc:
                 return [a, r, mod, s, rho, None, None, f"hypothesis_violated:{exc}"]
 
-        rows = _parallel_map(one, cases)
+        rows = [one(case) for case in cases]
         header = ["alpha", "r", "omega_abs", "s", "rho", "margin_preimage", "margin_image", "status"]
         _write_rows(out_path, out_format, "covering", header, rows)
         return 0

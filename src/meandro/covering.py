@@ -151,9 +151,6 @@ class _PullbackPoles:
     def sheets(self):
         return self._base.sheets()
 
-    def max_sheet(self):
-        return self._base.max_sheet()
-
     def sheets_containing(self, pole: complex, limit: int, tol: float = 1e-9):
         image = self.center + pole**self.beta
         return self._base.sheets_containing(image, limit, tol)
@@ -176,6 +173,7 @@ class PullbackSequence(TermSequence):
         self.beta = beta
         self.center = complex(center)
         self.n_min = base.n_min
+        self.n_max = base.n_max
         self.bounds_global = base.bounds_global
 
         base_radius = base.perforation.radius

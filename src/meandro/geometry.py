@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, MarginViolated, NotContained
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,7 @@ class Disc:
         return self.radius - np.abs(z - self.center)
 
     def boundary_points(self, m: int) -> np.ndarray:
-        theta = TWO_PI * np.arange(m) / m
+        theta = math.tau * np.arange(m) / m
         return self.center + self.radius * np.exp(1j * theta)
 
 
@@ -119,7 +117,7 @@ class AnnulusRegion:
 
     def boundary_points(self, m: int) -> np.ndarray:
         half = max(m // 2, 8)
-        theta = TWO_PI * np.arange(half) / half
+        theta = math.tau * np.arange(half) / half
         ring = np.exp(1j * theta)
         return np.concatenate(
             [self.center + self.inner * ring, self.center + self.outer * ring]
@@ -250,7 +248,7 @@ def nearest_root_of_unity(n: int, z: complex) -> tuple[int, complex]:
     Angle rounding: k = round(n*arg(z)/2pi) with ties going to even k.  For
     z != 0 the angular nearest root is also the Euclidean nearest.
     """
-    k = int(np.rint(n * np.angle(z) / TWO_PI)) % n
+    k = int(np.rint(n * np.angle(z) / math.tau)) % n
     return k, cmath.exp(2j * math.pi * k / n)
 
 
@@ -287,9 +285,6 @@ class RootsOfUnity:
             yield n
             n += order
 
-    def max_sheet(self) -> None:
-        return None
-
 
 class MeanderPoles:
     """Sheet n carries the single pole -1/n, n >= 1."""
@@ -317,9 +312,6 @@ class MeanderPoles:
         n = int(round(-1.0 / pole.real))
         if 1 <= n <= limit and abs(pole - (-1.0 / n)) <= tol:
             yield n
-
-    def max_sheet(self) -> None:
-        return None
 
 
 class ReciprocalPoles:
@@ -353,9 +345,6 @@ class ReciprocalPoles:
             return
         for n in range(max(j - 1, self.n_min), limit + 1):
             yield n
-
-    def max_sheet(self) -> None:
-        return None
 
 
 class ExplicitPoles:
@@ -401,9 +390,6 @@ class ExplicitPoles:
             if np.any(np.abs(self._table[n] - pole) <= tol):
                 yield n
 
-    def max_sheet(self) -> int:
-        return max(self._table)
-
 
 PoleFamily = Union[RootsOfUnity, MeanderPoles, ReciprocalPoles, ExplicitPoles]
 
@@ -432,7 +418,6 @@ class Perforation:
 
     poles: PoleFamily
     radius: RadiusFunction
-    cauchy: CauchyFlag = field(default_factory=CauchyFlag)
 
     @property
     def lam(self) -> float:
@@ -450,38 +435,6 @@ class Perforation:
 
     def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
         return self.poles.nearest_pole(n, z)
-
-    def with_cauchy(self, flag: CauchyFlag) -> "Perforation":
-        return replace(self, cauchy=flag)
-
-    def check_lambda_radius(self, cutoff: int) -> tuple[StackPoint, StackPoint] | None:
-        """Verify same-sheet disjointness of the lambda-inflated discs.
-
-        Returns None when every checked sheet passes, otherwise a witness
-        pair of poles whose inflated discs meet.
-        """
-        lam = self.lam
-        sheets: Sequence[int]
-        if self.poles.parametric:
-            sheets = range(self.poles.n_min, cutoff + 1)
-        else:
-            sheets = [n for n in self.poles.sheets() if n <= cutoff]
-        for n in sheets:
-            poles = self.poles_on_sheet(n)
-            if len(poles) < 2:
-                continue
-            threshold = 2.0 * lam * self.radius_at(n)
-            if isinstance(self.poles, RootsOfUnity):
-                gap = 2.0 * math.sin(math.pi / n)
-                if gap < threshold:
-                    return (StackPoint(n, 1.0 + 0j), StackPoint(n, complex(poles[1])))
-                continue
-            d = np.abs(poles[:, None] - poles[None, :])
-            np.fill_diagonal(d, np.inf)
-            i, j = np.unravel_index(int(np.argmin(d)), d.shape)
-            if d[i, j] < threshold:
-                return (StackPoint(n, complex(poles[i])), StackPoint(n, complex(poles[j])))
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +492,7 @@ def shrink_check(
         # invalid one the overlap must surface as a violation below.
         d_outer = np.abs(outer[:, None] - poles[None, :]).min(axis=1)
         pts = [outer[d_outer >= lam * r_n - 1e-12]]
-        ring = np.exp(1j * TWO_PI * np.arange(samples) / samples)
+        ring = np.exp(1j * math.tau * np.arange(samples) / samples)
         circles = (poles[:, None] + lam * r_n * ring[None, :]).ravel()
         inside = np.asarray(U.distance_to_complement(circles), dtype=float) >= 0.0
         if inside.any():

@@ -38,8 +38,7 @@ from .geometry import (
 )
 from .series import DecayCert, TermSequence, evaluate_sum
 
-TWO_PI = 2.0 * math.pi
-DEFAULT_RAY_ANGLE = TWO_PI * math.sqrt(2.0)
+DEFAULT_RAY_ANGLE = math.tau * math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------

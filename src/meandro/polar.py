@@ -33,8 +33,6 @@ from .errors import DiophantineRequired, NonConvergent, PoleProximity
 from .geometry import DiophantineRadius
 from .series import SumResult, TermSequence, power_geometric_tail
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class AnnulusSpec:
@@ -150,7 +148,7 @@ def _settled_bins(
     previous = None
     diff = math.inf
     for _ in range(max_doublings + 1):
-        zs = center + R * np.exp(1j * TWO_PI * np.arange(m) / m)
+        zs = center + R * np.exp(1j * math.tau * np.arange(m) / m)
         vals = _eval_on(f, zs)
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         bins = np.fft.fft(vals)[ks % m] / m
@@ -248,11 +246,11 @@ def annulus_inner_product(
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
     s = 0.5 * (ann.outer - ann.r) * nodes + 0.5 * (ann.outer + ann.r)
     ws = 0.5 * (ann.outer - ann.r) * weights
-    theta = TWO_PI * np.arange(n_theta) / n_theta
+    theta = math.tau * np.arange(n_theta) / n_theta
     zs = ann.center + s[:, None] * np.exp(1j * theta[None, :])
     fv = _eval_on(f, zs.ravel()).reshape(zs.shape)
     gv = _eval_on(g, zs.ravel()).reshape(zs.shape)
-    radial = (fv * np.conj(gv)).sum(axis=1) * (TWO_PI / n_theta)
+    radial = (fv * np.conj(gv)).sum(axis=1) * (math.tau / n_theta)
     return complex(np.sum(radial * ws * s) / math.pi)
 
 
@@ -284,7 +282,7 @@ class PolarPart:
         return complex(vals) if np.isscalar(z) or vals.shape == () else vals
 
     def sup_on_circle(self, radius: float, samples: int = 720) -> float:
-        zs = self.center + radius * np.exp(1j * TWO_PI * np.arange(samples) / samples)
+        zs = self.center + radius * np.exp(1j * math.tau * np.arange(samples) / samples)
         return float(np.max(np.abs(self.evaluate(zs))))
 
 
@@ -314,7 +312,7 @@ def polar_part(
 
 def annulus_sup(f: Callable, ann: AnnulusSpec, samples: int = 2048) -> float:
     """Measured sup of |f| over the annulus (attained on its boundary circles)."""
-    theta = np.exp(1j * TWO_PI * np.arange(samples) / samples)
+    theta = np.exp(1j * math.tau * np.arange(samples) / samples)
     zs = np.concatenate(
         [ann.center + ann.r * theta, ann.center + ann.outer * theta]
     )

@@ -1,12 +1,18 @@
-"""Certified summation of per-sheet rational terms and Taylor jets of the sum.
+"""Summation of per-sheet rational terms and Taylor jets of the sum.
 
 A term sequence assigns to each sheet a rational function, its closed-form
-derivatives, its poles and a certified bound on its supremum over the
-perforated sheet.  Sums are evaluated in ascending sheet order with
-compensated accumulation; every result carries a rigorous tail bound, either
-from the geometric decay certificate A*rho**n or from the summability of the
-norm bounds themselves.  A finite family is summed through its last sheet,
-so its tail is exactly 0.
+derivatives, its poles and a bound on its supremum over the perforated
+sheet.  Sums are evaluated in ascending sheet order with compensated
+accumulation by one engine, which picks one of four stopping rules from its
+inputs:
+
+* a finite family is summed through its last sheet; its tail is exactly 0;
+* a decay certificate A*rho**n over a Diophantine radius gives a rigorous
+  tail bound;
+* a jet without such a certificate stops once a window of consecutive terms
+  is negligible (the stabilised rule); its tail is a heuristic estimate;
+* any other sum stops on the ratio test of the norm bounds; its tail is a
+  heuristic estimate as well.
 
 Derivative sums are controlled through the Cauchy estimate: on the shrunk
 perforation the k-th derivative of the sheet-n term is bounded by
@@ -18,12 +24,12 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DiophantineRequired, PoleProximity, TolUnreachable
-from .geometry import DiophantineRadius, Disc, Perforation, Region
+from .geometry import DiophantineRadius, Perforation, Region
 
 _STABLE_WINDOW = 8
 
@@ -232,27 +238,35 @@ def _sum_derivative_series(
     tol_fn: Callable[[complex], float],
     max_terms: int,
     keep_partials: bool = False,
+    *,
+    stabilise: bool = False,
 ) -> SumResult:
     """Shared engine: ascending-sheet compensated summation with tail control.
 
-    A finite family (``n_max`` set) is always summed through its last sheet
-    and reported with tail 0, which is exact; no norm bound is consulted.
-    An infinite family stops on the decay-certificate tail when one exists,
-    otherwise on the norm-bound ratio test, which never stops at a sheet
-    whose norm bound is 0 (a vanishing term says nothing about the rest).
+    The inputs pick the stopping rule, first match wins.  A finite family
+    (``n_max`` set) is summed through its last sheet with tail 0, which is
+    exact.  A decay certificate over a Diophantine radius stops on the
+    certified tail (rigorous).  ``stabilise`` (a jet without a certificate)
+    stops once ``_STABLE_WINDOW`` consecutive terms are at most ``tol_fn`` of
+    the largest magnitude seen, with the window's sum as tail (heuristic); it
+    skips the region check and raises DiophantineRequired when out of sheets.
+    Otherwise the norm-bound ratio test stops (heuristic); it never stops at
+    a zero norm bound, since a vanishing term says nothing about the rest.
     """
-    if not seq.bounds_global and not seq.region.contains(z):
+    finite = seq.n_max is not None
+    certified = _certified_tail(seq, k, seq.n_min) is not None
+    stabilise = stabilise and not certified
+    if not stabilise and not seq.bounds_global and not seq.region.contains(z):
         raise TolUnreachable(
             f"evaluation point {z} lies outside the working region of the norm bounds"
         )
     acc = CompensatedSum()
     partials: list[complex] | None = [] if keep_partials else None
-    finite = seq.n_max is not None
-    certified = _certified_tail(seq, k, seq.n_min) is not None
 
     recent: list[float] = []
     nb_prev: float | None = None
-    grow_streak = 0
+    streak = 0
+    scale = 0.0
     n = seq.n_min
     while n < seq.n_min + max_terms:
         if finite and n > seq.n_max:
@@ -269,14 +283,21 @@ def _sum_derivative_series(
             tail = _certified_tail(seq, k, n)
             if tail <= tol_fn(acc.value):
                 return SumResult(acc.value, n, tail, partials)
+        elif stabilise:
+            scale = max(scale, abs(acc.value), abs(t))
+            recent.append(abs(t))
+            recent[:] = recent[-_STABLE_WINDOW:]
+            streak = streak + 1 if abs(t) <= tol_fn(scale) else 0  # negligible terms
+            if streak >= _STABLE_WINDOW:
+                return SumResult(acc.value, n, float(sum(recent)), partials)
         else:
             nb = seq.norm_bound(n)
             if nb_prev is not None:
                 ratio = nb / nb_prev if nb_prev > 0 else math.inf
                 recent.append(ratio)
                 recent[:] = recent[-6:]
-                grow_streak = grow_streak + 1 if ratio >= 1.0 else 0
-                if grow_streak >= 16:
+                streak = streak + 1 if ratio >= 1.0 else 0  # growing bounds
+                if streak >= 16:
                     raise TolUnreachable(
                         "norm bounds do not summably decay and no decay certificate is present"
                     )
@@ -287,6 +308,10 @@ def _sum_derivative_series(
                         return SumResult(acc.value, n, tail, partials)
             nb_prev = nb
         n += 1
+    if stabilise:
+        raise DiophantineRequired(
+            "no decay certificate and the derivative series did not stabilise"
+        )
     raise TolUnreachable(f"tolerance not certified within {max_terms} sheets")
 
 
@@ -323,41 +348,6 @@ def derivative_sum(
     return _sum_derivative_series(seq, z0, k, lambda _v: tol, max_terms)
 
 
-def _stabilised_series(
-    seq: TermSequence, z: complex, k: int, rel_tol: float, max_terms: int
-) -> tuple[complex, float]:
-    """Fallback inner sum for sequences without a usable decay certificate.
-
-    Accepts the partial sum once a window of consecutive terms is negligible
-    relative to the running magnitude (exactly-terminating series stop with a
-    zero tail).  The returned tail estimate is heuristic, not certified.
-    """
-    acc = CompensatedSum()
-    scale = 0.0
-    small = 0
-    window_terms: list[float] = []
-    n = seq.n_min
-    while n < seq.n_min + max_terms:
-        if seq.n_max is not None and n > seq.n_max:
-            return acc.value, 0.0  # finite family exhausted
-        seq.check_pole_clearance(n, z)
-        t = seq.derivative(n, k, z)
-        acc.add(t)
-        scale = max(scale, abs(acc.value), abs(t))
-        window_terms.append(abs(t))
-        window_terms[:] = window_terms[-_STABLE_WINDOW:]
-        if abs(t) <= rel_tol * max(scale, 1e-300):
-            small += 1
-            if small >= _STABLE_WINDOW:
-                return acc.value, float(sum(window_terms))
-        else:
-            small = 0
-        n += 1
-    raise DiophantineRequired(
-        "no decay certificate and the derivative series did not stabilise"
-    )
-
-
 def taylor_jet(
     seq: TermSequence,
     z0: complex,
@@ -372,32 +362,34 @@ def taylor_jet(
     Cauchy estimate when the radius is Diophantine and a decay certificate is
     present; the remainder constant C_m = sum_n norm_bound(n)/r_n**m and
     eps = lambda - 1 are then recorded for remainder_bound.  Without a
-    certificate the jet is still computed when every inner series stabilises
-    exactly (terms eventually vanish), but no remainder data is attached.
+    certificate each inner sum stops on the stabilised rule: the tails are
+    heuristic, the jet is marked uncertified and carries no remainder data,
+    and DiophantineRequired is raised when an inner series does not settle
+    within max(m + 64, 4096) sheets.
     """
     if m < 0:
         raise ValueError("jet order must be non-negative")
     radius = seq.perforation.radius
     cert = seq.meander_cert
     certifiable = cert is not None and isinstance(radius, DiophantineRadius)
+    if not certifiable:
+        max_terms = max(m + 64, 4096)
 
     coeffs = np.zeros(m + 1, dtype=complex)
     tails = np.zeros(m + 1, dtype=float)
-    if certifiable:
-        for k in range(m + 1):
-            kfac = math.factorial(k)
-            tol_fn = lambda v, kf=kfac: max(abs_tol * kf, rel_tol * max(abs(v), kf))
-            inner = _sum_derivative_series(seq, z0, k, tol_fn, max_terms)
-            coeffs[k] = inner.value / kfac
-            tails[k] = inner.tail_bound / kfac
-        c_m = _remainder_constant(cert, radius, m)
-        return TaylorJet(z0, coeffs, tails, m, c_m=c_m, epsilon=radius.lam - 1.0)
-
     for k in range(m + 1):
-        value, tail = _stabilised_series(seq, z0, k, rel_tol, max_terms=max(m + 64, 4096))
-        coeffs[k] = value / math.factorial(k)
-        tails[k] = tail / math.factorial(k)
-    return TaylorJet(z0, coeffs, tails, m, certified=False)
+        kfac = math.factorial(k)
+        if certifiable:
+            tol_fn = lambda v, kf=kfac: max(abs_tol * kf, rel_tol * max(abs(v), kf))
+        else:
+            tol_fn = lambda v: rel_tol * max(abs(v), 1e-300)
+        inner = _sum_derivative_series(seq, z0, k, tol_fn, max_terms, stabilise=True)
+        coeffs[k] = inner.value / kfac
+        tails[k] = inner.tail_bound / kfac
+    if not certifiable:
+        return TaylorJet(z0, coeffs, tails, m, certified=False)
+    c_m = _remainder_constant(cert, radius, m)
+    return TaylorJet(z0, coeffs, tails, m, c_m=c_m, epsilon=radius.lam - 1.0)
 
 
 def _remainder_constant(cert: DecayCert, radius: DiophantineRadius, m: int) -> float:
@@ -443,10 +435,11 @@ class SequenceSum(TermSequence):
         self.perforation = f.perforation
         self.region = f.region
         self.n_min = min(f.n_min, g.n_min)
+        self.n_max = None if f.n_max is None or g.n_max is None else max(f.n_max, g.n_max)
         self.bounds_global = f.bounds_global and g.bounds_global
 
     def _parts(self, n: int) -> list[TermSequence]:
-        return [s for s in (self._f, self._g) if n >= s.n_min]
+        return [s for s in (self._f, self._g) if s.n_min <= n and (s.n_max is None or n <= s.n_max)]
 
     def term(self, n: int, z: complex) -> complex:
         return sum((s.term(n, z) for s in self._parts(n)), 0j)

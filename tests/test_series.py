@@ -12,6 +12,7 @@ from meandro import (
     QLogModel,
     SequenceSum,
     TolUnreachable,
+    ZeroSumGeneral,
     ZeroSumPiK,
     derivative_sum,
     evaluate_sum,
@@ -184,6 +185,40 @@ def test_zero_sum_jet_is_unit(meander_half):
     assert not jet.certified
     with pytest.raises(DiophantineRequired):
         remainder_bound(jet, 0.01 + 0j)
+
+
+def test_uncertified_jet_stops_on_a_stabilised_window():
+    # Without a decay certificate each inner sum stops once a window of
+    # consecutive terms is negligible; the tails are heuristic, not zero.
+    class Uncertified(MeanderModel):
+        meander_cert = None
+
+    jet = taylor_jet(Uncertified(0.5), 0.1, 3)
+    assert not jet.certified
+    assert np.all(jet.coefficient_tails > 0.0)
+    reference = taylor_jet(MeanderModel(0.5), 0.1, 3)
+    assert reference.certified
+    for got, want in zip(jet.coefficients, reference.coefficients):
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_uncertified_jet_that_never_settles_needs_a_certificate():
+    class Flat(MeanderModel):
+        meander_cert = None
+
+        def derivative(self, n, k, z):
+            return 1 + 0j
+
+    with pytest.raises(DiophantineRequired):
+        taylor_jet(Flat(0.5), 0.1, 3)
+
+
+def test_sum_of_finite_families_stops_at_the_last_sheet():
+    g = ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)])
+    direct = evaluate_sum(g, 0.05)
+    res = evaluate_sum(SequenceSum(g, g), 0.05)
+    assert res.tail_bound == 0.0 and res.terms_used == direct.terms_used == 9
+    assert res.value == pytest.approx(2 * direct.value, rel=1e-12)
 
 
 def test_norm_bound_certificate_holds(qlog_half):
