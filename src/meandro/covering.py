@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated
-from .geometry import DiophantineRadius, Disc, Perforation, TableRadius
+from .geometry import DiophantineRadius, Disc, Perforation, PoleFamilyBase, TableRadius
 from .series import TermSequence
 
 
@@ -113,7 +113,7 @@ def _bell_row(k: int, xs: list[complex]) -> list[complex]:
     return [table.get((k, j), 0j) for j in range(k + 1)]
 
 
-class _PullbackPoles:
+class _PullbackPoles(PoleFamilyBase):
     """Pole preimages under w -> center + w**beta, sheet by sheet."""
 
     def __init__(self, base_family, beta: int, center: complex):
@@ -123,6 +123,14 @@ class _PullbackPoles:
         self.n_min = base_family.n_min
         self.parametric = base_family.parametric
         self.finite_fibers = getattr(base_family, "finite_fibers", False)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _PullbackPoles and (self._base, self.beta, self.center) == (
+            other._base, other.beta, other.center
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._base, self.beta, self.center))
 
     def poles_on_sheet(self, n: int) -> np.ndarray:
         base = self._base.poles_on_sheet(n)
@@ -234,6 +242,26 @@ class PullbackSequence(TermSequence):
             if bells[j] != 0:
                 total += self.base.derivative(n, j, z) * bells[j]
         return total
+
+    def derivatives(self, ns: np.ndarray, m: int, w: complex) -> np.ndarray:
+        out = np.zeros((m + 1, len(ns)), dtype=complex)
+        if w == 0 and self.beta > 1:
+            base = self.base.derivatives(ns, m // self.beta, self.center)
+            for j in range(m // self.beta + 1):
+                k = j * self.beta
+                out[k] = base[j] * math.factorial(k) / math.factorial(j)
+            return out
+        # The partial-Bell coefficients depend on w alone.
+        base = self.base.derivatives(ns, m, self._image(w))
+        out[0] = base[0]
+        xs = [math.perm(self.beta, i) * w ** (self.beta - i) if i <= self.beta else 0j
+              for i in range(1, m + 1)]
+        for k in range(1, m + 1):
+            bells = _bell_row(k, xs)
+            for j in range(1, k + 1):
+                if bells[j] != 0:
+                    out[k] += base[j] * bells[j]
+        return out
 
     def norm_bound(self, n: int) -> float:
         return self.base.norm_bound(n)

@@ -205,6 +205,12 @@ class DiophantineRadius:
             raise ValueError("Diophantine radii are defined for sheets n + shift >= 1")
         return self.c / (n + self.shift) ** self.alpha
 
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        """Radii on the sheets ns (a sorted integer array)."""
+        if len(ns) and ns[0] + self.shift < 1:
+            raise ValueError("Diophantine radii are defined for sheets n + shift >= 1")
+        return self.c / (ns + self.shift) ** self.alpha
+
     def tail_sup(self, cutoff: int) -> float:
         """Upper bound for the radius on every sheet beyond the cutoff."""
         return self.c / (cutoff + self.shift) ** self.alpha
@@ -230,6 +236,10 @@ class TableRadius:
         except KeyError as exc:
             raise ConfigError(f"no radius tabulated for sheet {n}") from exc
 
+    def values(self, ns: np.ndarray) -> np.ndarray:
+        """Radii on the sheets ns."""
+        return np.array([self.value(int(n)) for n in ns], dtype=float)
+
     def tail_sup(self, cutoff: int) -> None:
         return None
 
@@ -242,6 +252,32 @@ RadiusFunction = Union[DiophantineRadius, TableRadius]
 # ---------------------------------------------------------------------------
 
 
+class PoleFamilyBase:
+    """Shared behaviour of the pole families.
+
+    A parametric family is fixed by its type, so two instances of one type are
+    equal; families holding data override ``__eq__`` and ``__hash__``.
+    """
+
+    def nearest_pole_all(self, ns: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest pole and its distance to z on each sheet of ns.
+
+        Default: the scalar ``nearest_pole`` sheet by sheet; families with a
+        closed form override it with numpy code.
+        """
+        pairs = [self.nearest_pole(int(n), z) for n in ns]
+        return (
+            np.array([p for p, _ in pairs], dtype=complex),
+            np.array([d for _, d in pairs], dtype=float),
+        )
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+
 def nearest_root_of_unity(n: int, z: complex) -> tuple[int, complex]:
     """Index and value of the n-th root of unity closest to z.
 
@@ -252,7 +288,7 @@ def nearest_root_of_unity(n: int, z: complex) -> tuple[int, complex]:
     return k, cmath.exp(2j * math.pi * k / n)
 
 
-class RootsOfUnity:
+class RootsOfUnity(PoleFamilyBase):
     """Sheet n carries the n-th roots of unity, n >= 1."""
 
     n_min = 1
@@ -265,6 +301,12 @@ class RootsOfUnity:
     def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
         _, pole = nearest_root_of_unity(n, z)
         return pole, abs(z - pole)
+
+    def nearest_pole_all(self, ns: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        # The angle rounding of nearest_root_of_unity, on every sheet at once.
+        k = np.rint(ns * np.angle(z) / math.tau).astype(np.int64) % ns
+        poles = np.exp(2j * math.pi * k / ns)
+        return poles, np.abs(z - poles)
 
     def tail_distance_bound(self, z: complex, cutoff: int) -> float:
         # Every pole beyond the cutoff still lies on the unit circle.
@@ -286,7 +328,7 @@ class RootsOfUnity:
             n += order
 
 
-class MeanderPoles:
+class MeanderPoles(PoleFamilyBase):
     """Sheet n carries the single pole -1/n, n >= 1."""
 
     n_min = 1
@@ -299,6 +341,10 @@ class MeanderPoles:
     def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
         pole = -1.0 / n
         return pole, abs(z - pole)
+
+    def nearest_pole_all(self, ns: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        poles = -1.0 / ns + 0j
+        return poles, np.abs(z - poles)
 
     def tail_distance_bound(self, z: complex, cutoff: int) -> float:
         # Poles beyond the cutoff lie inside the real segment [-1/(cutoff+1), 0].
@@ -314,7 +360,7 @@ class MeanderPoles:
             yield n
 
 
-class ReciprocalPoles:
+class ReciprocalPoles(PoleFamilyBase):
     """Sheet k carries the poles 1/j for j = 1..k+1, k >= 0.
 
     This is the pole pattern of the zero-expansion terms z^k / prod(1 - j z).
@@ -347,7 +393,7 @@ class ReciprocalPoles:
             yield n
 
 
-class ExplicitPoles:
+class ExplicitPoles(PoleFamilyBase):
     """Finite pole lists given per sheet."""
 
     parametric = False
@@ -363,6 +409,16 @@ class ExplicitPoles:
             if len(set(ps.tolist())) != len(ps):
                 raise ValueError(f"poles on sheet {n} must be distinct")
         self.n_min = min(self._table)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is ExplicitPoles
+            and self._table.keys() == other._table.keys()
+            and all(np.array_equal(ps, other._table[n]) for n, ps in self._table.items())
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple((n, tuple(ps.tolist())) for n, ps in sorted(self._table.items())))
 
     def sheets(self) -> list[int]:
         return sorted(self._table)
@@ -435,6 +491,23 @@ class Perforation:
 
     def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
         return self.poles.nearest_pole(n, z)
+
+    def first_blocked(self, ns: np.ndarray, z: complex) -> tuple[int, complex] | None:
+        """First sheet of ns whose removed disc holds z, with its pole; None if z clears all.
+
+        ``nearest_pole_all`` shortlists the sheets with a small slack; the
+        scalar ``nearest_pole`` and ``radius_at`` decide each one, so the
+        verdict and the witness are those of the sheet-by-sheet test.
+        """
+        _, dist = self.poles.nearest_pole_all(ns, z)
+        near = np.flatnonzero(np.isfinite(dist))  # a sheet without poles needs no radius
+        near = near[dist[near] < self.radius.values(ns[near]) * (1.0 + 1e-9)]
+        for i in near:
+            n = int(ns[i])
+            pole, d = self.nearest_pole(n, z)
+            if d < self.radius_at(n):
+                return n, pole
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,16 @@ class MeanderModel(TermSequence):
     def derivative(self, n: int, k: int, z: complex) -> complex:
         return self.x**n * (-n) ** k * math.factorial(k) / (1.0 + n * z) ** (k + 1)
 
+    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        # Row k is row k-1 times -k*n/(1 + n*z).
+        denom = 1.0 + ns * z
+        step = -ns / denom
+        out = np.empty((m + 1, len(ns)), dtype=complex)
+        out[0] = self.x**ns / denom
+        for k in range(1, m + 1):
+            out[k] = out[k - 1] * (k * step)
+        return out
+
     def norm_bound(self, n: int) -> float:
         radius = self.perforation.radius
         return abs(self.x) ** n * n ** (radius.alpha - 1.0) / radius.c
@@ -180,6 +190,34 @@ class QLogModel(TermSequence):
         roots = self.perforation.poles_on_sheet(n)
         parts = roots / (z - roots) ** (k + 1)
         return self.x**n / n * (-1.0) ** k * math.factorial(k) * complex(parts.sum())
+
+    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        # Taylor coefficients h_k = g^(k)/k! of g = 1/(z**n - 1) by series
+        # division, h * den = num in powers of t (no roots of unity are built).
+        # Inside the unit circle den = (z+t)**n - 1 = sum_i C(n,i) z**(n-i) t**i
+        # and num = 1 (Leibniz on (z**n - 1) * g = 1).  Outside it, g = A/(1 - A)
+        # with A = (z+t)**-n, so den = 1 - A and num = A; z**n then never
+        # overflows.  Each form keeps the division stable on its side.
+        if abs(z) <= 1.0:
+            den = [z**ns - 1.0]
+            binom = np.ones(len(ns))
+            for i in range(1, m + 1):
+                binom = binom * (ns - i + 1) / i  # C(n, i), zero once i > n
+                den.append(binom * z ** np.maximum(ns - i, 0))
+            num = [1.0] + [0.0] * m
+        else:
+            num = [(1.0 / z) ** ns]
+            for i in range(1, m + 1):
+                num.append(num[-1] * (-(ns + i - 1) / (i * z)))  # C(-n, i) z**(-n-i)
+            den = [1.0 - num[0]] + [-a for a in num[1:]]
+        h = np.empty((m + 1, len(ns)), dtype=complex)
+        for k in range(m + 1):
+            acc = num[k] - sum(den[i] * h[k - i] for i in range(1, k + 1))
+            h[k] = acc / den[0]
+        scale = self.x**ns
+        for k in range(m + 1):
+            h[k] *= scale * math.factorial(k)
+        return h
 
     def residue(self, n: int, pole: complex) -> complex:
         if abs(pole**n - 1.0) > 1e-6:

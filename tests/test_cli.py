@@ -231,3 +231,29 @@ def test_json_format(runner, tmp_path):
     payload = json.loads(result.output)
     assert payload["command"] == "eval"
     assert payload["rows"][0]["status"] == "ok"
+
+
+def test_overflowing_jet_is_a_typed_error(runner, tmp_path):
+    # At order 120 the meander terms overflow a float; the CLI reports it.
+    cfg = _write_config(tmp_path, {"model": MEANDER, "jet": {"z0": [0, 0], "order": 120}})
+    result = runner.invoke(main, ["jet", "--config", cfg, "--json"])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "OutOfRegime"
+    assert "sheet 9" in payload["detail"] and "order-120" in payload["detail"]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        # The certified tails of orders near 60 overflow on the early sheets.
+        ("jet", {"model": MEANDER, "jet": {"z0": [0, 0], "order": 60}}),
+        # 7055 sheets: z**n itself would overflow from sheet 1106 on at z = 1.9.
+        ("eval", {"model": dict(QLOG, x=0.99), "eval": {"points": [[1.9, 0.0], [0.3, 0.2]]}}),
+    ],
+)
+def test_clean_runs_write_nothing_to_stderr(runner, tmp_path, command, payload):
+    cfg = _write_config(tmp_path, payload)
+    result = runner.invoke(main, [command, "--config", cfg])
+    assert result.exit_code == 0
+    assert result.stderr == ""

@@ -120,6 +120,32 @@ def test_nearest_root_matches_brute_force(n, z):
     assert abs(z - pole) <= float(np.min(np.abs(z - roots))) + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    start=st.integers(1, 5000),
+    z=st.sampled_from([0j, 1j, -1 + 0j, -0.5 + 0j])
+    | st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+)
+def test_nearest_pole_all_matches_scalar(start, z):
+    ns = np.arange(start, start + 64)
+    for family in (RootsOfUnity(), MeanderPoles()):
+        poles, dists = family.nearest_pole_all(ns, z)
+        for n, pole, dist in zip(ns.tolist(), poles, dists):
+            want_pole, want_dist = family.nearest_pole(n, z)
+            assert abs(pole - want_pole) <= 1e-12
+            assert dist == pytest.approx(want_dist, rel=1e-12, abs=1e-15)
+
+
+def test_pole_families_compare_by_value():
+    assert RootsOfUnity() == RootsOfUnity() and MeanderPoles() == MeanderPoles()
+    assert RootsOfUnity() != MeanderPoles()
+    a = ExplicitPoles({1: [1 + 0j], 2: [2 + 0j]})
+    same = ExplicitPoles({2: [2.0], 1: [1.0]})
+    assert a == same and hash(a) == hash(same)
+    assert a != ExplicitPoles({1: [1 + 0j], 2: [-2 + 0j]})
+    assert a != ExplicitPoles({1: [1 + 0j]})
+
+
 def test_nearest_root_tie_is_deterministic():
     # Exactly between the two square roots of unity: banker's rounding picks k=0.
     k, pole = nearest_root_of_unity(2, 1j)

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meandro import (
     CompensatedSum,
     DiophantineRequired,
     MeanderModel,
+    OutOfRegime,
     PoleProximity,
     QLogModel,
     SequenceSum,
@@ -237,3 +240,92 @@ def test_meander_norm_bound_closed_form(meander_half):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if abs(z + 1.0 / n) >= r_n:
                 assert abs(meander_half.term(n, z)) <= bound * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Block derivatives and the one-pass engine
+# ---------------------------------------------------------------------------
+
+
+def _block_families():
+    from meandro import pullback_model
+
+    return {
+        "meander": MeanderModel(0.9),
+        "qlog": QLogModel(0.9),
+        "pullback": pullback_model(MeanderModel(0.5, c=0.1), 2, 0.05),
+        "pullback-qlog": pullback_model(QLogModel(0.5), 3),
+        "sum": SequenceSum(MeanderModel(0.3), MeanderModel(0.4)),
+        "finite-sum": SequenceSum(
+            ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)]),
+            ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)]),
+        ),
+    }
+
+
+@pytest.mark.parametrize("family", list(_block_families()))
+@settings(max_examples=12, deadline=None)
+@given(
+    z=st.sampled_from([0j, 0.3 + 0.2j, -0.5 + 0.6j, 1.5 - 0.3j, 2.0 + 0j])
+    | st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    count=st.integers(1, 300),
+    m=st.integers(0, 10),
+)
+def test_block_derivatives_match_scalar(family, z, count, m):
+    seq = _block_families()[family]
+    if family.startswith("pullback"):
+        z *= 0.3  # keep the image of the covering inside the base region
+    last = seq.n_min + count - 1 if seq.n_max is None else seq.n_max
+    ns = np.arange(seq.n_min, last + 1)
+    poles = [seq.perforation.nearest_pole(int(n), z) for n in ns]
+    assume(all(d > 1e-3 for _, d in poles))
+    block = seq.derivatives(ns, m, z)
+    assert block.shape == (m + 1, len(ns))
+    for k in range(m + 1):
+        scalar = np.array([seq.derivative(int(n), k, z) for n in ns])
+        largest = float(np.max(np.abs(scalar)))
+        assert np.max(np.abs(block[k] - scalar)) <= 1e-12 * largest
+
+
+def test_one_pass_jet_matches_per_order_sums(meander_half, qlog_half):
+    from meandro.series import _sum_derivative_series
+
+    for seq, z in ((meander_half, 0.1 + 0.05j), (qlog_half, 0.3 - 0.2j)):
+        one_pass = _sum_derivative_series(seq, z, range(6), 1e-10, 0.0, 0.0, 200_000)
+        for k, res in enumerate(one_pass):
+            alone = derivative_sum(seq, z, k, tol=1e-10)
+            assert (res.terms_used, res.tail_bound) == (alone.terms_used, alone.tail_bound)
+            assert abs(res.value - alone.value) <= res.tail_bound
+
+
+def test_jet_honours_an_overridden_scalar_derivative():
+    # A certified subclass that redefines the scalar derivative must not be
+    # bypassed by the inherited numpy block formula.
+    class Doubled(MeanderModel):
+        def derivative(self, n, k, z):
+            return 2.0 * super().derivative(n, k, z)
+
+    jet = taylor_jet(Doubled(0.5), 0.1, 4)
+    reference = taylor_jet(MeanderModel(0.5), 0.1, 4)
+    assert jet.certified
+    for got, want in zip(jet.coefficients, reference.coefficients):
+        assert got == pytest.approx(2.0 * want, rel=1e-9)
+
+
+def test_overflowing_jet_raises_out_of_regime():
+    # The order-120 terms overflow a float from sheet 9 on.
+    with pytest.raises(OutOfRegime, match="order-120 .* sheet 9"):
+        taylor_jet(MeanderModel(0.5, c=0.1), 0j, 120)
+    with pytest.raises(OutOfRegime):
+        taylor_jet(MeanderModel(0.5, c=0.1), 0j, 171)
+
+
+def test_sequence_sum_needs_one_pole_family():
+    # Equal radius tables, different poles: the sum would clear only the
+    # first family's discs.
+    f = ZeroSumGeneral(1, [1, 2])
+    g = ZeroSumGeneral(1, [-1, -2])
+    with pytest.raises(PoleProximity):
+        evaluate_sum(g, -0.999)
+    with pytest.raises(ValueError):
+        SequenceSum(f, g)
