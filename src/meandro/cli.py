@@ -21,7 +21,6 @@ import sys
 from typing import Any, Callable
 
 import click
-import jsonschema
 import numpy as np
 
 from . import models as mdl
@@ -32,6 +31,7 @@ from .geometry import (
     MembershipState,
     perforation_from_config,
     residual_membership,
+    schema_violation,
 )
 from .covering import inclusion_check, induced_radii
 from .errors import HypothesisViolated
@@ -190,10 +190,9 @@ def _load_config(path: str) -> dict:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected by schema: {exc.message}") from exc
+    error = schema_violation(config, CONFIG_SCHEMA)
+    if error is not None:
+        raise ConfigError(f"config rejected by schema: {error.message}") from error
     return config
 
 
@@ -275,8 +274,8 @@ _common = [
     click.option("--model", "model_name", default=None, help="Override the config model name."),
     click.option("--out", "out_path", default="-", help="Output path ('-' for stdout)."),
     click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv"),
-    click.option("--tol", type=float, default=1e-10, show_default=True),
-    click.option("--cutoff", type=int, default=10_000, show_default=True),
+    click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-10, show_default=True),
+    click.option("--cutoff", type=click.IntRange(min=1), default=10_000, show_default=True),
     click.option("--json", "json_errors", is_flag=True, help="Machine-readable errors on stderr."),
 ]
 

@@ -23,6 +23,14 @@ import numpy as np
 
 from .errors import ConfigError, MarginViolated, NotContained
 
+#: Sheets in the first block of a block scan; each next block is twice as long.
+_FIRST_BLOCK = 64
+#: Most values (sheets times values per sheet) one block of a block scan may hold.
+_BLOCK_VALUES = 65_536
+#: Absolute slack of the numpy shortlist, per unit of |z| + |z - p|: numpy and
+#: the scalar code may round a pole or a distance differently by a few ulps.
+_ABS_SLACK = 8 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class StackPoint:
@@ -213,6 +221,8 @@ class DiophantineRadius:
 
     def tail_sup(self, cutoff: int) -> float:
         """Upper bound for the radius on every sheet beyond the cutoff."""
+        if cutoff + self.shift < 1:
+            raise ValueError("Diophantine tail bounds need cutoff + shift >= 1")
         return self.c / (cutoff + self.shift) ** self.alpha
 
 
@@ -237,8 +247,8 @@ class TableRadius:
             raise ConfigError(f"no radius tabulated for sheet {n}") from exc
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        """Radii on the sheets ns."""
-        return np.array([self.value(int(n)) for n in ns], dtype=float)
+        """Radii on the sheets ns; NaN where no radius is tabulated."""
+        return np.array([self.table.get(int(n), math.nan) for n in ns], dtype=float)
 
     def tail_sup(self, cutoff: int) -> None:
         return None
@@ -492,20 +502,27 @@ class Perforation:
     def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
         return self.poles.nearest_pole(n, z)
 
-    def first_blocked(self, ns: np.ndarray, z: complex) -> tuple[int, complex] | None:
-        """First sheet of ns whose removed disc holds z, with its pole; None if z clears all.
+    def first_blocked(
+        self, ns: np.ndarray, z: complex, margin: float = 0.0
+    ) -> tuple[int, complex] | None:
+        """First sheet of ns whose disc of radius r_n*(1 + margin) holds z, with its pole.
 
-        ``nearest_pole_all`` shortlists the sheets with a small slack; the
-        scalar ``nearest_pole`` and ``radius_at`` decide each one, so the
-        verdict and the witness are those of the sheet-by-sheet test.
+        Returns None if z clears every such disc.  ``nearest_pole_all``
+        shortlists the sheets with a small slack; the scalar ``nearest_pole``
+        and ``radius_at`` decide each one, so the verdict and the witness are
+        those of the sheet-by-sheet test.  A sheet with no tabulated radius is
+        shortlisted too, so ``radius_at`` raises for it only if no earlier
+        sheet holds z.
         """
+        scale = 1.0 + margin
         _, dist = self.poles.nearest_pole_all(ns, z)
         near = np.flatnonzero(np.isfinite(dist))  # a sheet without poles needs no radius
-        near = near[dist[near] < self.radius.values(ns[near]) * (1.0 + 1e-9)]
+        bound = self.radius.values(ns[near]) * scale * (1.0 + 1e-9)
+        near = near[~(dist[near] >= bound + _ABS_SLACK * (1.0 + abs(z) + dist[near]))]
         for i in near:
             n = int(ns[i])
             pole, d = self.nearest_pole(n, z)
-            if d < self.radius_at(n):
+            if d < self.radius_at(n) * scale:
                 return n, pole
         return None
 
@@ -603,34 +620,60 @@ class Membership:
         return self.state is MembershipState.IN
 
 
+def doubling_blocks(start: int, stop: int, per_sheet: int = 1) -> Iterator[tuple[int, int]]:
+    """Half-open ranges that tile [start, stop): 64 long first, each next twice as long.
+
+    A block holds at most 65 536 values at ``per_sheet`` values a sheet, so
+    the memory of a block scan stays bounded at any length.
+    """
+    cap = max(_BLOCK_VALUES // per_sheet, 1)
+    size = min(_FIRST_BLOCK, cap)
+    while start < stop:
+        end = min(start + size, stop)
+        yield start, end
+        start, size = end, min(2 * size, cap)
+
+
+def _sheet_blocks(family: PoleFamily, cutoff: int) -> Iterator[np.ndarray]:
+    """The family's sheets up to the cutoff, ascending, in lazily built blocks."""
+    if family.parametric:
+        for lo, hi in doubling_blocks(family.n_min, cutoff + 1):
+            yield np.arange(lo, hi)
+    else:
+        listed = np.array([n for n in family.sheets() if n <= cutoff], dtype=np.int64)
+        for lo, hi in doubling_blocks(0, len(listed)):
+            yield listed[lo:hi]
+
+
 def residual_membership(
     perf: Perforation, z: complex, cutoff: int = 10_000, margin: float = 0.0
 ) -> Membership:
     """Decide whether z survives every removed disc, up to a sheet cutoff.
 
     Membership requires |z - p| >= r_n*(1 + margin) for every pole p of every
-    sheet n.  Sheets up to the cutoff are scanned with the per-family nearest
-    pole search.  Beyond the cutoff, sheets are discharged when a lower bound
-    on the distance from z to all remaining poles dominates the supremum of
-    the remaining radii; with an explicit radius table the tail cannot be
-    bounded and the verdict is Unknown.
+    sheet n.  Sheets up to the cutoff are scanned in blocks of 64, 128, ...
+    sheets, at most 65 536 at a time: the family's numpy ``nearest_pole_all``
+    shortlists the sheets of a block whose disc may hold z, and the scalar
+    ``nearest_pole`` and ``radius_at`` decide each shortlisted sheet in order
+    (``Perforation.first_blocked``).  The first sheet that holds z is the
+    witness, as in a sheet-by-sheet scan, and an early 'out' costs one small
+    block.  Beyond the cutoff, sheets are discharged when a lower bound on
+    the distance from z to all remaining poles dominates the supremum of the
+    remaining radii; with an explicit radius table the tail cannot be bounded
+    and the verdict is Unknown.
     """
     if margin < 0:
         raise ValueError("margin must be non-negative")
+    if cutoff < 0:
+        raise ValueError("cutoff must be non-negative")
     if not cmath.isfinite(z):
         raise ValueError("z must be finite")
 
     family = perf.poles
-    if family.parametric:
-        sheets: Sequence[int] = range(family.n_min, cutoff + 1)
-    else:
-        sheets = [n for n in family.sheets() if n <= cutoff]
-
-    for n in sheets:
-        r_n = perf.radius_at(n)
-        pole, dist = family.nearest_pole(n, z)
-        if dist < r_n * (1.0 + margin):
-            return Membership(MembershipState.OUT, sheet=n, pole=pole)
+    for ns in _sheet_blocks(family, cutoff):
+        blocked = perf.first_blocked(ns, z, margin)
+        if blocked is not None:
+            return Membership(MembershipState.OUT, sheet=blocked[0], pole=blocked[1])
 
     tail_dist = family.tail_distance_bound(z, cutoff)
     if tail_dist is None:
@@ -670,6 +713,11 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
     satisfy |p - q| >= lambda*(r_n + r_m).  Roots-of-unity families use the
     closed-form minimal chord 2*sin(pi*gcd(n,m)/(n*m)) between sheets, which
     the tests cross-check against a brute-force pairwise scan.
+
+    Other families compare each pole with all later poles at once in numpy,
+    with a small slack; the scalar test decides each shortlisted pair in the
+    order of a pair-by-pair scan, so the first violating pair found is the
+    witness.
     """
     lam = perf.lam
     family = perf.poles
@@ -698,12 +746,14 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
     for n in sheets:
         r_n = perf.radius_at(n)
         entries.extend((n, complex(p), r_n) for p in family.poles_on_sheet(n))
-    for i in range(len(entries)):
-        n, p, rp = entries[i]
-        for j in range(i + 1, len(entries)):
+    slack = 1.0 + 1e-9
+    ps = np.array([p for _, p, _ in entries], dtype=complex)
+    rs = np.array([r for _, _, r in entries], dtype=float)
+    for i, (n, p, rp) in enumerate(entries):
+        # A pair with one projection is exempt from the Cauchy condition.
+        near = (ps[i + 1 :] != p) & (np.abs(ps[i + 1 :] - p) < lam * (rp + rs[i + 1 :]) * slack)
+        for j in (np.flatnonzero(near) + i + 1).tolist():
             m, q, rq = entries[j]
-            if p == q:
-                continue  # same projection: exempt from the Cauchy condition
             if abs(p - q) < lam * (rp + rq):
                 return CauchyFlag(
                     CauchyState.REFUTED, cutoff, (StackPoint(n, p), StackPoint(m, q))
@@ -772,14 +822,24 @@ PERFORATION_SCHEMA = {
 }
 
 
-def perforation_from_config(config: dict) -> Perforation:
-    """Build a Perforation from a validated configuration dictionary."""
+def schema_violation(instance, schema: dict):
+    """The error ``jsonschema.validate(instance, schema)`` would raise, or None.
+
+    The schema itself is not checked against the JSON-Schema meta-schema,
+    which ``jsonschema.validate`` does again on every call: the schemas are
+    constants of this package, and the tests check them once.
+    """
     import jsonschema
 
-    try:
-        jsonschema.validate(config, PERFORATION_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid perforation config: {exc.message}") from exc
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    return jsonschema.exceptions.best_match(validator.iter_errors(instance))
+
+
+def perforation_from_config(config: dict) -> Perforation:
+    """Build a Perforation from a validated configuration dictionary."""
+    error = schema_violation(config, PERFORATION_SCHEMA)
+    if error is not None:
+        raise ConfigError(f"invalid perforation config: {error.message}") from error
 
     lam = float(config["lambda"])
     poles_cfg = config["poles"]

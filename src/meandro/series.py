@@ -5,10 +5,11 @@ derivatives, its poles and a bound on its supremum over the perforated
 sheet.  One engine sums the derivative series of a range of orders at a
 point, in a single ascending pass over the sheets, so a Taylor jet of order
 m costs one pass rather than m+1.  The pass walks blocks of consecutive
-sheets: the first holds 64 sheets, each next one twice as many, up to
-65 536 derivative values per block.  A block's derivatives come from
-``TermSequence.derivatives`` as one numpy array, each block's pole clearance
-from the pole family's ``nearest_pole_all``.  The terms an order keeps from a
+sheets from ``geometry.doubling_blocks``: the first holds 64 sheets, each
+next one twice as many, up to 65 536 derivative values per block.  A
+block's derivatives come from ``TermSequence.derivatives`` as one numpy
+array, each block's pole clearance from the pole family's
+``nearest_pole_all``.  The terms an order keeps from a
 block are added exactly with ``math.fsum`` (Shewchuk) on their real and
 imaginary parts, and the block sums are accumulated with compensation.
 
@@ -47,13 +48,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DiophantineRequired, MeandroError, OutOfRegime, PoleProximity, TolUnreachable
-from .geometry import DiophantineRadius, Perforation, Region
+from .geometry import DiophantineRadius, Perforation, Region, doubling_blocks
 
 _STABLE_WINDOW = 8
-#: Sheets in the engine's first block; each next block is twice as long.
-_FIRST_BLOCK = 64
-#: Most derivative values (orders times sheets) one block may hold.
-_BLOCK_VALUES = 65_536
 #: Highest jet order: k! overflows a float from k = 171 on.
 _MAX_JET_ORDER = 170
 
@@ -450,12 +447,11 @@ def _sum_derivative_series(
     last = seq.n_min + max_terms - 1
     if finite:
         last = min(last, seq.n_max)
-    cap = max(_BLOCK_VALUES // (orders[-1] + 1), 1)
-    size = min(_FIRST_BLOCK, cap)
-    n = seq.n_min
     active = list(orders)
-    while active and n <= last:
-        ns = np.arange(n, min(n + size, last + 1))
+    for lo, hi in doubling_blocks(seq.n_min, last + 1, per_sheet=orders[-1] + 1):
+        if not active:
+            break
+        ns = np.arange(lo, hi)
         with np.errstate(all="ignore"):
             block = seq.derivatives(ns, active[-1], z)
             ends: dict[int, tuple[int, float | MeandroError]] = {}
@@ -477,7 +473,7 @@ def _sum_derivative_series(
         errors = [(j, k, out) for k, (j, out) in ends.items() if isinstance(out, MeandroError)]
         blocked = seq.perforation.first_blocked(ns[: reach + 1], z)
         if blocked is not None:
-            errors.append((blocked[0] - n, -1, PoleProximity(*blocked)))
+            errors.append((blocked[0] - lo, -1, PoleProximity(*blocked)))
         if errors:
             raise min(errors, key=lambda e: e[:2])[2]
 
@@ -491,8 +487,6 @@ def _sum_derivative_series(
                 results[k] = SumResult(accs[k].value, int(ns[j]), tail, partials[k])
         active = [k for k in active if k not in results]
         del block, terms, kept  # free this block (views too) before the next is built
-        n += len(ns)
-        size = min(2 * size, cap)
     if active:
         if stabilise:
             raise DiophantineRequired(

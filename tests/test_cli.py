@@ -5,8 +5,11 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from jsonschema.validators import validator_for
 
-from meandro.cli import _fmt, main
+from meandro.cli import CONFIG_SCHEMA, _fmt, main
+from meandro.errors import ConfigError
+from meandro.geometry import PERFORATION_SCHEMA, perforation_from_config
 
 
 @pytest.fixture()
@@ -22,6 +25,8 @@ def _write_config(tmp_path, payload, name="config.json"):
 
 MEANDER = {"name": "meander", "x": 0.5, "c": 0.1, "alpha": 2, "lambda": 1.5}
 QLOG = {"name": "qlog", "x": 0.5, "c": 0.05, "alpha": 2, "lambda": 1.5}
+ROOTS = {"poles": "roots_of_unity", "radius": {"c": 0.05, "alpha": 2}, "lambda": 1.5}
+GRID = {"re_start": 1.01, "re_stop": 1.01, "re_count": 1, "im_start": 0, "im_stop": 0, "im_count": 1}
 
 
 def test_eval_points(runner, tmp_path):
@@ -69,6 +74,44 @@ def test_schema_violation_exit_two(runner, tmp_path):
     cfg = _write_config(tmp_path, {"model": {"name": "meander", "lambda": 0.5}})
     result = runner.invoke(main, ["eval", "--config", cfg])
     assert result.exit_code == 2
+
+
+def test_schemas_are_valid_json_schemas():
+    # The CLI validates configs without re-checking its own schemas.
+    for schema in (CONFIG_SCHEMA, PERFORATION_SCHEMA):
+        validator_for(schema).check_schema(schema)
+
+
+def test_schema_rejections_name_the_best_match(runner, tmp_path):
+    grid = {"re_start": 0, "re_stop": 1, "re_count": 2, "im_start": 0, "im_stop": 1}
+    cfg = _write_config(tmp_path, {"perforation": ROOTS, "residual": {"grid": grid}})
+    result = runner.invoke(main, ["residual", "--config", cfg])
+    assert result.exit_code == 2
+    assert result.output == "error (config): config rejected by schema: 'im_count' is a required property\n"
+    for poles, message in (
+        ("circle", "'circle' is not valid under any of the given schemas"),
+        ({"explicit": [[1, 0.5]]}, "[1, 0.5] is too short"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            perforation_from_config(dict(ROOTS, poles=poles))
+        assert str(err.value) == f"invalid perforation config: {message}"
+
+
+@pytest.mark.parametrize(
+    "command, payload, option",
+    [
+        ("residual", {"perforation": ROOTS, "residual": {"grid": GRID}}, ["--cutoff", "-5"]),
+        ("residual", {"perforation": ROOTS, "residual": {"grid": GRID}}, ["--cutoff", "0"]),
+        ("eval", {"model": MEANDER, "eval": {"points": [[0.0, 0.0]]}}, ["--tol", "-1"]),
+    ],
+    ids=["negative-cutoff", "zero-cutoff", "negative-tol"],
+)
+def test_out_of_range_cutoff_or_tol_is_a_usage_error(runner, tmp_path, command, payload, option):
+    cfg = _write_config(tmp_path, payload)
+    result = runner.invoke(main, [command, "--config", cfg, *option])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option[0]}'" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_json_error_objects(runner, tmp_path):

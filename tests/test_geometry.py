@@ -56,6 +56,12 @@ def test_diophantine_radius_values():
         DiophantineRadius(0.1, 2.0, lam=1.0)
 
 
+def test_diophantine_tail_needs_a_sheet():
+    with pytest.raises(ValueError):
+        DiophantineRadius(0.05, 2.0).tail_sup(0)
+    assert DiophantineRadius(0.05, 2.0, shift=1).tail_sup(0) == 0.05
+
+
 def test_table_radius_cannot_discharge_tail():
     r = TableRadius({1: 0.1, 2: 0.05}, lam=1.5)
     assert r.value(2) == 0.05
@@ -248,6 +254,126 @@ def test_membership_monotone_in_margin(z, m_small, m_extra):
         assert residual_membership(perf, z, cutoff=200, margin=m_small).state is MembershipState.IN
 
 
+@pytest.mark.parametrize(
+    "poles, z", [(RootsOfUnity(), 1.01 + 0j), (MeanderPoles(), -1.01 + 0j)], ids=["roots", "meander"]
+)
+def test_membership_rejects_a_negative_cutoff(poles, z):
+    # Sheet 1's disc holds z; a negative cutoff must not vouch for it.
+    perf = Perforation(poles, DiophantineRadius(0.05, 2.0))
+    assert residual_membership(perf, z, cutoff=1).state is MembershipState.OUT
+    with pytest.raises(ValueError):
+        residual_membership(perf, z, cutoff=-5)
+
+
+def test_membership_errors_in_sheet_order():
+    # Radii are tabulated on sheets 1..5 only; the scan covers sheets 1..40.
+    perf = Perforation(RootsOfUnity(), TableRadius({n: 0.05 for n in range(1, 6)}))
+    out = residual_membership(perf, -0.99 + 0j, cutoff=40)
+    assert (out.state, out.sheet) == (MembershipState.OUT, 2)
+    assert out.pole == pytest.approx(-1 + 0j, abs=1e-15)
+    with pytest.raises(ConfigError, match="sheet 6"):
+        residual_membership(perf, 0.5 + 0j, cutoff=40)
+
+
+def _membership_reference(perf, z, cutoff, margin):
+    """The sheet-by-sheet scan: every sheet's scalar nearest pole, in order."""
+    family = perf.poles
+    if family.parametric:
+        sheets = range(family.n_min, cutoff + 1)
+    else:
+        sheets = [n for n in family.sheets() if n <= cutoff]
+    for n in sheets:
+        pole, dist = family.nearest_pole(n, z)
+        if dist < perf.radius_at(n) * (1.0 + margin):
+            return MembershipState.OUT, n, pole
+    tail_dist = family.tail_distance_bound(z, cutoff)
+    if tail_dist is None:
+        return MembershipState.UNKNOWN, None, None
+    if tail_dist == math.inf or tail_dist >= perf.radius.tail_sup(cutoff) * (1.0 + margin):
+        return MembershipState.IN, None, None
+    return MembershipState.UNKNOWN, None, None
+
+
+def _explicit_family(seed: int) -> ExplicitPoles:
+    """Sheets 0..299, about a third of them empty, poles near the unit circle."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for n in range(300):
+        count = int(rng.integers(0, 3))
+        mods = rng.uniform(0.8, 1.2, count)
+        table[n] = (mods * np.exp(1j * rng.uniform(0, math.tau, count))).tolist()
+    return ExplicitPoles(table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["roots", "meander", "explicit"]),
+    seed=st.integers(0, 2**16),
+    c=st.floats(0.01, 0.5),
+    margin=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2.0),
+    cutoff=st.sampled_from([64, 65, 200, 5000]),
+    # Sheets at the ends of the first blocks and of the scan, or anywhere.
+    sheet=st.sampled_from([1, 64, 65, 192, 193, 200, 201, 448, 449, 5000, 5001]) | st.integers(1, 6000),
+    theta=st.floats(0.0, math.tau),
+    depth=st.sampled_from([None, 1.0, 0.5]),
+    z_free=st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
+)
+def test_block_membership_matches_sheet_by_sheet(kind, seed, c, margin, cutoff, sheet, theta, depth, z_free):
+    if kind == "roots":
+        perf = Perforation(RootsOfUnity(), DiophantineRadius(c, 2.0))
+    elif kind == "meander":
+        perf = Perforation(MeanderPoles(), DiophantineRadius(c, 2.0))
+    else:
+        perf = Perforation(_explicit_family(seed), DiophantineRadius(c, 2.0, shift=1))
+    z = z_free
+    poles = perf.poles_on_sheet(sheet)
+    if depth is not None and len(poles):
+        # On the rim of a removed disc inflated by the margin, or halfway in.
+        pole = complex(poles[seed % len(poles)])
+        z = pole + depth * perf.radius_at(sheet) * (1.0 + margin) * cmath.exp(1j * theta)
+    got = residual_membership(perf, z, cutoff=cutoff, margin=margin)
+    assert (got.state, got.sheet, got.pole) == _membership_reference(perf, z, cutoff, margin)
+
+
+@pytest.mark.parametrize("kind", ["roots", "meander", "explicit"])
+def test_block_membership_at_block_ends(kind):
+    # Blocks of 64, 128 and 256 sheets end at sheets 64, 192 and 448.
+    if kind == "roots":
+        perf = Perforation(RootsOfUnity(), DiophantineRadius(0.05, 2.0))
+    elif kind == "meander":
+        perf = Perforation(MeanderPoles(), DiophantineRadius(0.05, 2.0))
+    else:
+        perf = Perforation(_explicit_family(7), DiophantineRadius(0.05, 2.0, shift=1))
+    for sheet in (1, 63, 64, 65, 192, 193, 448, 449, 499, 500, 501):
+        poles = perf.poles_on_sheet(sheet)
+        if not len(poles):
+            continue
+        pole = complex(poles[1 % len(poles)])  # a primitive root for the roots of unity
+        for margin in (0.0, 0.5):
+            for depth in (1.0, 0.5):
+                z = pole + depth * perf.radius_at(sheet) * (1.0 + margin) * 1j
+                got = residual_membership(perf, z, cutoff=500, margin=margin)
+                assert (got.state, got.sheet, got.pole) == _membership_reference(perf, z, 500, margin)
+                if depth < 1.0 and sheet <= 500:
+                    assert got.state is MembershipState.OUT
+
+
+def test_block_membership_on_a_rim_where_numpy_rounds_the_pole_apart():
+    # Sheet 1002's pole 145: numpy's exp(2j*pi*k/n) lands about 1e-16 from
+    # cmath's, more than the relative slack r_n*1e-9 at r_n = 5e-8.  z lies
+    # just inside the scalar disc and just outside the numpy one.
+    perf = Perforation(RootsOfUnity(), DiophantineRadius(0.05, 2.0))
+    n, k = 1002, 145
+    z = complex(0.6143428906703507, 0.78903917835962)
+    pole, dist = perf.nearest_pole(n, z)
+    _, dists = perf.poles.nearest_pole_all(np.array([n]), z)
+    assert pole == cmath.exp(2j * math.pi * k / n)
+    assert dist < perf.radius_at(n) * (1.0 + 1e-9) <= dists[0]
+    got = residual_membership(perf, z, cutoff=2000)
+    assert (got.state, got.sheet, got.pole) == (MembershipState.OUT, n, pole)
+    assert (got.state, got.sheet, got.pole) == _membership_reference(perf, z, 2000, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Cauchy radius check
 # ---------------------------------------------------------------------------
@@ -315,6 +441,70 @@ def test_lambda_radius_witness():
     a, b = flag.witness
     assert a.sheet == b.sheet == 1
     assert {a.coord, b.coord} == {0j, 0.15 + 0j}
+
+
+def _cauchy_pairs_reference(perf, cutoff, same=0.0):
+    """Brute-force pair scan: the first pole pair, in sheet order, that violates the condition.
+
+    Poles closer than ``same`` count as one projection and are exempt.
+    """
+    entries = []
+    for n in [m for m in perf.poles.sheets() if m <= cutoff]:
+        entries.extend((n, complex(p), perf.radius_at(n)) for p in perf.poles_on_sheet(n))
+    for i, (n, p, rp) in enumerate(entries):
+        for m, q, rq in entries[i + 1 :]:
+            if same < abs(p - q) < perf.lam * (rp + rq):
+                return CauchyState.REFUTED, (StackPoint(n, p), StackPoint(m, q))
+    return CauchyState.VERIFIED, None
+
+
+def _cauchy_roots_reference(perf, cutoff):
+    """Sheet pairs (m, n), m <= n, in the scalar order of the closed-form chord test."""
+    lam = perf.lam
+    for n in range(1, cutoff + 1):
+        r_n = perf.radius_at(n)
+        if n >= 2 and 2.0 * math.sin(math.pi / n) < 2.0 * lam * r_n:
+            return n, n
+        for m in range(1, n):
+            if 2.0 * math.sin(math.pi * math.gcd(n, m) / (n * m)) < lam * (r_n + perf.radius_at(m)):
+                return m, n
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sheets=st.lists(
+        st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4, unique=True),
+        min_size=1,
+        max_size=8,
+    ),
+    radii=st.lists(st.floats(0.001, 0.2), min_size=8, max_size=8),
+    cutoff=st.integers(0, 8),
+)
+def test_cauchy_explicit_matches_pair_scan(sheets, radii, cutoff):
+    # Poles on a coarse lattice, so that sheets share projections.
+    table = {n: [complex(a, b) / 4 for a, b in ps] for n, ps in enumerate(sheets, start=1)}
+    perf = Perforation(ExplicitPoles(table), TableRadius(dict(enumerate(radii, start=1))))
+    flag = cauchy_radius_check(perf, cutoff)
+    assert (flag.state, flag.witness) == _cauchy_pairs_reference(perf, cutoff)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.floats(0.01, 0.6), alpha=st.floats(1.0, 3.0), cutoff=st.integers(1, 14))
+def test_cauchy_roots_matches_pair_scan(c, alpha, cutoff):
+    perf = Perforation(RootsOfUnity(), DiophantineRadius(c, alpha))
+    table = {n: perf.poles_on_sheet(n).tolist() for n in range(1, cutoff + 1)}
+    pairs = Perforation(ExplicitPoles(table), perf.radius)
+    flag = cauchy_radius_check(perf, cutoff)
+    # A root shared by two sheets is computed on each up to rounding.
+    assert flag.state is _cauchy_pairs_reference(pairs, cutoff, same=1e-12)[0]
+    want = _cauchy_roots_reference(perf, cutoff)
+    if want is None:
+        assert flag.witness is None
+    else:
+        a, b = flag.witness
+        assert (a.sheet, b.sheet) == want
+        assert abs(a.coord - b.coord) < perf.lam * (perf.radius_at(a.sheet) + perf.radius_at(b.sheet))
 
 
 # ---------------------------------------------------------------------------
