@@ -122,7 +122,7 @@ class _PullbackPoles(PoleFamilyBase):
         self.center = center
         self.n_min = base_family.n_min
         self.parametric = base_family.parametric
-        self.finite_fibers = getattr(base_family, "finite_fibers", False)
+        self.finite_fibers = base_family.finite_fibers
 
     def __eq__(self, other) -> bool:
         return type(other) is _PullbackPoles and (self._base, self.beta, self.center) == (

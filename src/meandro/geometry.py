@@ -269,6 +269,9 @@ class PoleFamilyBase:
     equal; families holding data override ``__eq__`` and ``__hash__``.
     """
 
+    #: True when each pole lies on finitely many sheets: a fiber sum can end.
+    finite_fibers: bool = False
+
     def nearest_pole_all(self, ns: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """Nearest pole and its distance to z on each sheet of ns.
 
@@ -303,7 +306,6 @@ class RootsOfUnity(PoleFamilyBase):
 
     n_min = 1
     parametric = True
-    finite_fibers = False  # a root of unity lies on infinitely many sheets
 
     def poles_on_sheet(self, n: int) -> np.ndarray:
         return np.exp(2j * math.pi * np.arange(n) / n)
@@ -378,7 +380,6 @@ class ReciprocalPoles(PoleFamilyBase):
 
     n_min = 0
     parametric = True
-    finite_fibers = False
 
     def poles_on_sheet(self, n: int) -> np.ndarray:
         return 1.0 / np.arange(1, n + 2, dtype=float) + 0j

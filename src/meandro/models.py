@@ -41,6 +41,27 @@ from .series import DecayCert, TermSequence, evaluate_sum
 DEFAULT_RAY_ANGLE = math.tau * math.sqrt(2.0)
 
 
+def _decay_cert(ax: float, rho: float | None, c: float, alpha: float) -> DecayCert:
+    """Certificate A*rho**n >= ax**n * n**(alpha-1)/c for every sheet n >= 1.
+
+    rho defaults to (1 + ax)/2.  A is the exact maximum over n of
+    n**(alpha-1) * (ax/rho)**n / c (unimodal in n), rounded outward so that
+    it dominates the bound evaluated in floats as well.
+    """
+    rho = rho if rho is not None else (1.0 + ax) / 2.0
+    if not (ax < rho < 1.0):
+        raise ValueError("need |x| < rho < 1")
+    if ax == 0.0:
+        return DecayCert(1e-300, rho)
+    tau = ax / rho
+    candidates = {1}
+    if alpha > 1.0:
+        n_star = (alpha - 1.0) / math.log(1.0 / tau)
+        candidates.update({max(1, math.floor(n_star)), math.ceil(n_star)})
+    peak = max(n ** (alpha - 1.0) * tau**n for n in candidates)
+    return DecayCert(peak / c * (1.0 + 1e-12), rho)
+
+
 # ---------------------------------------------------------------------------
 # Meander series
 # ---------------------------------------------------------------------------
@@ -52,8 +73,7 @@ class MeanderModel(TermSequence):
     Outside the removed disc of radius r_n = c/n**alpha one has
     |1 + n*z| = n*|z + 1/n| >= n*r_n, so the term is bounded by
     |x|**n * n**(alpha-1)/c everywhere off the disc.  That bound is
-    dominated by A*rho**n for any rho in (|x|, 1); the certificate uses the
-    exact maximum of n**(alpha-1)*(|x|/rho)**n.
+    dominated by A*rho**n for any rho in (|x|, 1); see ``_decay_cert``.
     """
 
     bounds_global = True
@@ -74,22 +94,7 @@ class MeanderModel(TermSequence):
         self.n_min = 1
         self.perforation = Perforation(MeanderPoles(), DiophantineRadius(c, alpha, lam))
         self.region = region if region is not None else Disc(0j, 2.0)
-        rho = rho if rho is not None else (1.0 + abs(x)) / 2.0
-        if not (abs(x) < rho < 1.0):
-            raise ValueError("need |x| < rho < 1")
-        self._cert = DecayCert(self._peak_ratio(abs(x), rho, c, alpha), rho)
-
-    @staticmethod
-    def _peak_ratio(ax: float, rho: float, c: float, alpha: float) -> float:
-        """max_n n**(alpha-1) * (ax/rho)**n / c (unimodal in n)."""
-        if ax == 0.0:
-            return 1e-300
-        tau = ax / rho
-        candidates = {1}
-        if alpha > 1.0:
-            n_star = (alpha - 1.0) / math.log(1.0 / tau)
-            candidates.update({max(1, math.floor(n_star)), math.ceil(n_star)})
-        return max(n ** (alpha - 1.0) * tau**n for n in candidates) / c
+        self._cert = _decay_cert(abs(x), rho, c, alpha)
 
     @property
     def meander_cert(self) -> DecayCert:
@@ -133,10 +138,13 @@ class QLogModel(TermSequence):
     """Terms x**n/(z**n - 1) for n >= 1 with poles at the n-th roots of unity.
 
     Derivatives come from the fiber decomposition differentiated termwise.
-    Norm bounds are certified by boundary sampling of each perforated sheet;
-    the decay certificate A*rho**n is fitted lazily over the first sheets
-    with a safety factor (the ratio norm_bound(n)/rho**n is unimodal because
-    the bounds grow like a polynomial times |x|**n).
+    1/(z**n - 1) is holomorphic off the removed discs and vanishes at
+    infinity, so its sup is reached on a rim z = w*(1 + u), w**n = 1,
+    |u| = r_n.  There, with s = n*r_n <= c (alpha >= 1), one has
+    |(1+u)**n - 1| >= 2*s + 1 - (1+r_n)**n >= 2*s + 1 - e**s >= kappa*s with
+    kappa = (2*c - expm1(c))/c, as (2*s + 1 - e**s)/s decreases in s; kappa > 0
+    for 0 < c <= 1.  So the term is bounded by |x|**n * n**(alpha-1)/(c*kappa),
+    the meander bound over kappa, on the whole perforated plane.
     """
 
     def __init__(
@@ -147,8 +155,6 @@ class QLogModel(TermSequence):
         lam: float = 1.5,
         region: Region | None = None,
         rho: float | None = None,
-        cert_sheets: int = 48,
-        cert_safety: float = 1.5,
     ):
         x = complex(x)
         if abs(x) >= 1.0:
@@ -157,25 +163,16 @@ class QLogModel(TermSequence):
         self.n_min = 1
         self.perforation = Perforation(RootsOfUnity(), DiophantineRadius(c, alpha, lam))
         self.region = region if region is not None else Disc(0j, 2.1)
-        self._rho = rho if rho is not None else (1.0 + abs(x)) / 2.0
-        if not (abs(x) < self._rho < 1.0):
-            raise ValueError("need |x| < rho < 1")
-        self._cert_sheets = cert_sheets
-        self._cert_safety = cert_safety
-        self._cert: DecayCert | None = None
+        # kappa rounded down, so that c*kappa is a lower bound in floats too.
+        self._c_kappa = (2.0 * c - math.expm1(c)) * (1.0 - 1e-12)
+        self._cert = _decay_cert(abs(x), rho, self._c_kappa, alpha)
 
     @property
     def meander_cert(self) -> DecayCert:
-        if self._cert is None:
-            if self.x == 0:
-                self._cert = DecayCert(1e-300, self._rho)
-            else:
-                peak = max(
-                    self.norm_bound(n) / self._rho**n
-                    for n in range(1, self._cert_sheets + 1)
-                )
-                self._cert = DecayCert(self._cert_safety * peak, self._rho)
         return self._cert
+
+    def norm_bound(self, n: int) -> float:
+        return abs(self.x) ** n * n ** (self.perforation.radius.alpha - 1.0) / self._c_kappa
 
     def term(self, n: int, z: complex) -> complex:
         return self.x**n / (z**n - 1.0)

@@ -365,7 +365,7 @@ def fiber_polar_sum(
         )
         if tail <= tol:
             return SumResult(acc, last, tail)
-    if getattr(perf.poles, "finite_fibers", False):
+    if perf.poles.finite_fibers:
         return SumResult(acc, last, 0.0)  # the fiber is exhausted: no tail at all
     tail = s_val * cert.A * radius.c * power_geometric_tail(-radius.alpha, cert.rho, last)
     if tail <= tol:

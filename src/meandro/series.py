@@ -162,11 +162,10 @@ class TermSequence(abc.ABC):
         return None
 
     def norm_bound(self, n: int) -> float:
-        """Certified sup of the sheet-n term over the perforated region.
+        """Bound on the sup of the sheet-n term over the perforated region.
 
-        Default: maximum-principle boundary sampling.  The sup over the
-        perforated sheet is attained on the region boundary or on a removed
-        disc circle; both are sampled at 1024 points and inflated by 1%.
+        Default: ``sampled_norm_bound``, a sampled estimate and not a
+        certified sup.  Families with a closed-form bound override it.
         """
         cache = self._norm_bounds
         if n not in cache:
@@ -194,7 +193,9 @@ def sampled_norm_bound(
     the region boundary or on a removed-disc circle.  Removed discs are
     mutually disjoint (radius-function invariant), so circle samples need no
     cross-filtering; region-boundary samples falling inside a removed disc
-    are dropped.
+    are dropped.  Two uses remain: the default ``TermSequence.norm_bound``,
+    for the ratio test of the zero-sum families, and the tests' cross-check
+    of the closed-form bounds.
     """
     region = seq.region
     r_n = seq.perforation.radius_at(n)

@@ -22,6 +22,7 @@ from meandro import (
     remainder_bound,
     taylor_jet,
 )
+from meandro.series import sampled_norm_bound
 
 
 def test_compensated_sum_beats_naive():
@@ -224,10 +225,13 @@ def test_sum_of_finite_families_stops_at_the_last_sheet():
     assert res.value == pytest.approx(2 * direct.value, rel=1e-12)
 
 
-def test_norm_bound_certificate_holds(qlog_half):
-    cert = qlog_half.meander_cert
-    for n in range(1, 81):
-        assert qlog_half.norm_bound(n) <= cert.A * cert.rho**n
+def test_norm_bound_certificate_holds(qlog_half, meander_half, meander_tight):
+    # The meander fixtures peak at sheets 2 and 3, where an unrounded A ties
+    # with the float norm bound.
+    for model in (qlog_half, meander_half, meander_tight):
+        cert = model.meander_cert
+        for n in range(1, 81):
+            assert model.norm_bound(n) <= cert.A * cert.rho**n
 
 
 def test_meander_norm_bound_closed_form(meander_half):
@@ -240,6 +244,34 @@ def test_meander_norm_bound_closed_form(meander_half):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if abs(z + 1.0 / n) >= r_n:
                 assert abs(meander_half.term(n, z)) <= bound * (1 + 1e-12)
+
+
+# c >= 0.01: the bound's slack is about c/2 relative, while the sampled rims
+# of radius c/n**alpha lose about n**alpha * 1e-16 / c of z**n - 1 in floats.
+@settings(max_examples=40, deadline=None)
+@given(
+    modulus=st.floats(0.0, 0.99, exclude_max=True),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    c=st.floats(0.01, 1.0),
+    alpha=st.floats(1.0, 3.0),
+    n=st.integers(1, 500),
+)
+def test_qlog_norm_bound_dominates_sampled_sup(modulus, angle, c, alpha, n):
+    model = QLogModel(modulus * cmath.exp(1j * angle), c=c, alpha=alpha)
+    assert sampled_norm_bound(model, n, inflate=1.0) <= model.norm_bound(n)
+
+
+def test_qlog_jet_matches_lambert_series_within_tails():
+    # sum_n x**n/(z**n - 1) = -sum_n sum_{j>=0} x**n z**(n*j) near 0, so
+    # a_0 = -x/(1-x) and a_m = -sum_{d | m} x**d.
+    x = 0.9
+    jet = taylor_jet(QLogModel(x), 0j, 12)
+    assert jet.certified
+    lambert = [-x / (1.0 - x)] + [
+        -sum(x**d for d in range(1, m + 1) if m % d == 0) for m in range(1, 13)
+    ]
+    for got, tail, want in zip(jet.coefficients, jet.coefficient_tails, lambert):
+        assert abs(got - want) <= tail + 1e-12 * abs(want)
 
 
 # ---------------------------------------------------------------------------
