@@ -214,19 +214,23 @@ def _build_model(config: dict, override: str | None):
         from .geometry import Disc
 
         kwargs["region"] = Disc(0j, section["region_radius"])
-    if name == "meander":
-        return mdl.MeanderModel(_as_complex(section.get("x", 0.5)), **kwargs)
-    if name == "qlog":
-        return mdl.QLogModel(_as_complex(section.get("x", 0.5)), **kwargs)
-    if name == "zero_sum_pik":
-        return mdl.ZeroSumPiK(**kwargs)
-    if name == "zero_sum_general":
-        poles = [_as_complex(p) for p in section.get("poles", [])]
-        if not poles:
-            raise ConfigError("zero_sum_general needs a 'poles' list")
-        kwargs.pop("c", None), kwargs.pop("alpha", None)
-        return mdl.ZeroSumGeneral(_as_complex(section.get("constant", 1.0)), poles,
-                                  lam=kwargs.get("lam", 1.5))
+    # The schema admits parameters that a model refuses (|x| >= 1, c > 1).
+    try:
+        if name == "meander":
+            return mdl.MeanderModel(_as_complex(section.get("x", 0.5)), **kwargs)
+        if name == "qlog":
+            return mdl.QLogModel(_as_complex(section.get("x", 0.5)), **kwargs)
+        if name == "zero_sum_pik":
+            return mdl.ZeroSumPiK(**kwargs)
+        if name == "zero_sum_general":
+            poles = [_as_complex(p) for p in section.get("poles", [])]
+            if not poles:
+                raise ConfigError("zero_sum_general needs a 'poles' list")
+            kwargs.pop("c", None), kwargs.pop("alpha", None)
+            return mdl.ZeroSumGeneral(_as_complex(section.get("constant", 1.0)), poles,
+                                      lam=kwargs.get("lam", 1.5))
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name} model: {exc}") from exc
     raise ConfigError(f"unknown model {name}")
 
 

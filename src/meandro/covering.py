@@ -132,18 +132,25 @@ class _PullbackPoles(PoleFamilyBase):
     def __hash__(self) -> int:
         return hash((self._base, self.beta, self.center))
 
+    def _preimages(self, base: np.ndarray) -> np.ndarray:
+        """The beta preimages of each base pole along a new last axis."""
+        shifted = base - self.center
+        mod = np.abs(shifted) ** (1.0 / self.beta)
+        arg = np.angle(shifted)
+        js = np.arange(self.beta)
+        return mod[..., None] * np.exp(1j * (arg[..., None] + 2.0 * math.pi * js) / self.beta)
+
     def poles_on_sheet(self, n: int) -> np.ndarray:
         base = self._base.poles_on_sheet(n)
         if len(base) == 0:
             return base
-        shifted = np.asarray(base, dtype=complex) - self.center
-        mod = np.abs(shifted) ** (1.0 / self.beta)
-        arg = np.angle(shifted)
-        js = np.arange(self.beta)
-        roots = mod[:, None] * np.exp(
-            1j * (arg[:, None] + 2.0 * math.pi * js[None, :]) / self.beta
-        )
-        return roots.ravel()
+        return self._preimages(np.asarray(base, dtype=complex)).ravel()
+
+    def poles_table(self, ns: np.ndarray) -> np.ndarray | None:
+        base = self._base.poles_table(ns)
+        if base is None:
+            return None
+        return self._preimages(base).reshape(len(ns), -1)  # a NaN pad has NaN preimages
 
     def nearest_pole(self, n: int, w: complex) -> tuple[complex, float]:
         poles = self.poles_on_sheet(n)
@@ -204,8 +211,8 @@ class PullbackSequence(TermSequence):
             self.region = base.region
 
     @property
-    def meander_cert(self):
-        return self.base.meander_cert
+    def decay_cert(self):
+        return self.base.decay_cert
 
     def _image(self, w: complex) -> complex:
         return self.center + w**self.beta

@@ -266,23 +266,52 @@ class PoleFamilyBase:
     """Shared behaviour of the pole families.
 
     A parametric family is fixed by its type, so two instances of one type are
-    equal; families holding data override ``__eq__`` and ``__hash__``.
+    equal; families holding data override ``__eq__`` and ``__hash__``.  A
+    family with few poles a sheet gives a NaN-padded ``poles_table``, from
+    which ``nearest_pole_all`` works in numpy.
     """
 
     #: True when each pole lies on finitely many sheets: a fiber sum can end.
     finite_fibers: bool = False
 
+    def poles_table(self, ns: np.ndarray) -> np.ndarray | None:
+        """The poles of each sheet of ns as rows of one array, or None.
+
+        Row i lists the poles of sheet ns[i] in the order of
+        ``poles_on_sheet``, padded with NaN to the longest row.  Families
+        with a few poles a sheet provide it; the default is None.
+        """
+        return None
+
     def nearest_pole_all(self, ns: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """Nearest pole and its distance to z on each sheet of ns.
 
-        Default: the scalar ``nearest_pole`` sheet by sheet; families with a
-        closed form override it with numpy code.
+        With a ``poles_table`` the table is swept column by column, and a
+        pole replaces the one kept only when strictly nearer, so each row
+        keeps its first nearest pole, as the scalar ``nearest_pole`` does; a
+        sheet without poles gets the pole 0 at distance inf.  Without a
+        table the scalar ``nearest_pole`` runs sheet by sheet, unless the
+        family overrides this with a closed form.
         """
-        pairs = [self.nearest_pole(int(n), z) for n in ns]
-        return (
-            np.array([p for p, _ in pairs], dtype=complex),
-            np.array([d for _, d in pairs], dtype=float),
-        )
+        table = self.poles_table(ns)
+        if table is None:
+            pairs = [self.nearest_pole(int(n), z) for n in ns]
+            return (
+                np.array([p for p, _ in pairs], dtype=complex),
+                np.array([d for _, d in pairs], dtype=float),
+            )
+        poles = table[:, 0]
+        dist = np.abs(z - poles)
+        for j in range(1, table.shape[1]):
+            column = table[:, j]
+            d = np.abs(z - column)
+            nearer = d < dist  # False on a NaN pad
+            poles = np.where(nearer, column, poles)
+            dist = np.where(nearer, d, dist)
+        empty = np.isnan(dist)  # pads start a row only when it has no poles
+        if np.count_nonzero(empty):
+            poles, dist = np.where(empty, 0j, poles), np.where(empty, math.inf, dist)
+        return poles, dist
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other)
@@ -354,9 +383,8 @@ class MeanderPoles(PoleFamilyBase):
         pole = -1.0 / n
         return pole, abs(z - pole)
 
-    def nearest_pole_all(self, ns: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        poles = -1.0 / ns + 0j
-        return poles, np.abs(z - poles)
+    def poles_table(self, ns: np.ndarray) -> np.ndarray:
+        return (-1.0 / ns + 0j)[:, None]
 
     def tail_distance_bound(self, z: complex, cutoff: int) -> float:
         # Poles beyond the cutoff lie inside the real segment [-1/(cutoff+1), 0].
@@ -420,6 +448,14 @@ class ExplicitPoles(PoleFamilyBase):
             if len(set(ps.tolist())) != len(ps):
                 raise ValueError(f"poles on sheet {n} must be distinct")
         self.n_min = min(self._table)
+        # The padded table: one row per listed sheet, ascending, and an
+        # all-NaN last row for the sheets that are not listed.
+        self._sheets = np.array(sorted(self._table), dtype=np.int64)
+        width = max(1, *(len(ps) for ps in self._table.values()))
+        self._padded = np.full((len(self._sheets) + 1, width), np.nan, dtype=complex)
+        for i, n in enumerate(self._sheets.tolist()):
+            ps = self._table[n]
+            self._padded[i, : len(ps)] = ps
 
     def __eq__(self, other) -> bool:
         return (
@@ -444,6 +480,11 @@ class ExplicitPoles(PoleFamilyBase):
         d = np.abs(z - poles)
         i = int(np.argmin(d))
         return complex(poles[i]), float(d[i])
+
+    def poles_table(self, ns: np.ndarray) -> np.ndarray:
+        i = np.minimum(np.searchsorted(self._sheets, ns), len(self._sheets) - 1)
+        listed = self._sheets[i] == ns
+        return self._padded[np.where(listed, i, len(self._sheets))]
 
     def tail_distance_bound(self, z: complex, cutoff: int) -> float | None:
         if cutoff >= max(self._table):
@@ -621,14 +662,17 @@ class Membership:
         return self.state is MembershipState.IN
 
 
-def doubling_blocks(start: int, stop: int, per_sheet: int = 1) -> Iterator[tuple[int, int]]:
-    """Half-open ranges that tile [start, stop): 64 long first, each next twice as long.
+def doubling_blocks(
+    start: int, stop: int, per_sheet: int = 1, first: int | None = None
+) -> Iterator[tuple[int, int]]:
+    """Half-open ranges that tile [start, stop), each twice as long as the last.
 
-    A block holds at most 65 536 values at ``per_sheet`` values a sheet, so
-    the memory of a block scan stays bounded at any length.
+    The first is ``first`` sheets long, 64 by default.  A block holds at
+    most 65 536 values at ``per_sheet`` values a sheet, so the memory of a
+    block scan stays bounded at any length.
     """
     cap = max(_BLOCK_VALUES // per_sheet, 1)
-    size = min(_FIRST_BLOCK, cap)
+    size = min(first or _FIRST_BLOCK, cap)
     while start < stop:
         end = min(start + size, stop)
         yield start, end

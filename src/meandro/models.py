@@ -40,20 +40,43 @@ from .series import DecayCert, TermSequence, evaluate_sum
 
 DEFAULT_RAY_ANGLE = math.tau * math.sqrt(2.0)
 
+#: Allowance for gradual underflow in a term x**n / w evaluated in floats.
+#: Once x**n is subnormal, the power, the division and the modulus each
+#: round by up to half a unit of the smallest subnormal, 5e-324, and the
+#: power's rounding is scaled by 1/|w| >= 1; adding this much to x**n in a
+#: bound covers all of it.
+_UNDERFLOW = 8 * math.ulp(0.0)
+
+
+def _norm_bound(ax: float, n: int, c: float, alpha: float) -> float:
+    """ax**n * n**(alpha-1)/c, a bound on |x**n / w| where 1/|w| <= n**(alpha-1)/c.
+
+    The bound also dominates the term as evaluated in floats: where ax**n is
+    subnormal, ``_UNDERFLOW`` is added to it, which leaves a normal ax**n
+    unchanged.  A power that underflows to 0 stays 0.
+    """
+    power = ax**n
+    if power == 0.0:
+        return 0.0
+    return (power + _UNDERFLOW) * n ** (alpha - 1.0) / c
+
 
 def _decay_cert(ax: float, rho: float | None, c: float, alpha: float) -> DecayCert:
-    """Certificate A*rho**n >= ax**n * n**(alpha-1)/c for every sheet n >= 1.
+    """Certificate A*rho**n >= _norm_bound(ax, n, c, alpha) for every sheet n >= 1.
 
     rho defaults to (1 + ax)/2.  A is the exact maximum over n of
     n**(alpha-1) * (ax/rho)**n / c (unimodal in n), rounded outward so that
-    it dominates the bound evaluated in floats as well.
+    it dominates the bound evaluated in floats as well.  ax is raised by
+    twice ``_UNDERFLOW`` first.  That changes only an ax below about 1e-307,
+    whose peak is at sheet 1, where ``_norm_bound`` adds ``_UNDERFLOW``; on
+    later sheets ax**n is 0 or far below the certificate.
     """
     rho = rho if rho is not None else (1.0 + ax) / 2.0
     if not (ax < rho < 1.0):
         raise ValueError("need |x| < rho < 1")
     if ax == 0.0:
         return DecayCert(1e-300, rho)
-    tau = ax / rho
+    tau = (ax + 2.0 * _UNDERFLOW) / rho
     candidates = {1}
     if alpha > 1.0:
         n_star = (alpha - 1.0) / math.log(1.0 / tau)
@@ -97,7 +120,7 @@ class MeanderModel(TermSequence):
         self._cert = _decay_cert(abs(x), rho, c, alpha)
 
     @property
-    def meander_cert(self) -> DecayCert:
+    def decay_cert(self) -> DecayCert:
         return self._cert
 
     def term(self, n: int, z: complex) -> complex:
@@ -121,7 +144,7 @@ class MeanderModel(TermSequence):
 
     def norm_bound(self, n: int) -> float:
         radius = self.perforation.radius
-        return abs(self.x) ** n * n ** (radius.alpha - 1.0) / radius.c
+        return _norm_bound(abs(self.x), n, radius.c, radius.alpha)
 
     def residue(self, n: int, pole: complex) -> complex:
         if abs(pole - (-1.0 / n)) > 1e-9:
@@ -168,11 +191,11 @@ class QLogModel(TermSequence):
         self._cert = _decay_cert(abs(x), rho, self._c_kappa, alpha)
 
     @property
-    def meander_cert(self) -> DecayCert:
+    def decay_cert(self) -> DecayCert:
         return self._cert
 
     def norm_bound(self, n: int) -> float:
-        return abs(self.x) ** n * n ** (self.perforation.radius.alpha - 1.0) / self._c_kappa
+        return _norm_bound(abs(self.x), n, self._c_kappa, self.perforation.radius.alpha)
 
     def term(self, n: int, z: complex) -> complex:
         return self.x**n / (z**n - 1.0)

@@ -341,7 +341,7 @@ def fiber_polar_sum(
     """
     perf = seq.perforation
     radius = perf.radius
-    cert = seq.meander_cert
+    cert = seq.decay_cert
     if cert is None or not isinstance(radius, DiophantineRadius):
         raise DiophantineRequired(
             "fiber polar sums need a decay certificate over a Diophantine radius"

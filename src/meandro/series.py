@@ -9,7 +9,8 @@ sheets from ``geometry.doubling_blocks``: the first holds 64 sheets, each
 next one twice as many, up to 65 536 derivative values per block.  A
 block's derivatives come from ``TermSequence.derivatives`` as one numpy
 array, each block's pole clearance from the pole family's
-``nearest_pole_all``.  The terms an order keeps from a
+``nearest_pole_all`` (a numpy sweep of its ``poles_table`` where it has
+one).  The terms an order keeps from a
 block are added exactly with ``math.fsum`` (Shewchuk) on their real and
 imaginary parts, and the block sums are accumulated with compensation.
 
@@ -17,7 +18,11 @@ For each order the engine picks one of four stopping rules from its inputs:
 
 * a finite family is summed through its last sheet; its tail is exactly 0;
 * a decay certificate A*rho**n over a Diophantine radius gives a rigorous
-  tail bound;
+  tail bound.  The bound (n+1)**q * rho**(n+1) / (1 - ratio(n)) is +inf on
+  an initial run of sheets and strictly decreasing after it: each step
+  multiplies the first factor by ratio(n) < 1, and ratio(n) decreases.  So
+  a block whose last sheet's scalar tail is above every limit of the block
+  cannot stop, and is passed over without its numpy tails;
 * a jet without such a certificate stops once a window of consecutive terms
   is negligible (the stabilised rule); its tail is a heuristic estimate;
 * any other sum stops on the ratio test of the norm bounds; its tail is a
@@ -30,7 +35,9 @@ never used.
 ``TermSequence.derivatives`` defaults to calling the scalar ``derivative``
 sheet by sheet; the concrete families override it with numpy code.  A
 subclass that overrides ``derivative`` but not ``derivatives`` gets the
-default back, so the block path always honours its scalar formula.
+default back, so the block path always honours its scalar formula.  An
+infinite family on that default starts with a block of as many sheets as
+orders plus the stabilised window, since each of its values costs a call.
 
 Derivative sums are controlled through the Cauchy estimate: on the shrunk
 perforation the k-th derivative of the sheet-n term is bounded by
@@ -158,7 +165,7 @@ class TermSequence(abc.ABC):
         return self.perforation.poles_on_sheet(n)
 
     @property
-    def meander_cert(self) -> DecayCert | None:
+    def decay_cert(self) -> DecayCert | None:
         return None
 
     def norm_bound(self, n: int) -> float:
@@ -255,12 +262,12 @@ class TaylorJet:
 
 
 def _certifiable(seq: TermSequence) -> bool:
-    return seq.meander_cert is not None and isinstance(seq.perforation.radius, DiophantineRadius)
+    return seq.decay_cert is not None and isinstance(seq.perforation.radius, DiophantineRadius)
 
 
 def _tail_prefactor(seq: TermSequence, k: int) -> float:
     """k! * A * (1+shift)**(alpha*k) / (eps*c)**k, the sheet-free factor of the k >= 1 tail."""
-    cert, radius = seq.meander_cert, seq.perforation.radius
+    cert, radius = seq.decay_cert, seq.perforation.radius
     # 1/r_j**k = ((j+shift)**alpha/c)**k <= ((1+shift)*j)**(alpha*k)/c**k.
     shift_factor = (1.0 + radius.shift) ** (radius.alpha * k)
     return math.factorial(k) * cert.A * shift_factor / ((radius.lam - 1.0) * radius.c) ** k
@@ -268,7 +275,7 @@ def _tail_prefactor(seq: TermSequence, k: int) -> float:
 
 def _certified_tail(seq: TermSequence, k: int, n: int) -> float:
     """Tail of the k-th derivative series beyond sheet n (needs _certifiable)."""
-    cert = seq.meander_cert
+    cert = seq.decay_cert
     if k == 0:
         return cert.tail(n)
     return _tail_prefactor(seq, k) * power_geometric_tail(
@@ -276,18 +283,23 @@ def _certified_tail(seq: TermSequence, k: int, n: int) -> float:
     )
 
 
-def _certified_tails(seq: TermSequence, k: int, ns: np.ndarray) -> np.ndarray:
-    """``_certified_tail`` on every sheet of ns, in numpy arithmetic."""
-    cert = seq.meander_cert
+def _power_geometric_tails(q: float, rho: float, ns: np.ndarray) -> np.ndarray:
+    """``power_geometric_tail`` on every sheet of ns, in numpy arithmetic."""
     n1 = ns + 1.0
-    if k == 0:
-        return cert.A * cert.rho**n1 / (1.0 - cert.rho)
-    q = seq.perforation.radius.alpha * k
-    ratio = cert.rho * ((n1 + 1.0) / n1) ** q
-    log_first = q * np.log(n1) + n1 * math.log(cert.rho)
+    ratio = rho * ((n1 + 1.0) / n1) ** q
+    log_first = q * np.log(n1) + n1 * math.log(rho)
     tails = np.exp(log_first) / (1.0 - ratio)
     tails[(ratio >= 1.0) | (log_first > 700.0)] = math.inf
-    return _tail_prefactor(seq, k) * tails
+    return tails
+
+
+def _certified_tails(seq: TermSequence, k: int, ns: np.ndarray) -> np.ndarray:
+    """``_certified_tail`` on every sheet of ns, in numpy arithmetic."""
+    cert = seq.decay_cert
+    if k == 0:
+        return cert.A * cert.rho ** (ns + 1.0) / (1.0 - cert.rho)
+    q = seq.perforation.radius.alpha * k
+    return _tail_prefactor(seq, k) * _power_geometric_tails(q, cert.rho, ns)
 
 
 #: What a stopping rule reports for one block: None (no stop in it), or the
@@ -314,6 +326,10 @@ class _CertifiedStop:
 
     def scan(self, ns, terms, sums, tol) -> _Stop:
         limit = tol(np.abs(sums))
+        # The tail is non-increasing in n, so one above every limit at the
+        # block's last sheet is above them at every sheet of the block.
+        if _certified_tail(self.seq, self.k, int(ns[-1])) > limit.max() * (1.0 + 1e-9):
+            return None
         tails = _certified_tails(self.seq, self.k, ns)
         # The numpy tails shortlist the sheets; the scalar tail decides, so
         # the stopping sheet and its tail are those of the sheet-by-sheet rule.
@@ -448,8 +464,13 @@ def _sum_derivative_series(
     last = seq.n_min + max_terms - 1
     if finite:
         last = min(last, seq.n_max)
+    first = None
+    if not finite and type(seq).derivatives is TermSequence.derivatives:
+        # One scalar call per sheet and order: start with the sheets that the
+        # stabilised rule needs when every order settles at once.
+        first = len(orders) + _STABLE_WINDOW
     active = list(orders)
-    for lo, hi in doubling_blocks(seq.n_min, last + 1, per_sheet=orders[-1] + 1):
+    for lo, hi in doubling_blocks(seq.n_min, last + 1, orders[-1] + 1, first):
         if not active:
             break
         ns = np.arange(lo, hi)
@@ -571,31 +592,42 @@ def taylor_jet(
     if not certifiable:
         return TaylorJet(z0, coeffs, tails, m, certified=False)
     radius = seq.perforation.radius
-    c_m = _remainder_constant(seq.meander_cert, radius, m)
+    c_m = _remainder_constant(seq.decay_cert, radius, m)
     return TaylorJet(z0, coeffs, tails, m, c_m=c_m, epsilon=radius.lam - 1.0)
 
 
 def _remainder_constant(cert: DecayCert, radius: DiophantineRadius, m: int) -> float:
-    """C_m = sum_n norm_bound(n)/r_n**m bounded through the decay certificate."""
+    """C_m = sum_n norm_bound(n)/r_n**m bounded through the decay certificate.
+
+    The terms n**q * rho**n (q = alpha*m) are added in sheet order until the
+    geometric tail bound beyond sheet n is within 1e-16 of the running total.
+    Blocks of sheets are computed in numpy; the running totals are one
+    sequential cumulative sum, the numpy tails shortlist the stopping sheet
+    and the scalar ``power_geometric_tail`` decides it.  An overflowing term
+    or total up to the stop, or no stop by sheet 1 000 001, gives inf.
+    """
     q = radius.alpha * m
-    shift_factor = (1.0 + radius.shift) ** q
+    log_rho = math.log(cert.rho)
     total = 0.0
-    n = 1
-    while True:
-        log_term = q * math.log(n) + n * math.log(cert.rho)
-        if log_term > 700.0:
+    for lo, hi in doubling_blocks(1, 1_000_002):
+        ns = np.arange(lo, hi, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_terms = q * np.log(ns) + ns * log_rho
+            totals = np.cumsum(np.concatenate(([total], np.exp(log_terms))))[1:]
+            tails = _power_geometric_tails(q, cert.rho, ns)
+            shortlist = np.flatnonzero(tails <= 1e-16 * totals * (1.0 + 1e-9))
+        for j in shortlist:  # as a rule the first decides: no list of the rest
+            j = int(j)
+            tail = power_geometric_tail(q, cert.rho, lo + j)
+            if tail <= 1e-16 * totals[j]:
+                if np.any(log_terms[: j + 1] > 700.0) or not math.isfinite(totals[j]):
+                    return math.inf
+                shift_factor = (1.0 + radius.shift) ** q
+                return cert.A * shift_factor / radius.c**m * (float(totals[j]) + tail)
+        if np.any(log_terms > 700.0) or not math.isfinite(totals[-1]):
             return math.inf
-        total += math.exp(log_term)
-        if not math.isfinite(total):
-            return math.inf
-        tail = power_geometric_tail(q, cert.rho, n)
-        if tail <= 1e-16 * total:
-            total += tail
-            break
-        if n > 1_000_000:
-            return math.inf
-        n += 1
-    return cert.A * shift_factor / radius.c**m * total
+        total = float(totals[-1])
+    return math.inf
 
 
 def remainder_bound(jet: TaylorJet, z: complex) -> float:
@@ -649,8 +681,8 @@ class SequenceSum(TermSequence):
         return total
 
     @property
-    def meander_cert(self) -> DecayCert | None:
-        cf, cg = self._f.meander_cert, self._g.meander_cert
+    def decay_cert(self) -> DecayCert | None:
+        cf, cg = self._f.decay_cert, self._g.decay_cert
         if cf is None or cg is None:
             return None
         return DecayCert(cf.A + cg.A, max(cf.rho, cg.rho))

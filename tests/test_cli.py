@@ -114,6 +114,23 @@ def test_out_of_range_cutoff_or_tol_is_a_usage_error(runner, tmp_path, command, 
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"name": "meander", "x": 1.5}, "invalid meander model: meander series needs |x| < 1"),
+        ({"name": "qlog", "c": 2}, "invalid qlog model: need 0 < c <= 1"),
+    ],
+    ids=["meander-x", "qlog-c"],
+)
+def test_model_parameter_a_model_refuses_is_a_config_error(runner, tmp_path, model, message):
+    # The schema admits these values; the model constructor refuses them.
+    cfg = _write_config(tmp_path, {"model": model, "eval": {"points": [[0.1, 0.0]]}})
+    result = runner.invoke(main, ["eval", "--config", cfg])
+    assert result.exit_code == 2
+    assert result.output.startswith(f"error (config): {message}")
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_json_error_objects(runner, tmp_path):
     cfg = _write_config(tmp_path, {"model": MEANDER})  # no eval section
     result = runner.invoke(main, ["eval", "--config", cfg, "--json"])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from meandro import (
     pullback_model,
     taylor_jet,
 )
+from meandro.covering import _PullbackPoles
+from meandro.geometry import DiophantineRadius, ExplicitPoles, MeanderPoles, Perforation
 
 
 def test_identity_covering_radii():
@@ -153,3 +156,56 @@ def test_gevrey_class_transport(meander_tight):
     pb = pullback_model(meander_tight, 2)
     fit2 = gevrey_fit(taylor_jet(pb, 0j, 26, rel_tol=1e-10).coefficients, window=(5, 26))
     assert abs(fit2.alpha - 0.5) <= 0.2
+
+
+def _first_blocked_reference(perf, ns, z):
+    """The sheet-by-sheet rule: each sheet's scalar nearest pole, in order."""
+    for n in ns.tolist():
+        pole, dist = perf.nearest_pole(n, z)
+        if dist < perf.radius_at(n):
+            return n, pole
+    return None
+
+
+def _explicit_poles(seed: int) -> ExplicitPoles:
+    """Listed sheets 1..120 with gaps and zero to three poles each."""
+    rng = np.random.default_rng(seed)
+    table = {}
+    for n in range(1, 121):
+        if rng.uniform() < 0.2:
+            continue  # an unlisted sheet
+        count = int(rng.integers(0, 4))
+        table[n] = (rng.uniform(0.2, 1.0, count) * np.exp(1j * rng.uniform(0, math.tau, count))).tolist()
+    table.setdefault(1, [0.5 + 0j])
+    return ExplicitPoles(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from(["meander", "explicit", "explicit-itself"]),
+    beta=st.integers(1, 4),
+    center=st.sampled_from([0j, 0.05 + 0j, -0.1 + 0.2j]),
+    seed=st.integers(0, 2**16),
+    sheet=st.integers(1, 120),
+    which=st.integers(0, 12),
+    depth=st.sampled_from([0.5, 1.0, 1.5]) | st.floats(0.0, 2.0),
+    theta=st.floats(0.0, math.tau),
+)
+def test_table_first_blocked_matches_sheet_by_sheet(base, beta, center, seed, sheet, which, depth, theta):
+    # The padded poles table shortlists; the scalar nearest pole decides, so
+    # the verdict and the witness are those of the sheet-by-sheet rule.
+    family = MeanderPoles() if base == "meander" else _explicit_poles(seed)
+    if base != "explicit-itself":
+        family = _PullbackPoles(family, beta, center)
+    perf = Perforation(family, DiophantineRadius(0.05, 2.0))
+    ns = np.arange(1, 121)
+    poles, dists = family.nearest_pole_all(ns, 0.3 + 0.1j)
+    for n, pole, dist in zip(ns.tolist(), poles, dists):
+        want_pole, want_dist = family.nearest_pole(n, 0.3 + 0.1j)
+        assert pole == want_pole and dist == pytest.approx(want_dist, rel=1e-15)
+    on_sheet = perf.poles_on_sheet(sheet)
+    z = 0.3 + 0.1j  # no pole on the drawn sheet: a point in the open
+    if len(on_sheet):
+        # On, inside or outside the rim of one of the sheet's discs.
+        z = complex(on_sheet[which % len(on_sheet)]) + depth * perf.radius_at(sheet) * cmath.exp(1j * theta)
+    assert perf.first_blocked(ns, z) == _first_blocked_reference(perf, ns, z)

@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meandro import (
@@ -22,7 +23,9 @@ from meandro import (
     remainder_bound,
     taylor_jet,
 )
-from meandro.series import sampled_norm_bound
+from meandro import series
+from meandro.geometry import DiophantineRadius
+from meandro.series import DecayCert, sampled_norm_bound
 
 
 def test_compensated_sum_beats_naive():
@@ -47,7 +50,7 @@ def test_zero_norm_bound_does_not_end_the_ratio_test():
     # By sheet 9 the norm-bound ratios are below 1, but the zero bound of
     # sheet 9 says nothing about the sheets beyond it.
     class Gapped(MeanderModel):
-        meander_cert = None
+        decay_cert = None
 
         def derivative(self, n, k, z):
             return 0j if n == 9 else super().derivative(n, k, z)
@@ -195,7 +198,7 @@ def test_uncertified_jet_stops_on_a_stabilised_window():
     # Without a decay certificate each inner sum stops once a window of
     # consecutive terms is negligible; the tails are heuristic, not zero.
     class Uncertified(MeanderModel):
-        meander_cert = None
+        decay_cert = None
 
     jet = taylor_jet(Uncertified(0.5), 0.1, 3)
     assert not jet.certified
@@ -208,7 +211,7 @@ def test_uncertified_jet_stops_on_a_stabilised_window():
 
 def test_uncertified_jet_that_never_settles_needs_a_certificate():
     class Flat(MeanderModel):
-        meander_cert = None
+        decay_cert = None
 
         def derivative(self, n, k, z):
             return 1 + 0j
@@ -229,7 +232,7 @@ def test_norm_bound_certificate_holds(qlog_half, meander_half, meander_tight):
     # The meander fixtures peak at sheets 2 and 3, where an unrounded A ties
     # with the float norm bound.
     for model in (qlog_half, meander_half, meander_tight):
-        cert = model.meander_cert
+        cert = model.decay_cert
         for n in range(1, 81):
             assert model.norm_bound(n) <= cert.A * cert.rho**n
 
@@ -256,9 +259,28 @@ def test_meander_norm_bound_closed_form(meander_half):
     alpha=st.floats(1.0, 3.0),
     n=st.integers(1, 500),
 )
+# The smallest subnormal x: the term evaluated on the rim rounds up to
+# 3e-323, above the unwidened bound 2.5e-323.
+@example(modulus=5e-324, angle=0.0, c=0.25, alpha=1.0, n=1)
 def test_qlog_norm_bound_dominates_sampled_sup(modulus, angle, c, alpha, n):
     model = QLogModel(modulus * cmath.exp(1j * angle), c=c, alpha=alpha)
     assert sampled_norm_bound(model, n, inflate=1.0) <= model.norm_bound(n)
+    cert = model.decay_cert
+    assert model.norm_bound(n) <= cert.A * cert.rho**n
+
+
+@pytest.mark.parametrize("model_type", [MeanderModel, QLogModel])
+@pytest.mark.parametrize(
+    "x, n",
+    [(5e-324, 1), (3.5e-323, 1), (1.6e-162, 2), (2.2e-162j, 2), (1e-108, 3), (0.3, 620)],
+)
+def test_norm_bound_dominates_the_rounding_of_a_subnormal_term(model_type, x, n):
+    # Once x**n is subnormal, rounding adds whole units of 5e-324 to the
+    # evaluated term; the bound and the certificate above it absorb them.
+    model = model_type(x, c=0.25, alpha=1.0)
+    assert sampled_norm_bound(model, n, inflate=1.0) <= model.norm_bound(n)
+    cert = model.decay_cert
+    assert model.norm_bound(n) <= cert.A * cert.rho**n
 
 
 def test_qlog_jet_matches_lambert_series_within_tails():
@@ -361,3 +383,80 @@ def test_sequence_sum_needs_one_pole_family():
         evaluate_sum(g, -0.999)
     with pytest.raises(ValueError):
         SequenceSum(f, g)
+
+
+def _sheet_by_sheet_certified_scan(self, ns, terms, sums, tol):
+    """The certified rule on every sheet in turn, with the scalar tail alone."""
+    limit = tol(np.abs(sums))
+    for j, n in enumerate(ns.tolist()):
+        tail = series._certified_tail(self.seq, self.k, n)
+        if tail <= limit[j]:
+            return j, tail
+    return None
+
+
+@pytest.mark.parametrize(
+    "model, m", [(MeanderModel(0.95), 30), (QLogModel(0.9), 8)], ids=["meander-30", "qlog-8"]
+)
+def test_certified_skip_stops_where_the_sheet_by_sheet_rule_stops(monkeypatch, model, m):
+    # A block is skipped when its last sheet's tail is above every limit;
+    # the tail does not increase with n, so no sheet of the block could stop.
+    orders = range(m + 1)
+    floors = np.array([math.factorial(k) for k in orders], dtype=float)
+
+    def run():
+        return series._sum_derivative_series(
+            model, 0j, orders, 1e-300 * floors, 1e-11, floors, 200_000, stabilise=True
+        )
+
+    fast = run()
+    monkeypatch.setattr(series._CertifiedStop, "scan", _sheet_by_sheet_certified_scan)
+    reference = run()
+    for got, want in zip(fast, reference):
+        assert (got.terms_used, got.tail_bound, got.value) == (
+            want.terms_used, want.tail_bound, want.value
+        )
+
+
+@pytest.mark.parametrize(
+    "cert, radius, m",
+    [
+        (MeanderModel(0.95).decay_cert, DiophantineRadius(0.05, 2.0, 1.5), 30),
+        (MeanderModel(0.5, c=0.1).decay_cert, DiophantineRadius(0.1, 2.0, 1.5), 3),
+        (QLogModel(0.9).decay_cert, DiophantineRadius(0.05, 2.0, 1.5), 8),
+        (QLogModel(0.9).decay_cert, DiophantineRadius(0.05, 2.0, 1.5), 0),
+        (DecayCert(2.5, 0.6), DiophantineRadius(0.3, 1.5, 1.5, shift=1), 7),
+    ],
+    ids=["meander-30", "meander-3", "qlog-8", "qlog-0", "shifted-7"],
+)
+def test_remainder_constant_matches_a_50_digit_sum(cert, radius, m):
+    # C_m = A*(1 + shift)**q / c**m * sum_n n**q * rho**n with q = alpha*m.
+    with mpmath.workdps(50):
+        q, rho = mpmath.mpf(radius.alpha * m), mpmath.mpf(cert.rho)
+        peak = q / -mpmath.log(rho)
+        total, n = mpmath.mpf(0), 1
+        while True:
+            term = mpmath.mpf(n) ** q * rho**n
+            total += term
+            if n > peak and term < total * mpmath.mpf(10) ** -40:
+                break
+            n += 1
+        want = mpmath.mpf(cert.A) * (1 + radius.shift) ** q / mpmath.mpf(radius.c) ** m * total
+        got = series._remainder_constant(cert, radius, m)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_scalar_derivative_jet_stops_computing_near_its_stops(monkeypatch):
+    # ZeroSumPiK has only the scalar derivative.  Its order-12 jet at 0 stops
+    # every order by sheet 20, so the first block holds 13 + 8 sheets, not 64.
+    calls = []
+    scalar = ZeroSumPiK.derivative
+
+    def counted(self, n, k, z):
+        calls.append((n, k))
+        return scalar(self, n, k, z)
+
+    monkeypatch.setattr(ZeroSumPiK, "derivative", counted)
+    jet = taylor_jet(ZeroSumPiK(), 0j, 12)
+    assert jet.coefficients.tolist() == [1.0] + [0.0] * 12
+    assert max(n for n, _ in calls) == 20 and len(calls) == 21 * 13
