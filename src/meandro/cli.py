@@ -30,13 +30,13 @@ from .geometry import (
     PERFORATION_SCHEMA,
     MembershipState,
     perforation_from_config,
-    residual_membership,
+    residual_memberships,
     schema_violation,
 )
 from .covering import inclusion_check, induced_radii
 from .errors import HypothesisViolated
 from .polar import AnnulusSpec, fiber_polar_sum, laurent_coefficients
-from .series import evaluate_sum, taylor_jet
+from .series import evaluate_sums, taylor_jet
 
 _COMPLEX = {
     "oneOf": [
@@ -249,7 +249,7 @@ def _write_rows(out: str | None, fmt: str, command: str, header: list[str], rows
             writer.writerow([_fmt(v) for v in row])
         text = buf.getvalue()
     if out in (None, "-"):
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -267,10 +267,14 @@ def _run(ctx_json: bool, body: Callable[[], int]) -> int:
 
 
 def _emit_error(as_json: bool, kind: str, exc: Exception):
+    # The stream is passed, not err=True: click caches a wrapper of each new
+    # sys.stderr (and sys.stdout) keyed by that stream, and the wrapper of a
+    # text stream is the stream itself, so a run in-process would keep every
+    # stream it ever printed to.
     if as_json:
-        click.echo(json.dumps({"error": kind, "detail": str(exc)}), err=True)
+        click.echo(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
     else:
-        click.echo(f"error ({kind}): {exc}", err=True)
+        click.echo(f"error ({kind}): {exc}", file=sys.stderr)
 
 
 _common = [
@@ -319,15 +323,14 @@ def cmd_eval(config_path, model_name, out_path, out_format, tol, cutoff, json_er
             if not points:
                 raise ConfigError("eval needs 'points' or 'ray'")
 
-        def one(z: complex) -> list:
-            try:
-                res = evaluate_sum(model, z, tol=tol, max_terms=cutoff)
-                return [z.real, z.imag, res.value.real, res.value.imag, res.tail_bound, res.terms_used, "ok"]
-            except PoleProximity as exc:
-                return [z.real, z.imag, None, None, None, None, f"pole_proximity:{exc.sheet}"]
-
-        rows = [one(z) for z in points]
-        flagged = sum(1 for r in rows if r[-1] != "ok")
+        for z, res in zip(points, evaluate_sums(model, points, tol=tol, max_terms=cutoff)):
+            if isinstance(res, PoleProximity):
+                rows.append([z.real, z.imag, None, None, None, None, f"pole_proximity:{res.sheet}"])
+                flagged += 1
+            elif isinstance(res, MeandroError):
+                raise res
+            else:
+                rows.append([z.real, z.imag, res.value.real, res.value.imag, res.tail_bound, res.terms_used, "ok"])
         _write_rows(out_path, out_format, "eval", header, rows)
         return 3 if flagged else 0
 
@@ -427,9 +430,13 @@ def cmd_gevrey(config_path, model_name, out_path, out_format, tol, cutoff, json_
         ]
         meta = [fit.C, fit.alpha, fit.r_squared, report.radius_estimate, report.verdict.value]
         rows: list[list] = []
-        for z_abs in section.get("z_values", []):
+        z_values = section.get("z_values", [])
+        sums = evaluate_sums(model, [z0 + z_abs for z_abs in z_values], tol=tol, max_terms=cutoff)
+        for z_abs, res in zip(z_values, sums):
             trunc = smallest_term_truncation(jet, z0 + z_abs, fit.C, max(fit.alpha, 1e-6))
-            s_val = evaluate_sum(model, z0 + z_abs, tol=tol, max_terms=cutoff).value
+            if isinstance(res, MeandroError):
+                raise res
+            s_val = res.value
             rows.append(
                 [z_abs, trunc.m, trunc.value.real, trunc.value.imag,
                  s_val.real, s_val.imag, abs(s_val - trunc.value), *meta]
@@ -482,18 +489,17 @@ def cmd_residual(config_path, model_name, out_path, out_format, tol, cutoff, jso
         res = np.linspace(g["re_start"], g["re_stop"], g["re_count"])
         ims = np.linspace(g["im_start"], g["im_stop"], g["im_count"])
         points = [complex(a, b) for b in ims for a in res]
-
-        def one(z: complex) -> list:
-            verdict = residual_membership(perf, z, cutoff=cutoff, margin=margin)
+        rows = []
+        for z, verdict in zip(points, residual_memberships(perf, points, cutoff=cutoff, margin=margin)):
+            if isinstance(verdict, MeandroError):
+                raise verdict
             pole = verdict.pole
-            return [
+            rows.append([
                 z.real, z.imag, verdict.state.value,
                 verdict.sheet,
                 pole.real if pole is not None else None,
                 pole.imag if pole is not None else None,
-            ]
-
-        rows = [one(z) for z in points]
+            ])
         header = ["z_re", "z_im", "status", "witness_sheet", "pole_re", "pole_im"]
         _write_rows(out_path, out_format, "residual", header, rows)
         return 0

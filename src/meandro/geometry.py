@@ -27,6 +27,9 @@ from .errors import ConfigError, MarginViolated, NotContained
 _FIRST_BLOCK = 64
 #: Most values (sheets times values per sheet) one block of a block scan may hold.
 _BLOCK_VALUES = 65_536
+#: Most values the numpy bookkeeping of a block handles at once when it
+#: serves many points: a block is split into groups of points this small.
+_GROUP_VALUES = 4096
 #: Absolute slack of the numpy shortlist, per unit of |z| + |z - p|: numpy and
 #: the scalar code may round a pole or a distance differently by a few ulps.
 _ABS_SLACK = 8 * np.finfo(float).eps
@@ -283,22 +286,24 @@ class PoleFamilyBase:
         """
         return None
 
-    def nearest_pole_all(self, ns: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
+    def nearest_pole_all(self, ns: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
         """Nearest pole and its distance to z on each sheet of ns.
 
-        With a ``poles_table`` the table is swept column by column, and a
-        pole replaces the one kept only when strictly nearer, so each row
-        keeps its first nearest pole, as the scalar ``nearest_pole`` does; a
-        sheet without poles gets the pole 0 at distance inf.  Without a
-        table the scalar ``nearest_pole`` runs sheet by sheet, unless the
-        family overrides this with a closed form.
+        z is a point, or a column of points (shape (P, 1)) for a row of
+        results per point.  With a ``poles_table`` the table is swept column
+        by column, and a pole replaces the one kept only when strictly
+        nearer, so each row keeps its first nearest pole, as the scalar
+        ``nearest_pole`` does; a sheet without poles gets the pole 0 at
+        distance inf.  Without a table the scalar ``nearest_pole`` runs
+        sheet by sheet, unless the family overrides this with a closed form.
         """
         table = self.poles_table(ns)
         if table is None:
-            pairs = [self.nearest_pole(int(n), z) for n in ns]
+            shape = np.broadcast_shapes(np.shape(z), ns.shape)
+            pairs = [self.nearest_pole(n, p) for p in np.ravel(z).tolist() for n in ns.tolist()]
             return (
-                np.array([p for p, _ in pairs], dtype=complex),
-                np.array([d for _, d in pairs], dtype=float),
+                np.array([p for p, _ in pairs], dtype=complex).reshape(shape),
+                np.array([d for _, d in pairs], dtype=float).reshape(shape),
             )
         poles = table[:, 0]
         dist = np.abs(z - poles)
@@ -343,8 +348,8 @@ class RootsOfUnity(PoleFamilyBase):
         _, pole = nearest_root_of_unity(n, z)
         return pole, abs(z - pole)
 
-    def nearest_pole_all(self, ns: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
-        # The angle rounding of nearest_root_of_unity, on every sheet at once.
+    def nearest_pole_all(self, ns: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
+        # The angle rounding of nearest_root_of_unity, on every sheet (and point) at once.
         k = np.rint(ns * np.angle(z) / math.tau).astype(np.int64) % ns
         poles = np.exp(2j * math.pi * k / ns)
         return poles, np.abs(z - poles)
@@ -547,26 +552,56 @@ class Perforation:
     def first_blocked(
         self, ns: np.ndarray, z: complex, margin: float = 0.0
     ) -> tuple[int, complex] | None:
-        """First sheet of ns whose disc of radius r_n*(1 + margin) holds z, with its pole.
+        """``first_blocked_all`` at the one point z; raises its ConfigError."""
+        hit = self.first_blocked_all(ns, [z], margin)[0]
+        if isinstance(hit, ConfigError):
+            raise hit
+        return hit
 
-        Returns None if z clears every such disc.  ``nearest_pole_all``
-        shortlists the sheets with a small slack; the scalar ``nearest_pole``
-        and ``radius_at`` decide each one, so the verdict and the witness are
-        those of the sheet-by-sheet test.  A sheet with no tabulated radius is
-        shortlisted too, so ``radius_at`` raises for it only if no earlier
-        sheet holds z.
+    def first_blocked_all(
+        self, ns: np.ndarray, zs: list, margin: float = 0.0, ends: list[int] | None = None
+    ) -> list[tuple[int, complex] | ConfigError | None]:
+        """For each point of zs, the first sheet whose disc of radius r_n*(1 + margin) holds it.
+
+        Point i looks at the sheets ns[:ends[i]] (all of ns by default) and
+        gets that sheet with its pole, or None if it clears every disc.
+        ``nearest_pole_all`` shortlists the (point, sheet) pairs of all the
+        points at once, with a small slack; the scalar ``nearest_pole`` and
+        ``radius_at`` decide each shortlisted pair in sheet order, so the
+        verdict and the witness are those of the sheet-by-sheet test.  Near
+        the end of the float range the slack may be infinite, which only
+        shortlists.  A sheet with no tabulated radius is shortlisted too;
+        the point gets the ConfigError of ``radius_at`` there if no earlier
+        sheet holds it.
         """
         scale = 1.0 + margin
-        _, dist = self.poles.nearest_pole_all(ns, z)
-        near = np.flatnonzero(np.isfinite(dist))  # a sheet without poles needs no radius
-        bound = self.radius.values(ns[near]) * scale * (1.0 + 1e-9)
-        near = near[~(dist[near] >= bound + _ABS_SLACK * (1.0 + abs(z) + dist[near]))]
-        for i in near:
-            n = int(ns[i])
-            pole, d = self.nearest_pole(n, z)
-            if d < self.radius_at(n) * scale:
-                return n, pole
-        return None
+        if ends is not None:
+            ns = ns[: max(ends)]
+        column = np.array(zs, dtype=complex).reshape(-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, dist = self.poles.nearest_pole_all(ns, column)
+            live = np.isfinite(dist)  # a sheet without poles needs no radius
+            if ends is not None and min(ends) < len(ns):
+                live &= np.arange(len(ns)) < np.array(ends).reshape(-1, 1)
+            everywhere = live.all()
+            if not everywhere:
+                cols = np.flatnonzero(live.any(axis=0))
+                ns, dist, live = ns[cols], dist[:, cols], live[:, cols]
+            bound = self.radius.values(ns) * scale * (1.0 + 1e-9)
+            near = ~(dist >= bound + _ABS_SLACK * (1.0 + np.abs(column) + dist))
+            if not everywhere:
+                near &= live
+        out: list[tuple[int, complex] | ConfigError | None] = [None] * len(zs)
+        rows, cols = np.nonzero(near)  # by point, then by sheet
+        for i, n in zip(rows.tolist(), ns[cols].tolist()):
+            if out[i] is None:
+                pole, d = self.nearest_pole(n, zs[i])
+                try:
+                    if d < self.radius_at(n) * scale:
+                        out[i] = n, pole
+                except ConfigError as exc:
+                    out[i] = exc
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -693,34 +728,63 @@ def _sheet_blocks(family: PoleFamily, cutoff: int) -> Iterator[np.ndarray]:
 def residual_membership(
     perf: Perforation, z: complex, cutoff: int = 10_000, margin: float = 0.0
 ) -> Membership:
-    """Decide whether z survives every removed disc, up to a sheet cutoff.
+    """``residual_memberships`` at the one point z; raises its ConfigError."""
+    verdict = residual_memberships(perf, [z], cutoff, margin)[0]
+    if isinstance(verdict, ConfigError):
+        raise verdict
+    return verdict
+
+
+def residual_memberships(
+    perf: Perforation, zs: Sequence[complex], cutoff: int = 10_000, margin: float = 0.0
+) -> list[Membership | ConfigError]:
+    """Decide whether each point of zs survives every removed disc, up to a sheet cutoff.
 
     Membership requires |z - p| >= r_n*(1 + margin) for every pole p of every
     sheet n.  Sheets up to the cutoff are scanned in blocks of 64, 128, ...
-    sheets, at most 65 536 at a time: the family's numpy ``nearest_pole_all``
-    shortlists the sheets of a block whose disc may hold z, and the scalar
-    ``nearest_pole`` and ``radius_at`` decide each shortlisted sheet in order
-    (``Perforation.first_blocked``).  The first sheet that holds z is the
-    witness, as in a sheet-by-sheet scan, and an early 'out' costs one small
-    block.  Beyond the cutoff, sheets are discharged when a lower bound on
-    the distance from z to all remaining poles dominates the supremum of the
-    remaining radii; with an explicit radius table the tail cannot be bounded
-    and the verdict is Unknown.
+    sheets, at most 65 536 at a time, for all the points still in doubt at
+    once (in groups of at most about 4 096 point-sheet pairs): the family's
+    numpy ``nearest_pole_all`` shortlists the sheets of a block whose disc
+    may hold a point, and the scalar ``nearest_pole`` and ``radius_at``
+    decide each shortlisted sheet in order (``Perforation.first_blocked_all``).
+    A point's first sheet that holds it is its witness, as in a
+    sheet-by-sheet scan, and the point then leaves the scan.  Beyond the
+    cutoff, sheets are discharged when a lower bound on the distance from z
+    to all remaining poles dominates the supremum of the remaining radii;
+    with an explicit radius table the tail cannot be bounded and the
+    verdict is Unknown.  Entry i is the verdict at zs[i], or the ConfigError
+    of a sheet with no tabulated radius that the scan of zs[i] reaches.
     """
     if margin < 0:
         raise ValueError("margin must be non-negative")
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    if not cmath.isfinite(z):
+    if not all(cmath.isfinite(z) for z in zs):
         raise ValueError("z must be finite")
 
     family = perf.poles
+    out: list[Membership | ConfigError | None] = [None] * len(zs)
+    live = list(range(len(zs)))
     for ns in _sheet_blocks(family, cutoff):
-        blocked = perf.first_blocked(ns, z, margin)
-        if blocked is not None:
-            return Membership(MembershipState.OUT, sheet=blocked[0], pole=blocked[1])
+        if not live:
+            break
+        size = max(1, _GROUP_VALUES // len(ns))
+        for start in range(0, len(live), size):
+            group = live[start : start + size]
+            for i, hit in zip(group, perf.first_blocked_all(ns, [zs[i] for i in group], margin)):
+                if isinstance(hit, ConfigError):
+                    out[i] = hit
+                elif hit is not None:
+                    out[i] = Membership(MembershipState.OUT, sheet=hit[0], pole=hit[1])
+        live = [i for i in live if out[i] is None]
+    for i in live:
+        out[i] = _tail_membership(perf, zs[i], cutoff, margin)
+    return out
 
-    tail_dist = family.tail_distance_bound(z, cutoff)
+
+def _tail_membership(perf: Perforation, z: complex, cutoff: int, margin: float) -> Membership:
+    """The verdict at z once no sheet up to the cutoff holds it."""
+    tail_dist = perf.poles.tail_distance_bound(z, cutoff)
     if tail_dist is None:
         return Membership(MembershipState.UNKNOWN, note="unscanned sheets beyond cutoff")
     if tail_dist == math.inf:

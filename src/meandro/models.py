@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PoleProximity, ZeroPole
+from .errors import MeandroError, PoleProximity, ZeroPole
 from .geometry import (
     DiophantineRadius,
     Disc,
@@ -36,7 +36,7 @@ from .geometry import (
     RootsOfUnity,
     TableRadius,
 )
-from .series import DecayCert, TermSequence, evaluate_sum
+from .series import DecayCert, TermSequence, evaluate_sums
 
 DEFAULT_RAY_ANGLE = math.tau * math.sqrt(2.0)
 
@@ -131,6 +131,10 @@ class MeanderModel(TermSequence):
 
     def derivative(self, n: int, k: int, z: complex) -> complex:
         return self.x**n * (-n) ** k * math.factorial(k) / (1.0 + n * z) ** (k + 1)
+
+    def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
+        denom = 1.0 + ns * np.array(zs, dtype=complex).reshape(-1, 1)
+        return self.x**ns / denom
 
     def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
         # Row k is row k-1 times -k*n/(1 + n*z).
@@ -238,6 +242,27 @@ class QLogModel(TermSequence):
         for k in range(m + 1):
             h[k] *= scale * math.factorial(k)
         return h
+
+    def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
+        # Row 0 of ``derivatives`` with its operations, on a row of points per
+        # side of the unit circle.  1/z is taken point by point, as there:
+        # numpy and Python round a complex quotient differently.  A real z
+        # takes real powers there, so real points go point by point.
+        if not all(isinstance(z, complex) for z in zs):
+            return super().term_grid(ns, zs)
+        out = np.empty((len(zs), len(ns)), dtype=complex)
+        inside = np.array([abs(z) <= 1.0 for z in zs], dtype=bool)
+        if inside.any():
+            z_in = np.array([z for z, i in zip(zs, inside) if i], dtype=complex).reshape(-1, 1)
+            out[inside] = 1.0 / (z_in**ns - 1.0)
+        if not inside.all():
+            inv = np.array([1.0 / z for z, i in zip(zs, inside) if not i], dtype=complex)
+            a = inv.reshape(-1, 1) ** ns
+            out[~inside] = a / (1.0 - a)
+        scale = self.x**ns
+        for row in out:  # one product per row: numpy may round a broadcast product apart
+            row *= scale
+        return out
 
     def residue(self, n: int, pole: complex) -> complex:
         if abs(pole**n - 1.0) > 1e-6:
@@ -542,15 +567,17 @@ def ray_trace(
     """Evaluate the sum along z = t*exp(i*theta) for every t in the grid.
 
     Points falling inside a removed disc are flagged with the witness sheet
-    and pole, never silently skipped.
+    and pole, never silently skipped; any other error is raised.  All the
+    points are summed in one ``evaluate_sums`` pass.
     """
     direction = cmath.exp(1j * theta)
+    points = [t * direction for t in t_grid]
     out: list[RayPoint] = []
-    for t in t_grid:
-        z = t * direction
-        try:
-            res = evaluate_sum(model, z, tol=tol, max_terms=max_terms)
+    for t, z, res in zip(t_grid, points, evaluate_sums(model, points, tol=tol, max_terms=max_terms)):
+        if isinstance(res, PoleProximity):
+            out.append(RayPoint(float(t), z, None, None, None, (res.sheet, res.pole)))
+        elif isinstance(res, MeandroError):
+            raise res
+        else:
             out.append(RayPoint(float(t), z, res.value, res.tail_bound, res.terms_used))
-        except PoleProximity as exc:
-            out.append(RayPoint(float(t), z, None, None, None, (exc.sheet, exc.pole)))
     return out

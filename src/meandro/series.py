@@ -2,42 +2,61 @@
 
 A term sequence assigns to each sheet a rational function, its closed-form
 derivatives, its poles and a bound on its supremum over the perforated
-sheet.  One engine sums the derivative series of a range of orders at a
-point, in a single ascending pass over the sheets, so a Taylor jet of order
-m costs one pass rather than m+1.  The pass walks blocks of consecutive
-sheets from ``geometry.doubling_blocks``: the first holds 64 sheets, each
-next one twice as many, up to 65 536 derivative values per block.  A
-block's derivatives come from ``TermSequence.derivatives`` as one numpy
-array, each block's pole clearance from the pole family's
-``nearest_pole_all`` (a numpy sweep of its ``poles_table`` where it has
-one).  The terms an order keeps from a
-block are added exactly with ``math.fsum`` (Shewchuk) on their real and
-imaginary parts, and the block sums are accumulated with compensation.
+sheet.  One engine sums derivative series in a single ascending pass over
+the sheets.  Each series it sums is a lane: one point and one order.  A
+Taylor jet of order m is m+1 lanes at one point, so it costs one pass
+rather than m+1; an evaluation at P points (``evaluate_sums``) is P lanes
+of order 0, and costs one pass rather than P.
 
-For each order the engine picks one of four stopping rules from its inputs:
+The pass walks blocks of consecutive sheets from
+``geometry.doubling_blocks``: the first holds 64 sheets, each next one
+twice as many, up to 65 536 derivative values of one point per block.  The
+partition depends on the orders and the number of sheets alone, never on
+the number of points, so each point is summed over the blocks of its lone
+call, and its sum, stopping sheet, tail and error are those of that call,
+bit for bit.  A block's terms come, for a few points at a time, from
+``TermSequence.term_grid`` (order 0, one row per point) or
+``TermSequence.derivatives`` (one row per order) as one numpy array.  Their
+lanes are handled in groups of at most about 4 096 values (at least one
+lane), and a group's bookkeeping is numpy: finiteness, running sums,
+tolerances, certified tails and the pole-clearance shortlist of
+``first_blocked_all`` (a numpy sweep of the family's ``poles_table`` where
+it has one).  What
+stays per lane is the exact addition of the terms a lane keeps from a
+block, with ``math.fsum`` (Shewchuk) on their real and imaginary parts, the
+compensated accumulation of the block sums, and the scalar confirmations of
+the shortlists.
+
+For each lane the engine picks one of four stopping rules from its inputs:
 
 * a finite family is summed through its last sheet; its tail is exactly 0;
 * a decay certificate A*rho**n over a Diophantine radius gives a rigorous
   tail bound.  The bound (n+1)**q * rho**(n+1) / (1 - ratio(n)) is +inf on
   an initial run of sheets and strictly decreasing after it: each step
   multiplies the first factor by ratio(n) < 1, and ratio(n) decreases.  So
-  a block whose last sheet's scalar tail is above every limit of the block
-  cannot stop, and is passed over without its numpy tails;
+  a lane whose scalar tail at the block's last sheet is above every limit
+  of the block cannot stop in it.  Every limit is at most the tolerance at
+  |sum so far| + sum of |terms|, which is the tolerance itself for a plain
+  sum (no relative part), and such a block is passed over without running
+  sums or numpy tails;
 * a jet without such a certificate stops once a window of consecutive terms
   is negligible (the stabilised rule); its tail is a heuristic estimate;
 * any other sum stops on the ratio test of the norm bounds; its tail is a
   heuristic estimate as well.
 
-A term that is not finite (overflow of the block arithmetic) at or before an
-order's stopping sheet raises OutOfRegime; terms computed past the stop are
-never used.
+A term that is not finite (overflow of the block arithmetic) at or before a
+lane's stopping sheet ends its point with OutOfRegime; terms computed past
+the stop are never used.
 
 ``TermSequence.derivatives`` defaults to calling the scalar ``derivative``
-sheet by sheet; the concrete families override it with numpy code.  A
-subclass that overrides ``derivative`` but not ``derivatives`` gets the
-default back, so the block path always honours its scalar formula.  An
-infinite family on that default starts with a block of as many sheets as
-orders plus the stabilised window, since each of its values costs a call.
+sheet by sheet, and ``term_grid`` to row 0 of ``derivatives`` point by
+point; the concrete families override them with numpy code.  A subclass
+that overrides ``derivative`` but not ``derivatives`` gets both defaults
+back, and one that overrides ``derivatives`` but not ``term_grid`` gets the
+default ``term_grid``, so the block path always honours the scalar formula.
+An infinite family on the default ``derivatives`` starts with a block of as
+many sheets as orders plus the stabilised window, since each of its values
+costs a call.
 
 Derivative sums are controlled through the Cauchy estimate: on the shrunk
 perforation the k-th derivative of the sheet-n term is bounded by
@@ -50,12 +69,18 @@ import abc
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import DiophantineRequired, MeandroError, OutOfRegime, PoleProximity, TolUnreachable
-from .geometry import DiophantineRadius, Perforation, Region, doubling_blocks
+from .errors import (
+    ConfigError,
+    DiophantineRequired,
+    MeandroError,
+    OutOfRegime,
+    PoleProximity,
+    TolUnreachable,
+)
+from .geometry import _GROUP_VALUES, DiophantineRadius, Perforation, Region, doubling_blocks
 
 _STABLE_WINDOW = 8
 #: Highest jet order: k! overflows a float from k = 171 on.
@@ -138,8 +163,11 @@ class TermSequence(abc.ABC):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # An inherited numpy formula would bypass a redefined scalar derivative.
-        if "derivative" in vars(cls) and "derivatives" not in vars(cls):
+        own = vars(cls)
+        if "derivative" in own and "derivatives" not in own:
             cls.derivatives = TermSequence.derivatives
+        if ("derivative" in own or "derivatives" in own) and "term_grid" not in own:
+            cls.term_grid = TermSequence.term_grid
 
     @abc.abstractmethod
     def derivative(self, n: int, k: int, z: complex) -> complex:
@@ -160,6 +188,15 @@ class TermSequence(abc.ABC):
                 except OverflowError:
                     out[k, j] = math.inf
         return out
+
+    def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
+        """Terms on the sheets ns at the points zs: row i holds the terms at zs[i].
+
+        Row i is ``derivatives(ns, 0, zs[i])[0]``, bit for bit, which is
+        also the default.
+        """
+        rows = [self.derivatives(ns, 0, z)[0] for z in zs]
+        return np.array(rows, dtype=complex).reshape(len(zs), len(ns))
 
     def poles(self, n: int) -> np.ndarray:
         return self.perforation.poles_on_sheet(n)
@@ -302,9 +339,37 @@ def _certified_tails(seq: TermSequence, k: int, ns: np.ndarray) -> np.ndarray:
     return _tail_prefactor(seq, k) * _power_geometric_tails(q, cert.rho, ns)
 
 
-#: What a stopping rule reports for one block: None (no stop in it), or the
-#: block index of the stopping sheet with the tail, or with the error due there.
+#: What a stopping rule reports for one lane of a block: None (no stop in it),
+#: or the block index of the stopping sheet with the tail, or with the error
+#: due there.
 _Stop = tuple[int, float | MeandroError] | None
+
+
+class _Group:
+    """One lane group of a block: row r of ``terms`` is lane ``lanes[r]``.
+
+    ``clean[r]`` counts the row's finite terms before its first non-finite
+    one, and ``bad[r]`` says whether it has one.  Lane r's tolerance at a
+    magnitude v is max(abs_tol[r], rel_tol * max(v, floor[r])).
+    """
+
+    def __init__(self, ns, terms, lanes, k, acc, abs_tol, floor, rel_tol):
+        self.ns, self.terms, self.lanes, self.k, self.acc = ns, terms, lanes, k, acc
+        self.abs_tol, self.floor, self.rel_tol = abs_tol, floor, rel_tol
+        bad = ~np.isfinite(terms)
+        self.bad = bad.any(axis=1)
+        self.clean = np.where(self.bad, bad.argmax(axis=1), len(ns))
+
+    def tol(self, v: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Tolerances of the lanes ``rows`` at v, one value (1-D v) or one row (2-D v) a lane."""
+        abs_tol, floor = self.abs_tol[rows], self.floor[rows]
+        if v.ndim == 2:
+            abs_tol, floor = abs_tol[:, None], floor[:, None]
+        return np.maximum(abs_tol, self.rel_tol * np.maximum(v, floor))
+
+    def sums(self, rows=slice(None)) -> np.ndarray:
+        """Running sums of the lanes ``rows`` through each sheet of the block."""
+        return self.acc[rows, None] + np.cumsum(self.terms[rows], axis=1)
 
 
 class _FiniteStop:
@@ -313,96 +378,183 @@ class _FiniteStop:
     def __init__(self, n_max: int):
         self.n_max = n_max
 
-    def scan(self, ns, terms, sums, tol) -> _Stop:
-        j = self.n_max - int(ns[0])
-        return (j, 0.0) if j < len(ns) else None
+    def scan(self, g: _Group) -> list[_Stop]:
+        j = self.n_max - int(g.ns[0])
+        return [(j, 0.0) if j < clean else None for clean in g.clean.tolist()]
 
 
 class _CertifiedStop:
     """Stop at the first sheet whose certified tail is within the tolerance."""
 
-    def __init__(self, seq: TermSequence, k: int):
-        self.seq, self.k = seq, k
+    def __init__(self, seq: TermSequence):
+        self.seq = seq
+        self._tail_cache: dict[tuple[int, int], float] = {}
+        self._last_tails: tuple[tuple[int, int], np.ndarray] | None = None
 
-    def scan(self, ns, terms, sums, tol) -> _Stop:
-        limit = tol(np.abs(sums))
-        # The tail is non-increasing in n, so one above every limit at the
-        # block's last sheet is above them at every sheet of the block.
-        if _certified_tail(self.seq, self.k, int(ns[-1])) > limit.max() * (1.0 + 1e-9):
-            return None
-        tails = _certified_tails(self.seq, self.k, ns)
+    def _tail(self, k: int, n: int) -> float:
+        key = (k, n)
+        if key not in self._tail_cache:
+            self._tail_cache[key] = _certified_tail(self.seq, k, n)
+        return self._tail_cache[key]
+
+    def _tails(self, k: int, ns: np.ndarray) -> np.ndarray:
+        """Numpy tails of order k on the block's sheets, kept for the next group."""
+        key = (k, int(ns[0]))
+        if self._last_tails is None or self._last_tails[0] != key:
+            self._last_tails = key, _certified_tails(self.seq, k, ns)
+        return self._last_tails[1]
+
+    def scan(self, g: _Group) -> list[_Stop]:
+        ends: list[_Stop] = [None] * len(g.lanes)
+        # The tail is non-increasing in n, so a lane whose tail at its last
+        # clean sheet is above every limit of the block cannot stop in it.
+        # Every limit is at most the one at |acc| + sum |terms|; with
+        # rel_tol = 0 every limit is abs_tol.
+        if g.rel_tol == 0.0:
+            bound = g.abs_tol
+        else:
+            mags = np.abs(g.terms).sum(axis=1)
+            for r in np.flatnonzero(g.bad).tolist():
+                mags[r] = np.abs(g.terms[r, : g.clean[r]]).sum()
+            bound = g.tol(np.abs(g.acc) + mags)
+        ks, cleans = g.k.tolist(), g.clean.tolist()
+        rows = np.array(
+            [
+                r
+                for r, (k, clean, limit) in enumerate(zip(ks, cleans, bound.tolist()))
+                if clean and not self._tail(k, int(g.ns[clean - 1])) > limit * (1.0 + 1e-9)
+            ],
+            dtype=np.int64,
+        )
+        if not rows.size:
+            return ends
+        if g.rel_tol == 0.0:
+            limits = np.broadcast_to(g.abs_tol[rows, None], (len(rows), len(g.ns)))
+        else:
+            limits = g.tol(np.abs(g.sums(rows)), rows)
+        tails = np.stack([self._tails(k, g.ns) for k in g.k[rows].tolist()])
         # The numpy tails shortlist the sheets; the scalar tail decides, so
         # the stopping sheet and its tail are those of the sheet-by-sheet rule.
-        for j in np.flatnonzero(tails <= limit * (1.0 + 1e-9)).tolist():
-            tail = _certified_tail(self.seq, self.k, int(ns[j]))
-            if tail <= limit[j]:
-                return j, tail
-        return None
+        short = (tails <= limits * (1.0 + 1e-9)) & (np.arange(len(g.ns)) < g.clean[rows, None])
+        for i in np.flatnonzero(short.any(axis=1)).tolist():
+            r, k, limit = int(rows[i]), ks[rows[i]], limits[i]
+            for j in np.flatnonzero(short[i]).tolist():
+                tail = self._tail(k, int(g.ns[j]))
+                if tail <= limit[j]:
+                    ends[r] = j, tail
+                    break
+        return ends
 
 
 class _StabilisedStop:
     """Stop once _STABLE_WINDOW consecutive terms are negligible (heuristic).
 
     A term is negligible when it is within the tolerance of the largest
-    magnitude seen so far, partial sums included; the tail is the window's sum.
+    magnitude seen so far, partial sums included; the tail is the window's
+    sum.  The state of each lane carries over from block to block.
     """
 
-    def __init__(self):
-        self.scale = 0.0
-        self.streak = 0
-        self.recent: list[float] = []
+    def __init__(self, lanes: int):
+        self.scale = np.zeros(lanes)
+        self.streak = np.zeros(lanes, dtype=np.int64)
+        self.recent: list[list[float]] = [[] for _ in range(lanes)]
 
-    def scan(self, ns, terms, sums, tol) -> _Stop:
-        mags = np.abs(terms)
-        scale = np.maximum(np.maximum.accumulate(np.maximum(np.abs(sums), mags)), self.scale)
-        idx = np.arange(len(ns))
-        last_big = np.maximum.accumulate(np.where(mags <= tol(scale), -1, idx))
-        streak = np.where(last_big >= 0, idx - last_big, self.streak + idx + 1)
-        hits = np.flatnonzero(streak >= _STABLE_WINDOW)
-        if hits.size:
-            j = int(hits[0])
-            return j, float(sum((self.recent + mags[: j + 1].tolist())[-_STABLE_WINDOW:]))
-        self.scale, self.streak = float(scale[-1]), int(streak[-1])
-        self.recent = (self.recent + mags.tolist())[-_STABLE_WINDOW:]
-        return None
+    def scan(self, g: _Group) -> list[_Stop]:
+        mags = np.abs(g.terms)
+        scale = np.maximum(
+            np.maximum.accumulate(np.maximum(np.abs(g.sums()), mags), axis=1),
+            self.scale[g.lanes, None],
+        )
+        idx = np.arange(len(g.ns))
+        last_big = np.maximum.accumulate(np.where(mags <= g.tol(scale), -1, idx), axis=1)
+        streak = np.where(last_big >= 0, idx - last_big, self.streak[g.lanes, None] + idx + 1)
+        hits = (streak >= _STABLE_WINDOW) & (idx < g.clean[:, None])
+        ends: list[_Stop] = []
+        for r, lane in enumerate(g.lanes.tolist()):
+            if hits[r].any():
+                j = int(hits[r].argmax())
+                window = self.recent[lane] + mags[r, max(j + 1 - _STABLE_WINDOW, 0) : j + 1].tolist()
+                ends.append((j, float(sum(window[-_STABLE_WINDOW:]))))
+                continue
+            ends.append(None)
+            self.scale[lane], self.streak[lane] = scale[r, -1], streak[r, -1]
+            self.recent[lane] = (self.recent[lane] + mags[r, -_STABLE_WINDOW:].tolist())[-_STABLE_WINDOW:]
+        return ends
 
 
 class _RatioStop:
     """Ratio test of the norm bounds (heuristic), consulted sheet by sheet.
 
     It never stops at a zero norm bound, since a vanishing term says nothing
-    about the rest, and it gives up after 16 sheets of growing bounds.
+    about the rest, and it gives up after 16 sheets of growing bounds.  The
+    norm bounds do not depend on the point, so the test runs once per sheet
+    for all lanes; only the tolerance is per lane.
     """
+
+    _GIVE_UP = "norm bounds do not summably decay and no decay certificate is present"
 
     def __init__(self, seq: TermSequence):
         self.seq = seq
         self.nb_prev: float | None = None
         self.streak = 0
         self.recent: list[float] = []
+        self._block = None
+        self._sheets: list[float | None | bool] = []
 
-    def scan(self, ns, terms, sums, tol) -> _Stop:
-        for j, n in enumerate(ns.tolist()):
+    def _sheet(self, ns: np.ndarray, j: int) -> float | None | bool:
+        """Sheet j's ratio tail (None if it has none), or False where the test gives up."""
+        if self._block != int(ns[0]):
+            self._block, self._sheets = int(ns[0]), []
+        while len(self._sheets) <= j:
+            n = int(ns[len(self._sheets)])
             nb = self.seq.norm_bound(n)
+            out = None
             if self.nb_prev is not None:
                 ratio = nb / self.nb_prev if self.nb_prev > 0 else math.inf
                 self.recent = (self.recent + [ratio])[-6:]
                 self.streak = self.streak + 1 if ratio >= 1.0 else 0  # growing bounds
-                if self.streak >= 16:
-                    return j, TolUnreachable(
-                        "norm bounds do not summably decay and no decay certificate is present"
-                    )
                 q = max(self.recent)
-                if q < 1.0 and nb > 0.0:
-                    tail = nb * q / (1.0 - q)
-                    if tail <= tol(abs(sums[j])):
-                        return j, tail
+                if self.streak >= 16:
+                    out = False
+                elif q < 1.0 and nb > 0.0:
+                    out = nb * q / (1.0 - q)
+            self._sheets.append(out)
+            if out is False:
+                break
             self.nb_prev = nb
-        return None
+        return self._sheets[j]
+
+    def scan(self, g: _Group) -> list[_Stop]:
+        limits = g.tol(np.abs(g.sums()))
+        ends: list[_Stop] = [None] * len(g.lanes)
+        open_ = np.ones(len(g.lanes), dtype=bool)
+        for j in range(len(g.ns)):
+            open_ &= g.clean > j
+            if not open_.any():
+                break
+            tail = self._sheet(g.ns, j)
+            if tail is False:
+                for r in np.flatnonzero(open_).tolist():
+                    ends[r] = j, TolUnreachable(self._GIVE_UP)
+                break
+            if tail is not None:
+                hit = open_ & (tail <= limits[:, j])
+                for r in np.flatnonzero(hit).tolist():
+                    ends[r] = j, tail
+                open_ &= ~hit
+        return ends
+
+
+def _take_rows(block: np.ndarray, rows: list[int]) -> np.ndarray:
+    """block[rows]: a view when the rows are consecutive, else a copy."""
+    if rows == list(range(rows[0], rows[-1] + 1)):
+        return block[rows[0] : rows[-1] + 1]
+    return block[rows]
 
 
 def _sum_derivative_series(
     seq: TermSequence,
-    z: complex,
+    zs: list,
     orders: range,
     abs_tol,
     rel_tol: float,
@@ -411,55 +563,120 @@ def _sum_derivative_series(
     keep_partials: bool = False,
     *,
     stabilise: bool = False,
-) -> list[SumResult]:
-    """Shared engine: one ascending pass summing the derivative series of each order.
+) -> list[list[SumResult] | MeandroError]:
+    """Shared engine: one ascending pass summing the derivative series of every lane.
 
-    Returns one SumResult per order in ``orders``.  Order k's tolerance at a
-    magnitude v is max(abs_tol, rel_tol * max(v, floor)); ``abs_tol`` and
-    ``floor`` are numbers or one number per order.  The sheets are walked in
-    blocks (see the module docstring); every order's stopping rule is applied
-    to each block, and the order keeps the block's terms through its
-    stopping sheet.
+    A lane is one point of ``zs`` and one order of ``orders``.  Returns, for
+    each point, one SumResult per order, or the MeandroError that ends the
+    point's pass: the one that a call with that point alone returns.  Order
+    k's tolerance at a magnitude v is max(abs_tol, rel_tol * max(v, floor));
+    ``abs_tol`` and ``floor`` are numbers or one number per order.  The
+    sheets are walked in the blocks of a single point (see the module
+    docstring), so every point gets the block partition, and the sums, of
+    its lone call; within a block the lanes are handled in groups of at
+    most about _GROUP_VALUES values.  The stopping rule is applied to each
+    group, and each lane keeps the block's terms through its stopping sheet.
 
     The inputs pick the stopping rule, first match wins.  A finite family
     (``n_max`` set) is summed through its last sheet with tail 0, which is
     exact.  A decay certificate over a Diophantine radius stops on the
     certified tail (rigorous).  ``stabilise`` (a jet without a certificate)
     stops once ``_STABLE_WINDOW`` consecutive terms are negligible, with the
-    window's sum as tail (heuristic); it skips the region check and raises
+    window's sum as tail (heuristic); it skips the region check and gives
     DiophantineRequired when out of sheets.  Otherwise the norm-bound ratio
     test stops (heuristic).
 
     Pole clearance is checked once per sheet, on every sheet up to the
-    furthest one an order needs.  Errors are raised in sheet order: a removed
-    disc holding z (PoleProximity), a term that is not finite (OutOfRegime),
-    growing norm bounds (TolUnreachable).
+    furthest one a point's orders need.  A point's error is the first in
+    sheet order: a removed disc holding it (PoleProximity), a term that is
+    not finite (OutOfRegime), growing norm bounds (TolUnreachable).
     """
     finite = seq.n_max is not None
     certified = _certifiable(seq)
     stabilise = stabilise and not certified
-    if not stabilise and not seq.bounds_global and not seq.region.contains(z):
-        raise TolUnreachable(
-            f"evaluation point {z} lies outside the working region of the norm bounds"
+    width = len(orders)
+    outcomes: list = [None] * len(zs)
+    if not stabilise and not seq.bounds_global:
+        for p, z in enumerate(zs):
+            if not seq.region.contains(z):
+                outcomes[p] = TolUnreachable(
+                    f"evaluation point {z} lies outside the working region of the norm bounds"
+                )
+    lanes = len(zs) * width
+    lane_order = list(orders) * len(zs)
+    lane_k = np.array(lane_order, dtype=np.int64)
+    lane_abs = np.tile(np.broadcast_to(np.asarray(abs_tol, dtype=float), (width,)), len(zs))
+    lane_floor = np.tile(np.broadcast_to(np.asarray(floor, dtype=float), (width,)), len(zs))
+    accs = [CompensatedSum() for _ in range(lanes)]
+    partials = [[] if keep_partials else None for _ in range(lanes)]
+    results: list[SumResult | None] = [None] * lanes
+    if finite:
+        rule = _FiniteStop(seq.n_max)
+    elif certified:
+        rule = _CertifiedStop(seq)
+    else:
+        rule = _StabilisedStop(lanes) if stabilise else _RatioStop(seq)
+
+    def sum_block(ns: np.ndarray, points: list[int]) -> None:
+        """Sum the block of sheets ns for these points, in lane groups."""
+        group = [(p, l) for p in points for l in range(p * width, (p + 1) * width) if results[l] is None]
+        ids = [l for _, l in group]
+        m = max(lane_order[l] for l in ids)
+        with np.errstate(all="ignore"):
+            if m == 0:
+                block = seq.term_grid(ns, [zs[p] for p in points])
+            elif len(points) == 1:
+                block = seq.derivatives(ns, m, zs[points[0]])
+            else:
+                block = np.concatenate([seq.derivatives(ns, m, zs[p]) for p in points])
+            at = {p: i * (m + 1) for i, p in enumerate(points)}
+            rows = [at[p] + lane_order[l] for p, l in group]
+            # The lanes in groups of at most _GROUP_VALUES values (at least one lane).
+            ends, bads, cleans = [], [], []
+            step = max(1, _GROUP_VALUES // len(ns))
+            for start in range(0, len(ids), step):
+                lanes = np.array(ids[start : start + step], dtype=np.int64)
+                acc = np.array([accs[l].value for l in lanes.tolist()], dtype=complex)
+                g = _Group(ns, _take_rows(block, rows[start : start + step]), lanes,
+                           lane_k[lanes], acc, lane_abs[lanes], lane_floor[lanes], rel_tol)
+                ends += rule.scan(g)
+                bads += g.bad.tolist()
+                cleans += g.clean.tolist()
+        lo, last_j = int(ns[0]), len(ns) - 1
+        reach = dict.fromkeys(points, -1)
+        errors: dict[int, list] = {}
+        for (p, l), end, bad, clean in zip(group, ends, bads, cleans):
+            if end is None and bad:
+                end = clean, OutOfRegime(
+                    f"order-{lane_order[l]} derivative term on sheet {lo + clean} is not finite"
+                )
+            reach[p] = max(reach[p], last_j if end is None else end[0])
+            if end is not None and isinstance(end[1], MeandroError):
+                errors.setdefault(p, []).append((end[0], lane_order[l], end[1]))
+        blocked = seq.perforation.first_blocked_all(
+            ns, [zs[p] for p in points], ends=[reach[p] + 1 for p in points]
         )
-    abs_tols = np.broadcast_to(np.asarray(abs_tol, dtype=float), (len(orders),))
-    floors = np.broadcast_to(np.asarray(floor, dtype=float), (len(orders),))
-
-    def rule(k: int):
-        if finite:
-            return _FiniteStop(seq.n_max)
-        if certified:
-            return _CertifiedStop(seq, k)
-        return _StabilisedStop() if stabilise else _RatioStop(seq)
-
-    def tolerance(i: int) -> Callable:
-        return lambda v: np.maximum(abs_tols[i], rel_tol * np.maximum(v, floors[i]))
-
-    rules = {k: rule(k) for k in orders}
-    tols = {k: tolerance(i) for i, k in enumerate(orders)}
-    accs = {k: CompensatedSum() for k in orders}
-    partials = {k: [] if keep_partials else None for k in orders}
-    results: dict[int, SumResult] = {}
+        for p, hit in zip(points, blocked):
+            if isinstance(hit, ConfigError):  # a lone call raises it at once
+                outcomes[p] = hit
+            elif hit is not None:
+                errors.setdefault(p, []).append((hit[0] - lo, -1, PoleProximity(*hit)))
+        for p, errs in errors.items():
+            if outcomes[p] is None:
+                outcomes[p] = min(errs, key=lambda e: e[:2])[2]
+        for (p, l), row, end in zip(group, rows, ends):
+            if outcomes[p] is not None:
+                continue
+            j, tail = end if end is not None else (last_j, None)
+            kept = block[row, : j + 1]
+            if partials[l] is not None:
+                partials[l].extend((accs[l].value + np.cumsum(kept)).tolist())
+            accs[l].add(complex(math.fsum(kept.real.tolist()), math.fsum(kept.imag.tolist())))
+            if tail is not None:
+                results[l] = SumResult(accs[l].value, lo + j, tail, partials[l])
+        for p in points:
+            if outcomes[p] is None and all(results[l] is not None for l in range(p * width, (p + 1) * width)):
+                outcomes[p] = results[p * width : (p + 1) * width]
 
     last = seq.n_min + max_terms - 1
     if finite:
@@ -468,54 +685,51 @@ def _sum_derivative_series(
     if not finite and type(seq).derivatives is TermSequence.derivatives:
         # One scalar call per sheet and order: start with the sheets that the
         # stabilised rule needs when every order settles at once.
-        first = len(orders) + _STABLE_WINDOW
-    active = list(orders)
+        first = width + _STABLE_WINDOW
+    live = [p for p, out in enumerate(outcomes) if out is None]
     for lo, hi in doubling_blocks(seq.n_min, last + 1, orders[-1] + 1, first):
-        if not active:
+        if not live:
             break
         ns = np.arange(lo, hi)
-        with np.errstate(all="ignore"):
-            block = seq.derivatives(ns, active[-1], z)
-            ends: dict[int, tuple[int, float | MeandroError]] = {}
-            for k in active:
-                terms = block[k]
-                bad = np.flatnonzero(~np.isfinite(terms))
-                clean = int(bad[0]) if bad.size else len(ns)
-                end = None
-                if clean:
-                    sums = accs[k].value + np.cumsum(terms[:clean])
-                    end = rules[k].scan(ns[:clean], terms[:clean], sums, tols[k])
-                if end is None and bad.size:
-                    end = clean, OutOfRegime(
-                        f"order-{k} derivative term on sheet {int(ns[clean])} is not finite"
-                    )
-                if end is not None:
-                    ends[k] = end
-        reach = len(ns) - 1 if len(ends) < len(active) else max(j for j, _ in ends.values())
-        errors = [(j, k, out) for k, (j, out) in ends.items() if isinstance(out, MeandroError)]
-        blocked = seq.perforation.first_blocked(ns[: reach + 1], z)
-        if blocked is not None:
-            errors.append((blocked[0] - lo, -1, PoleProximity(*blocked)))
-        if errors:
-            raise min(errors, key=lambda e: e[:2])[2]
-
-        for k in active:
-            j, tail = ends.get(k, (len(ns) - 1, None))
-            kept = block[k][: j + 1]
-            if partials[k] is not None:
-                partials[k].extend((accs[k].value + np.cumsum(kept)).tolist())
-            accs[k].add(complex(math.fsum(kept.real.tolist()), math.fsum(kept.imag.tolist())))
-            if tail is not None:
-                results[k] = SumResult(accs[k].value, int(ns[j]), tail, partials[k])
-        active = [k for k in active if k not in results]
-        del block, terms, kept  # free this block (views too) before the next is built
-    if active:
+        size = max(1, _GROUP_VALUES // (len(ns) * (orders[-1] + 1)))
+        for start in range(0, len(live), size):
+            sum_block(ns, live[start : start + size])
+        live = [p for p in live if outcomes[p] is None]
+    for p in live:
         if stabilise:
-            raise DiophantineRequired(
+            outcomes[p] = DiophantineRequired(
                 "no decay certificate and the derivative series did not stabilise"
             )
-        raise TolUnreachable(f"tolerance not certified within {max_terms} sheets")
-    return [results[k] for k in orders]
+        else:
+            outcomes[p] = TolUnreachable(f"tolerance not certified within {max_terms} sheets")
+    return outcomes
+
+
+def _one_point(outcome: list[SumResult] | MeandroError) -> list[SumResult]:
+    """A lone point's results, or its error raised."""
+    if isinstance(outcome, MeandroError):
+        raise outcome
+    return outcome
+
+
+def evaluate_sums(
+    seq: TermSequence,
+    zs,
+    tol: float = 1e-10,
+    max_terms: int = 200_000,
+) -> list[SumResult | MeandroError]:
+    """``evaluate_sum`` at every point of zs, in one pass over the sheets.
+
+    Entry i is the SumResult that ``evaluate_sum(seq, zs[i], tol,
+    max_terms)`` returns, bit for bit, or the MeandroError that it raises.
+    Each point is one lane of the engine: the points share the engine's
+    per-block work, and each keeps the blocks, the stopping sheet and the
+    sum of its lone call.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    outcomes = _sum_derivative_series(seq, list(zs), range(1), tol, 0.0, 0.0, max_terms)
+    return [out if isinstance(out, MeandroError) else out[0] for out in outcomes]
 
 
 def evaluate_sum(
@@ -527,13 +741,14 @@ def evaluate_sum(
 ) -> SumResult:
     """Sum the sequence at z until the tail bound drops below tol.
 
-    Raises PoleProximity when z sits inside a removed disc of a sheet that is
-    visited, and TolUnreachable when no certificate can push the tail bound
-    below tol.
+    This is ``evaluate_sums`` at the one point z.  Raises PoleProximity when
+    z sits inside a removed disc of a sheet that is visited, and
+    TolUnreachable when no certificate can push the tail bound below tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _sum_derivative_series(seq, z, range(1), tol, 0.0, 0.0, max_terms, keep_partials)[0]
+    outcome = _sum_derivative_series(seq, [z], range(1), tol, 0.0, 0.0, max_terms, keep_partials)[0]
+    return _one_point(outcome)[0]
 
 
 def derivative_sum(
@@ -548,7 +763,8 @@ def derivative_sum(
         raise ValueError("derivative order must be non-negative")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _sum_derivative_series(seq, z0, range(k, k + 1), tol, 0.0, 0.0, max_terms)[0]
+    outcome = _sum_derivative_series(seq, [z0], range(k, k + 1), tol, 0.0, 0.0, max_terms)[0]
+    return _one_point(outcome)[0]
 
 
 def taylor_jet(
@@ -580,13 +796,14 @@ def taylor_jet(
     certifiable = _certifiable(seq)
     if certifiable:
         floors = np.array(kfacs, dtype=float)
-        inner = _sum_derivative_series(
-            seq, z0, orders, abs_tol * floors, rel_tol, floors, max_terms, stabilise=True
-        )
+        outcome = _sum_derivative_series(
+            seq, [z0], orders, abs_tol * floors, rel_tol, floors, max_terms, stabilise=True
+        )[0]
     else:
-        inner = _sum_derivative_series(
-            seq, z0, orders, 0.0, rel_tol, 1e-300, max(m + 64, 4096), stabilise=True
-        )
+        outcome = _sum_derivative_series(
+            seq, [z0], orders, 0.0, rel_tol, 1e-300, max(m + 64, 4096), stabilise=True
+        )[0]
+    inner = _one_point(outcome)
     coeffs = np.array([res.value / kf for res, kf in zip(inner, kfacs)], dtype=complex)
     tails = np.array([res.tail_bound / kf for res, kf in zip(inner, kfacs)], dtype=float)
     if not certifiable:

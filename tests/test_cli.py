@@ -317,3 +317,41 @@ def test_clean_runs_write_nothing_to_stderr(runner, tmp_path, command, payload):
     result = runner.invoke(main, [command, "--config", cfg])
     assert result.exit_code == 0
     assert result.stderr == ""
+
+
+def test_eval_near_the_float_range_prints_only_the_typed_error(runner, tmp_path):
+    # The removed-disc shortlist's slack overflows at this point; that may
+    # only shortlist a sheet and must print no warning before the error.
+    cfg = _write_config(tmp_path, {"model": MEANDER, "eval": {"points": [[1e308, 1e308]]}})
+    result = runner.invoke(main, ["eval", "--config", cfg])
+    assert result.exit_code == 1
+    assert result.stderr == "error (OutOfRegime): order-0 derivative term on sheet 2 is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "payload, code",
+    [
+        ({"model": MEANDER, "eval": {"points": [[0.1, 0.0]]}}, 0),
+        ({"model": MEANDER, "jet": {"z0": [0, 0], "order": 120}}, 1),  # an error on stderr
+    ],
+    ids=["rows", "error"],
+)
+def test_an_in_process_run_keeps_no_reference_to_its_streams(tmp_path, payload, code):
+    # Run as a library, each command gets a fresh sys.stdout and sys.stderr;
+    # keeping them would keep everything ever printed.
+    import contextlib
+    import gc
+    import weakref
+
+    command = "eval" if "eval" in payload else "jet"
+    cfg = _write_config(tmp_path, payload)
+    out, err = io.StringIO(), io.StringIO()
+    alive = [weakref.ref(out), weakref.ref(err)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            main.main(args=[command, "--config", cfg], standalone_mode=False)
+    assert exit_.value.code == code
+    assert (out if code == 0 else err).getvalue()
+    del out, err
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None]

@@ -1,0 +1,117 @@
+"""Golden outputs of the ``eval`` command: fixed configs, CSV compared byte for byte.
+
+Each case is a config, its extra options and the exit code it must give;
+its stdout is kept in ``tests/data/eval_golden/<case>.csv``.  The files are
+written by running this module as a script from the repository root:
+
+    PYTHONPATH=src python tests/test_eval_golden.py
+
+Rewrite them only for a change that is meant to move printed values, and
+say so in CHANGES.md.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from meandro.cli import main
+
+DATA = Path(__file__).parent / "data" / "eval_golden"
+
+_QLOG = {"name": "qlog", "c": 0.05, "alpha": 2, "lambda": 1.5}
+
+CASES = {
+    # Meander x = 0.95: a 7 x 4 grid off the real axis, 1278 sheets a point.
+    "meander-grid": (
+        {
+            "model": {"name": "meander", "x": 0.95, "c": 0.05, "alpha": 2, "lambda": 1.5},
+            "eval": {
+                "points": [
+                    [-1.2 + 0.4 * i, im] for im in (-0.9, -0.3, 0.3, 0.9) for i in range(7)
+                ]
+            },
+        },
+        [],
+        0,
+    ),
+    # q-log x = 0.9 along a ray that crosses the unit circle; the ray's
+    # points are numpy complex128, and 1/z rounds for them as numpy does.
+    "qlog-ray": (
+        {
+            "model": dict(_QLOG, x=0.9),
+            "eval": {
+                "ray": {"theta_turns": math.sqrt(2.0), "t_start": 0.0, "t_stop": 2.0, "t_step": 0.05}
+            },
+        },
+        [],
+        0,
+    ),
+    # q-log x = 0.9 at listed points (Python complex) outside the unit circle.
+    "qlog-outside": (
+        {
+            "model": dict(_QLOG, x=0.9),
+            "eval": {
+                "points": [
+                    [r * math.cos(a), r * math.sin(a)]
+                    for r, a in ((1.1, 0.3), (1.25, 2.0), (1.4, -1.1), (1.6, 3.0), (1.9, 0.77), (1.15, -2.6))
+                ]
+            },
+        },
+        ["--tol", "1e-12"],
+        0,
+    ),
+    # The explicit finite zero-sum family: summed to its last sheet, tail 0.
+    "zero-sum": (
+        {
+            "model": {
+                "name": "zero_sum_general",
+                "constant": 1.0,
+                "lambda": 1.5,
+                "poles": [[0.8, 0.3], [-1.1, 0.5], [0.2, -1.4], [1.7, 0.0], [-0.6, -0.9], [1.2, 1.2]],
+            },
+            "eval": {"points": [[0.1, 0.05], [-0.2, 0.15], [0.25, -0.2], [0.0, 0.0], [-0.05, -0.27]]},
+        },
+        [],
+        0,
+    ),
+    # Points in removed discs (sheets 2 and 3 of the meander) among clean ones.
+    "removed-disc": (
+        {
+            "model": {"name": "meander", "x": 0.5, "c": 0.1, "alpha": 2, "lambda": 1.5},
+            "eval": {"points": [[0.2, 0.1], [-0.5, 0.0], [0.3, -0.4], [-0.334, 0.001], [1.0, 1.0]]},
+        },
+        [],
+        3,
+    ),
+}
+
+
+def _run(tmp_dir: Path, name: str):
+    config, extra, _ = CASES[name]
+    path = tmp_dir / f"{name}.json"
+    path.write_text(json.dumps(config))
+    return CliRunner().invoke(main, ["eval", "--config", str(path), *extra])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_eval_output_matches_golden(tmp_path, name):
+    result = _run(tmp_path, name)
+    assert result.exit_code == CASES[name][2]
+    assert result.stderr == ""
+    assert result.stdout == (DATA / f"{name}.csv").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    DATA.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            result = _run(Path(tmp), name)
+            if result.exit_code != CASES[name][2] or result.stderr:
+                raise SystemExit(f"{name}: exit {result.exit_code}, stderr {result.stderr!r}")
+            (DATA / f"{name}.csv").write_text(result.stdout, encoding="utf-8")
+            print(f"{name}: {result.stdout.count(chr(10)) - 1} rows")

@@ -1,0 +1,212 @@
+"""The batched ``evaluate_sums`` against lone ``evaluate_sum`` calls, bit for bit."""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meandro import (
+    MeanderModel,
+    QLogModel,
+    SequenceSum,
+    SumResult,
+    ZeroSumGeneral,
+    ZeroSumPiK,
+    evaluate_sum,
+    evaluate_sums,
+    pullback_model,
+    ray_trace,
+)
+from meandro.errors import MeandroError, PoleProximity
+from meandro.geometry import _GROUP_VALUES
+
+_ZERO_SUM_POLES = [0.8 + 0.3j, -1.1 + 0.5j, 0.2 - 1.4j, 1.7 + 0j]
+
+
+def _disc_point(rng, pole: complex, radius: float) -> complex:
+    """A point inside the removed disc of this radius around the pole."""
+    return pole + 0.5 * radius * cmath.exp(1j * rng.uniform(0.0, math.tau))
+
+
+def _meander_points(rng):
+    u = rng.uniform()
+    if u < 0.15:
+        n = int(rng.integers(1, 12))
+        return _disc_point(rng, -1.0 / n, 0.1 / n**2)  # a removed disc: PoleProximity
+    if u < 0.2:
+        return complex(1e308, 1e308)  # non-finite terms: OutOfRegime
+    return 1.4 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, math.tau))
+
+
+def _qlog_points(rng):
+    u = rng.uniform()
+    if u < 0.15:
+        n = int(rng.integers(1, 9))
+        root = cmath.exp(2j * math.pi * int(rng.integers(n)) / n)
+        return _disc_point(rng, root, 0.05 / n**2)  # a removed disc: PoleProximity
+    if u < 0.25:
+        return rng.uniform(2.2, 3.0) * cmath.exp(1j * rng.uniform(0.0, math.tau))  # TolUnreachable
+    modulus = rng.uniform(0.05, 0.93) if u < 0.6 else rng.uniform(1.07, 2.0)  # both sides of |z| = 1
+    return modulus * cmath.exp(1j * rng.uniform(0.0, math.tau))
+
+
+def _zero_sum_points(rng):
+    u = rng.uniform()
+    if u < 0.15:
+        return _disc_point(rng, _ZERO_SUM_POLES[int(rng.integers(4))], 0.1)
+    if u < 0.25:
+        return complex(rng.uniform(3.5, 4.0), 0.0)  # outside the region: TolUnreachable
+    return complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
+
+
+def _pullback_points(rng):
+    if rng.uniform() < 0.15:
+        n = int(rng.integers(1, 8))
+        # A preimage of the pole -1/n under w -> w**2; the radius is 0.1/3/n**2.
+        return _disc_point(rng, 1j / math.sqrt(n), 0.1 / 3.0 / n**2)
+    return 1.1 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, math.tau))
+
+
+def _pik_points(rng):
+    if rng.uniform() < 0.2:
+        n = int(rng.integers(1, 6))
+        return _disc_point(rng, 1.0 / n, 0.05 / (n + 1) ** 2)
+    return complex(rng.uniform(-0.4, 0.1), rng.uniform(-0.4, 0.4))
+
+
+FAMILIES = {
+    "meander": (MeanderModel(0.45 - 0.2j, c=0.1), _meander_points),
+    "qlog": (QLogModel(0.4 + 0.3j), _qlog_points),
+    "zero-sum": (ZeroSumGeneral(1, _ZERO_SUM_POLES), _zero_sum_points),
+    "pullback": (pullback_model(MeanderModel(0.5, c=0.1), 2), _pullback_points),
+    "sequence-sum": (SequenceSum(MeanderModel(0.5), MeanderModel(-0.3 + 0.2j)), _meander_points),
+    "zero-sum-pik": (ZeroSumPiK(), _pik_points),
+}
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+def _same(got, want) -> bool:
+    """Equal bit for bit: value, sheets and tail, or error type, message and witness."""
+    if isinstance(want, SumResult):
+        return (
+            isinstance(got, SumResult)
+            and (_bits(got.value.real), _bits(got.value.imag)) == (_bits(want.value.real), _bits(want.value.imag))
+            and got.terms_used == want.terms_used
+            and _bits(got.tail_bound) == _bits(want.tail_bound)
+        )
+    same = type(got) is type(want) and str(got) == str(want)
+    if isinstance(want, PoleProximity):
+        same = same and (got.sheet, got.pole) == (want.sheet, want.pole)
+    return same
+
+
+def _lone(seq, z, **kwargs):
+    try:
+        return evaluate_sum(seq, z, **kwargs)
+    except MeandroError as exc:
+        return exc
+
+
+# The first block holds 64 sheets, so one lane group there holds this many points.
+_FIRST_GROUP = _GROUP_VALUES // 64
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    count=st.sampled_from([1, 3, _FIRST_GROUP - 1, _FIRST_GROUP, _FIRST_GROUP + 1]),
+    seed=st.integers(0, 2**32 - 1),
+    numpy_points=st.booleans(),
+)
+def test_batched_sums_equal_lone_calls_bit_for_bit(family, count, seed, numpy_points):
+    seq, draw = FAMILIES[family]
+    rng = np.random.default_rng(seed)
+    zs = [draw(rng) for _ in range(count)]
+    if numpy_points:  # as on a ray: 1/z rounds differently for numpy scalars
+        zs = [np.complex128(z) for z in zs]
+    batch = evaluate_sums(seq, zs, tol=1e-10, max_terms=5_000)
+    assert len(batch) == count
+    for z, got in zip(zs, batch):
+        assert _same(got, _lone(seq, z, tol=1e-10, max_terms=5_000)), z
+
+
+def test_one_batch_holds_every_kind_of_outcome():
+    seq = QLogModel(0.5)
+    zs = [0.3 + 0.2j, 1.0 + 0.001j, 2.5 + 0j, np.complex128(1.5 - 0.4j), 0.1j]
+    kinds = [type(res).__name__ for res in evaluate_sums(seq, zs)]
+    assert kinds == ["SumResult", "PoleProximity", "TolUnreachable", "SumResult", "SumResult"]
+    meander = MeanderModel(0.5)
+    kinds = [type(res).__name__ for res in evaluate_sums(meander, [0.2 + 0j, complex(1e308, 1e308)])]
+    assert kinds == ["SumResult", "OutOfRegime"]
+
+
+@pytest.mark.parametrize("seq", [QLogModel(0.4 + 0.3j), MeanderModel(0.45 - 0.2j)], ids=["qlog", "meander"])
+def test_real_points_keep_real_arithmetic(seq):
+    # A real z takes real powers in the q-log terms; a batch must not turn it complex.
+    zs = [0.5, -0.75, 1.5, 0.3 + 0.1j, 2]
+    for z, got in zip(zs, evaluate_sums(seq, zs)):
+        assert _same(got, _lone(seq, z))
+
+
+def test_no_points_no_sums():
+    assert evaluate_sums(MeanderModel(0.5), []) == []
+    with pytest.raises(ValueError):
+        evaluate_sums(MeanderModel(0.5), [0j], tol=0.0)
+
+
+def test_ray_trace_rows_are_those_of_lone_calls():
+    seq = QLogModel(0.5)
+    ts = np.arange(0.0, 2.0, 0.1)
+    theta = 0.0  # the ray runs into the removed disc of the root 1 at t = 1
+    direction = cmath.exp(1j * theta)
+    rows = ray_trace(seq, theta, ts, tol=1e-10, max_terms=5_000)
+    assert [row.t for row in rows] == ts.tolist()
+    assert any(row.flagged for row in rows)
+    for row, t in zip(rows, ts):
+        want = _lone(seq, t * direction, tol=1e-10, max_terms=5_000)
+        if isinstance(want, PoleProximity):
+            assert (row.value, row.flagged) == (None, (want.sheet, want.pole))
+        else:
+            assert (row.value, row.tail_bound, row.terms_used) == (
+                want.value, want.tail_bound, want.terms_used
+            )
+
+
+@pytest.mark.parametrize("sheets", [1, 2, 3, 64, 1000])
+@pytest.mark.parametrize("family", ["meander", "qlog", "pullback", "sequence-sum"])
+def test_term_grid_rows_are_order_zero_derivatives_bit_for_bit(family, sheets):
+    # A block of one sheet matters: numpy may round a product over a column
+    # of points apart from the one-element product of a lone call.
+    seq, draw = FAMILIES[family]
+    rng = np.random.default_rng(sheets)
+    for start in rng.integers(1, 1500, size=12).tolist():
+        zs = [draw(rng) for _ in range(24)]
+        zs = [np.complex128(z) if i % 2 else z for i, z in enumerate(zs)]
+        zs[:3] = [float(z.real) for z in zs[:3]]  # real points take real arithmetic
+        ns = np.arange(start, start + sheets)
+        with np.errstate(all="ignore"):
+            grid = seq.term_grid(ns, zs)
+            rows = [seq.derivatives(ns, 0, z)[0] for z in zs]
+        assert grid.shape == (len(zs), sheets)
+        for got, want in zip(grid, rows):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_a_missing_radius_is_the_error_of_each_point_that_reaches_it():
+    # Sheet 1 of this family has no tabulated radius.  A point in sheet 0's
+    # disc stops there; every other point reaches sheet 1, as alone.
+    from meandro.geometry import Perforation, TableRadius
+
+    seq = ZeroSumGeneral(1, [0.8 + 0.3j, -1.1 + 0.5j])
+    seq.perforation = Perforation(seq.perforation.poles, TableRadius({0: 0.1}))
+    zs = [0.81 + 0.3j, 0.1j, 0.2 + 0j]
+    batch = evaluate_sums(seq, zs)
+    assert [type(res).__name__ for res in batch] == ["PoleProximity", "ConfigError", "ConfigError"]
+    for z, got in zip(zs, batch):
+        assert _same(got, _lone(seq, z))

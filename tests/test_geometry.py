@@ -25,6 +25,7 @@ from meandro import (
     nearest_root_of_unity,
     perforation_from_config,
     residual_membership,
+    residual_memberships,
     shrink_check,
 )
 from meandro.errors import ConfigError
@@ -356,6 +357,52 @@ def test_block_membership_at_block_ends(kind):
                 assert (got.state, got.sheet, got.pole) == _membership_reference(perf, z, 500, margin)
                 if depth < 1.0 and sheet <= 500:
                     assert got.state is MembershipState.OUT
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["roots", "meander", "explicit"]),
+    seed=st.integers(0, 2**16),
+    margin=st.sampled_from([0.0, 0.5]),
+    cutoff=st.sampled_from([64, 200]),
+    # One lane group of the first block holds 64 points.
+    count=st.sampled_from([1, 5, 63, 64, 65]),
+)
+def test_batched_membership_matches_sheet_by_sheet(kind, seed, margin, cutoff, count):
+    if kind == "roots":
+        perf = Perforation(RootsOfUnity(), DiophantineRadius(0.05, 2.0))
+    elif kind == "meander":
+        perf = Perforation(MeanderPoles(), DiophantineRadius(0.05, 2.0))
+    else:
+        perf = Perforation(_explicit_family(seed), DiophantineRadius(0.05, 2.0, shift=1))
+    rng = np.random.default_rng(seed)
+    zs = []
+    while len(zs) < count:
+        sheet = int(rng.integers(1, cutoff + 20))
+        poles = perf.poles_on_sheet(sheet)
+        if rng.uniform() < 0.5 and len(poles):
+            # On or inside the rim of a removed disc inflated by the margin.
+            depth = rng.choice([1.0, 0.5])
+            rim = perf.radius_at(sheet) * (1.0 + margin) * cmath.exp(1j * rng.uniform(0, math.tau))
+            zs.append(complex(poles[int(rng.integers(len(poles)))]) + depth * rim)
+        else:
+            zs.append(complex(*rng.uniform(-1.5, 1.5, 2)))
+    got = residual_memberships(perf, zs, cutoff=cutoff, margin=margin)
+    for z, verdict in zip(zs, got):
+        assert (verdict.state, verdict.sheet, verdict.pole) == _membership_reference(perf, z, cutoff, margin)
+
+
+def test_batched_membership_gives_each_point_its_missing_radius_error():
+    # Sheet 2 has no tabulated radius: a point that sheet 1 does not block
+    # reaches it, as a lone scan does, and gets the ConfigError.
+    perf = Perforation(ExplicitPoles({1: [0.5], 2: [-0.5]}), TableRadius({1: 0.1}))
+    zs = [0.52 + 0j, 0.9j, -0.5 + 0j]
+    got = residual_memberships(perf, zs, cutoff=5)
+    assert (got[0].state, got[0].sheet) == (MembershipState.OUT, 1)
+    for z, verdict in zip(zs[1:], got[1:]):
+        assert isinstance(verdict, ConfigError) and "sheet 2" in str(verdict)
+        with pytest.raises(ConfigError, match="sheet 2"):
+            residual_membership(perf, z, cutoff=5)
 
 
 def test_block_membership_on_a_rim_where_numpy_rounds_the_pole_apart():

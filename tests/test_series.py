@@ -345,7 +345,7 @@ def test_one_pass_jet_matches_per_order_sums(meander_half, qlog_half):
     from meandro.series import _sum_derivative_series
 
     for seq, z in ((meander_half, 0.1 + 0.05j), (qlog_half, 0.3 - 0.2j)):
-        one_pass = _sum_derivative_series(seq, z, range(6), 1e-10, 0.0, 0.0, 200_000)
+        [one_pass] = _sum_derivative_series(seq, [z], range(6), 1e-10, 0.0, 0.0, 200_000)
         for k, res in enumerate(one_pass):
             alone = derivative_sum(seq, z, k, tol=1e-10)
             assert (res.terms_used, res.tail_bound) == (alone.terms_used, alone.tail_bound)
@@ -385,14 +385,19 @@ def test_sequence_sum_needs_one_pole_family():
         SequenceSum(f, g)
 
 
-def _sheet_by_sheet_certified_scan(self, ns, terms, sums, tol):
-    """The certified rule on every sheet in turn, with the scalar tail alone."""
-    limit = tol(np.abs(sums))
-    for j, n in enumerate(ns.tolist()):
-        tail = series._certified_tail(self.seq, self.k, n)
-        if tail <= limit[j]:
-            return j, tail
-    return None
+def _sheet_by_sheet_certified_scan(self, group):
+    """The certified rule on every sheet of every lane in turn, with the scalar tail alone."""
+    limits = group.tol(np.abs(group.sums()))
+    ends = []
+    for k, clean, limit in zip(group.k.tolist(), group.clean.tolist(), limits):
+        end = None
+        for j, n in enumerate(group.ns[:clean].tolist()):
+            tail = series._certified_tail(self.seq, k, n)
+            if tail <= limit[j]:
+                end = j, tail
+                break
+        ends.append(end)
+    return ends
 
 
 @pytest.mark.parametrize(
@@ -406,8 +411,8 @@ def test_certified_skip_stops_where_the_sheet_by_sheet_rule_stops(monkeypatch, m
 
     def run():
         return series._sum_derivative_series(
-            model, 0j, orders, 1e-300 * floors, 1e-11, floors, 200_000, stabilise=True
-        )
+            model, [0j], orders, 1e-300 * floors, 1e-11, floors, 200_000, stabilise=True
+        )[0]
 
     fast = run()
     monkeypatch.setattr(series._CertifiedStop, "scan", _sheet_by_sheet_certified_scan)
@@ -460,3 +465,14 @@ def test_scalar_derivative_jet_stops_computing_near_its_stops(monkeypatch):
     jet = taylor_jet(ZeroSumPiK(), 0j, 12)
     assert jet.coefficients.tolist() == [1.0] + [0.0] * 12
     assert max(n for n, _ in calls) == 20 and len(calls) == 21 * 13
+
+
+def test_clearance_slack_near_the_float_range_raises_no_warning():
+    # The shortlist's slack _ABS_SLACK*(1 + |z| + |z - p|) overflows here; an
+    # infinite slack only shortlists the sheet and the scalar test decides.
+    # Only sheet 1's term is nonzero: 1 + n*z is inf from sheet 2 on.
+    res = evaluate_sum(MeanderModel(0.5), 1e308)
+    assert (res.value, res.terms_used) == (complex(0.5 / 1e308), 94)
+    # |z| itself overflows: a typed error, not an OverflowError from abs(z).
+    with pytest.raises(OutOfRegime, match="sheet 2"):
+        evaluate_sum(MeanderModel(0.5), complex(1.7e308, 1.7e308))
