@@ -24,17 +24,15 @@ import click
 import numpy as np
 
 from . import models as mdl
-from .errors import ConfigError, MeandroError, PoleProximity
+from .errors import ConfigError, HypothesisViolated, MeandroError, PoleProximity
 from .gevrey import divergence_diagnostic, gevrey_fit, smallest_term_truncation
 from .geometry import (
     PERFORATION_SCHEMA,
-    MembershipState,
-    perforation_from_config,
+    _build_perforation,
     residual_memberships,
     schema_violation,
 )
 from .covering import inclusion_check, induced_radii
-from .errors import HypothesisViolated
 from .polar import AnnulusSpec, fiber_polar_sum, laurent_coefficients
 from .series import evaluate_sums, taylor_jet
 
@@ -128,7 +126,7 @@ CONFIG_SCHEMA = {
             "required": ["n"],
             "additionalProperties": False,
             "properties": {
-                "n": {"type": "integer", "minimum": 1},
+                "n": {"type": "integer", "minimum": 1, "maximum": 39},
                 "x_start": {"type": "number"},
                 "x_stop": {"type": "number"},
                 "x_count": {"type": "integer", "minimum": 1},
@@ -160,7 +158,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "alphas": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
+                "radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1}},
                 "moduli": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
                 "angles": {"type": "integer", "minimum": 8},
                 "phase": {"type": "number"},
@@ -377,14 +375,15 @@ def cmd_polar(config_path, model_name, out_path, out_format, tol, cutoff, json_e
                 if key not in section:
                     raise ConfigError(f"polar laurent mode needs '{key}'")
             sheet = section["sheet"]
-            ann = AnnulusSpec(
-                _as_complex(section["center"]), section["r"], model.perforation.lam
-            )
+            if sheet < model.n_min or (model.n_max is not None and sheet > model.n_max):
+                span = f"from {model.n_min}" if model.n_max is None else f"{model.n_min} to {model.n_max}"
+                raise ConfigError(f"the model has no sheet {sheet} (its sheets run {span})")
+            k_min, k_max = section.get("k_min", -8), section.get("k_max", 8)
+            if k_min > k_max:
+                raise ConfigError(f"polar laurent needs k_min <= k_max, got {k_min} > {k_max}")
+            ann = AnnulusSpec(_as_complex(section["center"]), section["r"], model.perforation.lam)
             expansion = laurent_coefficients(
-                lambda zs: model.term_array(sheet, np.asarray(zs, dtype=complex)),
-                ann,
-                k_min=section.get("k_min", -8),
-                k_max=section.get("k_max", 8),
+                lambda zs: model.term_array(sheet, np.asarray(zs, dtype=complex)), ann, k_min=k_min, k_max=k_max
             )
             header = ["k", "c_re", "c_im"]
             rows = [
@@ -395,12 +394,12 @@ def cmd_polar(config_path, model_name, out_path, out_format, tol, cutoff, json_e
             for key in ("omega", "z"):
                 if key not in section:
                     raise ConfigError(f"polar fiber mode needs '{key}'")
-            res = fiber_polar_sum(
-                model, _as_complex(section["omega"]), _as_complex(section["z"]),
-                tol=tol, sheet_limit=cutoff,
-            )
-            header = ["omega_re", "omega_im", "z_re", "z_im", "S_re", "S_im", "tail_bound", "sheets_used"]
             om, z = _as_complex(section["omega"]), _as_complex(section["z"])
+            try:
+                res = fiber_polar_sum(model, om, z, tol=tol, sheet_limit=cutoff)
+            except ValueError as exc:  # omega is no pole projection within the cutoff
+                raise ConfigError(f"invalid polar fiber: {exc}") from exc
+            header = ["omega_re", "omega_im", "z_re", "z_im", "S_re", "S_im", "tail_bound", "sheets_used"]
             rows = [[om.real, om.imag, z.real, z.imag, res.value.real, res.value.imag, res.tail_bound, res.terms_used]]
         _write_rows(out_path, out_format, "polar", header, rows)
         return 0
@@ -480,7 +479,7 @@ def cmd_residual(config_path, model_name, out_path, out_format, tol, cutoff, jso
         config = _load_config(config_path)
         if "perforation" not in config:
             raise ConfigError("missing 'perforation' section")
-        perf = perforation_from_config(config["perforation"])
+        perf = _build_perforation(config["perforation"])  # _load_config validated it
         section = config.get("residual")
         if section is None:
             raise ConfigError("missing 'residual' section")

@@ -549,15 +549,6 @@ class Perforation:
     def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
         return self.poles.nearest_pole(n, z)
 
-    def first_blocked(
-        self, ns: np.ndarray, z: complex, margin: float = 0.0
-    ) -> tuple[int, complex] | None:
-        """``first_blocked_all`` at the one point z; raises its ConfigError."""
-        hit = self.first_blocked_all(ns, [z], margin)[0]
-        if isinstance(hit, ConfigError):
-            raise hit
-        return hit
-
     def first_blocked_all(
         self, ns: np.ndarray, zs: list, margin: float = 0.0, ends: list[int] | None = None
     ) -> list[tuple[int, complex] | ConfigError | None]:
@@ -874,7 +865,7 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
 # JSON perforation configuration
 # ---------------------------------------------------------------------------
 
-#: Schema of the perforation configuration document (see README for examples).
+#: Schema of the perforation configuration document (tests/test_cli.py has examples).
 PERFORATION_SCHEMA = {
     "type": "object",
     "required": ["poles", "radius", "lambda"],
@@ -945,11 +936,15 @@ def schema_violation(instance, schema: dict):
 
 
 def perforation_from_config(config: dict) -> Perforation:
-    """Build a Perforation from a validated configuration dictionary."""
+    """Build a Perforation from a configuration dictionary, validated here."""
     error = schema_violation(config, PERFORATION_SCHEMA)
     if error is not None:
         raise ConfigError(f"invalid perforation config: {error.message}") from error
+    return _build_perforation(config)
 
+
+def _build_perforation(config: dict) -> Perforation:
+    """Build a Perforation from a configuration that PERFORATION_SCHEMA accepts."""
     lam = float(config["lambda"])
     poles_cfg = config["poles"]
     if poles_cfg == "roots_of_unity":

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MeandroError, PoleProximity, ZeroPole
+from .errors import MeandroError, OutOfRegime, PoleProximity, ZeroPole
 from .geometry import (
     DiophantineRadius,
     Disc,
@@ -496,55 +496,61 @@ def geometric_power_sum(j: int, x: complex) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul_linear(coeffs: list[int], k: int) -> list[int]:
-    """Multiply an ascending integer polynomial by (1 + k z)."""
-    out = coeffs + [0]
-    for i in range(len(coeffs), 0, -1):
-        out[i] += k * coeffs[i - 1]
-    return out
+def meander_curve(n: int, x_values: Sequence[float]) -> list[tuple[float, list[float]]]:
+    """Real solutions z of z = sum_{k=1}^n x**k/(1 + k z) for each x, ascending.
 
+    For x > 0, g(z) = z - sum_k x**k/(1 + k z) increases strictly off the
+    poles -1/k (g' = 1 + sum_k k x**k/(1 + k z)**2 > 0), from -inf just right
+    of each pole to +inf just left of the next.  So the poles interlace the
+    roots, as for a secular equation: with S = sum_k x**k, each of these
+    n + 1 brackets holds exactly one root, and the root of bracket i is
+    branch i.
 
-def _poly_div_linear(coeffs: list[int], k: int) -> list[int]:
-    """Exact division of an ascending integer polynomial by (1 + k z)."""
-    q = [0] * (len(coeffs) - 1)
-    q[0] = coeffs[0]
-    for i in range(1, len(q)):
-        q[i] = coeffs[i] - k * q[i - 1]
-    return q
+    * [-1 - S, -1): there |1 + k z| >= S, so g(-1 - S) <= -S < 0;
+    * (-1/k, -1/(k+1)) for k = 1..n-1, between consecutive poles;
+    * (-1/n, S]: g(S) > S - S = 0.
 
-
-def meander_curve(
-    n: int, x_values: Sequence[float], imag_tol: float = 1e-9
-) -> list[tuple[float, list[float]]]:
-    """Real solutions z of z = sum_{k=1}^n x**k/(1 + k z) for each x.
-
-    Clearing denominators gives the degree-(n+1) polynomial
-    z*prod_k(1 + k z) - sum_k x**k * prod_{j != k}(1 + j z) = 0, whose roots
-    are found as eigenvalues of the balanced companion matrix.  Roots with
-    |imag| < imag_tol are reported, sorted.
+    All the brackets of all the x are halved at once until no midpoint lies
+    strictly inside its bracket; that midpoint is the root.  At x = 0 the
+    roots are 0 and the poles.  For x < 0 a gap holds an even number of
+    roots, so a negative x raises OutOfRegime, as does an x whose terms may
+    overflow.
     """
     if n < 1:
         raise ValueError("truncation order must be >= 1")
     if n > 39:
         raise ValueError("degree cap is 40 (n <= 39)")
-    base = [1]
-    for k in range(1, n + 1):
-        base = _poly_mul_linear(base, k)
-    cofactors = [_poly_div_linear(base, k) for k in range(1, n + 1)]
-    shifted = np.array([0] + base, dtype=float)  # z * prod(1 + k z)
-
-    out: list[tuple[float, list[float]]] = []
-    for x in x_values:
-        coeffs = shifted.copy()
-        xk = 1.0
-        for k in range(1, n + 1):
-            xk *= x
-            cof = cofactors[k - 1]
-            coeffs[: len(cof)] -= xk * np.asarray(cof, dtype=float)
-        roots = np.roots(coeffs[::-1])
-        real_roots = sorted(float(r.real) for r in roots if abs(r.imag) < imag_tol)
-        out.append((float(x), real_roots))
-    return out
+    xs = np.array(x_values, dtype=float)
+    ks = np.arange(1, n + 1, dtype=float)
+    poles = -1.0 / ks
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = xs.reshape(-1, 1) ** ks
+        total = powers.sum(axis=1)
+    # g is taken as z - sum_k (x**k/k)/(z - p_k) with the float poles p_k that
+    # end the brackets, so the sign of z - p_k is exact.  Strictly inside a
+    # bracket, z is 2**-58 or more from every pole (all have size 1/40 or
+    # more): each term is at most 2**58 * S, and g is finite if 2**59 * S is.
+    for x, s in zip(xs.tolist(), total.tolist()):
+        if not x >= 0.0:
+            raise OutOfRegime(f"truncation curves need x >= 0 (poles interlacing the roots); got x = {x}")
+        if not math.isfinite(s * 2.0**59):
+            raise OutOfRegime(f"the terms of the truncated curve overflow at x = {x}")
+    positive = xs > 0.0
+    total = total[positive]
+    weights = (powers[positive] / ks).T.reshape(n, -1, 1)
+    edges = np.broadcast_to(poles, (len(total), n))
+    lo, hi = np.column_stack([-1.0 - total, edges]), np.column_stack([edges, total])
+    # A midpoint not strictly inside equals an end of its bracket (where g may
+    # be infinite or NaN): moving either end onto it changes nothing.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not ((lo < mid) & (mid < hi)).any():
+                break
+            below = mid - (weights / (mid - poles.reshape(-1, 1, 1))).sum(axis=0) < 0.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    roots = iter(mid.tolist())
+    return [(x, next(roots) if x > 0.0 else poles.tolist() + [0.0]) for x in xs.tolist()]
 
 
 @dataclass(frozen=True)

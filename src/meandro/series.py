@@ -266,7 +266,6 @@ class SumResult:
     value: complex
     terms_used: int
     tail_bound: float
-    partials: list[complex] | None = None
 
 
 @dataclass(frozen=True)
@@ -560,7 +559,6 @@ def _sum_derivative_series(
     rel_tol: float,
     floor,
     max_terms: int,
-    keep_partials: bool = False,
     *,
     stabilise: bool = False,
 ) -> list[list[SumResult] | MeandroError]:
@@ -608,7 +606,6 @@ def _sum_derivative_series(
     lane_abs = np.tile(np.broadcast_to(np.asarray(abs_tol, dtype=float), (width,)), len(zs))
     lane_floor = np.tile(np.broadcast_to(np.asarray(floor, dtype=float), (width,)), len(zs))
     accs = [CompensatedSum() for _ in range(lanes)]
-    partials = [[] if keep_partials else None for _ in range(lanes)]
     results: list[SumResult | None] = [None] * lanes
     if finite:
         rule = _FiniteStop(seq.n_max)
@@ -669,11 +666,9 @@ def _sum_derivative_series(
                 continue
             j, tail = end if end is not None else (last_j, None)
             kept = block[row, : j + 1]
-            if partials[l] is not None:
-                partials[l].extend((accs[l].value + np.cumsum(kept)).tolist())
             accs[l].add(complex(math.fsum(kept.real.tolist()), math.fsum(kept.imag.tolist())))
             if tail is not None:
-                results[l] = SumResult(accs[l].value, lo + j, tail, partials[l])
+                results[l] = SumResult(accs[l].value, lo + j, tail)
         for p in points:
             if outcomes[p] is None and all(results[l] is not None for l in range(p * width, (p + 1) * width)):
                 outcomes[p] = results[p * width : (p + 1) * width]
@@ -737,7 +732,6 @@ def evaluate_sum(
     z: complex,
     tol: float = 1e-10,
     max_terms: int = 200_000,
-    keep_partials: bool = False,
 ) -> SumResult:
     """Sum the sequence at z until the tail bound drops below tol.
 
@@ -747,7 +741,7 @@ def evaluate_sum(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    outcome = _sum_derivative_series(seq, [z], range(1), tol, 0.0, 0.0, max_terms, keep_partials)[0]
+    outcome = _sum_derivative_series(seq, [z], range(1), tol, 0.0, 0.0, max_terms)[0]
     return _one_point(outcome)[0]
 
 

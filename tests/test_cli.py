@@ -148,6 +148,33 @@ def test_jet_rows(runner, tmp_path):
     assert float(rows[1]["a_re"]) == pytest.approx(-2.0, rel=1e-10)
 
 
+@pytest.mark.parametrize(
+    "command, payload, message",
+    [
+        ("curve", {"curve": {"n": 40}}, "config rejected by schema: 40 is greater than the maximum of 39"),
+        ("polar", {"model": QLOG, "polar": {"mode": "laurent", "sheet": 3, "center": [1.0, 0.0], "r": 0.05,
+                                            "k_min": 2, "k_max": -2}},
+         "polar laurent needs k_min <= k_max, got 2 > -2"),
+        ("polar", {"model": {"name": "zero_sum_general", "poles": [0.5, 0.25]},
+                   "polar": {"mode": "laurent", "sheet": 5, "center": [0.1, 0.0], "r": 0.01}},
+         "the model has no sheet 5 (its sheets run 0 to 1)"),
+        ("polar", {"model": QLOG, "polar": {"mode": "laurent", "sheet": 0, "center": [0.1, 0.0], "r": 0.01}},
+         "the model has no sheet 0 (its sheets run from 1)"),
+        ("polar", {"model": MEANDER, "polar": {"mode": "fiber", "omega": [0.3, 0.1], "z": [0.1, 0.1]}},
+         "invalid polar fiber: (0.3+0.1j) is not a pole projection of this family"),
+        ("covering", {"covering": {"radii": [1.5]}}, "config rejected by schema: 1.5 is greater than the maximum of 1"),
+    ],
+    ids=["curve-degree", "laurent-window", "laurent-sheet-past-the-last", "laurent-sheet-before-the-first",
+         "fiber-omega", "covering-radius"],
+)
+def test_inputs_a_command_refuses_are_config_errors(runner, tmp_path, command, payload, message):
+    cfg = _write_config(tmp_path, payload)
+    result = runner.invoke(main, [command, "--config", cfg])
+    assert result.exit_code == 2
+    assert result.stderr == f"error (config): {message}\n"
+    assert "Traceback" not in result.stderr
+
+
 def test_model_override_flag(runner, tmp_path):
     cfg = _write_config(tmp_path, {"eval": {"points": [[0.0, 0.0]]}, "model": MEANDER})
     result = runner.invoke(main, ["eval", "--config", cfg, "--model", "qlog", "--tol", "1e-12"])

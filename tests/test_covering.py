@@ -208,4 +208,4 @@ def test_table_first_blocked_matches_sheet_by_sheet(base, beta, center, seed, sh
     if len(on_sheet):
         # On, inside or outside the rim of one of the sheet's discs.
         z = complex(on_sheet[which % len(on_sheet)]) + depth * perf.radius_at(sheet) * cmath.exp(1j * theta)
-    assert perf.first_blocked(ns, z) == _first_blocked_reference(perf, ns, z)
+    assert perf.first_blocked_all(ns, [z])[0] == _first_blocked_reference(perf, ns, z)

@@ -88,11 +88,9 @@ def test_zero_sum_not_summable():
 
 
 def test_tail_certificate_sound(meander_half):
-    res = evaluate_sum(meander_half, 0.2 + 0.1j, tol=1e-6, keep_partials=True)
+    res = evaluate_sum(meander_half, 0.2 + 0.1j, tol=1e-6)
     finer = evaluate_sum(meander_half, 0.2 + 0.1j, tol=1e-14)
     assert abs(res.value - finer.value) <= res.tail_bound
-    for partial in res.partials[res.terms_used // 2 :]:
-        assert abs(partial - finer.value) <= 2 * res.tail_bound
 
 
 def test_linearity_within_tail_bounds():
