@@ -157,7 +157,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "alphas": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+                "alphas": {"type": "array", "items": {"type": "integer", "minimum": 1, "maximum": 1023}},
                 "radii": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1}},
                 "moduli": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
                 "angles": {"type": "integer", "minimum": 8},

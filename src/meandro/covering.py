@@ -18,9 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolated
+from .errors import HypothesisViolated, OutOfRegime
 from .geometry import DiophantineRadius, Disc, Perforation, PoleFamilyBase, TableRadius
 from .series import TermSequence
+
+
+def _squeeze(alpha: int) -> float:
+    """2**alpha - 1, the factor by which the covering of exponent alpha shrinks radii."""
+    if alpha >= 1024:
+        raise OutOfRegime(
+            f"covering exponent {alpha} is too large: 2**{alpha} overflows a float (at most 1023)",
+            alpha=alpha,
+        )
+    return 2.0**alpha - 1.0
 
 
 def induced_radii(r: float, alpha: int) -> tuple[float, float]:
@@ -29,7 +39,7 @@ def induced_radii(r: float, alpha: int) -> tuple[float, float]:
         raise ValueError("need 0 < r <= 1")
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
-    denom = 2.0**alpha - 1.0
+    denom = _squeeze(alpha)
     s = alpha * r ** (2.0 - 1.0 / alpha) / denom
     rho = r / denom
     return s, rho
@@ -150,7 +160,8 @@ class _PullbackPoles(PoleFamilyBase):
         base = self._base.poles_table(ns)
         if base is None:
             return None
-        return self._preimages(base).reshape(len(ns), -1)  # a NaN pad has NaN preimages
+        # A NaN pad has NaN preimages.
+        return self._preimages(base).reshape(len(ns), base.shape[1] * self.beta)
 
     def nearest_pole(self, n: int, w: complex) -> tuple[complex, float]:
         poles = self.poles_on_sheet(n)
@@ -159,9 +170,6 @@ class _PullbackPoles(PoleFamilyBase):
         d = np.abs(w - poles)
         i = int(np.argmin(d))
         return complex(poles[i]), float(d[i])
-
-    def tail_distance_bound(self, w: complex, cutoff: int) -> None:
-        return None  # no closed-form tail bound through the covering
 
     def sheets(self):
         return self._base.sheets()
@@ -192,7 +200,7 @@ class PullbackSequence(TermSequence):
         self.bounds_global = base.bounds_global
 
         base_radius = base.perforation.radius
-        denom = 2.0**beta - 1.0
+        denom = _squeeze(beta)
         if isinstance(base_radius, DiophantineRadius):
             radius = DiophantineRadius(
                 base_radius.c / denom, base_radius.alpha, base_radius.lam, base_radius.shift

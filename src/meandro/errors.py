@@ -65,7 +65,15 @@ class InsufficientData(MeandroError):
 
 
 class OutOfRegime(MeandroError):
-    """Input outside the validity regime of the requested formula."""
+    """Input outside the validity regime of the requested formula.
+
+    ``witness`` holds the offending inputs, by name (empty when the raiser
+    records none).
+    """
+
+    def __init__(self, message: str, **witness):
+        self.witness = witness
+        super().__init__(message)
 
 
 class HypothesisViolated(MeandroError):

@@ -223,7 +223,11 @@ class DiophantineRadius:
         return self.c / (ns + self.shift) ** self.alpha
 
     def tail_sup(self, cutoff: int) -> float:
-        """Upper bound for the radius on every sheet beyond the cutoff."""
+        """Upper bound for the radius on every sheet beyond the cutoff.
+
+        It is r_cutoff itself: r_n <= tail_sup(cutoff) for every n > cutoff,
+        and tail_sup is non-increasing in the cutoff.
+        """
         if cutoff + self.shift < 1:
             raise ValueError("Diophantine tail bounds need cutoff + shift >= 1")
         return self.c / (cutoff + self.shift) ** self.alpha
@@ -283,6 +287,17 @@ class PoleFamilyBase:
         Row i lists the poles of sheet ns[i] in the order of
         ``poles_on_sheet``, padded with NaN to the longest row.  Families
         with a few poles a sheet provide it; the default is None.
+        """
+        return None
+
+    def tail_distance_bound(self, z: complex, cutoff: int) -> float | None:
+        """A lower bound on the distance from z to every pole on a sheet beyond the cutoff.
+
+        The bound is for the exact poles; the float poles of
+        ``poles_on_sheet`` may lie a few ulps closer.  It is non-decreasing
+        in the cutoff: once a cutoff gets a bound, every larger cutoff gets
+        one at least as large.  inf means there is no pole beyond the
+        cutoff; None (the default) means no bound is known.
         """
         return None
 
@@ -745,6 +760,16 @@ def residual_memberships(
     with an explicit radius table the tail cannot be bounded and the
     verdict is Unknown.  Entry i is the verdict at zs[i], or the ConfigError
     of a sheet with no tabulated radius that the scan of zs[i] reaches.
+
+    The same bounds end a scan early: after a block whose last sheet L is
+    below the cutoff, a point z still in doubt is In if d =
+    ``tail_distance_bound(z, L)`` is inf or d >= tail_sup(L)*(1 + margin)*
+    (1 + 1e-9) + 8*eps*(1 + |z| + d).  The full scan would agree: d bounds
+    the distance to every pole after L and tail_sup(L) >= r_n there, so no
+    later disc holds z, and both bounds are monotone in the cutoff, so the
+    tail test at the cutoff passes too.  The slacks cover float poles an ulp
+    or so off the exact ones (roots of unity lie about 1e-16 off the circle,
+    more than r_L - r_(L+1) near L = 1e5).
     """
     if margin < 0:
         raise ValueError("margin must be non-negative")
@@ -767,10 +792,26 @@ def residual_memberships(
                     out[i] = hit
                 elif hit is not None:
                     out[i] = Membership(MembershipState.OUT, sheet=hit[0], pole=hit[1])
+        last = int(ns[-1])
+        if last < cutoff:
+            for i in live:
+                if out[i] is None and _tail_clears(perf, zs[i], last, margin):
+                    out[i] = Membership(MembershipState.IN)
         live = [i for i in live if out[i] is None]
     for i in live:
         out[i] = _tail_membership(perf, zs[i], cutoff, margin)
     return out
+
+
+def _tail_clears(perf: Perforation, z: complex, sheet: int, margin: float) -> bool:
+    """True when no disc on a sheet after ``sheet`` can hold z (see ``residual_memberships``)."""
+    d = perf.poles.tail_distance_bound(z, sheet)
+    if d is None:
+        return False
+    if d == math.inf:
+        return True  # no pole after the sheet, so no disc
+    r = perf.radius.tail_sup(sheet)
+    return r is not None and d >= r * (1.0 + margin) * (1.0 + 1e-9) + _ABS_SLACK * (1.0 + abs(z) + d)
 
 
 def _tail_membership(perf: Perforation, z: complex, cutoff: int, margin: float) -> Membership:
@@ -814,10 +855,18 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
     closed-form minimal chord 2*sin(pi*gcd(n,m)/(n*m)) between sheets, which
     the tests cross-check against a brute-force pairwise scan.
 
-    Other families compare each pole with all later poles at once in numpy,
-    with a small slack; the scalar test decides each shortlisted pair in the
-    order of a pair-by-pair scan, so the first violating pair found is the
-    witness.
+    Other families sweep the poles in order of their real parts, as in
+    Shamos and Hoey's closest pair.  The entries are the poles up to the
+    cutoff in sheet order (rows of ``poles_table``, equal to
+    ``poles_on_sheet``), the radii come from ``radius.values``, and the
+    first sheet without a usable radius raises the error of its
+    ``radius_at``.  Entry i can violate the condition only with a later
+    entry j with |Re p_j - Re p_i| <= lambda*(r_i + max_(k>i) r_k)*slack;
+    ``searchsorted`` finds those, in a window widened by 1e-12 relative.
+    The candidate pairs are tested in numpy with a small slack, at most
+    65 536 at a time, so memory stays bounded even when many poles share a
+    real part.  The scalar test decides the survivors in pair-scan order,
+    by (i, j), so the first violating pair found is the witness.
     """
     lam = perf.lam
     family = perf.poles
@@ -838,26 +887,55 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
         return CauchyFlag(CauchyState.VERIFIED, cutoff)
 
     if family.parametric:
-        sheets = list(range(family.n_min, cutoff + 1))
+        sheets = np.arange(family.n_min, cutoff + 1)
     else:
-        sheets = [n for n in family.sheets() if n <= cutoff]
-
-    entries: list[tuple[int, complex, float]] = []
-    for n in sheets:
-        r_n = perf.radius_at(n)
-        entries.extend((n, complex(p), r_n) for p in family.poles_on_sheet(n))
+        sheets = np.array([n for n in family.sheets() if n <= cutoff], dtype=np.int64)
+    with np.errstate(over="ignore"):
+        radii = perf.radius.values(sheets)
+    # NaN: no tabulated radius; 0: a power that overflows, or a radius that underflows.
+    for k in np.flatnonzero(~(radii > 0.0)).tolist():
+        perf.radius_at(int(sheets[k]))  # raises where the sheet-by-sheet loop did
+    table = family.poles_table(sheets)
+    if table is None:
+        rows = [family.poles_on_sheet(n) for n in sheets.tolist()]
+        ps = np.concatenate([np.empty(0, dtype=complex), *rows])
+        owner = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    else:
+        filled = ~np.isnan(table)
+        ps, owner = table[filled], np.nonzero(filled)[0]
+    rs = radii[owner]
     slack = 1.0 + 1e-9
-    ps = np.array([p for _, p, _ in entries], dtype=complex)
-    rs = np.array([r for _, _, r in entries], dtype=float)
-    for i, (n, p, rp) in enumerate(entries):
+    # The largest radius after each entry bounds the partner of every pair it starts.
+    after = np.zeros_like(rs)
+    after[:-1] = np.maximum.accumulate(rs[:0:-1])[::-1]
+    reach = lam * (rs + after) * slack * (1.0 + 1e-12)
+    re = ps.real
+    order = np.argsort(re, kind="stable")
+    hi = np.searchsorted(re[order], re + reach, "right")
+    ends = np.cumsum(hi - np.searchsorted(re[order], re - reach, "left"))
+    total = int(ends[-1]) if len(ends) else 0
+    to_sorted = hi - ends  # pair number t of entry i takes sorted position t + to_sorted[i]
+    found = None
+    for start in range(0, total, _BLOCK_VALUES):
+        t = np.arange(start, min(start + _BLOCK_VALUES, total))
+        i = np.searchsorted(ends, t, "right")
+        j = order[t + to_sorted[i]]
+        keep = j > i
+        if found is not None:  # only the rest of the witness's own pairs can precede it
+            keep &= (i == found[0]) & (j < found[1])
+        i, j = i[keep], j[keep]
         # A pair with one projection is exempt from the Cauchy condition.
-        near = (ps[i + 1 :] != p) & (np.abs(ps[i + 1 :] - p) < lam * (rp + rs[i + 1 :]) * slack)
-        for j in (np.flatnonzero(near) + i + 1).tolist():
-            m, q, rq = entries[j]
-            if abs(p - q) < lam * (rp + rq):
-                return CauchyFlag(
-                    CauchyState.REFUTED, cutoff, (StackPoint(n, p), StackPoint(m, q))
-                )
+        near = (ps[i] != ps[j]) & (np.abs(ps[j] - ps[i]) < lam * (rs[i] + rs[j]) * slack)
+        for a, b in sorted(zip(i[near].tolist(), j[near].tolist())):
+            n, m = int(sheets[owner[a]]), int(sheets[owner[b]])
+            p, q = complex(ps[a]), complex(ps[b])
+            if abs(p - q) < lam * (perf.radius_at(n) + perf.radius_at(m)):
+                found = a, b, StackPoint(n, p), StackPoint(m, q)
+                break
+        if found is not None and ends[found[0]] <= start + _BLOCK_VALUES:
+            break
+    if found is not None:
+        return CauchyFlag(CauchyState.REFUTED, cutoff, found[2:])
     return CauchyFlag(CauchyState.VERIFIED, cutoff)
 
 

@@ -511,7 +511,8 @@ def meander_curve(n: int, x_values: Sequence[float]) -> list[tuple[float, list[f
     * (-1/n, S]: g(S) > S - S = 0.
 
     All the brackets of all the x are halved at once until no midpoint lies
-    strictly inside its bracket; that midpoint is the root.  At x = 0 the
+    strictly inside its bracket; that midpoint is the root, unless it is
+    below the normal range and the other end has the smaller |g|.  At x = 0 the
     roots are 0 and the poles.  For x < 0 a gap holds an even number of
     roots, so a negative x raises OutOfRegime, as does an x whose terms may
     overflow.
@@ -540,6 +541,9 @@ def meander_curve(n: int, x_values: Sequence[float]) -> list[tuple[float, list[f
     weights = (powers[positive] / ks).T.reshape(n, -1, 1)
     edges = np.broadcast_to(poles, (len(total), n))
     lo, hi = np.column_stack([-1.0 - total, edges]), np.column_stack([edges, total])
+    def g(z):
+        return z - (weights / (z - poles.reshape(-1, 1, 1))).sum(axis=0)
+
     # A midpoint not strictly inside equals an end of its bracket (where g may
     # be infinite or NaN): moving either end onto it changes nothing.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -547,8 +551,14 @@ def meander_curve(n: int, x_values: Sequence[float]) -> list[tuple[float, list[f
             mid = 0.5 * (lo + hi)
             if not ((lo < mid) & (mid < hi)).any():
                 break
-            below = mid - (weights / (mid - poles.reshape(-1, 1, 1))).sum(axis=0) < 0.0
+            below = g(mid) < 0.0
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        # Below the normal range the float spacing may be the whole root: at
+        # x = 5e-324 the midpoint of [0, 5e-324] rounds to 0, where g = -x.
+        # There the end with the smaller |g| is the root.
+        other = np.where(mid == lo, hi, lo)
+        lost = (abs(mid) < np.finfo(float).tiny) & (abs(g(other)) < abs(g(mid)))
+        mid = np.where(lost, other, mid)
     roots = iter(mid.tolist())
     return [(x, next(roots) if x > 0.0 else poles.tolist() + [0.0]) for x in xs.tolist()]
 

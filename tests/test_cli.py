@@ -163,9 +163,12 @@ def test_jet_rows(runner, tmp_path):
         ("polar", {"model": MEANDER, "polar": {"mode": "fiber", "omega": [0.3, 0.1], "z": [0.1, 0.1]}},
          "invalid polar fiber: (0.3+0.1j) is not a pole projection of this family"),
         ("covering", {"covering": {"radii": [1.5]}}, "config rejected by schema: 1.5 is greater than the maximum of 1"),
+        # 2.0**alpha overflows from alpha = 1024 on.
+        ("covering", {"covering": {"alphas": [2, 2000]}},
+         "config rejected by schema: 2000 is greater than the maximum of 1023"),
     ],
     ids=["curve-degree", "laurent-window", "laurent-sheet-past-the-last", "laurent-sheet-before-the-first",
-         "fiber-omega", "covering-radius"],
+         "fiber-omega", "covering-radius", "covering-exponent"],
 )
 def test_inputs_a_command_refuses_are_config_errors(runner, tmp_path, command, payload, message):
     cfg = _write_config(tmp_path, payload)

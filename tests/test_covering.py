@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from meandro import (
     HypothesisViolated,
+    OutOfRegime,
     MeanderModel,
     ZeroSumGeneral,
     derivative_sum,
@@ -38,6 +39,18 @@ def test_degree_two_radii():
 def test_scaling_identity(r, alpha):
     s, rho = induced_radii(r, alpha)
     assert s == pytest.approx(alpha * r ** (1.0 - 1.0 / alpha) * rho, rel=1e-12)
+
+
+def test_exponent_past_the_float_range_is_out_of_regime(meander_tight):
+    # 2**1023 - 1 is a float; 2**1024 is not.
+    assert induced_radii(0.5, 1023)[1] == 0.5 / (2.0**1023 - 1.0)
+    for exponent, build in (
+        (1024, lambda: induced_radii(0.5, 1024)),
+        (1100, lambda: pullback_model(meander_tight, 1100)),
+    ):
+        with pytest.raises(OutOfRegime, match=f"covering exponent {exponent} ") as info:
+            build()
+        assert info.value.witness == {"alpha": exponent}
 
 
 def test_identity_covering_has_zero_margins():

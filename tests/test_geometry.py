@@ -16,6 +16,7 @@ from meandro import (
     MembershipState,
     NotContained,
     Perforation,
+    ReciprocalPoles,
     Rectangle,
     RootsOfUnity,
     StackPoint,
@@ -28,6 +29,7 @@ from meandro import (
     residual_memberships,
     shrink_check,
 )
+from meandro.covering import _PullbackPoles
 from meandro.errors import ConfigError
 
 
@@ -421,6 +423,72 @@ def test_block_membership_on_a_rim_where_numpy_rounds_the_pole_apart():
     assert (got.state, got.sheet, got.pole) == _membership_reference(perf, z, 2000, 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["roots", "meander", "reciprocal", "explicit"]),
+    z=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    cutoff=st.integers(0, 400),
+    extra=st.integers(1, 5000),
+    c=st.floats(0.01, 1.0),
+    alpha=st.floats(1.0, 3.0),
+)
+def test_tail_bounds_keep_their_contract(kind, z, cutoff, extra, c, alpha):
+    family = {
+        "roots": RootsOfUnity(),
+        "meander": MeanderPoles(),
+        "reciprocal": ReciprocalPoles(),
+        "explicit": _explicit_family(cutoff),
+    }[kind]
+    # The distance bound holds for every pole of the next 200 sheets, up to
+    # the rounding of the float poles, and grows with the cutoff.
+    d = family.tail_distance_bound(z, cutoff)
+    if d is not None:
+        for n in range(max(cutoff + 1, family.n_min), cutoff + 201):
+            _, dist = family.nearest_pole(n, z)
+            assert d <= dist + 8 * np.finfo(float).eps * (1.0 + abs(z) + dist)
+        later = family.tail_distance_bound(z, cutoff + extra)
+        assert later is not None and later >= d
+    # The radius bound holds on those sheets and shrinks with the cutoff.
+    radius = DiophantineRadius(c, alpha, shift=1)
+    r = radius.tail_sup(cutoff)
+    assert all(radius.value(n) <= r for n in range(cutoff + 1, cutoff + 201))
+    assert radius.tail_sup(cutoff + extra) <= r
+
+
+def _sheets_scanned(monkeypatch) -> list[int]:
+    """Patch ``Perforation.first_blocked_all`` to record how many sheets each call is given."""
+    counts = []
+    scan = Perforation.first_blocked_all
+
+    def counting(self, ns, zs, margin=0.0, ends=None):
+        counts.append(len(ns))
+        return scan(self, ns, zs, margin, ends)
+
+    monkeypatch.setattr(Perforation, "first_blocked_all", counting)
+    return counts
+
+
+@pytest.mark.parametrize("gap, most", [(0.3, 64), (-0.3, 64), (1e-6, 448), (-1e-6, 448)])
+def test_membership_scan_stops_once_the_tail_bound_clears(monkeypatch, gap, most):
+    # Blocks of 64, 128 and 256 sheets end at sheets 64, 192 and 448; past
+    # sheet 448, r_n = 0.05/n**2 < 2.5e-7 is below a gap of 1e-6.
+    perf = _qlog_perf(0.05)
+    z = (1.0 + gap) * cmath.exp(1j)
+    counts = _sheets_scanned(monkeypatch)
+    assert residual_membership(perf, z, cutoff=10_000).state is MembershipState.IN
+    assert sum(counts) <= most
+    if abs(gap) > 0.1:
+        assert sum(counts) == 64
+
+
+def test_membership_scan_runs_to_the_cutoff_while_the_tail_bound_is_weak(monkeypatch):
+    perf = _qlog_perf(0.05)
+    counts = _sheets_scanned(monkeypatch)
+    verdict = residual_membership(perf, (1.0 + 1e-7) * cmath.exp(1j), cutoff=500)
+    assert verdict.state is MembershipState.UNKNOWN
+    assert sum(counts) == 500
+
+
 # ---------------------------------------------------------------------------
 # Cauchy radius check
 # ---------------------------------------------------------------------------
@@ -495,8 +563,13 @@ def _cauchy_pairs_reference(perf, cutoff, same=0.0):
 
     Poles closer than ``same`` count as one projection and are exempt.
     """
+    family = perf.poles
+    if family.parametric:
+        sheets = range(family.n_min, cutoff + 1)
+    else:
+        sheets = [m for m in family.sheets() if m <= cutoff]
     entries = []
-    for n in [m for m in perf.poles.sheets() if m <= cutoff]:
+    for n in sheets:
         entries.extend((n, complex(p), perf.radius_at(n)) for p in perf.poles_on_sheet(n))
     for i, (n, p, rp) in enumerate(entries):
         for m, q, rq in entries[i + 1 :]:
@@ -552,6 +625,70 @@ def test_cauchy_roots_matches_pair_scan(c, alpha, cutoff):
         a, b = flag.witness
         assert (a.sheet, b.sheet) == want
         assert abs(a.coord - b.coord) < perf.lam * (perf.radius_at(a.sheet) + perf.radius_at(b.sheet))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    beta=st.sampled_from([None, 2, 3]),
+    c=st.floats(0.01, 0.9),
+    alpha=st.floats(1.0, 3.0),
+    lam=st.floats(1.01, 3.0),
+    cutoff=st.integers(0, 300),
+)
+def test_cauchy_meander_and_pullback_match_pair_scan(beta, c, alpha, lam, cutoff):
+    family = MeanderPoles() if beta is None else _PullbackPoles(MeanderPoles(), beta, 0.1 + 0.05j)
+    perf = Perforation(family, DiophantineRadius(c, alpha, lam))
+    flag = cauchy_radius_check(perf, cutoff)
+    assert (flag.state, flag.witness) == _cauchy_pairs_reference(perf, cutoff)
+
+
+def _vertical_line(close: dict[int, float] | None = None) -> Perforation:
+    """500 poles near Re z = 0.3, one per sheet, 0.01 apart, radii 0.001.
+
+    Real parts fall by 1e-12 a sheet, so the sweep meets them in reverse
+    sheet order.  ``close`` moves the poles of some sheets to given heights.
+    """
+    heights = {n: 0.01 * n for n in range(1, 501)}
+    heights.update(close or {})
+    table = {n: [complex(0.3 - 1e-12 * n, y)] for n, y in heights.items()}
+    return Perforation(ExplicitPoles(table), TableRadius({n: 0.001 for n in table}))
+
+
+@pytest.mark.parametrize(
+    "close",
+    [
+        None,
+        # Entry 131 (sheet 132) starts pairs 65 500..65 999, across the end of
+        # the first chunk of 65 536 pairs: its partners at sheets 471 (in the
+        # first chunk) and 201 (in the second) both violate, and 201 comes
+        # first in sheet order.
+        {201: 1.3205, 471: 1.3195},
+        {3: 0.0405},
+        {499: 4.9995},
+    ],
+    ids=["verified", "witness-across-chunks", "early", "last-pair"],
+)
+def test_cauchy_sweep_on_a_vertical_line(close):
+    # Every pole shares the real part to 5e-10, so the candidate pairs number
+    # 500**2 = 250 000, more than one chunk of 65 536.
+    perf = _vertical_line(close)
+    flag = cauchy_radius_check(perf, 500)
+    assert (flag.state, flag.witness) == _cauchy_pairs_reference(perf, 500)
+    assert (flag.state is CauchyState.VERIFIED) == (close is None)
+
+
+def test_cauchy_missing_radius_is_the_config_error_of_its_sheet():
+    # As in the sheet-by-sheet scan: the first listed sheet without a radius
+    # raises, even if it has no poles, before any pair is compared.
+    poles = ExplicitPoles({1: [0j, 0.01 + 0j], 2: [], 3: [1 + 0j], 4: [2 + 0j]})
+    perf = Perforation(poles, TableRadius({1: 0.1, 3: 0.1}))
+    with pytest.raises(ConfigError, match="no radius tabulated for sheet 2"):
+        cauchy_radius_check(perf, 4)
+    assert cauchy_radius_check(perf, 1).state is CauchyState.REFUTED
+    meander = Perforation(MeanderPoles(), TableRadius({n: 1e-4 for n in range(1, 6)}))
+    assert cauchy_radius_check(meander, 5).state is CauchyState.VERIFIED
+    with pytest.raises(ConfigError, match="no radius tabulated for sheet 6"):
+        cauchy_radius_check(meander, 9)
 
 
 # ---------------------------------------------------------------------------

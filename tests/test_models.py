@@ -288,6 +288,15 @@ def test_curve_rejects_x_without_interlacing(x):
         meander_curve(20, [0.5, x])
 
 
+@pytest.mark.parametrize("n", [1, 3, 39])
+@pytest.mark.parametrize("x", [5e-324, 1.5e-323, 1e-320])
+def test_curve_keeps_a_subnormal_root(n, x):
+    # The last root is x + O(x**2), so x itself; at x = 5e-324 the final
+    # bracket is [0, 5e-324], whose midpoint rounds to 0, where g = -x.
+    (_, roots), = meander_curve(n, [x])
+    assert len(roots) == n + 1 and roots[-1] == x
+
+
 @pytest.mark.parametrize("n, x", [(39, 1e9), (3, 1e300), (1, 1.7e308), (2, math.inf)])
 def test_curve_rejects_overflowing_x_without_a_warning(n, x):
     # pytest turns a RuntimeWarning into an error (pyproject.toml).
