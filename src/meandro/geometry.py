@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, MarginViolated, NotContained
+from .errors import ConfigError, MarginViolated, MeandroError, NotContained, OutOfRegime
 
 #: Sheets in the first block of a block scan; each next block is twice as long.
 _FIRST_BLOCK = 64
@@ -193,7 +193,9 @@ class DiophantineRadius:
     The polynomial decay is what makes derivative sums of the perforation
     converge; alpha >= 1 and r <= 1 are required by the shrinking and Taylor
     estimates downstream.  ``shift`` accommodates families whose sheets are
-    indexed from 0.
+    indexed from 0.  Where (n + shift)**alpha overflows a float, the radius
+    is below the float range, and ``value``, ``values`` and ``tail_sup``
+    raise OutOfRegime for that sheet.
     """
 
     c: float
@@ -210,17 +212,23 @@ class DiophantineRadius:
             raise ValueError("lambda margin must exceed 1")
         if self.shift < 0:
             raise ValueError("shift must be non-negative")
+        # A float exponent: numpy's integer powers of the sheets would wrap.
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     def value(self, n: int) -> float:
         if n + self.shift < 1:
             raise ValueError("Diophantine radii are defined for sheets n + shift >= 1")
-        return self.c / (n + self.shift) ** self.alpha
+        return self.c / self._power(n)
 
     def values(self, ns: np.ndarray) -> np.ndarray:
         """Radii on the sheets ns (a sorted integer array)."""
         if len(ns) and ns[0] + self.shift < 1:
             raise ValueError("Diophantine radii are defined for sheets n + shift >= 1")
-        return self.c / (ns + self.shift) ** self.alpha
+        with np.errstate(over="ignore"):
+            powers = (ns + self.shift) ** self.alpha
+        if len(ns) and not np.isfinite(powers[-1]):
+            raise self._underflow(int(ns[np.argmin(np.isfinite(powers))]))
+        return self.c / powers
 
     def tail_sup(self, cutoff: int) -> float:
         """Upper bound for the radius on every sheet beyond the cutoff.
@@ -230,7 +238,19 @@ class DiophantineRadius:
         """
         if cutoff + self.shift < 1:
             raise ValueError("Diophantine tail bounds need cutoff + shift >= 1")
-        return self.c / (cutoff + self.shift) ** self.alpha
+        return self.c / self._power(cutoff)
+
+    def _power(self, n: int) -> float:
+        try:
+            return (n + self.shift) ** self.alpha
+        except OverflowError:
+            raise self._underflow(n) from None
+
+    def _underflow(self, n: int) -> OutOfRegime:
+        return OutOfRegime(
+            f"the radius c/(n + shift)**alpha is below the float range on sheet {n} (alpha = {self.alpha:g})",
+            sheet=n, alpha=self.alpha,
+        )
 
 
 @dataclass(frozen=True)
@@ -275,7 +295,11 @@ class PoleFamilyBase:
     A parametric family is fixed by its type, so two instances of one type are
     equal; families holding data override ``__eq__`` and ``__hash__``.  A
     family with few poles a sheet gives a NaN-padded ``poles_table``, from
-    which ``nearest_pole_all`` works in numpy.
+    which ``nearest_pole_all`` works in numpy.  Two optional contracts bound
+    the distance from a point to the poles: ``tail_distance_bound`` for all
+    sheets after a cutoff at once (the membership discharge and the jet
+    tails off the accumulation set), and ``distance_power_law`` sheet by
+    sheet (the jet tails at an accumulation point).
     """
 
     #: True when each pole lies on finitely many sheets: a fiber sum can end.
@@ -298,6 +322,16 @@ class PoleFamilyBase:
         in the cutoff: once a cutoff gets a bound, every larger cutoff gets
         one at least as large.  inf means there is no pole beyond the
         cutoff; None (the default) means no bound is known.
+        """
+        return None
+
+    def distance_power_law(self, z: complex) -> tuple[float, float] | None:
+        """(a, beta) with |z - p| >= a * n**-beta for every pole p on every sheet n >= 1.
+
+        Both are positive.  The law serves where z is an accumulation point
+        of the poles, where ``tail_distance_bound`` tends to 0.  As there,
+        the bound is for the exact poles, and None (the default) means no
+        law is known.
         """
         return None
 
@@ -411,6 +445,10 @@ class MeanderPoles(PoleFamilyBase):
         a = -1.0 / (cutoff + 1)
         x = min(max(z.real, a), 0.0)
         return abs(z - x)
+
+    def distance_power_law(self, z: complex) -> tuple[float, float] | None:
+        # |z + 1/n| >= Re z + 1/n >= 1/n when Re z >= 0.
+        return (1.0, 1.0) if z.real >= 0.0 else None
 
     def sheets_containing(self, pole: complex, limit: int, tol: float = 1e-9) -> Iterator[int]:
         if pole.real >= 0 or abs(pole.imag) > tol:
@@ -847,6 +885,57 @@ def _refutation_witness_roots(n: int, m: int) -> tuple[complex, complex]:
     return best[1], best[2]
 
 
+def _roots_refutation(perf: Perforation, cutoff: int) -> tuple[int, int] | None:
+    """The first sheet pair (m, n), m <= n <= cutoff, whose closest roots violate the condition.
+
+    The scalar order is by n, then the pair (n, n) (for n >= 2: chord
+    2*sin(pi/n) against 2*lambda*r_n), then m = 1..n-1 (chord
+    2*sin(pi*gcd(n, m)/(n*m)) against lambda*(r_n + r_m)).  Runs of sheets
+    are taken at once, 1 024 pairs at first and twice as many each time, up
+    to 65 536.  Their pairs are shortlisted in numpy by Jordan's inequality
+    sin(x) >= 2x/pi on [0, pi/2]: a chord is at least 4/(n*m), or 4/n for
+    the pair (n, n), and the test takes a relative slack of 1e-9.  The
+    scalar test decides the survivors in scalar order.  The radii come from
+    ``radius_at`` sheet by sheet, so a sheet without one raises its error
+    once every pair of the sheets before it is clear.  Sheet 1 against sheet
+    n refutes once 2*sin(pi/n) < lambda*(r_1 + r_n), so the scan ends near
+    n = 2*pi/(lambda*r_1) at the latest.
+    """
+    lam = perf.lam
+    radii = np.zeros(1)  # radii[n] is r_n; there is no sheet 0
+    n_lo, size = 1, 1024
+    while n_lo <= cutoff:
+        # Sheet n brings n pairs, (n, n) first as m = 0.
+        error, new = None, []
+        pairs, n_hi = 0, n_lo
+        while n_hi <= cutoff and (not new or pairs + n_hi <= size):
+            try:
+                new.append(perf.radius_at(n_hi))
+            except MeandroError as exc:
+                error = exc
+                break
+            pairs, n_hi = pairs + n_hi, n_hi + 1
+        radii = np.concatenate([radii, new])
+        ns = np.arange(n_lo, n_hi)
+        n = np.repeat(ns, ns)
+        m = np.arange(len(n)) - np.repeat(np.cumsum(ns) - ns, ns)
+        same = m == 0
+        floor = np.where(same, 2.0, 4.0 / np.maximum(m, 1)) / n
+        near = floor < lam * (radii[n] + radii[np.where(same, n, m)]) * (1.0 + 1e-9)
+        near &= ~(same & (n == 1))
+        for n_, m_ in zip(n[near].tolist(), m[near].tolist()):
+            r_n = radii[n_].item()
+            if m_ == 0:
+                if 2.0 * math.sin(math.pi / n_) < 2.0 * lam * r_n:
+                    return n_, n_
+            elif 2.0 * math.sin(math.pi * math.gcd(n_, m_) / (n_ * m_)) < lam * (r_n + radii[m_].item()):
+                return m_, n_
+        if error is not None:
+            raise error
+        n_lo, size = n_hi, min(2 * size, _BLOCK_VALUES)
+    return None
+
+
 def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
     """Check disjointness of projected inflated discs around distinct poles.
 
@@ -872,27 +961,18 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
     family = perf.poles
 
     if isinstance(family, RootsOfUnity):
-        for n in range(1, cutoff + 1):
-            r_n = perf.radius_at(n)
-            if n >= 2 and 2.0 * math.sin(math.pi / n) < 2.0 * lam * r_n:
-                a, b = _refutation_witness_roots(n, n)
-                return CauchyFlag(CauchyState.REFUTED, cutoff, (StackPoint(n, a), StackPoint(n, b)))
-            for m in range(1, n):
-                gap = 2.0 * math.sin(math.pi * math.gcd(n, m) / (n * m))
-                if gap < lam * (r_n + perf.radius_at(m)):
-                    a, b = _refutation_witness_roots(m, n)
-                    return CauchyFlag(
-                        CauchyState.REFUTED, cutoff, (StackPoint(m, a), StackPoint(n, b))
-                    )
-        return CauchyFlag(CauchyState.VERIFIED, cutoff)
+        pair = _roots_refutation(perf, cutoff)
+        if pair is None:
+            return CauchyFlag(CauchyState.VERIFIED, cutoff)
+        a, b = _refutation_witness_roots(*pair)
+        return CauchyFlag(CauchyState.REFUTED, cutoff, (StackPoint(pair[0], a), StackPoint(pair[1], b)))
 
     if family.parametric:
         sheets = np.arange(family.n_min, cutoff + 1)
     else:
         sheets = np.array([n for n in family.sheets() if n <= cutoff], dtype=np.int64)
-    with np.errstate(over="ignore"):
-        radii = perf.radius.values(sheets)
-    # NaN: no tabulated radius; 0: a power that overflows, or a radius that underflows.
+    radii = perf.radius.values(sheets)  # OutOfRegime where a Diophantine radius leaves the float range
+    # NaN: no tabulated radius; 0: a radius that underflows.
     for k in np.flatnonzero(~(radii > 0.0)).tolist():
         perf.radius_at(int(sheets[k]))  # raises where the sheet-by-sheet loop did
     table = family.poles_table(sheets)

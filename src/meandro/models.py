@@ -69,7 +69,8 @@ def _decay_cert(ax: float, rho: float | None, c: float, alpha: float) -> DecayCe
     it dominates the bound evaluated in floats as well.  ax is raised by
     twice ``_UNDERFLOW`` first.  That changes only an ax below about 1e-307,
     whose peak is at sheet 1, where ``_norm_bound`` adds ``_UNDERFLOW``; on
-    later sheets ax**n is 0 or far below the certificate.
+    later sheets ax**n is 0 or far below the certificate.  A power
+    n**(alpha-1) past the float range raises OutOfRegime.
     """
     rho = rho if rho is not None else (1.0 + ax) / 2.0
     if not (ax < rho < 1.0):
@@ -81,7 +82,12 @@ def _decay_cert(ax: float, rho: float | None, c: float, alpha: float) -> DecayCe
     if alpha > 1.0:
         n_star = (alpha - 1.0) / math.log(1.0 / tau)
         candidates.update({max(1, math.floor(n_star)), math.ceil(n_star)})
-    peak = max(n ** (alpha - 1.0) * tau**n for n in candidates)
+    try:
+        peak = max(n ** (alpha - 1.0) * tau**n for n in candidates)
+    except OverflowError:
+        raise OutOfRegime(
+            f"the decay certificate overflows a float (alpha = {alpha:g})", alpha=alpha
+        ) from None
     return DecayCert(peak / c * (1.0 + 1e-12), rho)
 
 

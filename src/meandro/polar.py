@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import DiophantineRequired, NonConvergent, PoleProximity
 from .geometry import DiophantineRadius
-from .series import SumResult, TermSequence, power_geometric_tail
+from .series import SumResult, TermSequence
+from .tails import power_geometric_tail
 
 
 @dataclass(frozen=True)

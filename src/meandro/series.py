@@ -31,14 +31,12 @@ For each lane the engine picks one of four stopping rules from its inputs:
 
 * a finite family is summed through its last sheet; its tail is exactly 0;
 * a decay certificate A*rho**n over a Diophantine radius gives a rigorous
-  tail bound.  The bound (n+1)**q * rho**(n+1) / (1 - ratio(n)) is +inf on
-  an initial run of sheets and strictly decreasing after it: each step
-  multiplies the first factor by ratio(n) < 1, and ratio(n) decreases.  So
-  a lane whose scalar tail at the block's last sheet is above every limit
-  of the block cannot stop in it.  Every limit is at most the tolerance at
-  |sum so far| + sum of |terms|, which is the tolerance itself for a plain
-  sum (no relative part), and such a block is passed over without running
-  sums or numpy tails;
+  tail bound (``tails._CertifiedTails``), which does not increase with the
+  sheet.  So a lane whose scalar tail at the block's last sheet is above
+  every limit of the block cannot stop in it.  Every limit is at most the
+  tolerance at |sum so far| + sum of |terms|, which is the tolerance itself
+  for a plain sum (no relative part), and such a block is passed over
+  without running sums or numpy tails;
 * a jet without such a certificate stops once a window of consecutive terms
   is negligible (the stabilised rule); its tail is a heuristic estimate;
 * any other sum stops on the ratio test of the norm bounds; its tail is a
@@ -58,9 +56,23 @@ An infinite family on the default ``derivatives`` starts with a block of as
 many sheets as orders plus the stabilised window, since each of its values
 costs a call.
 
-Derivative sums are controlled through the Cauchy estimate: on the shrunk
-perforation the k-th derivative of the sheet-n term is bounded by
-k! * norm_bound(n) / (eps * r_n)**k with eps = lambda - 1.
+Derivative sums are controlled through Cauchy's estimate: the k-th
+derivative at z0 of the sheet-j term is at most k! * norm_bound(j) / R**k
+for any circle about z0 of radius R that keeps off sheet j's removed discs
+(and in the region, unless the norm bounds are global).  A lane of order
+k >= 1 takes the least of the tails that three radii give:
+
+* eps * r_j with eps = lambda - 1, the margin of the shrunk perforation;
+  the order-k tail then carries a factor j**(alpha*k);
+* off the accumulation set of the poles, the distance
+  ``tail_distance_bound(z0, n)`` to every pole after sheet n, less
+  tail_sup(n): one radius for all those sheets, so no power of j;
+* at an accumulation point, the family's ``distance_power_law``
+  a * j**-beta, less r_j: a factor j**(beta*k), where beta <= alpha.
+
+So how far a jet runs depends on how close z0 is to the poles, not on how
+small the removed discs are.  Order 0 needs no circle, and its tail is the
+certificate's A*rho**(n+1)/(1 - rho) at every point.
 """
 
 from __future__ import annotations
@@ -81,6 +93,7 @@ from .errors import (
     TolUnreachable,
 )
 from .geometry import _GROUP_VALUES, DiophantineRadius, Perforation, Region, doubling_blocks
+from .tails import _CertifiedTails, _power_geometric_tails, power_geometric_tail
 
 _STABLE_WINDOW = 8
 #: Highest jet order: k! overflows a float from k = 171 on.
@@ -128,21 +141,6 @@ class DecayCert:
     def tail(self, n: int) -> float:
         """Bound for the sum of norm bounds over all sheets beyond n."""
         return self.A * self.rho ** (n + 1) / (1.0 - self.rho)
-
-
-def power_geometric_tail(q: float, rho: float, n: int) -> float:
-    """Rigorous upper bound for sum_{j>n} j**q * rho**j.
-
-    The term ratio rho*(1+1/j)**q decreases in j, so beyond n the series is
-    dominated by the geometric series with ratio taken at j = n+1.
-    """
-    ratio = rho * ((n + 2) / (n + 1)) ** q
-    if ratio >= 1.0:
-        return math.inf
-    log_first = q * math.log(n + 1) + (n + 1) * math.log(rho)
-    if log_first > 700.0:
-        return math.inf
-    return math.exp(log_first) / (1.0 - ratio)
 
 
 class TermSequence(abc.ABC):
@@ -301,41 +299,9 @@ def _certifiable(seq: TermSequence) -> bool:
     return seq.decay_cert is not None and isinstance(seq.perforation.radius, DiophantineRadius)
 
 
-def _tail_prefactor(seq: TermSequence, k: int) -> float:
-    """k! * A * (1+shift)**(alpha*k) / (eps*c)**k, the sheet-free factor of the k >= 1 tail."""
-    cert, radius = seq.decay_cert, seq.perforation.radius
-    # 1/r_j**k = ((j+shift)**alpha/c)**k <= ((1+shift)*j)**(alpha*k)/c**k.
-    shift_factor = (1.0 + radius.shift) ** (radius.alpha * k)
-    return math.factorial(k) * cert.A * shift_factor / ((radius.lam - 1.0) * radius.c) ** k
-
-
-def _certified_tail(seq: TermSequence, k: int, n: int) -> float:
-    """Tail of the k-th derivative series beyond sheet n (needs _certifiable)."""
-    cert = seq.decay_cert
-    if k == 0:
-        return cert.tail(n)
-    return _tail_prefactor(seq, k) * power_geometric_tail(
-        seq.perforation.radius.alpha * k, cert.rho, n
-    )
-
-
-def _power_geometric_tails(q: float, rho: float, ns: np.ndarray) -> np.ndarray:
-    """``power_geometric_tail`` on every sheet of ns, in numpy arithmetic."""
-    n1 = ns + 1.0
-    ratio = rho * ((n1 + 1.0) / n1) ** q
-    log_first = q * np.log(n1) + n1 * math.log(rho)
-    tails = np.exp(log_first) / (1.0 - ratio)
-    tails[(ratio >= 1.0) | (log_first > 700.0)] = math.inf
-    return tails
-
-
-def _certified_tails(seq: TermSequence, k: int, ns: np.ndarray) -> np.ndarray:
-    """``_certified_tail`` on every sheet of ns, in numpy arithmetic."""
-    cert = seq.decay_cert
-    if k == 0:
-        return cert.A * cert.rho ** (ns + 1.0) / (1.0 - cert.rho)
-    q = seq.perforation.radius.alpha * k
-    return _tail_prefactor(seq, k) * _power_geometric_tails(q, cert.rho, ns)
+def _certified_tail(seq: TermSequence, k: int, n: int, z0: complex) -> float:
+    """Tail of the k-th derivative series at z0 beyond sheet n (needs _certifiable)."""
+    return _CertifiedTails(seq, z0).tail(k, n)
 
 
 #: What a stopping rule reports for one lane of a block: None (no stop in it),
@@ -383,24 +349,35 @@ class _FiniteStop:
 
 
 class _CertifiedStop:
-    """Stop at the first sheet whose certified tail is within the tolerance."""
+    """Stop at the first sheet whose certified tail is within the tolerance.
 
-    def __init__(self, seq: TermSequence):
-        self.seq = seq
-        self._tail_cache: dict[tuple[int, int], float] = {}
-        self._last_tails: tuple[tuple[int, int], np.ndarray] | None = None
+    Lane l sums at the point ``zs[l // width]``; its tails are those of
+    ``_CertifiedTails`` there.
+    """
 
-    def _tail(self, k: int, n: int) -> float:
-        key = (k, n)
+    def __init__(self, seq: TermSequence, zs: list, width: int):
+        self.seq, self.zs, self.width = seq, zs, width
+        self._points: dict[int, _CertifiedTails] = {}
+        self._tail_cache: dict[tuple[int, int, int], float] = {}
+        self._last_tails: tuple[tuple[int, int, int], np.ndarray] | None = None
+
+    def _at(self, p: int) -> _CertifiedTails:
+        if p not in self._points:
+            self._points[p] = _CertifiedTails(self.seq, self.zs[p])
+        return self._points[p]
+
+    def _tail(self, lane: int, k: int, n: int) -> float:
+        # The order-0 tail is the same at every point.
+        key = (k, n, lane // self.width if k else 0)
         if key not in self._tail_cache:
-            self._tail_cache[key] = _certified_tail(self.seq, k, n)
+            self._tail_cache[key] = self._at(key[2]).tail(k, n)
         return self._tail_cache[key]
 
-    def _tails(self, k: int, ns: np.ndarray) -> np.ndarray:
+    def _tails(self, lane: int, k: int, ns: np.ndarray) -> np.ndarray:
         """Numpy tails of order k on the block's sheets, kept for the next group."""
-        key = (k, int(ns[0]))
+        key = (k, int(ns[0]), lane // self.width if k else 0)
         if self._last_tails is None or self._last_tails[0] != key:
-            self._last_tails = key, _certified_tails(self.seq, k, ns)
+            self._last_tails = key, self._at(key[2]).tails(k, ns)
         return self._last_tails[1]
 
     def scan(self, g: _Group) -> list[_Stop]:
@@ -416,12 +393,12 @@ class _CertifiedStop:
             for r in np.flatnonzero(g.bad).tolist():
                 mags[r] = np.abs(g.terms[r, : g.clean[r]]).sum()
             bound = g.tol(np.abs(g.acc) + mags)
-        ks, cleans = g.k.tolist(), g.clean.tolist()
+        lanes, ks, cleans = g.lanes.tolist(), g.k.tolist(), g.clean.tolist()
         rows = np.array(
             [
                 r
-                for r, (k, clean, limit) in enumerate(zip(ks, cleans, bound.tolist()))
-                if clean and not self._tail(k, int(g.ns[clean - 1])) > limit * (1.0 + 1e-9)
+                for r, (lane, k, clean, limit) in enumerate(zip(lanes, ks, cleans, bound.tolist()))
+                if clean and not self._tail(lane, k, int(g.ns[clean - 1])) > limit * (1.0 + 1e-9)
             ],
             dtype=np.int64,
         )
@@ -431,14 +408,14 @@ class _CertifiedStop:
             limits = np.broadcast_to(g.abs_tol[rows, None], (len(rows), len(g.ns)))
         else:
             limits = g.tol(np.abs(g.sums(rows)), rows)
-        tails = np.stack([self._tails(k, g.ns) for k in g.k[rows].tolist()])
+        tails = np.stack([self._tails(lanes[r], ks[r], g.ns) for r in rows.tolist()])
         # The numpy tails shortlist the sheets; the scalar tail decides, so
         # the stopping sheet and its tail are those of the sheet-by-sheet rule.
         short = (tails <= limits * (1.0 + 1e-9)) & (np.arange(len(g.ns)) < g.clean[rows, None])
         for i in np.flatnonzero(short.any(axis=1)).tolist():
-            r, k, limit = int(rows[i]), ks[rows[i]], limits[i]
+            r, limit = int(rows[i]), limits[i]
             for j in np.flatnonzero(short[i]).tolist():
-                tail = self._tail(k, int(g.ns[j]))
+                tail = self._tail(lanes[r], ks[r], int(g.ns[j]))
                 if tail <= limit[j]:
                     ends[r] = j, tail
                     break
@@ -610,7 +587,7 @@ def _sum_derivative_series(
     if finite:
         rule = _FiniteStop(seq.n_max)
     elif certified:
-        rule = _CertifiedStop(seq)
+        rule = _CertifiedStop(seq, zs, width)
     else:
         rule = _StabilisedStop(lanes) if stabilise else _RatioStop(seq)
 
@@ -661,12 +638,18 @@ def _sum_derivative_series(
         for p, errs in errors.items():
             if outcomes[p] is None:
                 outcomes[p] = min(errs, key=lambda e: e[:2])[2]
+        # A row with no imaginary part (real terms at a real point) adds 0.0
+        # in place of an exact sum, which would be +0.0 or -0.0.  A Neumaier
+        # step with either leaves the state bit for bit as it is: the running
+        # sum and its compensation start at +0.0 and never become -0.0.
+        complex_rows = block.imag.any(axis=1).tolist()
         for (p, l), row, end in zip(group, rows, ends):
             if outcomes[p] is not None:
                 continue
             j, tail = end if end is not None else (last_j, None)
             kept = block[row, : j + 1]
-            accs[l].add(complex(math.fsum(kept.real.tolist()), math.fsum(kept.imag.tolist())))
+            imag = math.fsum(kept.imag.tolist()) if complex_rows[row] else 0.0
+            accs[l].add(complex(math.fsum(kept.real.tolist()), imag))
             if tail is not None:
                 results[l] = SumResult(accs[l].value, lo + j, tail)
         for p in points:
@@ -752,7 +735,7 @@ def derivative_sum(
     tol: float = 1e-10,
     max_terms: int = 200_000,
 ) -> SumResult:
-    """Sum the k-th derivative series at z0 with a Cauchy-estimate tail bound."""
+    """Sum the k-th derivative series at z0 with a Cauchy-estimate tail bound (see ``taylor_jet``)."""
     if k < 0:
         raise ValueError("derivative order must be non-negative")
     if tol <= 0:
@@ -772,10 +755,13 @@ def taylor_jet(
     """Jet a_0..a_m of the sum at z0, a_k = S(f^{(k)})(z0)/k!.
 
     All m+1 derivative series are summed in one pass over the sheets.  Each
-    carries its own tail certificate from the Cauchy estimate when the radius
-    is Diophantine and a decay certificate is present; the remainder
-    constant C_m = sum_n norm_bound(n)/r_n**m and eps = lambda - 1 are then
-    recorded for remainder_bound.  Without a certificate each series stops on
+    carries its own tail certificate from Cauchy's estimate when the radius
+    is Diophantine and a decay certificate is present: the least tail that
+    the circles of radius eps*r_j, the circles that fit between z0 and the
+    poles of the later sheets, and the family's power law at z0 give (see
+    the module docstring), so a series stops where the poles near z0 allow.
+    The remainder constant C_m = sum_n norm_bound(n)/r_n**m and
+    eps = lambda - 1 are then recorded for remainder_bound.  Without a certificate each series stops on
     the stabilised rule: the tails are heuristic, the jet is marked
     uncertified and carries no remainder data, and DiophantineRequired is
     raised when a series does not settle within max(m + 64, 4096) sheets.

@@ -333,6 +333,31 @@ def test_overflowing_jet_is_a_typed_error(runner, tmp_path):
     assert "sheet 9" in payload["detail"] and "order-120" in payload["detail"]
 
 
+_HUGE_ALPHA = {"poles": "meander", "radius": {"c": 0.05, "alpha": 2000}, "lambda": 1.5}
+_LINE = {"re_start": -0.02, "re_stop": 0.0, "re_count": 3, "im_start": 0.0, "im_stop": 0.0, "im_count": 1}
+
+
+@pytest.mark.parametrize(
+    "command, payload, detail",
+    [
+        # (n + shift)**alpha overflows a float from sheet 2 on.
+        ("residual", {"perforation": _HUGE_ALPHA, "residual": {"grid": _LINE}},
+         "the radius c/(n + shift)**alpha is below the float range on sheet 2 (alpha = 2000)"),
+        ("jet", {"model": dict(MEANDER, alpha=2000), "jet": {"z0": [0, 0], "order": 5}},
+         "the decay certificate overflows a float (alpha = 2000)"),
+        # The model's certificate fits a float; its radii leave the float range.
+        ("eval", {"model": dict(MEANDER, alpha=100), "eval": {"points": [[0.1, 0.0]]}},
+         "the radius c/(n + shift)**alpha is below the float range on sheet 1210 (alpha = 100)"),
+    ],
+    ids=["residual", "model-certificate", "model-radius"],
+)
+def test_a_radius_exponent_past_the_float_range_is_a_typed_error(runner, tmp_path, command, payload, detail):
+    cfg = _write_config(tmp_path, payload)
+    result = runner.invoke(main, [command, "--config", cfg, "--json"])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {"error": "OutOfRegime", "detail": detail}
+
+
 @pytest.mark.parametrize(
     "command, payload",
     [

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -23,8 +24,9 @@ from meandro import (
     remainder_bound,
     taylor_jet,
 )
-from meandro import series
-from meandro.geometry import DiophantineRadius
+from meandro import models, series, tails
+from meandro.covering import pullback_model
+from meandro.geometry import DiophantineRadius, MeanderPoles, Perforation
 from meandro.series import DecayCert, sampled_norm_bound
 
 
@@ -387,10 +389,10 @@ def _sheet_by_sheet_certified_scan(self, group):
     """The certified rule on every sheet of every lane in turn, with the scalar tail alone."""
     limits = group.tol(np.abs(group.sums()))
     ends = []
-    for k, clean, limit in zip(group.k.tolist(), group.clean.tolist(), limits):
+    for lane, k, clean, limit in zip(group.lanes.tolist(), group.k.tolist(), group.clean.tolist(), limits):
         end = None
         for j, n in enumerate(group.ns[:clean].tolist()):
-            tail = series._certified_tail(self.seq, k, n)
+            tail = series._certified_tail(self.seq, k, n, self.zs[lane // self.width])
             if tail <= limit[j]:
                 end = j, tail
                 break
@@ -474,3 +476,153 @@ def test_clearance_slack_near_the_float_range_raises_no_warning():
     # |z| itself overflows: a typed error, not an OverflowError from abs(z).
     with pytest.raises(OutOfRegime, match="sheet 2"):
         evaluate_sum(MeanderModel(0.5), complex(1.7e308, 1.7e308))
+
+
+# ---------------------------------------------------------------------------
+# Tails from local Cauchy circles
+# ---------------------------------------------------------------------------
+
+
+def _jet_stops(seq, z0, m, rel_tol=1e-10):
+    """The SumResult of every order of the jet at z0, as ``taylor_jet`` sums them."""
+    orders = range(m + 1)
+    floors = np.array([math.factorial(k) for k in orders], dtype=float)
+    return series._sum_derivative_series(
+        seq, [z0], orders, 1e-300 * floors, rel_tol, floors, 200_000, stabilise=True
+    )[0]
+
+
+def _meander_oracle(x: float, z0: complex, m: int):
+    """a_k and sum_n |x**n (-n)**k / (1 + n z0)**(k+1)| for k = 0..m, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        if z0 == 0:
+            coeffs = [(-1) ** k * models.geometric_power_sum(k, mpmath.mpf(x)) for k in range(m + 1)]
+            return coeffs, [abs(a) for a in coeffs]
+        coeffs, sizes = [mpmath.mpc(0)] * (m + 1), [mpmath.mpf(0)] * (m + 1)
+        xn, n = mpmath.mpf(1), 0
+        while True:
+            n += 1
+            xn *= x
+            w = 1 / (1 + n * mpmath.mpc(z0))
+            term, small = xn * w, True
+            for k in range(m + 1):
+                coeffs[k] += term
+                sizes[k] += abs(term)
+                small = small and abs(term) < sizes[k] * mpmath.mpf(10) ** -40
+                term *= -n * w
+            # The terms fall geometrically from their peak, and x**n n**m is past it.
+            if small and n > m / (1 - x):
+                return coeffs, sizes
+
+
+@pytest.mark.parametrize("x", [0.5, 0.95])
+@pytest.mark.parametrize("z0", [0j, 0.3 + 0.2j], ids=["accumulation-point", "off-the-poles"])
+def test_meander_jet_error_is_within_its_tail(x, z0):
+    # |a_k - a_k(oracle)| <= tail_k + rounding: each order-k term rounds by
+    # at most about (4k + 6) ulps of its size, the exact block sums and the
+    # compensated sum add one more.
+    jet = taylor_jet(MeanderModel(x), z0, 30, rel_tol=1e-10)
+    coeffs, sizes = _meander_oracle(x, z0, 30)
+    eps = np.finfo(float).eps
+    for k, (got, tail) in enumerate(zip(jet.coefficients, jet.coefficient_tails)):
+        allowance = (4 * k + 8) * eps * float(sizes[k])
+        assert abs(got - complex(coeffs[k])) <= tail + allowance
+
+
+def test_pullback_jet_at_its_branch_point_is_within_its_tail():
+    # F(w) = f(w**2) at 0: a_{2j}(F) = a_j(f), the odd coefficients are 0.
+    # The poles +-i/sqrt(n) give the power law |w - p| >= n**-1/2 there.
+    jet = taylor_jet(pullback_model(MeanderModel(0.5, c=0.1), 2), 0j, 20, rel_tol=1e-10)
+    coeffs, sizes = _meander_oracle(0.5, 0j, 10)
+    eps = np.finfo(float).eps
+    for k, (got, tail) in enumerate(zip(jet.coefficients, jet.coefficient_tails)):
+        want, size = (complex(coeffs[k // 2]), float(sizes[k // 2])) if k % 2 == 0 else (0j, 0.0)
+        assert abs(got - want) <= tail + (4 * k + 8) * eps * size
+
+
+def test_jet_whose_uniform_prefactor_underflows_is_summed_within_its_tails():
+    # (eps*c)**k underflows from k = 80 on at c = 1e-4 (a ZeroDivisionError
+    # once); the uniform bound is then inf and the power law at 0 stops it.
+    jet = taylor_jet(MeanderModel(0.5, c=1e-4), 0j, 90, rel_tol=1e-10)
+    coeffs, sizes = _meander_oracle(0.5, 0j, 90)
+    eps = np.finfo(float).eps
+    for k in (0, 45, 80, 90):
+        got, tail = jet.coefficients[k], jet.coefficient_tails[k]
+        assert abs(got - complex(coeffs[k])) <= tail + (4 * k + 8) * eps * float(sizes[k])
+        assert tail <= 1e-10 * abs(got) * (1.0 + 1e-6)
+
+
+def test_qlog_jet_at_zero_is_within_its_tail_of_the_lambert_series():
+    q = Fraction(0.9)
+    jet = taylor_jet(QLogModel(0.9), 0j, 8, rel_tol=1e-10)
+    lambert = [-q / (1 - q)] + [-sum(q**d for d in range(1, m + 1) if m % d == 0) for m in range(1, 9)]
+    eps = np.finfo(float).eps
+    for k, (got, tail, want) in enumerate(zip(jet.coefficients, jet.coefficient_tails, lambert)):
+        assert abs(got - float(want)) <= tail + (4 * k + 8) * eps * abs(float(want))
+
+
+def test_local_circles_end_the_jets_early():
+    # The uniform circles eps*r_j stopped the meander's order 30 at sheet
+    # 22 854 and the q-log's order 8 at sheet 3 725; the circles that fit
+    # around 0 stop them before sheets 4 900 and 650, with the same sums.
+    meander = _jet_stops(MeanderModel(0.95), 0j, 30)
+    assert meander[30].terms_used <= 4900
+    assert meander[1].terms_used <= 1400
+    qlog = _jet_stops(QLogModel(0.9), 0j, 8)
+    assert qlog[8].terms_used <= 650
+    # The meander pulled back by w**2 stopped its order 20 at sheet 1 317.
+    pullback = _jet_stops(pullback_model(MeanderModel(0.5, c=0.1), 2), 0j, 20, rel_tol=1e-11)
+    assert pullback[20].terms_used <= 250
+
+
+_TAIL_CASES = [
+    (MeanderModel(0.95), 0j),
+    (MeanderModel(0.5, c=0.1), 0.5 + 0j),
+    (MeanderModel(0.9, alpha=1.0), 0j),
+    (MeanderModel(0.95), 0.3 + 0.2j),
+    (MeanderModel(0.95), -0.3 + 0.01j),
+    (QLogModel(0.9), 0j),
+    (QLogModel(0.5, c=0.2), 0.4j),
+    (QLogModel(0.5), 1.6 + 0j),  # the region caps the circle: 2.1 - 1.6 < 1.6 - 1
+    (pullback_model(MeanderModel(0.5, c=0.1), 2), 0j),
+]
+
+
+@pytest.mark.parametrize("seq, z0", _TAIL_CASES)
+@pytest.mark.parametrize("k", [1, 2, 7, 30])
+def test_certified_tails_do_not_increase_and_the_numpy_tails_only_shortlist(seq, z0, k):
+    bounds = tails._CertifiedTails(seq, z0)
+    scalar = np.array([bounds.tail(k, n) for n in range(1, 3001)])
+    finite = scalar[np.isfinite(scalar)]
+    assert finite.size  # the tails come down within these sheets
+    assert np.all(np.diff(scalar[np.isfinite(scalar)]) <= 1e-12 * finite[1:])
+    assert np.all(np.isinf(scalar[: len(scalar) - finite.size]))
+    # Block by block, the numpy tails are at most the scalar ones, up to rounding.
+    for lo, hi in [(1, 65), (65, 193), (193, 449), (449, 3001)]:
+        block = bounds.tails(k, np.arange(lo, hi))
+        assert np.all(block <= scalar[lo - 1 : hi - 1] * (1.0 + 1e-9))
+
+
+def test_local_tail_is_no_larger_than_the_uniform_tail():
+    for seq, z0 in _TAIL_CASES:
+        for k in (1, 5, 30):
+            for n in (1, 10, 100, 1000, 5000):
+                uniform = tails._tail_prefactor(seq, k) * tails.power_geometric_tail(
+                    seq.perforation.radius.alpha * k, seq.decay_cert.rho, n
+                )
+                assert series._certified_tail(seq, k, n, z0) <= uniform
+
+
+def test_local_tails_at_a_huge_exponent_raise_no_overflow_error():
+    # (n + shift)**alpha and (1 + 1/n)**(alpha*k) leave the float range; the
+    # tails are inf or finite, and a radius below the float range is typed.
+    seq = MeanderModel(0.01)
+    seq.perforation = Perforation(MeanderPoles(), DiophantineRadius(0.05, 2000.0))
+    bounds = tails._CertifiedTails(seq, 0j)
+    assert 0.0 < bounds.tail(1, 1) < math.inf  # from the power law alone
+    assert bounds.tail(30, 1) == math.inf
+    for k in (1, 30):
+        with pytest.raises(OutOfRegime, match="sheet 2"):
+            bounds.tail(k, 2)
+        with pytest.raises(OutOfRegime, match="below the float range"):
+            bounds.tails(k, np.arange(1, 65))
