@@ -163,13 +163,6 @@ class _PullbackPoles(PoleFamilyBase):
         # A NaN pad has NaN preimages.
         return self._preimages(base).reshape(len(ns), base.shape[1] * self.beta)
 
-    def distance_power_law(self, w: complex) -> tuple[float, float] | None:
-        # At the branch point w = 0, |p|**beta = |q - center| for the base pole q.
-        law = self._base.distance_power_law(self.center) if w == 0 else None
-        if law is None:
-            return None
-        return law[0] ** (1.0 / self.beta), law[1] / self.beta
-
     def nearest_pole(self, n: int, w: complex) -> tuple[complex, float]:
         poles = self.poles_on_sheet(n)
         if len(poles) == 0:

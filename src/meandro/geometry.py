@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, MarginViolated, MeandroError, NotContained, OutOfRegime
+from .errors import ConfigError, MarginViolated, NotContained, OutOfRegime
 
 #: Sheets in the first block of a block scan; each next block is twice as long.
 _FIRST_BLOCK = 64
@@ -331,7 +331,8 @@ class PoleFamilyBase:
         Both are positive.  The law serves where z is an accumulation point
         of the poles, where ``tail_distance_bound`` tends to 0.  As there,
         the bound is for the exact poles, and None (the default) means no
-        law is known.
+        law is known.  The jet tails use it with the sequence's norm bound
+        at distance r_n from the poles (see ``tails._CertifiedTails``).
         """
         return None
 
@@ -885,57 +886,6 @@ def _refutation_witness_roots(n: int, m: int) -> tuple[complex, complex]:
     return best[1], best[2]
 
 
-def _roots_refutation(perf: Perforation, cutoff: int) -> tuple[int, int] | None:
-    """The first sheet pair (m, n), m <= n <= cutoff, whose closest roots violate the condition.
-
-    The scalar order is by n, then the pair (n, n) (for n >= 2: chord
-    2*sin(pi/n) against 2*lambda*r_n), then m = 1..n-1 (chord
-    2*sin(pi*gcd(n, m)/(n*m)) against lambda*(r_n + r_m)).  Runs of sheets
-    are taken at once, 1 024 pairs at first and twice as many each time, up
-    to 65 536.  Their pairs are shortlisted in numpy by Jordan's inequality
-    sin(x) >= 2x/pi on [0, pi/2]: a chord is at least 4/(n*m), or 4/n for
-    the pair (n, n), and the test takes a relative slack of 1e-9.  The
-    scalar test decides the survivors in scalar order.  The radii come from
-    ``radius_at`` sheet by sheet, so a sheet without one raises its error
-    once every pair of the sheets before it is clear.  Sheet 1 against sheet
-    n refutes once 2*sin(pi/n) < lambda*(r_1 + r_n), so the scan ends near
-    n = 2*pi/(lambda*r_1) at the latest.
-    """
-    lam = perf.lam
-    radii = np.zeros(1)  # radii[n] is r_n; there is no sheet 0
-    n_lo, size = 1, 1024
-    while n_lo <= cutoff:
-        # Sheet n brings n pairs, (n, n) first as m = 0.
-        error, new = None, []
-        pairs, n_hi = 0, n_lo
-        while n_hi <= cutoff and (not new or pairs + n_hi <= size):
-            try:
-                new.append(perf.radius_at(n_hi))
-            except MeandroError as exc:
-                error = exc
-                break
-            pairs, n_hi = pairs + n_hi, n_hi + 1
-        radii = np.concatenate([radii, new])
-        ns = np.arange(n_lo, n_hi)
-        n = np.repeat(ns, ns)
-        m = np.arange(len(n)) - np.repeat(np.cumsum(ns) - ns, ns)
-        same = m == 0
-        floor = np.where(same, 2.0, 4.0 / np.maximum(m, 1)) / n
-        near = floor < lam * (radii[n] + radii[np.where(same, n, m)]) * (1.0 + 1e-9)
-        near &= ~(same & (n == 1))
-        for n_, m_ in zip(n[near].tolist(), m[near].tolist()):
-            r_n = radii[n_].item()
-            if m_ == 0:
-                if 2.0 * math.sin(math.pi / n_) < 2.0 * lam * r_n:
-                    return n_, n_
-            elif 2.0 * math.sin(math.pi * math.gcd(n_, m_) / (n_ * m_)) < lam * (r_n + radii[m_].item()):
-                return m_, n_
-        if error is not None:
-            raise error
-        n_lo, size = n_hi, min(2 * size, _BLOCK_VALUES)
-    return None
-
-
 def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
     """Check disjointness of projected inflated discs around distinct poles.
 
@@ -961,11 +911,19 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
     family = perf.poles
 
     if isinstance(family, RootsOfUnity):
-        pair = _roots_refutation(perf, cutoff)
-        if pair is None:
-            return CauchyFlag(CauchyState.VERIFIED, cutoff)
-        a, b = _refutation_witness_roots(*pair)
-        return CauchyFlag(CauchyState.REFUTED, cutoff, (StackPoint(pair[0], a), StackPoint(pair[1], b)))
+        for n in range(1, cutoff + 1):
+            r_n = perf.radius_at(n)
+            if n >= 2 and 2.0 * math.sin(math.pi / n) < 2.0 * lam * r_n:
+                a, b = _refutation_witness_roots(n, n)
+                return CauchyFlag(CauchyState.REFUTED, cutoff, (StackPoint(n, a), StackPoint(n, b)))
+            for m in range(1, n):
+                gap = 2.0 * math.sin(math.pi * math.gcd(n, m) / (n * m))
+                if gap < lam * (r_n + perf.radius_at(m)):
+                    a, b = _refutation_witness_roots(m, n)
+                    return CauchyFlag(
+                        CauchyState.REFUTED, cutoff, (StackPoint(m, a), StackPoint(n, b))
+                    )
+        return CauchyFlag(CauchyState.VERIFIED, cutoff)
 
     if family.parametric:
         sheets = np.arange(family.n_min, cutoff + 1)

@@ -299,11 +299,6 @@ def _certifiable(seq: TermSequence) -> bool:
     return seq.decay_cert is not None and isinstance(seq.perforation.radius, DiophantineRadius)
 
 
-def _certified_tail(seq: TermSequence, k: int, n: int, z0: complex) -> float:
-    """Tail of the k-th derivative series at z0 beyond sheet n (needs _certifiable)."""
-    return _CertifiedTails(seq, z0).tail(k, n)
-
-
 #: What a stopping rule reports for one lane of a block: None (no stop in it),
 #: or the block index of the stopping sheet with the tail, or with the error
 #: due there.

@@ -82,6 +82,12 @@ class _CertifiedTails:
       b(n) = a - c*(n+1)**(beta-alpha), and the tail is
       k!*A/b(n)**k * ``power_geometric_tail(beta*k, rho, n)``.
 
+    The last two take norm_bound(j) to hold at distance r_j from sheet j's
+    poles, as the meander's and the q-log's do.  A pullback's does not (its
+    bound is the base bound, which holds only off the preimages of the base
+    discs, and these reach further), so ``_PullbackPoles`` declares neither
+    distance contract.
+
     Unless the norm bounds are global, the circle must also stay in the
     region: R(n) is capped by the distance ``reach`` from z0 to the
     region's complement, and b(n) is scaled by min(1, reach/a), which caps
