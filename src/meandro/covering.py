@@ -174,9 +174,9 @@ class _PullbackPoles(PoleFamilyBase):
     def sheets(self):
         return self._base.sheets()
 
-    def sheets_containing(self, pole: complex, limit: int, tol: float = 1e-9):
+    def sheets_containing(self, pole: complex, limit: int):
         image = self.center + pole**self.beta
-        return self._base.sheets_containing(image, limit, tol)
+        return self._base.sheets_containing(image, limit)
 
 
 class PullbackSequence(TermSequence):

@@ -33,6 +33,18 @@ _GROUP_VALUES = 4096
 #: Absolute slack of the numpy shortlist, per unit of |z| + |z - p|: numpy and
 #: the scalar code may round a pole or a distance differently by a few ulps.
 _ABS_SLACK = 8 * np.finfo(float).eps
+#: Distance within which ``sheets_containing`` takes a point for a pole.
+_POLE_MATCH_TOL = 1e-9
+#: ``huygens_distance`` on shapes other than two discs: boundary samples of
+#: U at the first try, the agreement of two successive tries that ends the
+#: doubling, and the most tries.
+_HUYGENS_SAMPLES = 1024
+_HUYGENS_AGREE = 1e-10
+_HUYGENS_TRIES = 8
+#: ``shrink_check``: samples on each inflated pole circle and on the
+#: boundary of U, and the rounding slack of the clearance test.
+_SHRINK_SAMPLES = 512
+_SHRINK_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -143,19 +155,15 @@ Region = Union[Disc, Rectangle, AnnulusRegion]
 # ---------------------------------------------------------------------------
 
 
-def huygens_distance(
-    U: Region,
-    V: Region,
-    samples: int = 1024,
-    agree_tol: float = 1e-10,
-    max_doublings: int = 8,
-) -> float:
+def huygens_distance(U: Region, V: Region) -> float:
     """Largest rho such that every disc D(z, rho) with z in U stays inside V.
 
     Disc-in-disc pairs use the exact closed form.  Other shape pairs sample
     the boundary of U densely (the infimum of the distance-to-complement of
     V over U is attained on the boundary of U for the supported shapes) and
-    double the density until two successive answers agree to ``agree_tol``.
+    double the density, from ``_HUYGENS_SAMPLES`` points for at most
+    ``_HUYGENS_TRIES`` tries, until two successive answers agree to
+    ``_HUYGENS_AGREE``.
 
     Raises NotContained if any sample of U lies outside V.
     """
@@ -166,15 +174,15 @@ def huygens_distance(
         return delta
 
     previous = None
-    m = samples
-    for _ in range(max_doublings):
+    m = _HUYGENS_SAMPLES
+    for _ in range(_HUYGENS_TRIES):
         pts = U.boundary_points(m)
         dists = np.asarray(V.distance_to_complement(pts), dtype=float)
         worst = int(np.argmin(dists))
         if dists[worst] < 0:
             raise NotContained(complex(pts[worst]))
         current = float(dists[worst])
-        if previous is not None and abs(current - previous) < agree_tol:
+        if previous is not None and abs(current - previous) < _HUYGENS_AGREE:
             return current
         previous = current
         m *= 2
@@ -408,12 +416,12 @@ class RootsOfUnity(PoleFamilyBase):
         # Every pole beyond the cutoff still lies on the unit circle.
         return abs(abs(z) - 1.0)
 
-    def sheets_containing(self, pole: complex, limit: int, tol: float = 1e-9) -> Iterator[int]:
-        if abs(abs(pole) - 1.0) > tol:
+    def sheets_containing(self, pole: complex, limit: int) -> Iterator[int]:
+        if abs(abs(pole) - 1.0) > _POLE_MATCH_TOL:
             return
         order = None
         for n in range(1, limit + 1):
-            if abs(pole**n - 1.0) <= tol * n:
+            if abs(pole**n - 1.0) <= _POLE_MATCH_TOL * n:
                 order = n
                 break
         if order is None:
@@ -451,11 +459,11 @@ class MeanderPoles(PoleFamilyBase):
         # |z + 1/n| >= Re z + 1/n >= 1/n when Re z >= 0.
         return (1.0, 1.0) if z.real >= 0.0 else None
 
-    def sheets_containing(self, pole: complex, limit: int, tol: float = 1e-9) -> Iterator[int]:
-        if pole.real >= 0 or abs(pole.imag) > tol:
+    def sheets_containing(self, pole: complex, limit: int) -> Iterator[int]:
+        if pole.real >= 0 or abs(pole.imag) > _POLE_MATCH_TOL:
             return
         n = int(round(-1.0 / pole.real))
-        if 1 <= n <= limit and abs(pole - (-1.0 / n)) <= tol:
+        if 1 <= n <= limit and abs(pole - (-1.0 / n)) <= _POLE_MATCH_TOL:
             yield n
 
 
@@ -481,11 +489,11 @@ class ReciprocalPoles(PoleFamilyBase):
         x = min(max(z.real, 0.0), 1.0)
         return abs(z - x)
 
-    def sheets_containing(self, pole: complex, limit: int, tol: float = 1e-9) -> Iterator[int]:
-        if pole.real <= 0 or abs(pole.imag) > tol:
+    def sheets_containing(self, pole: complex, limit: int) -> Iterator[int]:
+        if pole.real <= 0 or abs(pole.imag) > _POLE_MATCH_TOL:
             return
         j = int(round(1.0 / pole.real))
-        if j < 1 or abs(pole - 1.0 / j) > tol:
+        if j < 1 or abs(pole - 1.0 / j) > _POLE_MATCH_TOL:
             return
         for n in range(max(j - 1, self.n_min), limit + 1):
             yield n
@@ -550,11 +558,11 @@ class ExplicitPoles(PoleFamilyBase):
             return math.inf  # no poles beyond the cutoff at all
         return None
 
-    def sheets_containing(self, pole: complex, limit: int, tol: float = 1e-9) -> Iterator[int]:
+    def sheets_containing(self, pole: complex, limit: int) -> Iterator[int]:
         for n in sorted(self._table):
             if n > limit:
                 break
-            if np.any(np.abs(self._table[n] - pole) <= tol):
+            if np.any(np.abs(self._table[n] - pole) <= _POLE_MATCH_TOL):
                 yield n
 
 
@@ -665,14 +673,7 @@ class ShrinkReport:
         return self.clearance - self.required
 
 
-def shrink_check(
-    perf: Perforation,
-    U: Region,
-    V: Region,
-    sheet: int,
-    samples: int = 512,
-    slack: float = 1e-9,
-) -> ShrinkReport:
+def shrink_check(perf: Perforation, U: Region, V: Region, sheet: int) -> ShrinkReport:
     """Verify the shrinking estimate on one sheet.
 
     With r the sheet radius, lambda the margin and eps = lambda - 1, the
@@ -681,7 +682,7 @@ def shrink_check(
     the inflated perforation (outer boundary of U plus the inflated pole
     circles clipped to U) is sampled and the minimum clearance to the
     complement of V(r) is measured.  Sampling a subset can only overestimate
-    the true infimum, so ``slack`` absorbs rounding alone.
+    the true infimum, so ``_SHRINK_SLACK`` absorbs rounding alone.
 
     Raises MarginViolated with the worst sample if the clearance falls short,
     which signals either a non-lambda radius function or a geometry bug.
@@ -695,7 +696,7 @@ def shrink_check(
         raise ValueError("need Huygens distance of the unperforated pair >= lambda - 1")
 
     poles = perf.poles_on_sheet(sheet)
-    outer = U.boundary_points(max(samples, 256))
+    outer = U.boundary_points(_SHRINK_SAMPLES)
     if len(poles):
         # Outer-boundary points swallowed by an inflated disc are not part of
         # the perforated set.  Circle samples are NOT cross-filtered against
@@ -704,7 +705,7 @@ def shrink_check(
         # invalid one the overlap must surface as a violation below.
         d_outer = np.abs(outer[:, None] - poles[None, :]).min(axis=1)
         pts = [outer[d_outer >= lam * r_n - 1e-12]]
-        ring = np.exp(1j * math.tau * np.arange(samples) / samples)
+        ring = np.exp(1j * math.tau * np.arange(_SHRINK_SAMPLES) / _SHRINK_SAMPLES)
         circles = (poles[:, None] + lam * r_n * ring[None, :]).ravel()
         inside = np.asarray(U.distance_to_complement(circles), dtype=float) >= 0.0
         if inside.any():
@@ -720,7 +721,7 @@ def shrink_check(
     worst = int(np.argmin(clearance))
     required = eps * r_n
     measured = float(clearance[worst])
-    if measured < required - slack:
+    if measured < required - _SHRINK_SLACK:
         raise MarginViolated(complex(boundary[worst]), measured, required)
     return ShrinkReport(sheet=sheet, clearance=measured, required=required)
 

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import InsufficientData, OutOfRegime
 from .series import TaylorJet
 
+#: Coefficients in each window of ``divergence_diagnostic``.
+_DIAGNOSTIC_WINDOW = 5
+
 
 @dataclass(frozen=True)
 class GevreyFit:
@@ -109,8 +112,10 @@ class DivergenceReport:
     window_estimates: tuple[float, ...]
 
 
-def divergence_diagnostic(coeffs: Sequence[complex], window: int = 5) -> DivergenceReport:
+def divergence_diagnostic(coeffs: Sequence[complex]) -> DivergenceReport:
     """Sliding-window root-test radius estimate 1/max|a_k|**(1/k).
+
+    Each window holds ``_DIAGNOSTIC_WINDOW`` consecutive orders from k = 1 on.
 
     The verdict is divergent-like when the estimate decreases strictly over
     the last three windows (poles crowding the expansion point drive the
@@ -120,8 +125,8 @@ def divergence_diagnostic(coeffs: Sequence[complex], window: int = 5) -> Diverge
     if len(a) < 10:
         raise InsufficientData("need at least 10 coefficients")
     estimates = []
-    for start in range(1, len(a) - window + 1):
-        ks = np.arange(start, start + window)
+    for start in range(1, len(a) - _DIAGNOSTIC_WINDOW + 1):
+        ks = np.arange(start, start + _DIAGNOSTIC_WINDOW)
         mags = np.abs(a[ks])
         nz = mags > 0.0
         if not nz.any():

@@ -61,10 +61,10 @@ def _norm_bound(ax: float, n: int, c: float, alpha: float) -> float:
     return (power + _UNDERFLOW) * n ** (alpha - 1.0) / c
 
 
-def _decay_cert(ax: float, rho: float | None, c: float, alpha: float) -> DecayCert:
+def _decay_cert(ax: float, c: float, alpha: float) -> DecayCert:
     """Certificate A*rho**n >= _norm_bound(ax, n, c, alpha) for every sheet n >= 1.
 
-    rho defaults to (1 + ax)/2.  A is the exact maximum over n of
+    rho is (1 + ax)/2.  A is the exact maximum over n of
     n**(alpha-1) * (ax/rho)**n / c (unimodal in n), rounded outward so that
     it dominates the bound evaluated in floats as well.  ax is raised by
     twice ``_UNDERFLOW`` first.  That changes only an ax below about 1e-307,
@@ -72,8 +72,8 @@ def _decay_cert(ax: float, rho: float | None, c: float, alpha: float) -> DecayCe
     later sheets ax**n is 0 or far below the certificate.  A power
     n**(alpha-1) past the float range raises OutOfRegime.
     """
-    rho = rho if rho is not None else (1.0 + ax) / 2.0
-    if not (ax < rho < 1.0):
+    rho = (1.0 + ax) / 2.0
+    if not (ax < rho < 1.0):  # rho rounds to 1 at ax = 1 - 2**-53
         raise ValueError("need |x| < rho < 1")
     if ax == 0.0:
         return DecayCert(1e-300, rho)
@@ -102,7 +102,7 @@ class MeanderModel(TermSequence):
     Outside the removed disc of radius r_n = c/n**alpha one has
     |1 + n*z| = n*|z + 1/n| >= n*r_n, so the term is bounded by
     |x|**n * n**(alpha-1)/c everywhere off the disc.  That bound is
-    dominated by A*rho**n for any rho in (|x|, 1); see ``_decay_cert``.
+    dominated by A*rho**n with rho = (1 + |x|)/2; see ``_decay_cert``.
     """
 
     bounds_global = True
@@ -114,7 +114,6 @@ class MeanderModel(TermSequence):
         alpha: float = 2.0,
         lam: float = 1.5,
         region: Region | None = None,
-        rho: float | None = None,
     ):
         x = complex(x)
         if abs(x) >= 1.0:
@@ -123,7 +122,7 @@ class MeanderModel(TermSequence):
         self.n_min = 1
         self.perforation = Perforation(MeanderPoles(), DiophantineRadius(c, alpha, lam))
         self.region = region if region is not None else Disc(0j, 2.0)
-        self._cert = _decay_cert(abs(x), rho, c, alpha)
+        self._cert = _decay_cert(abs(x), c, alpha)
 
     @property
     def decay_cert(self) -> DecayCert:
@@ -187,7 +186,6 @@ class QLogModel(TermSequence):
         alpha: float = 2.0,
         lam: float = 1.5,
         region: Region | None = None,
-        rho: float | None = None,
     ):
         x = complex(x)
         if abs(x) >= 1.0:
@@ -198,7 +196,7 @@ class QLogModel(TermSequence):
         self.region = region if region is not None else Disc(0j, 2.1)
         # kappa rounded down, so that c*kappa is a lower bound in floats too.
         self._c_kappa = (2.0 * c - math.expm1(c)) * (1.0 - 1e-12)
-        self._cert = _decay_cert(abs(x), rho, self._c_kappa, alpha)
+        self._cert = _decay_cert(abs(x), self._c_kappa, alpha)
 
     @property
     def decay_cert(self) -> DecayCert:

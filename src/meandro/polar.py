@@ -34,6 +34,24 @@ from .geometry import DiophantineRadius
 from .series import SumResult, TermSequence
 from .tails import power_geometric_tail
 
+#: ``s_lambda`` stops once a term falls below this share of the running total.
+_S_LAMBDA_CUTOFF = 1e-16
+#: ``laurent_coefficients``: the settling tolerance, relative to the circle
+#: sup, the first node count and the most node doublings.
+_LAURENT_TOL = 1e-12
+_LAURENT_START_NODES = 256
+_LAURENT_DOUBLINGS = 6
+#: ``annulus_inner_product``: Gauss-Legendre nodes across the annulus and
+#: trapezoid nodes around it.
+_AREA_RADIAL_NODES = 64
+_AREA_ANGULAR_NODES = 256
+#: ``polar_part`` keeps the terms whose share of the largest term on the
+#: inner circle is at least this.
+_POLAR_TRUNCATE = 1e-16
+#: Samples on each circle of ``annulus_sup`` and of ``PolarPart.sup_on_circle``.
+_ANNULUS_SUP_SAMPLES = 2048
+_CIRCLE_SUP_SAMPLES = 720
+
 
 @dataclass(frozen=True)
 class AnnulusSpec:
@@ -88,14 +106,14 @@ def c_constant(lam: float, k: int) -> float:
     return math.pi * (lam**2 - 1.0) * math.sqrt(ratio)
 
 
-def s_lambda(lam: float, rel_cutoff: float = 1e-16) -> float:
-    """sum_{k<0} C(lam, k)*lam**k, summed until terms fall below rel_cutoff."""
+def s_lambda(lam: float) -> float:
+    """sum_{k<0} C(lam, k)*lam**k, until a term is below ``_S_LAMBDA_CUTOFF`` of the sum."""
     total = 0.0
     k = -1
     while True:
         term = c_constant(lam, k) * lam**k
         total += term
-        if term < rel_cutoff * total:
+        if term < _S_LAMBDA_CUTOFF * total:
             return total
         k -= 1
         if k < -100_000:
@@ -139,30 +157,31 @@ class LaurentExpansion:
 
 
 def _settled_bins(
-    f: Callable, center: complex, R: float, ks: np.ndarray, tol: float, m: int, max_doublings: int
+    f: Callable, center: complex, R: float, ks: np.ndarray, m: int
 ) -> tuple[np.ndarray, float, int]:
     """Scaled bins c_k*R**k on the circle |z - center| = R, with sup|f| and nodes.
 
-    The node count M of the trapezoid rule (one FFT) is doubled until no bin
-    of the window moves by tol times the circle sup or more.
+    The node count M of the trapezoid rule (one FFT) is doubled, at most
+    ``_LAURENT_DOUBLINGS`` times, until no bin of the window moves by
+    ``_LAURENT_TOL`` times the circle sup or more.
     """
     previous = None
     diff = math.inf
-    for _ in range(max_doublings + 1):
+    for _ in range(_LAURENT_DOUBLINGS + 1):
         zs = center + R * np.exp(1j * math.tau * np.arange(m) / m)
         vals = _eval_on(f, zs)
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         bins = np.fft.fft(vals)[ks % m] / m
         if previous is not None:
             diff = float(np.max(np.abs(bins - previous))) / scale
-            if diff < tol:
+            if diff < _LAURENT_TOL:
                 return bins, scale, m
         previous = bins
         m *= 2
     raise NonConvergent(
         "coefficients failed to settle under node doubling "
         f"(singularity inside the annulus?): radius {R:.6g}, {m // 2} nodes, "
-        f"last change {diff:.3g} x circle sup (tol {tol:.3g})",
+        f"last change {diff:.3g} x circle sup (tol {_LAURENT_TOL:.3g})",
         radius=R,
         nodes=m // 2,
         difference=diff,
@@ -174,19 +193,17 @@ def laurent_coefficients(
     ann: AnnulusSpec,
     k_min: int = -64,
     k_max: int = 64,
-    tol: float = 1e-12,
-    start_nodes: int = 256,
-    max_doublings: int = 6,
     radius: float | None = None,
 ) -> LaurentExpansion:
     """Laurent coefficients of f on the annulus by circle quadrature.
 
     c_k = (1/2*pi*i) * contour integral of f(z)*(z-center)**(-k-1) on the
     circle of radius R (default the mid-circle sqrt(lam)*r), evaluated by the
-    M-point trapezoid rule (one FFT).  M is doubled until the scaled bins
-    c_k*R**k of the window move by less than tol times the measured circle
-    sup; only the settled bins are rescaled by R**(-k), so the R**(-k)
-    amplification of FFT round-off never enters the test.
+    M-point trapezoid rule (one FFT), M from ``_LAURENT_START_NODES`` up.  M
+    is doubled until the scaled bins c_k*R**k of the window move by less
+    than tol = ``_LAURENT_TOL`` times the measured circle sup; only the
+    settled bins are rescaled by R**(-k), so the R**(-k) amplification of
+    FFT round-off never enters the test.
 
     The trapezoid rule converges on every circle where f is analytic, so a
     settled window alone does not show that f is holomorphic on the annulus.
@@ -215,13 +232,13 @@ def laurent_coefficients(
 
     ks = np.arange(k_min, k_max + 1)
     span = max(abs(k_min), abs(k_max))
-    m = max(start_nodes, 1 << (2 * span + 8).bit_length())
-    bins, scale, nodes = _settled_bins(f, ann.center, R, ks, tol, m, max_doublings)
+    m = max(_LAURENT_START_NODES, 1 << (2 * span + 8).bit_length())
+    bins, scale, nodes = _settled_bins(f, ann.center, R, ks, m)
     for S in (ann.r * ann.lam**0.25, ann.r * ann.lam**0.75):
-        other, other_scale, _ = _settled_bins(f, ann.center, S, ks, tol, m, max_doublings)
+        other, other_scale, _ = _settled_bins(f, ann.center, S, ks, m)
         # Both sides of |c_k(R) - c_k(S)| <= allowance_k, multiplied by S**k.
         t = (S / R) ** ks.astype(float)
-        excess = np.abs(bins * t - other) / (tol * (scale * t + other_scale))
+        excess = np.abs(bins * t - other) / (_LAURENT_TOL * (scale * t + other_scale))
         worst = int(np.argmax(excess))
         if not excess[worst] <= 1.0:  # a NaN counts as a mismatch
             raise NonConvergent(
@@ -236,15 +253,15 @@ def laurent_coefficients(
     return LaurentExpansion(ann.center, k_min, k_max, coeffs, nodes, scale)
 
 
-def annulus_inner_product(
-    f: Callable, g: Callable, ann: AnnulusSpec, n_r: int = 64, n_theta: int = 256
-) -> complex:
+def annulus_inner_product(f: Callable, g: Callable, ann: AnnulusSpec) -> complex:
     """(1/pi) * integral over the annulus of f * conj(g), by tensor quadrature.
 
-    Gauss-Legendre radially, trapezoid in angle.  This is the cross-check
-    route for laurent_coefficients and for the basis-norm formulas.
+    Gauss-Legendre radially (``_AREA_RADIAL_NODES``), trapezoid in angle
+    (``_AREA_ANGULAR_NODES``).  This is the cross-check route for
+    laurent_coefficients and for the basis-norm formulas.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_r)
+    n_theta = _AREA_ANGULAR_NODES
+    nodes, weights = np.polynomial.legendre.leggauss(_AREA_RADIAL_NODES)
     s = 0.5 * (ann.outer - ann.r) * nodes + 0.5 * (ann.outer + ann.r)
     ws = 0.5 * (ann.outer - ann.r) * weights
     theta = math.tau * np.arange(n_theta) / n_theta
@@ -255,14 +272,10 @@ def annulus_inner_product(
     return complex(np.sum(radial * ws * s) / math.pi)
 
 
-def laurent_coefficient_l2(
-    f: Callable, ann: AnnulusSpec, k: int, n_r: int = 64, n_theta: int = 256
-) -> complex:
+def laurent_coefficient_l2(f: Callable, ann: AnnulusSpec, k: int) -> complex:
     """Coefficient via the inner-product formula <f|phi_k>/||phi_k||**2."""
     phi = lambda z: (z - ann.center) ** float(k)
-    return annulus_inner_product(f, phi, ann, n_r, n_theta) / basis_norm(
-        k, ann.r, ann.lam
-    ) ** 2
+    return annulus_inner_product(f, phi, ann) / basis_norm(k, ann.r, ann.lam) ** 2
 
 
 @dataclass(frozen=True)
@@ -282,37 +295,37 @@ class PolarPart:
             vals = vals + c * w ** float(k)
         return complex(vals) if np.isscalar(z) or vals.shape == () else vals
 
-    def sup_on_circle(self, radius: float, samples: int = 720) -> float:
+    def sup_on_circle(self, radius: float) -> float:
+        """Sampled sup of |polar part| on a circle, at ``_CIRCLE_SUP_SAMPLES`` points."""
+        samples = _CIRCLE_SUP_SAMPLES
         zs = self.center + radius * np.exp(1j * math.tau * np.arange(samples) / samples)
         return float(np.max(np.abs(self.evaluate(zs))))
 
 
-def polar_part(
-    f: Callable,
-    ann: AnnulusSpec,
-    k_depth: int = 64,
-    truncate: float = 1e-16,
-    **quad_kwargs,
-) -> PolarPart:
+def polar_part(f: Callable, ann: AnnulusSpec, k_depth: int = 64) -> PolarPart:
     """Polar part of f at the annulus center.
 
     Extracts the negative-index Laurent coefficients and drops those whose
-    contribution |c_k|*r**k on the inner circle falls below ``truncate``
-    times the largest such contribution.  The result evaluates on the whole
+    contribution |c_k|*r**k on the inner circle falls below
+    ``_POLAR_TRUNCATE`` times the largest such contribution.  The result evaluates on the whole
     exterior of the inflated disc and obeys the extension estimate checked
     by extension_bound.
     """
-    exp = laurent_coefficients(f, ann, k_min=-k_depth, k_max=0, **quad_kwargs)
+    exp = laurent_coefficients(f, ann, k_min=-k_depth, k_max=0)
     ks = np.arange(-1, -k_depth - 1, -1)
     coeffs = np.array([exp.coefficient(int(k)) for k in ks])
     weights = np.abs(coeffs) * ann.r ** ks.astype(float)
     scale = max(float(weights.max(initial=0.0)), 1e-300)
-    keep = weights >= truncate * scale
+    keep = weights >= _POLAR_TRUNCATE * scale
     return PolarPart(ann.center, ks[keep], coeffs[keep], ann.r, ann.lam)
 
 
-def annulus_sup(f: Callable, ann: AnnulusSpec, samples: int = 2048) -> float:
-    """Measured sup of |f| over the annulus (attained on its boundary circles)."""
+def annulus_sup(f: Callable, ann: AnnulusSpec) -> float:
+    """Measured sup of |f| over the annulus (attained on its boundary circles).
+
+    Each circle carries ``_ANNULUS_SUP_SAMPLES`` points.
+    """
+    samples = _ANNULUS_SUP_SAMPLES
     theta = np.exp(1j * math.tau * np.arange(samples) / samples)
     zs = np.concatenate(
         [ann.center + ann.r * theta, ann.center + ann.outer * theta]

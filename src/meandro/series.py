@@ -98,6 +98,11 @@ from .tails import _CertifiedTails, _power_geometric_tails, power_geometric_tail
 _STABLE_WINDOW = 8
 #: Highest jet order: k! overflows a float from k = 171 on.
 _MAX_JET_ORDER = 170
+#: Absolute tolerance of each jet coefficient a_k, below its relative one.
+_JET_ABS_TOL = 1e-300
+#: Samples on each circle of ``sampled_norm_bound``: the region boundary
+#: and each removed-disc rim.
+_NORM_SAMPLES = 1024
 
 
 class CompensatedSum:
@@ -226,28 +231,27 @@ class TermSequence(abc.ABC):
         return np.array([self.term(n, complex(z)) for z in zs])
 
 
-def sampled_norm_bound(
-    seq: TermSequence, n: int, points_per_circle: int = 1024, inflate: float = 1.01
-) -> float:
+def sampled_norm_bound(seq: TermSequence, n: int, inflate: float = 1.01) -> float:
     """Boundary-sampled sup of |term| over the perforated sheet of the region.
 
     By the maximum principle the sup over the perforated sheet is attained on
     the region boundary or on a removed-disc circle.  Removed discs are
     mutually disjoint (radius-function invariant), so circle samples need no
     cross-filtering; region-boundary samples falling inside a removed disc
-    are dropped.  Two uses remain: the default ``TermSequence.norm_bound``,
-    for the ratio test of the zero-sum families, and the tests' cross-check
-    of the closed-form bounds.
+    are dropped.  Each circle carries ``_NORM_SAMPLES`` points.  Two uses
+    remain: the default ``TermSequence.norm_bound``, for the ratio test of
+    the zero-sum families, and the tests' cross-check of the closed-form
+    bounds.
     """
     region = seq.region
     r_n = seq.perforation.radius_at(n)
     poles = seq.poles(n)
-    outer = region.boundary_points(points_per_circle)
+    outer = region.boundary_points(_NORM_SAMPLES)
     samples = []
     if len(poles):
         dist = np.abs(outer[:, None] - poles[None, :]).min(axis=1)
         samples.append(outer[dist >= r_n * (1.0 - 1e-12)])
-        ring = np.exp(1j * 2.0 * np.pi * np.arange(points_per_circle) / points_per_circle)
+        ring = np.exp(1j * 2.0 * np.pi * np.arange(_NORM_SAMPLES) / _NORM_SAMPLES)
         circles = (poles[:, None] + r_n * ring[None, :]).ravel()
         keep = np.asarray(region.distance_to_complement(circles), dtype=float) >= 0.0
         if keep.any():
@@ -744,7 +748,6 @@ def taylor_jet(
     z0: complex,
     m: int,
     rel_tol: float = 1e-11,
-    abs_tol: float = 1e-300,
     max_terms: int = 200_000,
 ) -> TaylorJet:
     """Jet a_0..a_m of the sum at z0, a_k = S(f^{(k)})(z0)/k!.
@@ -772,7 +775,7 @@ def taylor_jet(
     if certifiable:
         floors = np.array(kfacs, dtype=float)
         outcome = _sum_derivative_series(
-            seq, [z0], orders, abs_tol * floors, rel_tol, floors, max_terms, stabilise=True
+            seq, [z0], orders, _JET_ABS_TOL * floors, rel_tol, floors, max_terms, stabilise=True
         )[0]
     else:
         outcome = _sum_derivative_series(

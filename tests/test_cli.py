@@ -119,8 +119,11 @@ def test_out_of_range_cutoff_or_tol_is_a_usage_error(runner, tmp_path, command, 
     [
         ({"name": "meander", "x": 1.5}, "invalid meander model: meander series needs |x| < 1"),
         ({"name": "qlog", "c": 2}, "invalid qlog model: need 0 < c <= 1"),
+        # A field the model does not read is refused, not dropped.
+        ({"name": "zero_sum_general", "poles": [0.5], "c": 0.05},
+         "the zero_sum_general model reads no field 'c'"),
     ],
-    ids=["meander-x", "qlog-c"],
+    ids=["meander-x", "qlog-c", "zero-sum-general-c"],
 )
 def test_model_parameter_a_model_refuses_is_a_config_error(runner, tmp_path, model, message):
     # The schema admits these values; the model constructor refuses them.
@@ -166,9 +169,13 @@ def test_jet_rows(runner, tmp_path):
         # 2.0**alpha overflows from alpha = 1024 on.
         ("covering", {"covering": {"alphas": [2, 2000]}},
          "config rejected by schema: 2000 is greater than the maximum of 1023"),
+        # The pole -0.5 of sheet 2 lies in 0.49 < |z| < 0.735.
+        ("polar", {"model": MEANDER, "polar": {"mode": "laurent", "sheet": 2, "center": 0, "r": 0.49}},
+         "the annulus 0.49 < |z - 0j| < 0.735 holds the pole (-0.5+0j) of sheet 2, "
+         "so no Laurent expansion exists there"),
     ],
     ids=["curve-degree", "laurent-window", "laurent-sheet-past-the-last", "laurent-sheet-before-the-first",
-         "fiber-omega", "covering-radius", "covering-exponent"],
+         "fiber-omega", "covering-radius", "covering-exponent", "laurent-annulus-holds-a-pole"],
 )
 def test_inputs_a_command_refuses_are_config_errors(runner, tmp_path, command, payload, message):
     cfg = _write_config(tmp_path, payload)
@@ -176,6 +183,54 @@ def test_inputs_a_command_refuses_are_config_errors(runner, tmp_path, command, p
     assert result.exit_code == 2
     assert result.stderr == f"error (config): {message}\n"
     assert "Traceback" not in result.stderr
+
+
+_EVERY_COMMAND = {"--config", "--out", "--format", "--json"}
+
+
+@pytest.mark.parametrize(
+    "command, reads",
+    [
+        ("eval", {"--model", "--tol", "--cutoff"}),
+        ("jet", {"--model", "--tol", "--cutoff"}),
+        ("polar", {"--model", "--tol", "--cutoff"}),
+        ("gevrey", {"--model", "--tol", "--cutoff"}),
+        ("residual", {"--cutoff"}),
+        ("curve", set()),
+        ("covering", set()),
+    ],
+    ids=["eval", "jet", "polar", "gevrey", "residual", "curve", "covering"],
+)
+def test_each_command_takes_only_the_options_it_reads(command, reads):
+    assert {opt for param in main.commands[command].params for opt in param.opts} == _EVERY_COMMAND | reads
+
+
+@pytest.mark.parametrize(
+    "command, payload, option",
+    [
+        ("curve", {"curve": {"n": 3}}, ["--tol", "1e-3"]),
+        ("covering", {"covering": {}}, ["--cutoff", "5"]),
+        ("residual", {"perforation": ROOTS, "residual": {"grid": GRID}}, ["--model", "qlog"]),
+    ],
+    ids=["curve-tol", "covering-cutoff", "residual-model"],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(runner, tmp_path, command, payload, option):
+    cfg = _write_config(tmp_path, payload)
+    result = runner.invoke(main, [command, "--config", cfg, *option])
+    assert result.exit_code == 2
+    assert f"No such option '{option[0]}'" in result.output
+
+
+def test_region_radius_reaches_zero_sum_general(runner, tmp_path):
+    # The default working region is the disc of radius 1 (twice the largest pole).
+    cfg = _write_config(tmp_path, {
+        "model": {"name": "zero_sum_general", "poles": [0.5, 0.25], "region_radius": 3.0},
+        "eval": {"points": [[1.5, 0.0], [0.1, 0.0]]},
+    })
+    result = runner.invoke(main, ["eval", "--config", cfg])
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [(r["z_re"], r["status"]) for r in rows] == [("1.5", "ok"), ("0.10000000000000001", "ok")]
 
 
 def test_model_override_flag(runner, tmp_path):
