@@ -38,7 +38,7 @@ from .geometry import (
     Disc,
     _build_perforation,
     residual_memberships,
-    schema_violation,
+    validated,
 )
 from .covering import inclusion_check, induced_radii
 from .polar import AnnulusSpec, fiber_polar_sum, laurent_coefficients
@@ -217,16 +217,18 @@ _MODELS = {
 }
 
 
+def _refuse_constant(literal: str):
+    # Python's json module reads NaN, Infinity and -Infinity; JSON has no such values.
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            config = json.load(fh, parse_constant=_refuse_constant)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    error = schema_violation(config, CONFIG_SCHEMA)
-    if error is not None:
-        raise ConfigError(f"config rejected by schema: {error.message}") from error
-    return config
+    return validated(config, CONFIG_SCHEMA, "config rejected by schema")
 
 
 def _section(config: dict, name: str) -> dict:
@@ -377,7 +379,7 @@ def cmd_jet(config, model, tol, cutoff):
     """Taylor coefficients of the sum at a point."""
     section = _section(config, "jet")
     z0 = _as_complex(section.get("z0", 0.0))
-    jet = taylor_jet(model, z0, section["order"], rel_tol=min(tol, 1e-10), max_terms=cutoff)
+    jet = taylor_jet(model, z0, section["order"], rel_tol=tol, max_terms=cutoff)
     rows = [
         [k, jet.coefficients[k].real, jet.coefficients[k].imag, float(jet.coefficient_tails[k])]
         for k in range(jet.order + 1)
@@ -431,7 +433,7 @@ def cmd_gevrey(config, model, tol, cutoff):
     """Gevrey fit, divergence verdict and smallest-term sweep for a model jet."""
     section = _section(config, "gevrey")
     z0 = _as_complex(section.get("z0", 0.0))
-    jet = taylor_jet(model, z0, section["order"], rel_tol=min(tol, 1e-10), max_terms=cutoff)
+    jet = taylor_jet(model, z0, section["order"], rel_tol=tol, max_terms=cutoff)
     window = tuple(section.get("window", (5, section["order"])))
     fit = gevrey_fit(jet.coefficients, window=window)
     report = divergence_diagnostic(jet.coefficients)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence, Union
@@ -1039,25 +1040,136 @@ PERFORATION_SCHEMA = {
 }
 
 
+#: The JSON-Schema keywords ``_conform`` implements: those the package's schemas use.
+_KEYWORDS = frozenset({
+    "type", "enum", "oneOf", "properties", "required", "additionalProperties",
+    "items", "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+})
+_BOUNDS = frozenset({"minimum", "maximum", "exclusiveMinimum"})
+
+
+def _is_number(v) -> bool:
+    # float and int first: isinstance tries the tuple in order, and the ABC is slow.
+    return isinstance(v, (float, int, numbers.Number)) and not isinstance(v, bool)
+
+
+#: The Draft 2020-12 types the package's schemas use, as jsonschema decides
+#: them: a bool is no number, and a float with an integral value is an integer.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": _is_number,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+_REJECTED = object()
+
+
+def _conform(value, schema: dict):
+    """``value`` as ``schema`` accepts it, or ``_REJECTED``.
+
+    The verdict is that of jsonschema's Draft 2020-12 validator, and every
+    integral float that an ``integer`` schema accepts comes back as an int.
+    Each bound rejects by jsonschema's own comparison, so NaN passes them.
+    A keyword or type this checker does not implement raises ValueError, so
+    a schema that outgrows it cannot widen what it accepts.
+    """
+    if not _KEYWORDS.issuperset(schema):
+        raise ValueError(f"the schema checker does not implement {sorted(set(schema) - _KEYWORDS)}")
+    kind = schema.get("type")
+    if kind is not None:
+        if kind not in _TYPES:
+            raise ValueError(f"the schema checker does not implement the type {kind!r}")
+        if not _TYPES[kind](value):
+            return _REJECTED
+        if kind == "integer":
+            value = int(value)
+    if "enum" in schema:
+        # jsonschema compares a value with a string member by == alone, and with
+        # other members by rules this checker leaves out.
+        if not all(isinstance(member, str) for member in schema["enum"]):
+            raise ValueError("the schema checker implements enums of strings only")
+        if not (isinstance(value, str) and value in schema["enum"]):
+            return _REJECTED
+    if "oneOf" in schema:
+        accepted = [v for v in (_conform(value, sub) for sub in schema["oneOf"]) if v is not _REJECTED]
+        if len(accepted) != 1:
+            return _REJECTED
+        value = accepted[0]
+    if isinstance(value, dict):
+        if not all(key in value for key in schema.get("required", ())):
+            return _REJECTED
+        properties = schema.get("properties", {})
+        rest = schema.get("additionalProperties", True)
+        conformed = {}
+        for key, item in value.items():
+            sub = properties.get(key, rest)
+            if sub is False:
+                return _REJECTED
+            if sub is not True:
+                item = _conform(item, sub)
+                if item is _REJECTED:
+                    return _REJECTED
+            conformed[key] = item
+        value = conformed
+    elif isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            return _REJECTED
+        if "items" in schema:
+            value = [_conform(item, schema["items"]) for item in value]
+            if any(item is _REJECTED for item in value):
+                return _REJECTED
+    elif not _BOUNDS.isdisjoint(schema) and _is_number(value):
+        if (
+            ("minimum" in schema and value < schema["minimum"])
+            or ("maximum" in schema and value > schema["maximum"])
+            or ("exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"])
+        ):
+            return _REJECTED
+    return value
+
+
+def _accepts(instance, schema: dict) -> bool:
+    """Whether jsonschema's Draft 2020-12 validator accepts ``instance``; see ``_conform``."""
+    return _conform(instance, schema) is not _REJECTED
+
+
 def schema_violation(instance, schema: dict):
     """The error ``jsonschema.validate(instance, schema)`` would raise, or None.
 
-    The schema itself is not checked against the JSON-Schema meta-schema,
-    which ``jsonschema.validate`` does again on every call: the schemas are
-    constants of this package, and the tests check them once.
+    ``_accepts`` decides, so an accepted instance never imports jsonschema;
+    jsonschema looks again only at a rejected one and words its error, and
+    where the two disagree its verdict stands.  The schema itself is not
+    checked against the JSON-Schema meta-schema, which ``jsonschema.validate``
+    does again on every call: the schemas are constants of this package, and
+    the tests check them once.
     """
+    if _accepts(instance, schema):
+        return None
     import jsonschema
 
     validator = jsonschema.validators.validator_for(schema)(schema)
     return jsonschema.exceptions.best_match(validator.iter_errors(instance))
 
 
+def validated(instance, schema: dict, context: str):
+    """``instance`` as ``schema`` accepts it, with its integer fields as ints.
+
+    A rejected instance raises ConfigError with ``context`` and jsonschema's
+    message for it.
+    """
+    value = _conform(instance, schema)
+    if value is not _REJECTED:
+        return value
+    error = schema_violation(instance, schema)
+    if error is None:  # jsonschema accepts what the checker refused
+        return instance
+    raise ConfigError(f"{context}: {error.message}") from error
+
+
 def perforation_from_config(config: dict) -> Perforation:
     """Build a Perforation from a configuration dictionary, validated here."""
-    error = schema_violation(config, PERFORATION_SCHEMA)
-    if error is not None:
-        raise ConfigError(f"invalid perforation config: {error.message}") from error
-    return _build_perforation(config)
+    return _build_perforation(validated(config, PERFORATION_SCHEMA, "invalid perforation config"))
 
 
 def _build_perforation(config: dict) -> Perforation:

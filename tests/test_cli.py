@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from jsonschema.validators import validator_for
 
+import meandro
 from meandro.cli import CONFIG_SCHEMA, _fmt, main
 from meandro.errors import ConfigError
 from meandro.geometry import PERFORATION_SCHEMA, perforation_from_config
@@ -465,3 +470,101 @@ def test_an_in_process_run_keeps_no_reference_to_its_streams(tmp_path, payload, 
     del out, err
     gc.collect()
     assert [ref() for ref in alive] == [None, None]
+
+
+def _floated(value):
+    if isinstance(value, dict):
+        return {key: _floated(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_floated(item) for item in value]
+    return float(value) if isinstance(value, int) and not isinstance(value, bool) else value
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("jet", {"model": MEANDER, "jet": {"z0": [0, 0], "order": 3}}),
+        ("gevrey", {"model": MEANDER, "gevrey": {"order": 20, "window": [5, 20], "z_values": [0.05]}}),
+        ("curve", {"curve": {"n": 8, "x_start": 0, "x_stop": 0.9, "x_count": 3}}),
+        ("residual", {"perforation": ROOTS, "residual": {"grid": dict(GRID, re_count=2, im_count=2)}}),
+        ("covering", {"covering": {"alphas": [2], "radii": [0.01], "moduli": [0.5], "angles": 16}}),
+        ("polar", {"model": QLOG, "polar": {"mode": "laurent", "sheet": 3, "center": [1, 0], "r": 0.05,
+                                           "k_min": -2, "k_max": 2}}),
+    ],
+    ids=["jet", "gevrey", "curve", "residual", "covering", "polar"],
+)
+def test_an_integral_float_in_an_integer_field_reads_as_its_int(runner, tmp_path, command, payload):
+    # JSON Schema's "integer" admits 3.0; the command must see 3.
+    twin = dict(payload, **{command: _floated(payload[command])})
+    assert json.dumps(twin) != json.dumps(payload)
+    ints = runner.invoke(main, [command, "--config", _write_config(tmp_path, payload, "ints.json")])
+    floats = runner.invoke(main, [command, "--config", _write_config(tmp_path, twin, "floats.json")])
+    assert (ints.exit_code, floats.exit_code) == (0, 0)
+    assert floats.stdout_bytes == ints.stdout_bytes
+
+
+@pytest.mark.parametrize(
+    "command, payload, literal",
+    [
+        ("eval", {"model": MEANDER, "eval": {"ray": {"t_step": math.inf}}}, "Infinity"),
+        ("jet", {"model": MEANDER, "jet": {"z0": -math.inf, "order": 3}}, "-Infinity"),
+        ("residual", {"perforation": dict(_HUGE_ALPHA, radius={"c": 0.05, "alpha": math.nan}),
+                      "residual": {"grid": GRID}}, "NaN"),
+        ("covering", {"covering": {"moduli": [math.nan]}}, "NaN"),
+    ],
+    ids=["eval", "jet", "residual", "covering"],
+)
+def test_a_number_literal_json_lacks_is_a_config_error(runner, tmp_path, command, payload, literal):
+    # Python's json module writes and reads NaN, Infinity and -Infinity.
+    cfg = _write_config(tmp_path, payload)
+    result = runner.invoke(main, [command, "--config", cfg])
+    assert result.exit_code == 2
+    assert result.stderr == f"error (config): cannot read config {cfg}: {literal} is not a JSON number\n"
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(runner, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"curve": {"n": 3}, "\xe9": 1}')
+    result = runner.invoke(main, ["curve", "--config", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith(f"error (config): cannot read config {path}: 'utf-8' codec can't decode")
+
+
+def test_jet_honours_a_tolerance_above_the_default(runner, tmp_path):
+    cfg = _write_config(tmp_path, {"model": MEANDER, "jet": {"z0": [0, 0], "order": 6}})
+    tails = []
+    for tol in (["--tol", "1e-10"], ["--tol", "1e-6"]):
+        result = runner.invoke(main, ["jet", "--config", cfg, *tol])
+        assert result.exit_code == 0
+        tails.append([float(row["tail_bound"]) for row in csv.DictReader(io.StringIO(result.output))])
+    assert all(tight < loose for tight, loose in zip(*tails))
+
+
+_IMPORTS = (
+    "import sys\n"
+    "from meandro.cli import main\n"
+    "try:\n"
+    "    main.main(args=sys.argv[1:], standalone_mode=False)\n"
+    "except SystemExit as exit_:\n"
+    "    print(exit_.code, 'jsonschema' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, payload, stdout, stderr",
+    [
+        ("eval", {"model": MEANDER, "eval": {"points": [[0.1, 0.0], 0.2]}}, "0 False\n", ""),
+        ("jet", {"model": MEANDER, "jet": {"order": 3}}, "0 False\n", ""),
+        ("residual", {"perforation": ROOTS, "residual": {"grid": GRID}}, "0 False\n", ""),
+        ("curve", {"curve": {"n": 40}}, "2 True\n",
+         "error (config): config rejected by schema: 40 is greater than the maximum of 39\n"),
+    ],
+    ids=["eval", "jet", "residual", "rejected"],
+)
+def test_only_a_rejected_config_imports_jsonschema(tmp_path, command, payload, stdout, stderr):
+    cfg = _write_config(tmp_path, payload)
+    out = str(tmp_path / "rows.csv")
+    env = dict(os.environ, PYTHONPATH=str(Path(meandro.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", _IMPORTS, command, "--config", cfg, "--out", out],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert (result.stdout, result.stderr) == (stdout, stderr)
