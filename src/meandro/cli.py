@@ -292,6 +292,13 @@ def _emit_error(as_json: bool, kind: str, exc: Exception):
         click.echo(f"error ({kind}): {exc}", file=sys.stderr)
 
 
+def _finite(ctx, param, value: float) -> float:
+    """Reject the NaN and inf that ``click.FloatRange`` lets through."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number.")
+    return value
+
+
 # Every command takes --config, --out, --format and --json; --model, --tol
 # and --cutoff go only to the commands that read them.
 _OPTIONS = {
@@ -299,7 +306,9 @@ _OPTIONS = {
     "model": click.option("--model", "model_name", default=None, help="Override the config model name."),
     "out": click.option("--out", "out_path", default="-", help="Output path ('-' for stdout)."),
     "format": click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv"),
-    "tol": click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-10, show_default=True),
+    "tol": click.option(
+        "--tol", type=click.FloatRange(min=0, min_open=True), default=1e-10, show_default=True, callback=_finite
+    ),
     "cutoff": click.option("--cutoff", type=click.IntRange(min=1), default=10_000, show_default=True),
     "json": click.option("--json", "json_errors", is_flag=True, help="Machine-readable errors on stderr."),
 }

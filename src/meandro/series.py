@@ -16,27 +16,27 @@ the number of points, so each point is summed over the blocks of its lone
 call, and its sum, stopping sheet, tail and error are those of that call,
 bit for bit.  A block's terms come, for a few points at a time, from
 ``TermSequence.term_grid`` (order 0, one row per point) or
-``TermSequence.derivatives`` (one row per order) as one numpy array.  Their
-lanes are handled in groups of at most about 4 096 values (at least one
-lane), and a group's bookkeeping is numpy: finiteness, running sums,
-tolerances, certified tails and the pole-clearance shortlist of
+``TermSequence.derivatives`` (one row per order) as one numpy array.  The
+points come in groups of at most about 4 096 values (at least one point, so
+a jet's group is its block), and a group's bookkeeping is numpy:
+finiteness, running sums, tolerances and the pole-clearance shortlist of
 ``first_blocked_all`` (a numpy sweep of the family's ``poles_table`` where
-it has one).  What
-stays per lane is the exact addition of the terms a lane keeps from a
-block, with ``math.fsum`` (Shewchuk) on their real and imaginary parts, the
-compensated accumulation of the block sums, and the scalar confirmations of
-the shortlists.
+it has one).  What stays per lane is the exact addition of the terms a lane
+keeps from a block, with ``math.fsum`` (Shewchuk) on their real and
+imaginary parts, the compensated accumulation of the block sums, the scalar
+certified tails and the scalar confirmations of the shortlists.
 
 For each lane the engine picks one of four stopping rules from its inputs:
 
 * a finite family is summed through its last sheet; its tail is exactly 0;
 * a decay certificate A*rho**n over a Diophantine radius gives a rigorous
   tail bound (``tails._CertifiedTails``), which does not increase with the
-  sheet.  So a lane whose scalar tail at the block's last sheet is above
-  every limit of the block cannot stop in it.  Every limit is at most the
+  sheet.  So a lane whose tail at the block's last sheet is above every
+  limit of the block cannot stop in it.  Every limit is at most the
   tolerance at |sum so far| + sum of |terms|, which is the tolerance itself
   for a plain sum (no relative part), and such a block is passed over
-  without running sums or numpy tails;
+  without running sums.  In the other blocks the stopping sheet is found by
+  bisection, with a few scalar tails a lane;
 * a jet without such a certificate stops once a window of consecutive terms
   is negligible (the stabilised rule); its tail is a heuristic estimate;
 * any other sum stops on the ratio test of the norm bounds; its tail is a
@@ -93,7 +93,7 @@ from .errors import (
     TolUnreachable,
 )
 from .geometry import _GROUP_VALUES, DiophantineRadius, Perforation, Region, doubling_blocks
-from .tails import _CertifiedTails, _power_geometric_tails, power_geometric_tail
+from .tails import _CertifiedTails, power_geometric_tail
 
 _STABLE_WINDOW = 8
 #: Highest jet order: k! overflows a float from k = 171 on.
@@ -351,33 +351,53 @@ class _CertifiedStop:
     """Stop at the first sheet whose certified tail is within the tolerance.
 
     Lane l sums at the point ``zs[l // width]``; its tails are those of
-    ``_CertifiedTails`` there.
+    ``_CertifiedTails`` there.  The tail does not increase with the sheet,
+    so a block in which a lane can stop is searched by bisection: a few
+    scalar tails a lane, not one a sheet.
     """
 
     def __init__(self, seq: TermSequence, zs: list, width: int):
         self.seq, self.zs, self.width = seq, zs, width
         self._points: dict[int, _CertifiedTails] = {}
         self._tail_cache: dict[tuple[int, int, int], float] = {}
-        self._last_tails: tuple[tuple[int, int, int], np.ndarray] | None = None
-
-    def _at(self, p: int) -> _CertifiedTails:
-        if p not in self._points:
-            self._points[p] = _CertifiedTails(self.seq, self.zs[p])
-        return self._points[p]
 
     def _tail(self, lane: int, k: int, n: int) -> float:
         # The order-0 tail is the same at every point.
         key = (k, n, lane // self.width if k else 0)
         if key not in self._tail_cache:
-            self._tail_cache[key] = self._at(key[2]).tail(k, n)
+            p = key[2]
+            if p not in self._points:
+                self._points[p] = _CertifiedTails(self.seq, self.zs[p])
+            self._tail_cache[key] = self._points[p].tail(k, n)
         return self._tail_cache[key]
 
-    def _tails(self, lane: int, k: int, ns: np.ndarray) -> np.ndarray:
-        """Numpy tails of order k on the block's sheets, kept for the next group."""
-        key = (k, int(ns[0]), lane // self.width if k else 0)
-        if self._last_tails is None or self._last_tails[0] != key:
-            self._last_tails = key, self._at(key[2]).tails(k, ns)
-        return self._last_tails[1]
+    def _first_stop(self, lane: int, k: int, ns: list[int], limit: np.ndarray) -> _Stop:
+        """The first j with tail(ns[j]) <= limit[j], with its tail, or None.
+
+        With M(j) the running maximum of the limits from ``start`` on, the
+        test tail(j) <= M(j)*(1 + 1e-9) fails and then holds, since the tail
+        does not increase and M does not decrease; no sheet before the first
+        j where it holds has tail <= limit.  Bisect for that j: it stops the
+        lane if its tail is within limit[j], and else the search goes on
+        from j + 1 with M restarted there.
+        """
+        start = 0
+        while start < len(ns):
+            ceiling = np.maximum.accumulate(limit[start:]) * (1.0 + 1e-9)
+            lo, hi = start, len(ns)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if self._tail(lane, k, ns[mid]) <= ceiling[mid - start]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            if lo == len(ns):
+                return None
+            tail = self._tail(lane, k, ns[lo])
+            if tail <= limit[lo]:
+                return lo, tail
+            start = lo + 1
+        return None
 
     def scan(self, g: _Group) -> list[_Stop]:
         ends: list[_Stop] = [None] * len(g.lanes)
@@ -392,32 +412,23 @@ class _CertifiedStop:
             for r in np.flatnonzero(g.bad).tolist():
                 mags[r] = np.abs(g.terms[r, : g.clean[r]]).sum()
             bound = g.tol(np.abs(g.acc) + mags)
-        lanes, ks, cleans = g.lanes.tolist(), g.k.tolist(), g.clean.tolist()
-        rows = np.array(
-            [
-                r
-                for r, (lane, k, clean, limit) in enumerate(zip(lanes, ks, cleans, bound.tolist()))
-                if clean and not self._tail(lane, k, int(g.ns[clean - 1])) > limit * (1.0 + 1e-9)
-            ],
-            dtype=np.int64,
-        )
-        if not rows.size:
-            return ends
-        if g.rel_tol == 0.0:
-            limits = np.broadcast_to(g.abs_tol[rows, None], (len(rows), len(g.ns)))
-        else:
-            limits = g.tol(np.abs(g.sums(rows)), rows)
-        tails = np.stack([self._tails(lanes[r], ks[r], g.ns) for r in rows.tolist()])
-        # The numpy tails shortlist the sheets; the scalar tail decides, so
-        # the stopping sheet and its tail are those of the sheet-by-sheet rule.
-        short = (tails <= limits * (1.0 + 1e-9)) & (np.arange(len(g.ns)) < g.clean[rows, None])
-        for i in np.flatnonzero(short.any(axis=1)).tolist():
-            r, limit = int(rows[i]), limits[i]
-            for j in np.flatnonzero(short[i]).tolist():
-                tail = self._tail(lanes[r], ks[r], int(g.ns[j]))
-                if tail <= limit[j]:
-                    ends[r] = j, tail
-                    break
+        lanes, ks, cleans, ns = g.lanes.tolist(), g.k.tolist(), g.clean.tolist(), g.ns.tolist()
+        rows = [
+            r
+            for r, (lane, k, clean, limit) in enumerate(zip(lanes, ks, cleans, bound.tolist()))
+            if clean and not self._tail(lane, k, ns[clean - 1]) > limit * (1.0 + 1e-9)
+        ]
+        # The running sums behind the limits, for at most _GROUP_VALUES
+        # values at a time: a jet's group is its whole block.
+        step = max(1, _GROUP_VALUES // len(ns))
+        for start in range(0, len(rows), step):
+            some = rows[start : start + step]
+            if g.rel_tol == 0.0:
+                limits = np.broadcast_to(g.abs_tol[some, None], (len(some), len(ns)))
+            else:
+                limits = g.tol(np.abs(g.sums(some)), some)
+            for r, limit in zip(some, limits):
+                ends[r] = self._first_stop(lanes[r], ks[r], ns[: cleans[r]], limit)
         return ends
 
 
@@ -547,9 +558,10 @@ def _sum_derivative_series(
     ``abs_tol`` and ``floor`` are numbers or one number per order.  The
     sheets are walked in the blocks of a single point (see the module
     docstring), so every point gets the block partition, and the sums, of
-    its lone call; within a block the lanes are handled in groups of at
-    most about _GROUP_VALUES values.  The stopping rule is applied to each
-    group, and each lane keeps the block's terms through its stopping sheet.
+    its lone call; within a block the points are handled in groups of at
+    most about _GROUP_VALUES values (at least one point).  The stopping rule
+    is applied to the open lanes of each group, and each lane keeps the
+    block's terms through its stopping sheet.
 
     The inputs pick the stopping rule, first match wins.  A finite family
     (``n_max`` set) is summed through its last sheet with tail 0, which is
@@ -591,7 +603,7 @@ def _sum_derivative_series(
         rule = _StabilisedStop(lanes) if stabilise else _RatioStop(seq)
 
     def sum_block(ns: np.ndarray, points: list[int]) -> None:
-        """Sum the block of sheets ns for these points, in lane groups."""
+        """Sum the block of sheets ns for these points, as one lane group."""
         group = [(p, l) for p in points for l in range(p * width, (p + 1) * width) if results[l] is None]
         ids = [l for _, l in group]
         m = max(lane_order[l] for l in ids)
@@ -604,21 +616,15 @@ def _sum_derivative_series(
                 block = np.concatenate([seq.derivatives(ns, m, zs[p]) for p in points])
             at = {p: i * (m + 1) for i, p in enumerate(points)}
             rows = [at[p] + lane_order[l] for p, l in group]
-            # The lanes in groups of at most _GROUP_VALUES values (at least one lane).
-            ends, bads, cleans = [], [], []
-            step = max(1, _GROUP_VALUES // len(ns))
-            for start in range(0, len(ids), step):
-                lanes = np.array(ids[start : start + step], dtype=np.int64)
-                acc = np.array([accs[l].value for l in lanes.tolist()], dtype=complex)
-                g = _Group(ns, _take_rows(block, rows[start : start + step]), lanes,
-                           lane_k[lanes], acc, lane_abs[lanes], lane_floor[lanes], rel_tol)
-                ends += rule.scan(g)
-                bads += g.bad.tolist()
-                cleans += g.clean.tolist()
+            lanes = np.array(ids, dtype=np.int64)
+            acc = np.array([accs[l].value for l in ids], dtype=complex)
+            g = _Group(ns, _take_rows(block, rows), lanes, lane_k[lanes], acc, lane_abs[lanes],
+                       lane_floor[lanes], rel_tol)
+            ends = rule.scan(g)
         lo, last_j = int(ns[0]), len(ns) - 1
         reach = dict.fromkeys(points, -1)
         errors: dict[int, list] = {}
-        for (p, l), end, bad, clean in zip(group, ends, bads, cleans):
+        for (p, l), end, bad, clean in zip(group, ends, g.bad.tolist(), g.clean.tolist()):
             if end is None and bad:
                 end = clean, OutOfRegime(
                     f"order-{lane_order[l]} derivative term on sheet {lo + clean} is not finite"
@@ -796,29 +802,34 @@ def _remainder_constant(cert: DecayCert, radius: DiophantineRadius, m: int) -> f
 
     The terms n**q * rho**n (q = alpha*m) are added in sheet order until the
     geometric tail bound beyond sheet n is within 1e-16 of the running total.
-    Blocks of sheets are computed in numpy; the running totals are one
-    sequential cumulative sum, the numpy tails shortlist the stopping sheet
-    and the scalar ``power_geometric_tail`` decides it.  An overflowing term
-    or total up to the stop, or no stop by sheet 1 000 001, gives inf.
+    Blocks of sheets are computed in numpy, and the running totals are one
+    sequential cumulative sum.  The scalar ``power_geometric_tail`` falls
+    and the totals rise, so the stopping sheet lies in the first block whose
+    last sheet passes the test, and a bisection finds it there.  An
+    overflowing term or total up to the stop, or no stop by sheet 1 000 001,
+    gives inf.
     """
     q = radius.alpha * m
     log_rho = math.log(cert.rho)
     total = 0.0
+
+    def stops(n: int, running: float) -> bool:
+        return power_geometric_tail(q, cert.rho, n) <= 1e-16 * running
+
     for lo, hi in doubling_blocks(1, 1_000_002):
         ns = np.arange(lo, hi, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             log_terms = q * np.log(ns) + ns * log_rho
             totals = np.cumsum(np.concatenate(([total], np.exp(log_terms))))[1:]
-            tails = _power_geometric_tails(q, cert.rho, ns)
-            shortlist = np.flatnonzero(tails <= 1e-16 * totals * (1.0 + 1e-9))
-        for j in shortlist:  # as a rule the first decides: no list of the rest
-            j = int(j)
-            tail = power_geometric_tail(q, cert.rho, lo + j)
-            if tail <= 1e-16 * totals[j]:
-                if np.any(log_terms[: j + 1] > 700.0) or not math.isfinite(totals[j]):
-                    return math.inf
-                shift_factor = (1.0 + radius.shift) ** q
-                return cert.A * shift_factor / radius.c**m * (float(totals[j]) + tail)
+        if stops(hi - 1, totals[-1]):
+            a, b = 0, len(ns) - 1
+            while a < b:
+                mid = (a + b) // 2
+                a, b = (a, mid) if stops(lo + mid, totals[mid]) else (mid + 1, b)
+            if np.any(log_terms[: a + 1] > 700.0) or not math.isfinite(totals[a]):
+                return math.inf
+            tail = power_geometric_tail(q, cert.rho, lo + a)
+            return cert.A * (1.0 + radius.shift) ** q / radius.c**m * (float(totals[a]) + tail)
         if np.any(log_terms > 700.0) or not math.isfinite(totals[-1]):
             return math.inf
         total = float(totals[-1])

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .geometry import _ABS_SLACK
 
 if TYPE_CHECKING:
@@ -49,16 +47,6 @@ def _tail_prefactor(seq: TermSequence, k: int) -> float:
         return math.factorial(k) * cert.A * shift_factor / ((radius.lam - 1.0) * radius.c) ** k
     except (OverflowError, ZeroDivisionError):
         return math.inf
-
-
-def _power_geometric_tails(q: float, rho: float, ns: np.ndarray) -> np.ndarray:
-    """``power_geometric_tail`` on every sheet of ns, in numpy arithmetic."""
-    n1 = ns + 1.0
-    ratio = rho * ((n1 + 1.0) / n1) ** q
-    log_first = q * np.log(n1) + n1 * math.log(rho)
-    tails = np.exp(log_first) / (1.0 - ratio)
-    tails[(ratio >= 1.0) | (log_first > 700.0)] = math.inf
-    return tails
 
 
 class _CertifiedTails:
@@ -96,18 +84,12 @@ class _CertifiedTails:
     the membership discharge, and b(n) by a relative 1e-9.  A branch with no
     positive radius gives inf.
 
-    Every bound is non-increasing in n, which the block skip of
-    ``series._CertifiedStop`` relies on: ``power_geometric_tail`` is inf on an
-    initial run of sheets and falls after it; D(n) does not decrease and
-    tail_sup(n) does not increase (their declared contracts), so R(n) does
-    not decrease while rho**(n+1) falls; and b(n) does not decrease as
-    beta <= alpha.  So their minimum is non-increasing as well.
-
-    ``tails`` gives the same bounds on a block of sheets in numpy, to
-    shortlist the sheets that ``tail`` decides.  It takes D at the block's
-    last sheet, at least D of every sheet of the block, so its radii are at
-    least the scalar ones and its tails at most the scalar ones, up to the
-    rounding that the shortlist's slack absorbs.
+    Every bound is non-increasing in n, which the block skip and the
+    bisection of ``series._CertifiedStop`` rely on: ``power_geometric_tail``
+    is inf on an initial run of sheets and falls after it; D(n) does not
+    decrease and tail_sup(n) does not increase (their declared contracts),
+    so R(n) does not decrease while rho**(n+1) falls; and b(n) does not
+    decrease as beta <= alpha.  So their minimum is non-increasing as well.
     """
 
     def __init__(self, seq: TermSequence, z0: complex):
@@ -129,8 +111,8 @@ class _CertifiedTails:
         """D(n) = d shrunk for the float poles."""
         return d * (1.0 - 1e-9) - _ABS_SLACK * (1.0 + abs(self.z0) + d)
 
-    def _factor(self, n):
-        """b(n), scaled to the region and shrunk (n may be an array)."""
+    def _factor(self, n: int) -> float:
+        """b(n), scaled to the region and shrunk."""
         a, beta = self.law
         cap = min(1.0, self.reach / a) * (1.0 - 1e-9)
         return (a - self.radius.c * (n + 1.0) ** (beta - self.radius.alpha)) * cap
@@ -156,33 +138,7 @@ class _CertifiedTails:
                 best = min(best, _exp(log_k - k * math.log(b) + math.log(tail)) if tail else 0.0)
         return best
 
-    def tails(self, k: int, ns: np.ndarray) -> np.ndarray:
-        cert = self.cert
-        if k == 0:
-            return cert.A * cert.rho ** (ns + 1.0) / (1.0 - cert.rho)
-        prefactor, log_k = self._order(k)
-        last = int(ns[-1])
-        d = self.poles.tail_distance_bound(self.z0, last)
-        # A branch whose radius is not positive at the last sheet (its
-        # largest in the block) gives inf on the whole block.
-        with np.errstate(all="ignore"):  # logs of radii <= 0, powers past the float range
-            best = np.full(len(ns), math.inf)
-            if prefactor < math.inf:
-                best = prefactor * _power_geometric_tails(self.radius.alpha * k, cert.rho, ns)
-            if d is not None and d != math.inf and self._shrunk(d) > self.radius.tail_sup(last):
-                R = np.minimum(self._shrunk(d) - self.radius.values(ns), self.reach * (1.0 - 1e-9))
-                log_tail = (ns + 1.0) * math.log(cert.rho) - math.log1p(-cert.rho) + log_k - k * np.log(R)
-                best = np.minimum(best, np.where(R > 0.0, _exp(log_tail), math.inf))
-            if self.law is not None and self._factor(last) > 0.0:
-                b = self._factor(ns)
-                power_tails = _power_geometric_tails(self.law[1] * k, cert.rho, ns)
-                log_tail = log_k - k * np.log(b) + np.log(power_tails)
-                best = np.minimum(best, np.where(b > 0.0, _exp(log_tail), math.inf))
-        return best
 
-
-def _exp(log_tail):
-    """exp of a log tail, inf above 700 (a float or an array; NaN gives inf)."""
-    if isinstance(log_tail, float):
-        return math.exp(log_tail) if log_tail <= 700.0 else math.inf
-    return np.where(log_tail <= 700.0, np.exp(np.minimum(log_tail, 700.0)), math.inf)
+def _exp(log_tail: float) -> float:
+    """exp of a log tail, inf above 700 (NaN gives inf)."""
+    return math.exp(log_tail) if log_tail <= 700.0 else math.inf

@@ -568,3 +568,33 @@ def test_only_a_rejected_config_imports_jsonschema(tmp_path, command, payload, s
     result = subprocess.run([sys.executable, "-c", _IMPORTS, command, "--config", cfg, "--out", out],
                             capture_output=True, text=True, env=env, timeout=120)
     assert (result.stdout, result.stderr) == (stdout, stderr)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("eval", {"model": MEANDER, "eval": {"points": [[0.1, 0.0]]}}),
+        ("jet", {"model": MEANDER, "jet": {"z0": [0, 0], "order": 3}}),
+        ("polar", {"model": MEANDER, "polar": {"mode": "fiber", "omega": [0.3, 0.1], "z": [0.1, 0.1]}}),
+        ("gevrey", {"model": MEANDER, "gevrey": {"z0": [0, 0], "order": 10, "window": [2, 10], "z_values": [0.1]}}),
+    ],
+    ids=["eval", "jet", "polar", "gevrey"],
+)
+def test_a_tolerance_that_is_not_finite_is_a_usage_error(runner, tmp_path, command, payload, value):
+    cfg = _write_config(tmp_path, payload)
+    result = runner.invoke(main, [command, "--config", cfg, "--tol", value])
+    assert result.exit_code == 2
+    assert f"Invalid value for '--tol': {value} is not a finite number." in result.output
+
+
+def test_a_jet_whose_remainder_tail_ratio_is_one_prints_no_warning(tmp_path):
+    # rho = 0.75 and alpha*m = 1 make rho*(n + 2)/(n + 1) exactly 1 at n = 2;
+    # run with the interpreter's default warning filters, not the tests' own.
+    cfg = _write_config(tmp_path, {"model": {"name": "meander", "x": 0.5, "alpha": 1},
+                                   "jet": {"z0": [0, 0], "order": 1}})
+    env = dict(os.environ, PYTHONPATH=str(Path(meandro.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-m", "meandro.cli", "jet", "--config", cfg],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert len(result.stdout.splitlines()) == 3

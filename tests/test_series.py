@@ -24,7 +24,7 @@ from meandro import (
     remainder_bound,
     taylor_jet,
 )
-from meandro import models, series, tails
+from meandro import geometry, models, series, tails
 from meandro.covering import pullback_model
 from meandro.geometry import DiophantineRadius, MeanderPoles, Perforation
 from meandro.series import DecayCert, sampled_norm_bound
@@ -594,10 +594,6 @@ def test_certified_tails_do_not_increase_and_the_numpy_tails_only_shortlist(seq,
     assert finite.size  # the tails come down within these sheets
     assert np.all(np.diff(scalar[np.isfinite(scalar)]) <= 1e-12 * finite[1:])
     assert np.all(np.isinf(scalar[: len(scalar) - finite.size]))
-    # Block by block, the numpy tails are at most the scalar ones, up to rounding.
-    for lo, hi in [(1, 65), (65, 193), (193, 449), (449, 3001)]:
-        block = bounds.tails(k, np.arange(lo, hi))
-        assert np.all(block <= scalar[lo - 1 : hi - 1] * (1.0 + 1e-9))
 
 
 @pytest.mark.parametrize("seq, z0", _TAIL_CASES)
@@ -643,5 +639,110 @@ def test_local_tails_at_a_huge_exponent_raise_no_overflow_error():
     for k in (1, 30):
         with pytest.raises(OutOfRegime, match="sheet 2"):
             bounds.tail(k, 2)
-        with pytest.raises(OutOfRegime, match="below the float range"):
-            bounds.tails(k, np.arange(1, 65))
+
+
+# ---------------------------------------------------------------------------
+# The certified stop's bisection
+# ---------------------------------------------------------------------------
+
+
+def _outcome(out):
+    """A point's outcome in comparable form: its stops and sums, or its error."""
+    if isinstance(out, Exception):
+        return type(out).__name__, str(out)
+    return [(res.terms_used, res.tail_bound, res.value) for res in out]
+
+
+def _jet_lanes(seq, z0, m, rel_tol=1e-10):
+    def run():
+        return [_jet_stops(seq, z0, m, rel_tol)]
+
+    return run
+
+
+def _order_zero_lanes(seq, zs, tol):
+    def run():
+        return series._sum_derivative_series(seq, zs, range(1), tol, 0.0, 0.0, 200_000)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _jet_lanes(MeanderModel(0.9 * cmath.exp(2j)), 0j, 12),  # |S| oscillates
+        # The partial sums still move in the stopping block, so the first
+        # sheet under the running maximum of the limits is above its own
+        # limit, and the search restarts after it.
+        _jet_lanes(MeanderModel(0.5 * cmath.exp(2j)), 0.3 + 0.2j, 12, rel_tol=1e-3),
+        _jet_lanes(MeanderModel(0.95), 0.3 + 0.2j, 30),
+        _jet_lanes(QLogModel(0.5), 1.6 + 0j, 8),  # the region caps the circles
+        _order_zero_lanes(MeanderModel(0.95), [0j, 0.3 + 0.2j, -0.45 + 0.01j, 1.2j, 0.7], 1e-12),
+        # The order-120 terms overflow from sheet 9 on, after the low orders stop.
+        _jet_lanes(MeanderModel(0.5, c=0.1), 0j, 120),
+    ],
+    ids=["oscillating", "restarts", "off-the-poles", "region-cap", "five-points", "non-finite-term"],
+)
+def test_bisection_stops_where_the_sheet_by_sheet_rule_stops(monkeypatch, run):
+    fast = [_outcome(out) for out in run()]
+    monkeypatch.setattr(series._CertifiedStop, "scan", _sheet_by_sheet_certified_scan)
+    assert fast == [_outcome(out) for out in run()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40), st.data())
+def test_first_stop_is_the_first_sheet_within_its_limit(drops, data):
+    # Non-increasing tails against limits that rise and fall at will.
+    tail = np.cumsum(drops)[::-1]
+    limit = np.array(data.draw(st.lists(st.floats(0.0, 60.0), min_size=len(tail), max_size=len(tail))))
+    stop = series._CertifiedStop.__new__(series._CertifiedStop)
+    stop._tail = lambda lane, k, n: float(tail[n])
+    want = next(((j, float(tail[j])) for j in range(len(tail)) if tail[j] <= limit[j]), None)
+    assert stop._first_stop(0, 1, list(range(len(tail))), limit) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["meander", "qlog"]),
+    x=st.floats(0.05, 0.99),
+    c=st.floats(0.01, 0.3),
+    alpha=st.floats(1.0, 3.0),
+    z0=st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    k=st.integers(0, 40),
+    n=st.integers(1, 5000),
+    gap=st.integers(1, 3000),
+)
+def test_scalar_tail_does_not_increase(family, x, c, alpha, z0, k, n, gap):
+    # The bisection of the certified stop rests on this.
+    seq = (MeanderModel if family == "meander" else QLogModel)(x, c=c, alpha=alpha)
+    bounds = tails._CertifiedTails(seq, z0)
+    first = bounds.tail(k, n)
+    for later in (n + 1, n + gap):
+        assert bounds.tail(k, later) <= first * (1.0 + 1e-12)
+
+
+def test_certified_stop_bisects_rather_than_walks_the_sheets(monkeypatch):
+    # A lane pays one tail per block that it passes over and one bisection
+    # in the block where it stops; walking the sheets would cost thousands.
+    calls = []
+    tail = tails._CertifiedTails.tail
+
+    def counted(self, k, n):
+        calls.append((k, n))
+        return tail(self, k, n)
+
+    monkeypatch.setattr(tails._CertifiedTails, "tail", counted)
+    stops = _jet_stops(MeanderModel(0.95), 0j, 30)
+    last = max(res.terms_used for res in stops)
+    blocks = [hi - lo for lo, hi in geometry.doubling_blocks(1, 200_001, 31) if lo <= last]
+    assert len(calls) <= len(stops) * (len(blocks) + math.ceil(math.log2(max(blocks))) + 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_remainder_constant_where_the_tail_ratio_is_exactly_one():
+    # rho*(n + 2)/(n + 1) is exactly 1 at rho = 0.75, q = 1 and n = 2; the
+    # sum is then sum_n n*rho**n = rho/(1 - rho)**2 = 12.
+    cert = MeanderModel(0.5, alpha=1).decay_cert
+    assert cert.rho == 0.75
+    got = series._remainder_constant(cert, DiophantineRadius(0.05, 1.0, 1.5), 1)
+    assert got == pytest.approx(cert.A / 0.05 * 12.0, rel=1e-12)
