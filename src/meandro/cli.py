@@ -263,6 +263,13 @@ def _build_model(config: dict, override: str | None):
         raise ConfigError(f"invalid {name} model: {exc}") from exc
 
 
+def _grid(start: float, stop: float, count: int, what: str) -> np.ndarray:
+    """np.linspace(start, stop, count), refused when stop - start leaves the float range."""
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"the {what} from {start:g} to {stop:g} leaves the float range")
+    return np.linspace(start, stop, count)
+
+
 def _write_rows(out: str | None, fmt: str, command: str, header: list[str], rows: list[list]):
     if fmt == "json":
         payload = {"command": command, "rows": [dict(zip(header, row)) for row in rows]}
@@ -364,7 +371,10 @@ def cmd_eval(config, model, tol, cutoff):
         theta = ray.get("theta")
         if theta is None:
             theta = 2.0 * math.pi * ray.get("theta_turns", math.sqrt(2.0))
-        ts = np.arange(ray.get("t_start", 0.0), ray.get("t_stop", 2.0), ray.get("t_step", 0.05))
+        try:
+            ts = np.arange(ray.get("t_start", 0.0), ray.get("t_stop", 2.0), ray.get("t_step", 0.05))
+        except ValueError as exc:  # numpy refuses a ray of too many points
+            raise ConfigError(f"invalid eval ray: {exc}") from exc
         points = [t * cmath.exp(1j * theta) for t in ts]
     else:
         points = [_as_complex(p) for p in section.get("points", [])]
@@ -470,7 +480,7 @@ def cmd_gevrey(config, model, tol, cutoff):
 def cmd_curve(config):
     """Real root branches of the truncated implicit meander equation."""
     section = _section(config, "curve")
-    xs = np.linspace(section.get("x_start", 0.0), section.get("x_stop", 0.9), section.get("x_count", 19))
+    xs = _grid(section.get("x_start", 0.0), section.get("x_stop", 0.9), section.get("x_count", 19), "curve x grid")
     rows = [[x, i, root] for x, roots in mdl.meander_curve(section["n"], xs) for i, root in enumerate(roots)]
     return ["x", "branch", "z"], rows, 0
 
@@ -481,8 +491,8 @@ def cmd_residual(config, cutoff):
     perf = _build_perforation(_section(config, "perforation"))  # _load_config validated it
     section = _section(config, "residual")
     g = section["grid"]
-    res = np.linspace(g["re_start"], g["re_stop"], g["re_count"])
-    ims = np.linspace(g["im_start"], g["im_stop"], g["im_count"])
+    res = _grid(g["re_start"], g["re_stop"], g["re_count"], "residual grid's real part")
+    ims = _grid(g["im_start"], g["im_stop"], g["im_count"], "residual grid's imaginary part")
     points = [complex(a, b) for b in ims for a in res]
     verdicts = residual_memberships(perf, points, cutoff=cutoff, margin=section.get("margin", 0.0))
     rows = []

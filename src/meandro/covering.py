@@ -76,9 +76,9 @@ def inclusion_check(
     if n_angles < 8:
         raise ValueError("need at least 8 angles")
     s, rho = induced_radii(r, alpha)
-    eta = omega**alpha
     if abs(omega) > 1.0 + 1e-12:
         raise HypothesisViolated(f"|omega| = {abs(omega):.6g} > 1")
+    eta = omega**alpha
     if rho >= abs(omega):
         raise HypothesisViolated("origin falls inside D(omega, rho)")
     if r >= abs(eta):
@@ -212,7 +212,7 @@ class PullbackSequence(TermSequence):
         self.perforation = Perforation(
             _PullbackPoles(base.perforation.poles, beta, self.center), radius
         )
-        if isinstance(base.region, Disc) and base.region.center == 0:
+        if base.region.center == 0:
             reach = max(base.region.radius - abs(self.center), 1e-6)
             self.region = Disc(0j, reach ** (1.0 / beta))
         else:

@@ -36,12 +36,6 @@ _GROUP_VALUES = 4096
 _ABS_SLACK = 8 * np.finfo(float).eps
 #: Distance within which ``sheets_containing`` takes a point for a pole.
 _POLE_MATCH_TOL = 1e-9
-#: ``huygens_distance`` on shapes other than two discs: boundary samples of
-#: U at the first try, the agreement of two successive tries that ends the
-#: doubling, and the most tries.
-_HUYGENS_SAMPLES = 1024
-_HUYGENS_AGREE = 1e-10
-_HUYGENS_TRIES = 8
 #: ``shrink_check``: samples on each inflated pole circle and on the
 #: boundary of U, and the rounding slack of the clearance test.
 _SHRINK_SAMPLES = 512
@@ -91,103 +85,21 @@ class Disc:
         return self.center + self.radius * np.exp(1j * theta)
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    def __post_init__(self):
-        if self.x1 <= self.x0 or self.y1 <= self.y0:
-            raise ValueError("rectangle must have positive extent")
-
-    def contains(self, z: complex) -> bool:
-        return self.x0 < z.real < self.x1 and self.y0 < z.imag < self.y1
-
-    def distance_to_complement(self, z):
-        re, im = np.real(z), np.imag(z)
-        return np.minimum.reduce([re - self.x0, self.x1 - re, im - self.y0, self.y1 - im])
-
-    def boundary_points(self, m: int) -> np.ndarray:
-        # Corners are always included so suprema attained there are exact.
-        per_edge = max(m // 4, 2)
-        xs = np.linspace(self.x0, self.x1, per_edge)
-        ys = np.linspace(self.y0, self.y1, per_edge)
-        bottom = xs + 1j * self.y0
-        top = xs + 1j * self.y1
-        left = self.x0 + 1j * ys
-        right = self.x1 + 1j * ys
-        return np.concatenate([bottom, top, left, right])
-
-
-@dataclass(frozen=True)
-class AnnulusRegion:
-    center: complex
-    inner: float
-    outer: float
-
-    def __post_init__(self):
-        if not (0 < self.inner < self.outer):
-            raise ValueError("annulus needs 0 < inner < outer")
-
-    def contains(self, z: complex) -> bool:
-        d = abs(z - self.center)
-        return self.inner < d < self.outer
-
-    def distance_to_complement(self, z):
-        d = np.abs(z - self.center)
-        return np.minimum(d - self.inner, self.outer - d)
-
-    def boundary_points(self, m: int) -> np.ndarray:
-        half = max(m // 2, 8)
-        theta = math.tau * np.arange(half) / half
-        ring = np.exp(1j * theta)
-        return np.concatenate(
-            [self.center + self.inner * ring, self.center + self.outer * ring]
-        )
-
-
-Region = Union[Disc, Rectangle, AnnulusRegion]
-
-
 # ---------------------------------------------------------------------------
 # Huygens distance
 # ---------------------------------------------------------------------------
 
 
-def huygens_distance(U: Region, V: Region) -> float:
+def huygens_distance(U: Disc, V: Disc) -> float:
     """Largest rho such that every disc D(z, rho) with z in U stays inside V.
 
-    Disc-in-disc pairs use the exact closed form.  Other shape pairs sample
-    the boundary of U densely (the infimum of the distance-to-complement of
-    V over U is attained on the boundary of U for the supported shapes) and
-    double the density, from ``_HUYGENS_SAMPLES`` points for at most
-    ``_HUYGENS_TRIES`` tries, until two successive answers agree to
-    ``_HUYGENS_AGREE``.
-
-    Raises NotContained if any sample of U lies outside V.
+    That is V.radius - |U.center - V.center| - U.radius; raises NotContained
+    if U leaves V.
     """
-    if isinstance(U, Disc) and isinstance(V, Disc):
-        delta = V.radius - abs(U.center - V.center) - U.radius
-        if delta < 0:
-            raise NotContained(U.center + U.radius, "inner disc leaves outer disc")
-        return delta
-
-    previous = None
-    m = _HUYGENS_SAMPLES
-    for _ in range(_HUYGENS_TRIES):
-        pts = U.boundary_points(m)
-        dists = np.asarray(V.distance_to_complement(pts), dtype=float)
-        worst = int(np.argmin(dists))
-        if dists[worst] < 0:
-            raise NotContained(complex(pts[worst]))
-        current = float(dists[worst])
-        if previous is not None and abs(current - previous) < _HUYGENS_AGREE:
-            return current
-        previous = current
-        m *= 2
-    return previous
+    delta = V.radius - abs(U.center - V.center) - U.radius
+    if delta < 0:
+        raise NotContained(U.center + U.radius, "inner disc leaves outer disc")
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +586,7 @@ class ShrinkReport:
         return self.clearance - self.required
 
 
-def shrink_check(perf: Perforation, U: Region, V: Region, sheet: int) -> ShrinkReport:
+def shrink_check(perf: Perforation, U: Disc, V: Disc, sheet: int) -> ShrinkReport:
     """Verify the shrinking estimate on one sheet.
 
     With r the sheet radius, lambda the margin and eps = lambda - 1, the
@@ -708,7 +620,7 @@ def shrink_check(perf: Perforation, U: Region, V: Region, sheet: int) -> ShrinkR
         pts = [outer[d_outer >= lam * r_n - 1e-12]]
         ring = np.exp(1j * math.tau * np.arange(_SHRINK_SAMPLES) / _SHRINK_SAMPLES)
         circles = (poles[:, None] + lam * r_n * ring[None, :]).ravel()
-        inside = np.asarray(U.distance_to_complement(circles), dtype=float) >= 0.0
+        inside = U.distance_to_complement(circles) >= 0.0
         if inside.any():
             pts.append(circles[inside])
         boundary = np.concatenate(pts)
@@ -717,7 +629,7 @@ def shrink_check(perf: Perforation, U: Region, V: Region, sheet: int) -> ShrinkR
         boundary = outer
         dist_to_poles = np.full(len(boundary), np.inf)
 
-    clear_V = np.asarray(V.distance_to_complement(boundary), dtype=float)
+    clear_V = V.distance_to_complement(boundary)
     clearance = np.minimum(clear_V, dist_to_poles - r_n)
     worst = int(np.argmin(clearance))
     required = eps * r_n
@@ -1173,24 +1085,36 @@ def perforation_from_config(config: dict) -> Perforation:
 
 
 def _build_perforation(config: dict) -> Perforation:
-    """Build a Perforation from a configuration that PERFORATION_SCHEMA accepts."""
-    lam = float(config["lambda"])
-    poles_cfg = config["poles"]
-    if poles_cfg == "roots_of_unity":
-        family: PoleFamily = RootsOfUnity()
-    elif poles_cfg == "meander":
-        family = MeanderPoles()
-    else:
-        table: dict[int, list[complex]] = {}
-        for n, re, im in poles_cfg["explicit"]:
-            table.setdefault(int(n), []).append(complex(re, im))
-        family = ExplicitPoles(table)
+    """Build a Perforation from a configuration that PERFORATION_SCHEMA accepts.
 
-    radius_cfg = config["radius"]
-    if "table" in radius_cfg:
-        radius: RadiusFunction = TableRadius(
-            {int(k): float(v) for k, v in radius_cfg["table"].items()}, lam=lam
-        )
-    else:
-        radius = DiophantineRadius(float(radius_cfg["c"]), float(radius_cfg["alpha"]), lam=lam)
+    A value the schema admits but a family or radius refuses (a negative,
+    repeated or non-integral sheet, a radius above 1, a sheet 0 under a
+    Diophantine radius) raises ConfigError.
+    """
+    try:
+        lam = float(config["lambda"])
+        poles_cfg = config["poles"]
+        if poles_cfg == "roots_of_unity":
+            family: PoleFamily = RootsOfUnity()
+        elif poles_cfg == "meander":
+            family = MeanderPoles()
+        else:
+            table: dict[int, list[complex]] = {}
+            for n, re, im in poles_cfg["explicit"]:
+                if not float(n).is_integer():
+                    raise ValueError(f"sheet index {n} is not an integer")
+                table.setdefault(int(n), []).append(complex(re, im))
+            family = ExplicitPoles(table)
+
+        radius_cfg = config["radius"]
+        if "table" in radius_cfg:
+            radius: RadiusFunction = TableRadius(
+                {int(k): float(v) for k, v in radius_cfg["table"].items()}, lam=lam
+            )
+        else:
+            radius = DiophantineRadius(float(radius_cfg["c"]), float(radius_cfg["alpha"]), lam=lam)
+            if family.n_min < 1:
+                raise ValueError(f"Diophantine radii start on sheet 1, and the poles on sheet {family.n_min}")
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid perforation config: {exc}") from exc
     return Perforation(poles=family, radius=radius)

@@ -32,7 +32,6 @@ from .geometry import (
     MeanderPoles,
     Perforation,
     ReciprocalPoles,
-    Region,
     RootsOfUnity,
     TableRadius,
 )
@@ -69,8 +68,8 @@ def _decay_cert(ax: float, c: float, alpha: float) -> DecayCert:
     it dominates the bound evaluated in floats as well.  ax is raised by
     twice ``_UNDERFLOW`` first.  That changes only an ax below about 1e-307,
     whose peak is at sheet 1, where ``_norm_bound`` adds ``_UNDERFLOW``; on
-    later sheets ax**n is 0 or far below the certificate.  A power
-    n**(alpha-1) past the float range raises OutOfRegime.
+    later sheets ax**n is 0 or far below the certificate.  A peak sheet or
+    a power n**(alpha-1) past the float range raises OutOfRegime.
     """
     rho = (1.0 + ax) / 2.0
     if not (ax < rho < 1.0):  # rho rounds to 1 at ax = 1 - 2**-53
@@ -79,10 +78,10 @@ def _decay_cert(ax: float, c: float, alpha: float) -> DecayCert:
         return DecayCert(1e-300, rho)
     tau = (ax + 2.0 * _UNDERFLOW) / rho
     candidates = {1}
-    if alpha > 1.0:
-        n_star = (alpha - 1.0) / math.log(1.0 / tau)
-        candidates.update({max(1, math.floor(n_star)), math.ceil(n_star)})
     try:
+        if alpha > 1.0:
+            n_star = (alpha - 1.0) / math.log(1.0 / tau)
+            candidates.update({max(1, math.floor(n_star)), math.ceil(n_star)})
         peak = max(n ** (alpha - 1.0) * tau**n for n in candidates)
     except OverflowError:
         raise OutOfRegime(
@@ -113,7 +112,7 @@ class MeanderModel(TermSequence):
         c: float = 0.05,
         alpha: float = 2.0,
         lam: float = 1.5,
-        region: Region | None = None,
+        region: Disc | None = None,
     ):
         x = complex(x)
         if abs(x) >= 1.0:
@@ -185,7 +184,7 @@ class QLogModel(TermSequence):
         c: float = 0.05,
         alpha: float = 2.0,
         lam: float = 1.5,
-        region: Region | None = None,
+        region: Disc | None = None,
     ):
         x = complex(x)
         if abs(x) >= 1.0:
@@ -313,7 +312,7 @@ class ZeroSumPiK(TermSequence):
         c: float = 0.05,
         alpha: float = 2.0,
         lam: float = 1.5,
-        region: Region | None = None,
+        region: Disc | None = None,
     ):
         self.n_min = 0
         self.perforation = Perforation(
@@ -385,7 +384,8 @@ def zero_sum_coefficients(c, poles: Sequence, n: int) -> list:
 
     a_0 = -c kills the constant; each a_{k+1} is minus the order-(k+1) jet
     coefficient of the running partial sum.  Exact when the inputs are
-    Fractions (the term k contributes e_k**(j-k) at order j >= k).
+    Fractions (the term k contributes e_k**(j-k) at order j >= k).  A float
+    coefficient past the float range raises OutOfRegime.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -395,9 +395,12 @@ def zero_sum_coefficients(c, poles: Sequence, n: int) -> list:
         if e == 0:
             raise ZeroPole("every pole must be nonzero")
     a = [-c]
-    for k in range(n):
-        b_next = sum(a[j] * poles[j] ** -(k + 1 - j) for j in range(k + 1))
-        a.append(-b_next)
+    try:
+        for k in range(n):
+            b_next = sum(a[j] * poles[j] ** -(k + 1 - j) for j in range(k + 1))
+            a.append(-b_next)
+    except (OverflowError, ZeroDivisionError):
+        raise OutOfRegime(f"the coefficient a_{len(a)} overflows a float: a pole is too small") from None
     return a
 
 
@@ -408,7 +411,7 @@ class ZeroSumGeneral(TermSequence):
     sheet n has a vanishing jet through order n at the origin.
     """
 
-    def __init__(self, c, poles: Sequence, lam: float = 1.5, region: Region | None = None):
+    def __init__(self, c, poles: Sequence, lam: float = 1.5, region: Disc | None = None):
         self.constant = complex(c)
         self.pole_list = [complex(e) for e in poles]
         # Exact when c and the poles are ints or Fractions, float otherwise.

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DiophantineRequired, NonConvergent, PoleProximity
+from .errors import DiophantineRequired, NonConvergent, OutOfRegime, PoleProximity
 from .geometry import DiophantineRadius
 from .series import SumResult, TermSequence
 from .tails import power_geometric_tail
@@ -120,16 +120,6 @@ def s_lambda(lam: float) -> float:
             raise NonConvergent("s(lam) summation failed to settle")
 
 
-def _eval_on(f: Callable, zs: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(zs), dtype=complex)
-        if vals.shape != zs.shape:
-            raise TypeError
-        return vals
-    except (TypeError, ValueError):
-        return np.array([f(complex(z)) for z in zs], dtype=complex)
-
-
 @dataclass(frozen=True)
 class LaurentExpansion:
     center: complex
@@ -144,16 +134,9 @@ class LaurentExpansion:
             raise IndexError(f"k = {k} outside stored window")
         return complex(self.coefficients[k - self.k_min])
 
-    def evaluate(self, z: complex, which: str = "all") -> complex:
+    def evaluate(self, z: complex) -> complex:
         ks = np.arange(self.k_min, self.k_max + 1)
-        if which == "polar":
-            mask = ks < 0
-        elif which == "regular":
-            mask = ks >= 0
-        else:
-            mask = np.ones_like(ks, dtype=bool)
-        w = z - self.center
-        return complex(np.sum(self.coefficients[mask] * w ** ks[mask].astype(float)))
+        return complex(np.sum(self.coefficients * (z - self.center) ** ks.astype(float)))
 
 
 def _settled_bins(
@@ -169,7 +152,7 @@ def _settled_bins(
     diff = math.inf
     for _ in range(_LAURENT_DOUBLINGS + 1):
         zs = center + R * np.exp(1j * math.tau * np.arange(m) / m)
-        vals = _eval_on(f, zs)
+        vals = np.asarray(f(zs), dtype=complex)
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         bins = np.fft.fft(vals)[ks % m] / m
         if previous is not None:
@@ -222,7 +205,9 @@ def laurent_coefficients(
     min(R, r*lam**(1/4)), or between max(R, r*lam**(3/4)) and lam*r, is
     missed.  Either failure raises NonConvergent with its witness: the
     radius, node count and last scaled change for doubling, or the two radii
-    and the worst per-k mismatch over its allowance for the comparison.
+    and the worst per-k mismatch over its allowance for the comparison.  A
+    rescaled coefficient past the float range (a tiny radius) raises
+    OutOfRegime with the radius and the first such k.
     """
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
@@ -249,7 +234,14 @@ def laurent_coefficients(
                 k=int(ks[worst]),
                 excess=float(excess[worst]),
             )
-    coeffs = bins * R ** (-ks.astype(float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = bins * R ** (-ks.astype(float))
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        k = int(ks[np.argmin(finite)])
+        raise OutOfRegime(
+            f"the Laurent coefficient c_{k} on the radius {R:.6g} is past the float range", radius=R, k=k
+        )
     return LaurentExpansion(ann.center, k_min, k_max, coeffs, nodes, scale)
 
 
@@ -266,9 +258,7 @@ def annulus_inner_product(f: Callable, g: Callable, ann: AnnulusSpec) -> complex
     ws = 0.5 * (ann.outer - ann.r) * weights
     theta = math.tau * np.arange(n_theta) / n_theta
     zs = ann.center + s[:, None] * np.exp(1j * theta[None, :])
-    fv = _eval_on(f, zs.ravel()).reshape(zs.shape)
-    gv = _eval_on(g, zs.ravel()).reshape(zs.shape)
-    radial = (fv * np.conj(gv)).sum(axis=1) * (math.tau / n_theta)
+    radial = (f(zs) * np.conj(g(zs))).sum(axis=1) * (math.tau / n_theta)
     return complex(np.sum(radial * ws * s) / math.pi)
 
 
@@ -330,7 +320,7 @@ def annulus_sup(f: Callable, ann: AnnulusSpec) -> float:
     zs = np.concatenate(
         [ann.center + ann.r * theta, ann.center + ann.outer * theta]
     )
-    return float(np.max(np.abs(_eval_on(f, zs))))
+    return float(np.max(np.abs(f(zs))))
 
 
 def extension_bound(ann: AnnulusSpec, annulus_sup_value: float) -> float:
@@ -369,21 +359,16 @@ def fiber_polar_sum(
 
     s_val = s_lambda(radius.lam)
     acc = 0j
-    last = n0
     for n in fiber:
         pole, _ = perf.nearest_pole(n, omega_proj)
         acc += seq.residue(n, pole) / (z - pole)
-        last = n
         tail = (
             s_val * cert.A * radius.c * power_geometric_tail(-radius.alpha, cert.rho, n)
         )
         if tail <= tol:
-            return SumResult(acc, last, tail)
+            return SumResult(acc, n, tail)
     if perf.poles.finite_fibers:
-        return SumResult(acc, last, 0.0)  # the fiber is exhausted: no tail at all
-    tail = s_val * cert.A * radius.c * power_geometric_tail(-radius.alpha, cert.rho, last)
-    if tail <= tol:
-        return SumResult(acc, last, tail)
+        return SumResult(acc, n, 0.0)  # the fiber is exhausted: no tail at all
     raise NonConvergent(
-        f"fiber tail bound {tail:.3g} still above tol after sheet {last}"
+        f"fiber tail bound {tail:.3g} still above tol after sheet {n}"
     )

@@ -92,7 +92,7 @@ from .errors import (
     PoleProximity,
     TolUnreachable,
 )
-from .geometry import _GROUP_VALUES, DiophantineRadius, Perforation, Region, doubling_blocks
+from .geometry import _GROUP_VALUES, DiophantineRadius, Disc, Perforation, doubling_blocks
 from .tails import _CertifiedTails, power_geometric_tail
 
 _STABLE_WINDOW = 8
@@ -155,7 +155,7 @@ class TermSequence(abc.ABC):
     #: Last sheet carrying a term, or None for an infinite family.
     n_max: int | None = None
     perforation: Perforation
-    region: Region
+    region: Disc
     #: True when norm_bound dominates the term on the whole perforated plane,
     #: not merely inside ``region``.
     bounds_global: bool = False
@@ -180,15 +180,15 @@ class TermSequence(abc.ABC):
         """Derivatives of orders 0..m on the sheets ns: row k holds the k-th.
 
         Default: the scalar ``derivative`` on every sheet and order.  An
-        OverflowError there becomes an infinite entry, which the engine
-        reports as OutOfRegime if the term is needed.
+        OverflowError or ZeroDivisionError there becomes an infinite entry,
+        which the engine reports as OutOfRegime if the term is needed.
         """
         out = np.empty((m + 1, len(ns)), dtype=complex)
         for j, n in enumerate(ns.tolist()):
             for k in range(m + 1):
                 try:
                     out[k, j] = self.derivative(n, k, z)
-                except OverflowError:
+                except (OverflowError, ZeroDivisionError):
                     out[k, j] = math.inf
         return out
 
@@ -253,7 +253,7 @@ def sampled_norm_bound(seq: TermSequence, n: int, inflate: float = 1.01) -> floa
         samples.append(outer[dist >= r_n * (1.0 - 1e-12)])
         ring = np.exp(1j * 2.0 * np.pi * np.arange(_NORM_SAMPLES) / _NORM_SAMPLES)
         circles = (poles[:, None] + r_n * ring[None, :]).ravel()
-        keep = np.asarray(region.distance_to_complement(circles), dtype=float) >= 0.0
+        keep = region.distance_to_complement(circles) >= 0.0
         if keep.any():
             samples.append(circles[keep])
     else:
@@ -841,54 +841,3 @@ def remainder_bound(jet: TaylorJet, z: complex) -> float:
     if jet.c_m is None or jet.epsilon is None:
         raise DiophantineRequired("jet carries no remainder constants")
     return jet.c_m / jet.epsilon**jet.order * abs(z - jet.center) ** jet.order
-
-
-class SequenceSum(TermSequence):
-    """Pointwise sum of two sequences over the same perforation."""
-
-    def __init__(self, f: TermSequence, g: TermSequence):
-        if f.perforation != g.perforation:
-            raise ValueError("sequences must share one perforation")
-        self._f = f
-        self._g = g
-        self.perforation = f.perforation
-        self.region = f.region
-        self.n_min = min(f.n_min, g.n_min)
-        self.n_max = None if f.n_max is None or g.n_max is None else max(f.n_max, g.n_max)
-        self.bounds_global = f.bounds_global and g.bounds_global
-
-    def _parts(self, n: int) -> list[TermSequence]:
-        return [s for s in (self._f, self._g) if s.n_min <= n and (s.n_max is None or n <= s.n_max)]
-
-    def term(self, n: int, z: complex) -> complex:
-        return sum((s.term(n, z) for s in self._parts(n)), 0j)
-
-    def derivative(self, n: int, k: int, z: complex) -> complex:
-        return sum((s.derivative(n, k, z) for s in self._parts(n)), 0j)
-
-    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
-        out = np.zeros((m + 1, len(ns)), dtype=complex)
-        for s in (self._f, self._g):
-            mine = ns >= s.n_min
-            if s.n_max is not None:
-                mine &= ns <= s.n_max
-            if mine.any():
-                out[:, mine] += s.derivatives(ns[mine], m, z)
-        return out
-
-    def norm_bound(self, n: int) -> float:
-        return sum(s.norm_bound(n) for s in self._parts(n))
-
-    def residue(self, n: int, pole: complex) -> complex:
-        total = 0j
-        for s in self._parts(n):
-            if np.any(np.abs(s.poles(n) - pole) < 1e-12):
-                total += s.residue(n, pole)
-        return total
-
-    @property
-    def decay_cert(self) -> DecayCert | None:
-        cf, cg = self._f.decay_cert, self._g.decay_cert
-        if cf is None or cg is None:
-            return None
-        return DecayCert(cf.A + cg.A, max(cf.rho, cg.rho))

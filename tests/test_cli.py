@@ -178,9 +178,18 @@ def test_jet_rows(runner, tmp_path):
         ("polar", {"model": MEANDER, "polar": {"mode": "laurent", "sheet": 2, "center": 0, "r": 0.49}},
          "the annulus 0.49 < |z - 0j| < 0.735 holds the pole (-0.5+0j) of sheet 2, "
          "so no Laurent expansion exists there"),
+        # numpy refuses a ray this long before it allocates anything.
+        ("eval", {"model": MEANDER, "eval": {"ray": {"t_step": 1e-300}}},
+         "invalid eval ray: Maximum allowed size exceeded"),
+        ("residual", {"perforation": ROOTS, "residual": {"grid": dict(GRID, re_start=-1e308, re_stop=1e308,
+                                                                       re_count=2)}},
+         "the residual grid's real part from -1e+308 to 1e+308 leaves the float range"),
+        ("curve", {"curve": {"n": 3, "x_start": -1e308, "x_stop": 1e308, "x_count": 3}},
+         "the curve x grid from -1e+308 to 1e+308 leaves the float range"),
     ],
     ids=["curve-degree", "laurent-window", "laurent-sheet-past-the-last", "laurent-sheet-before-the-first",
-         "fiber-omega", "covering-radius", "covering-exponent", "laurent-annulus-holds-a-pole"],
+         "fiber-omega", "covering-radius", "covering-exponent", "laurent-annulus-holds-a-pole",
+         "eval-ray-too-long", "residual-grid-past-the-float-range", "curve-grid-past-the-float-range"],
 )
 def test_inputs_a_command_refuses_are_config_errors(runner, tmp_path, command, payload, message):
     cfg = _write_config(tmp_path, payload)
@@ -188,6 +197,79 @@ def test_inputs_a_command_refuses_are_config_errors(runner, tmp_path, command, p
     assert result.exit_code == 2
     assert result.stderr == f"error (config): {message}\n"
     assert "Traceback" not in result.stderr
+
+
+_DIOPHANTINE = {"c": 0.1, "alpha": 2}
+
+
+@pytest.mark.parametrize(
+    "poles, radius, message",
+    [
+        ({"explicit": [[-1, 0.5, 0]]}, _DIOPHANTINE, "sheet indices must be non-negative"),
+        ({"explicit": [[1, 0.5, 0], [1, 0.5, 0]]}, _DIOPHANTINE, "poles on sheet 1 must be distinct"),
+        ("meander", {"table": {"x": 0.1}}, "invalid literal for int() with base 10: 'x'"),
+        ("meander", {"table": {"1": 5}}, "radius on sheet 1 must lie in (0, 1]"),
+        ("meander", {"c": 5, "alpha": 2}, "need 0 < c <= 1 so that every sheet radius is <= 1"),
+        ({"explicit": [[1e300, 0.5, 0]]}, _DIOPHANTINE, "too large"),
+        ({"explicit": [[0, 0.5, 0]]}, _DIOPHANTINE, "Diophantine radii start on sheet 1, and the poles on sheet 0"),
+        ({"explicit": [[1.5, 0.5, 0]]}, _DIOPHANTINE, "sheet index 1.5 is not an integer"),
+    ],
+    ids=["negative-sheet", "repeated-pole", "table-key", "table-radius", "diophantine-c", "huge-sheet",
+         "sheet-0-diophantine", "non-integral-sheet"],
+)
+def test_a_perforation_its_family_refuses_is_a_config_error(runner, tmp_path, poles, radius, message):
+    perforation = {"poles": poles, "radius": radius, "lambda": 1.5}
+    with pytest.raises(ConfigError) as err:
+        perforation_from_config(perforation)
+    assert str(err.value).startswith("invalid perforation config: ") and message in str(err.value)
+    cfg = _write_config(tmp_path, {"perforation": perforation, "residual": {"grid": GRID}})
+    result = runner.invoke(main, ["residual", "--config", cfg])
+    assert result.exit_code == 2
+    assert result.stderr == f"error (config): {err.value}\n"
+
+
+@pytest.mark.parametrize(
+    "command, payload, detail",
+    [
+        # The peak sheet of the decay certificate is past the float range.
+        ("eval", {"model": dict(MEANDER, alpha=1e308), "eval": {"points": [0.1]}},
+         "OutOfRegime: the decay certificate overflows a float (alpha = 1e+308)"),
+        ("eval", {"model": {"name": "zero_sum_general", "poles": [1e-320, 0.5]}, "eval": {"points": [0.1]}},
+         "OutOfRegime: the coefficient a_1 overflows a float: a pole is too small"),
+        ("eval", {"model": {"name": "zero_sum_general", "poles": [1e-200, 1e-200, 0.5]}, "eval": {"points": [0.1]}},
+         "OutOfRegime: the coefficient a_2 overflows a float: a pole is too small"),
+        # The scalar term divides by zero at z0; the removed disc about 1 holds z0.
+        ("jet", {"model": {"name": "zero_sum_general", "poles": [1.0], "region_radius": 1e300},
+                 "jet": {"z0": [1, 1e-320], "order": 2}},
+         "PoleProximity: point inside removed disc around (1+0j) on sheet 0"),
+    ],
+    ids=["meander-alpha", "zero-sum-overflow", "zero-sum-zero-division", "zero-sum-jet-at-a-pole"],
+)
+def test_model_arithmetic_past_the_float_range_is_a_typed_error(runner, tmp_path, command, payload, detail):
+    cfg = _write_config(tmp_path, payload)
+    result = runner.invoke(main, [command, "--config", cfg])
+    assert result.exit_code == 1
+    kind, message = detail.split(": ", 1)
+    assert result.stderr == f"error ({kind}): {message}\n"
+
+
+def test_a_covering_modulus_past_the_float_range_violates_the_hypothesis(runner, tmp_path):
+    cfg = _write_config(tmp_path, {"covering": {"alphas": [2], "radii": [0.01], "moduli": [1e308], "angles": 8}})
+    result = runner.invoke(main, ["covering", "--config", cfg])
+    assert result.exit_code == 0
+    [row] = csv.DictReader(io.StringIO(result.stdout))
+    assert row["status"] == "hypothesis_violated:|omega| = 1e+308 > 1"
+
+
+@pytest.mark.parametrize("r, k", [(1e-320, 1), (1e-200, 2)])
+def test_a_laurent_coefficient_past_the_float_range_is_out_of_regime(runner, tmp_path, r, k):
+    # R**-k overflows on the quadrature circle of radius sqrt(1.5)*r.
+    cfg = _write_config(tmp_path, {"model": QLOG, "polar": {"mode": "laurent", "sheet": 3, "center": 2, "r": r}})
+    result = runner.invoke(main, ["polar", "--config", cfg])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error (OutOfRegime): the Laurent coefficient c_{k} on the radius ")
+    assert result.stderr.count("\n") == 1
 
 
 _EVERY_COMMAND = {"--config", "--out", "--format", "--json"}

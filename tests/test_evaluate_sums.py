@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from meandro import (
     MeanderModel,
     QLogModel,
-    SequenceSum,
     SumResult,
     ZeroSumGeneral,
     ZeroSumPiK,
@@ -82,7 +81,6 @@ FAMILIES = {
     "qlog": (QLogModel(0.4 + 0.3j), _qlog_points),
     "zero-sum": (ZeroSumGeneral(1, _ZERO_SUM_POLES), _zero_sum_points),
     "pullback": (pullback_model(MeanderModel(0.5, c=0.1), 2), _pullback_points),
-    "sequence-sum": (SequenceSum(MeanderModel(0.5), MeanderModel(-0.3 + 0.2j)), _meander_points),
     "zero-sum-pik": (ZeroSumPiK(), _pik_points),
 }
 
@@ -179,7 +177,7 @@ def test_ray_trace_rows_are_those_of_lone_calls():
 
 
 @pytest.mark.parametrize("sheets", [1, 2, 3, 64, 1000])
-@pytest.mark.parametrize("family", ["meander", "qlog", "pullback", "sequence-sum"])
+@pytest.mark.parametrize("family", ["meander", "qlog", "pullback"])
 def test_term_grid_rows_are_order_zero_derivatives_bit_for_bit(family, sheets):
     # A block of one sheet matters: numpy may round a product over a column
     # of points apart from the one-element product of a lone call.

@@ -17,7 +17,6 @@ from meandro import (
     NotContained,
     Perforation,
     ReciprocalPoles,
-    Rectangle,
     RootsOfUnity,
     StackPoint,
     TableRadius,
@@ -108,12 +107,6 @@ def test_huygens_concentric_discs():
 
 def test_huygens_offset_disc():
     assert huygens_distance(Disc(0.5 + 0j, 0.1), Disc(0j, 1.0)) == pytest.approx(0.4)
-
-
-def test_huygens_rectangle_in_disc():
-    # Worst point is a corner at distance sqrt(2)/2 from the origin.
-    got = huygens_distance(Rectangle(-0.5, 0.5, -0.5, 0.5), Disc(0j, 2.0))
-    assert got == pytest.approx(2.0 - math.sqrt(2.0) / 2.0, abs=1e-10)
 
 
 def test_huygens_not_contained():

@@ -15,7 +15,6 @@ from meandro import (
     OutOfRegime,
     PoleProximity,
     QLogModel,
-    SequenceSum,
     TolUnreachable,
     ZeroSumGeneral,
     ZeroSumPiK,
@@ -93,15 +92,6 @@ def test_tail_certificate_sound(meander_half):
     res = evaluate_sum(meander_half, 0.2 + 0.1j, tol=1e-6)
     finer = evaluate_sum(meander_half, 0.2 + 0.1j, tol=1e-14)
     assert abs(res.value - finer.value) <= res.tail_bound
-
-
-def test_linearity_within_tail_bounds():
-    f = MeanderModel(0.3, c=0.05, alpha=2.0, lam=1.5)
-    g = MeanderModel(0.4, c=0.05, alpha=2.0, lam=1.5)
-    both = SequenceSum(f, g)
-    z = 0.2 + 0.1j
-    rf, rg, rb = (evaluate_sum(s, z, tol=1e-12) for s in (f, g, both))
-    assert abs(rb.value - rf.value - rg.value) <= rb.tail_bound + rf.tail_bound + rg.tail_bound
 
 
 def test_summation_is_reproducible(meander_half):
@@ -220,14 +210,6 @@ def test_uncertified_jet_that_never_settles_needs_a_certificate():
         taylor_jet(Flat(0.5), 0.1, 3)
 
 
-def test_sum_of_finite_families_stops_at_the_last_sheet():
-    g = ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)])
-    direct = evaluate_sum(g, 0.05)
-    res = evaluate_sum(SequenceSum(g, g), 0.05)
-    assert res.tail_bound == 0.0 and res.terms_used == direct.terms_used == 9
-    assert res.value == pytest.approx(2 * direct.value, rel=1e-12)
-
-
 def test_norm_bound_certificate_holds(qlog_half, meander_half, meander_tight):
     # The meander fixtures peak at sheets 2 and 3, where an unrounded A ties
     # with the float norm bound.
@@ -309,11 +291,6 @@ def _block_families():
         "qlog": QLogModel(0.9),
         "pullback": pullback_model(MeanderModel(0.5, c=0.1), 2, 0.05),
         "pullback-qlog": pullback_model(QLogModel(0.5), 3),
-        "sum": SequenceSum(MeanderModel(0.3), MeanderModel(0.4)),
-        "finite-sum": SequenceSum(
-            ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)]),
-            ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)]),
-        ),
     }
 
 
@@ -329,7 +306,7 @@ def test_block_derivatives_match_scalar(family, z, count, m):
     seq = _block_families()[family]
     if family.startswith("pullback"):
         z *= 0.3  # keep the image of the covering inside the base region
-    last = seq.n_min + count - 1 if seq.n_max is None else seq.n_max
+    last = seq.n_min + count - 1
     ns = np.arange(seq.n_min, last + 1)
     poles = [seq.perforation.nearest_pole(int(n), z) for n in ns]
     assume(all(d > 1e-3 for _, d in poles))
@@ -374,15 +351,9 @@ def test_overflowing_jet_raises_out_of_regime():
         taylor_jet(MeanderModel(0.5, c=0.1), 0j, 171)
 
 
-def test_sequence_sum_needs_one_pole_family():
-    # Equal radius tables, different poles: the sum would clear only the
-    # first family's discs.
-    f = ZeroSumGeneral(1, [1, 2])
-    g = ZeroSumGeneral(1, [-1, -2])
+def test_zero_sum_general_point_in_a_removed_disc():
     with pytest.raises(PoleProximity):
-        evaluate_sum(g, -0.999)
-    with pytest.raises(ValueError):
-        SequenceSum(f, g)
+        evaluate_sum(ZeroSumGeneral(1, [-1, -2]), -0.999)
 
 
 def _sheet_by_sheet_certified_scan(self, group):
