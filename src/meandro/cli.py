@@ -44,6 +44,9 @@ from .covering import inclusion_check, induced_radii
 from .polar import AnnulusSpec, fiber_polar_sum, laurent_coefficients
 from .series import evaluate_sums, taylor_jet
 
+#: Most points of an ``eval`` ray: each point is a lane of the summation engine.
+_MAX_RAY_POINTS = 100_000
+
 _COMPLEX = {
     "oneOf": [
         {"type": "number"},
@@ -371,10 +374,13 @@ def cmd_eval(config, model, tol, cutoff):
         theta = ray.get("theta")
         if theta is None:
             theta = 2.0 * math.pi * ray.get("theta_turns", math.sqrt(2.0))
-        try:
-            ts = np.arange(ray.get("t_start", 0.0), ray.get("t_stop", 2.0), ray.get("t_step", 0.05))
-        except ValueError as exc:  # numpy refuses a ray of too many points
-            raise ConfigError(f"invalid eval ray: {exc}") from exc
+        t_start, t_stop, t_step = ray.get("t_start", 0.0), ray.get("t_stop", 2.0), ray.get("t_step", 0.05)
+        if not (t_stop - t_start) / t_step <= _MAX_RAY_POINTS:  # an inf span too
+            raise ConfigError(
+                f"the eval ray from {t_start:g} to {t_stop:g} in steps of {t_step:g} "
+                f"has more than {_MAX_RAY_POINTS} points"
+            )
+        ts = np.arange(t_start, t_stop, t_step)
         points = [t * cmath.exp(1j * theta) for t in ts]
     else:
         points = [_as_complex(p) for p in section.get("points", [])]

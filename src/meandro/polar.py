@@ -41,6 +41,9 @@ _S_LAMBDA_CUTOFF = 1e-16
 _LAURENT_TOL = 1e-12
 _LAURENT_START_NODES = 256
 _LAURENT_DOUBLINGS = 6
+#: Least inner radius, in ulps of |center|: below it the first nodes of the
+#: circle lie less than 2*pi*64/256 = 1.6 ulps apart, so rounding merges them.
+_LAURENT_MIN_ULPS = 64
 #: ``annulus_inner_product``: Gauss-Legendre nodes across the annulus and
 #: trapezoid nodes around it.
 _AREA_RADIAL_NODES = 64
@@ -207,7 +210,11 @@ def laurent_coefficients(
     radius, node count and last scaled change for doubling, or the two radii
     and the worst per-k mismatch over its allowance for the comparison.  A
     rescaled coefficient past the float range (a tiny radius) raises
-    OutOfRegime with the radius and the first such k.
+    OutOfRegime with the radius and the first such k.  So does, after it, an
+    inner radius below ``_LAURENT_MIN_ULPS`` ulps of |center|: the nodes
+    center + R*e^(i*theta) round onto too few points, and a settled window
+    there can be wrong (on a real center the nodes keep only their
+    imaginary parts, and c_1 comes out as half of f'(center)).
     """
     if k_min > k_max:
         raise ValueError("k_min must not exceed k_max")
@@ -241,6 +248,13 @@ def laurent_coefficients(
         k = int(ks[np.argmin(finite)])
         raise OutOfRegime(
             f"the Laurent coefficient c_{k} on the radius {R:.6g} is past the float range", radius=R, k=k
+        )
+    if ann.r < _LAURENT_MIN_ULPS * math.ulp(abs(ann.center)):
+        raise OutOfRegime(
+            f"the radius {ann.r:.6g} is below {_LAURENT_MIN_ULPS} ulps of |center| = {abs(ann.center):.6g}, "
+            "so the quadrature nodes round onto too few points",
+            radius=ann.r,
+            center=ann.center,
         )
     return LaurentExpansion(ann.center, k_min, k_max, coeffs, nodes, scale)
 

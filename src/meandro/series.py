@@ -31,12 +31,17 @@ For each lane the engine picks one of four stopping rules from its inputs:
 * a finite family is summed through its last sheet; its tail is exactly 0;
 * a decay certificate A*rho**n over a Diophantine radius gives a rigorous
   tail bound (``tails._CertifiedTails``), which does not increase with the
-  sheet.  So a lane whose tail at the block's last sheet is above every
-  limit of the block cannot stop in it.  Every limit is at most the
-  tolerance at |sum so far| + sum of |terms|, which is the tolerance itself
-  for a plain sum (no relative part), and such a block is passed over
-  without running sums.  In the other blocks the stopping sheet is found by
-  bisection, with a few scalar tails a lane;
+  sheet and does not depend on the terms.  A plain sum (no relative part,
+  as in ``evaluate_sums`` and ``derivative_sum``) has one limit, the
+  tolerance, so its stopping sheet is known before any term: a search on
+  the scalar tail finds it once per order and point (once in all for order
+  0, whose tail is the same at every point).  Each block then ends after
+  the furthest stop of its open lanes, so no term, finiteness or clearance
+  check is done past it.  A jet's limits grow with its running sums: a
+  lane whose tail at the block's last sheet is above every limit of the
+  block (the tolerance at |sum so far| + sum of |terms|) cannot stop in it,
+  and in the other blocks the stopping sheet is found by bisection, with a
+  few scalar tails a lane;
 * a jet without such a certificate stops once a window of consecutive terms
   is negligible (the stabilised rule); its tail is a heuristic estimate;
 * any other sum stops on the ratio test of the norm bounds; its tail is a
@@ -259,7 +264,10 @@ def sampled_norm_bound(seq: TermSequence, n: int, inflate: float = 1.01) -> floa
     else:
         samples.append(outer)
     pts = np.concatenate(samples)
-    vals = seq.term_array(n, pts)
+    try:
+        vals = seq.term_array(n, pts)
+    except (OverflowError, ZeroDivisionError) as exc:  # a scalar term at a sample that rounds onto a pole
+        raise OutOfRegime(f"the sheet-{n} term fails on a sample of its norm bound: {exc}", sheet=n) from None
     return inflate * float(np.max(np.abs(vals)))
 
 
@@ -351,15 +359,27 @@ class _CertifiedStop:
     """Stop at the first sheet whose certified tail is within the tolerance.
 
     Lane l sums at the point ``zs[l // width]``; its tails are those of
-    ``_CertifiedTails`` there.  The tail does not increase with the sheet,
-    so a block in which a lane can stop is searched by bisection: a few
-    scalar tails a lane, not one a sheet.
+    ``_CertifiedTails`` there, and they do not increase with the sheet.
+
+    A lane whose limit is abs_tol on every sheet (rel_tol = 0: ``eval``,
+    ``ray_trace``, the ``gevrey`` rows, ``derivative_sum``) has a stopping
+    sheet known before any term: the first n in [n_min, last] with tail <=
+    abs_tol.  ``stop`` finds it once per order and point by a galloping
+    search and a bisection on the scalar tail, so no tail is taken much past
+    it; the order-0 tail is the same at every point, so a whole evaluation
+    pays a few dozen tails once.  The engine ends its blocks after the
+    furthest stop of its open lanes, and ``scan`` reads the stop.
+
+    A jet's limits grow with its running sums (rel_tol > 0).  A block in
+    which such a lane can stop is searched by bisection: a few scalar tails
+    a lane, not one a sheet.
     """
 
-    def __init__(self, seq: TermSequence, zs: list, width: int):
-        self.seq, self.zs, self.width = seq, zs, width
+    def __init__(self, seq: TermSequence, zs: list, width: int, last: int):
+        self.seq, self.zs, self.width, self.last = seq, zs, width, last
         self._points: dict[int, _CertifiedTails] = {}
         self._tail_cache: dict[tuple[int, int, int], float] = {}
+        self._stops: dict[tuple[int, int], tuple[int, float] | None] = {}
 
     def _tail(self, lane: int, k: int, n: int) -> float:
         # The order-0 tail is the same at every point.
@@ -370,6 +390,27 @@ class _CertifiedStop:
                 self._points[p] = _CertifiedTails(self.seq, self.zs[p])
             self._tail_cache[key] = self._points[p].tail(k, n)
         return self._tail_cache[key]
+
+    def stop(self, lane: int, k: int, limit: float) -> tuple[int, float] | None:
+        """The first sheet n in [n_min, last] with tail(k, n) <= limit, with its tail, or None.
+
+        For a lane whose limit is the same on every sheet, and cached per
+        order and point: the limit of an order is the same in every lane.
+        Sheets n_min + 2**i - 2 are tried until one passes, and the span
+        since the last that failed is bisected.
+        """
+        key = (k, lane // self.width if k else 0)
+        if key not in self._stops:
+            passes = lambda n: self._tail(lane, k, n) <= limit
+            n_min = self.seq.n_min
+            lo = hi = n_min  # every sheet before lo fails
+            while not passes(hi) and hi < self.last:
+                lo, hi = hi + 1, min(2 * hi - n_min + 2, self.last)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if passes(mid) else (mid + 1, hi)
+            self._stops[key] = (lo, self._tail(lane, k, lo)) if passes(lo) else None
+        return self._stops[key]
 
     def _first_stop(self, lane: int, k: int, ns: list[int], limit: np.ndarray) -> _Stop:
         """The first j with tail(ns[j]) <= limit[j], with its tail, or None.
@@ -400,19 +441,21 @@ class _CertifiedStop:
         return None
 
     def scan(self, g: _Group) -> list[_Stop]:
-        ends: list[_Stop] = [None] * len(g.lanes)
+        lanes, ks, cleans = g.lanes.tolist(), g.k.tolist(), g.clean.tolist()
+        if g.rel_tol == 0.0:  # an open lane's stop is at or after the block's first sheet
+            lo, ends = int(g.ns[0]), []
+            for lane, k, clean, limit in zip(lanes, ks, cleans, g.abs_tol.tolist()):
+                stop = self.stop(lane, k, limit)
+                ends.append((stop[0] - lo, stop[1]) if stop is not None and stop[0] - lo < clean else None)
+            return ends
+        ns, ends = g.ns.tolist(), [None] * len(g.lanes)
         # The tail is non-increasing in n, so a lane whose tail at its last
         # clean sheet is above every limit of the block cannot stop in it.
-        # Every limit is at most the one at |acc| + sum |terms|; with
-        # rel_tol = 0 every limit is abs_tol.
-        if g.rel_tol == 0.0:
-            bound = g.abs_tol
-        else:
-            mags = np.abs(g.terms).sum(axis=1)
-            for r in np.flatnonzero(g.bad).tolist():
-                mags[r] = np.abs(g.terms[r, : g.clean[r]]).sum()
-            bound = g.tol(np.abs(g.acc) + mags)
-        lanes, ks, cleans, ns = g.lanes.tolist(), g.k.tolist(), g.clean.tolist(), g.ns.tolist()
+        # Every limit is at most the one at |acc| + sum |terms|.
+        mags = np.abs(g.terms).sum(axis=1)
+        for r in np.flatnonzero(g.bad).tolist():
+            mags[r] = np.abs(g.terms[r, : g.clean[r]]).sum()
+        bound = g.tol(np.abs(g.acc) + mags)
         rows = [
             r
             for r, (lane, k, clean, limit) in enumerate(zip(lanes, ks, cleans, bound.tolist()))
@@ -423,11 +466,7 @@ class _CertifiedStop:
         step = max(1, _GROUP_VALUES // len(ns))
         for start in range(0, len(rows), step):
             some = rows[start : start + step]
-            if g.rel_tol == 0.0:
-                limits = np.broadcast_to(g.abs_tol[some, None], (len(some), len(ns)))
-            else:
-                limits = g.tol(np.abs(g.sums(some)), some)
-            for r, limit in zip(some, limits):
+            for r, limit in zip(some, g.tol(np.abs(g.sums(some)), some)):
                 ends[r] = self._first_stop(lanes[r], ks[r], ns[: cleans[r]], limit)
         return ends
 
@@ -474,7 +513,8 @@ class _RatioStop:
     It never stops at a zero norm bound, since a vanishing term says nothing
     about the rest, and it gives up after 16 sheets of growing bounds.  The
     norm bounds do not depend on the point, so the test runs once per sheet
-    for all lanes; only the tolerance is per lane.
+    for all lanes; only the tolerance is per lane.  A norm bound that cannot
+    be computed ends every lane still open at its sheet with that error.
     """
 
     _GIVE_UP = "norm bounds do not summably decay and no decay certificate is present"
@@ -485,15 +525,19 @@ class _RatioStop:
         self.streak = 0
         self.recent: list[float] = []
         self._block = None
-        self._sheets: list[float | None | bool] = []
+        self._sheets: list[float | None | MeandroError] = []
 
-    def _sheet(self, ns: np.ndarray, j: int) -> float | None | bool:
-        """Sheet j's ratio tail (None if it has none), or False where the test gives up."""
+    def _sheet(self, ns: np.ndarray, j: int) -> float | None | MeandroError:
+        """Sheet j's ratio tail (None if it has none), or the error that ends the test there."""
         if self._block != int(ns[0]):
             self._block, self._sheets = int(ns[0]), []
         while len(self._sheets) <= j:
             n = int(ns[len(self._sheets)])
-            nb = self.seq.norm_bound(n)
+            try:
+                nb = self.seq.norm_bound(n)
+            except MeandroError as exc:
+                self._sheets.append(exc)
+                break
             out = None
             if self.nb_prev is not None:
                 ratio = nb / self.nb_prev if self.nb_prev > 0 else math.inf
@@ -501,11 +545,11 @@ class _RatioStop:
                 self.streak = self.streak + 1 if ratio >= 1.0 else 0  # growing bounds
                 q = max(self.recent)
                 if self.streak >= 16:
-                    out = False
+                    out = TolUnreachable(self._GIVE_UP)
                 elif q < 1.0 and nb > 0.0:
                     out = nb * q / (1.0 - q)
             self._sheets.append(out)
-            if out is False:
+            if isinstance(out, MeandroError):
                 break
             self.nb_prev = nb
         return self._sheets[j]
@@ -519,9 +563,9 @@ class _RatioStop:
             if not open_.any():
                 break
             tail = self._sheet(g.ns, j)
-            if tail is False:
+            if isinstance(tail, MeandroError):
                 for r in np.flatnonzero(open_).tolist():
-                    ends[r] = j, TolUnreachable(self._GIVE_UP)
+                    ends[r] = j, tail
                 break
             if tail is not None:
                 hit = open_ & (tail <= limits[:, j])
@@ -595,10 +639,12 @@ def _sum_derivative_series(
     lane_floor = np.tile(np.broadcast_to(np.asarray(floor, dtype=float), (width,)), len(zs))
     accs = [CompensatedSum() for _ in range(lanes)]
     results: list[SumResult | None] = [None] * lanes
+    last = seq.n_min + max_terms - 1
     if finite:
+        last = min(last, seq.n_max)
         rule = _FiniteStop(seq.n_max)
     elif certified:
-        rule = _CertifiedStop(seq, zs, width)
+        rule = _CertifiedStop(seq, zs, width, last)
     else:
         rule = _StabilisedStop(lanes) if stabilise else _RatioStop(seq)
 
@@ -661,9 +707,7 @@ def _sum_derivative_series(
             if outcomes[p] is None and all(results[l] is not None for l in range(p * width, (p + 1) * width)):
                 outcomes[p] = results[p * width : (p + 1) * width]
 
-    last = seq.n_min + max_terms - 1
-    if finite:
-        last = min(last, seq.n_max)
+    known_stops = isinstance(rule, _CertifiedStop) and rel_tol == 0.0
     first = None
     if not finite and type(seq).derivatives is TermSequence.derivatives:
         # One scalar call per sheet and order: start with the sheets that the
@@ -673,6 +717,15 @@ def _sum_derivative_series(
     for lo, hi in doubling_blocks(seq.n_min, last + 1, orders[-1] + 1, first):
         if not live:
             break
+        if known_stops:
+            stops = [
+                rule.stop(l, lane_order[l], float(lane_abs[l]))
+                for p in live
+                for l in range(p * width, (p + 1) * width)
+                if results[l] is None
+            ]
+            if None not in stops:  # no sheet past the furthest stop is summed
+                hi = min(hi, 1 + max(stop[0] for stop in stops))
         ns = np.arange(lo, hi)
         size = max(1, _GROUP_VALUES // (len(ns) * (orders[-1] + 1)))
         for start in range(0, len(live), size):
@@ -707,7 +760,10 @@ def evaluate_sums(
     max_terms)`` returns, bit for bit, or the MeandroError that it raises.
     Each point is one lane of the engine: the points share the engine's
     per-block work, and each keeps the blocks, the stopping sheet and the
-    sum of its lone call.
+    sum of its lone call.  Under a decay certificate over a Diophantine
+    radius the stopping sheet is the first n from n_min on with
+    ``decay_cert.tail(n) <= tol``, the same at every point; it is found
+    before any term is computed, and no sheet past it is summed or checked.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -178,9 +178,12 @@ def test_jet_rows(runner, tmp_path):
         ("polar", {"model": MEANDER, "polar": {"mode": "laurent", "sheet": 2, "center": 0, "r": 0.49}},
          "the annulus 0.49 < |z - 0j| < 0.735 holds the pole (-0.5+0j) of sheet 2, "
          "so no Laurent expansion exists there"),
-        # numpy refuses a ray this long before it allocates anything.
+        # Rays are refused on their point count, before numpy allocates
+        # anything: 2e17 points would take 1.39 EiB, 2e300 more than numpy allows.
         ("eval", {"model": MEANDER, "eval": {"ray": {"t_step": 1e-300}}},
-         "invalid eval ray: Maximum allowed size exceeded"),
+         "the eval ray from 0 to 2 in steps of 1e-300 has more than 100000 points"),
+        ("eval", {"model": MEANDER, "eval": {"ray": {"t_step": 1e-17}}},
+         "the eval ray from 0 to 2 in steps of 1e-17 has more than 100000 points"),
         ("residual", {"perforation": ROOTS, "residual": {"grid": dict(GRID, re_start=-1e308, re_stop=1e308,
                                                                        re_count=2)}},
          "the residual grid's real part from -1e+308 to 1e+308 leaves the float range"),
@@ -189,7 +192,7 @@ def test_jet_rows(runner, tmp_path):
     ],
     ids=["curve-degree", "laurent-window", "laurent-sheet-past-the-last", "laurent-sheet-before-the-first",
          "fiber-omega", "covering-radius", "covering-exponent", "laurent-annulus-holds-a-pole",
-         "eval-ray-too-long", "residual-grid-past-the-float-range", "curve-grid-past-the-float-range"],
+         "eval-ray-too-long", "eval-ray-past-memory", "residual-grid-past-the-float-range", "curve-grid-past-the-float-range"],
 )
 def test_inputs_a_command_refuses_are_config_errors(runner, tmp_path, command, payload, message):
     cfg = _write_config(tmp_path, payload)
@@ -259,6 +262,34 @@ def test_a_covering_modulus_past_the_float_range_violates_the_hypothesis(runner,
     assert result.exit_code == 0
     [row] = csv.DictReader(io.StringIO(result.stdout))
     assert row["status"] == "hypothesis_violated:|omega| = 1e+308 > 1"
+
+
+def test_a_norm_bound_sample_on_a_pole_is_out_of_regime(runner, tmp_path):
+    # The rim samples of sheet 1 lie 0.05/2**1000 from the poles 1 and 1/2
+    # and round onto them, where the scalar term divides by zero.
+    payload = {"model": {"name": "zero_sum_pik", "alpha": 1000}, "eval": {"points": [[0, 1e-200]]}}
+    result = runner.invoke(main, ["eval", "--config", _write_config(tmp_path, payload), "--json"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr) == {
+        "error": "OutOfRegime",
+        "detail": "the sheet-1 term fails on a sample of its norm bound: complex division by zero",
+    }
+    assert "Traceback" not in result.stderr
+
+
+def test_a_laurent_circle_that_rounds_onto_its_centre_is_out_of_regime(runner, tmp_path):
+    # 2 + R*cos(theta) rounds to 2 at R = sqrt(1.5)*1e-100; the window -2..3
+    # stays finite and settles, with c_1 half of f'(2).
+    cfg = _write_config(tmp_path, {"model": QLOG, "polar": {"mode": "laurent", "sheet": 3, "center": 2, "r": 1e-100,
+                                                           "k_min": -2, "k_max": 3}})
+    result = runner.invoke(main, ["polar", "--config", cfg])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error (OutOfRegime): the radius 1e-100 is below 64 ulps of |center| = 2, "
+        "so the quadrature nodes round onto too few points\n"
+    )
 
 
 @pytest.mark.parametrize("r, k", [(1e-320, 1), (1e-200, 2)])

@@ -19,7 +19,7 @@ from meandro import (
     pullback_model,
     ray_trace,
 )
-from meandro.errors import MeandroError, PoleProximity
+from meandro.errors import MeandroError, PoleProximity, TolUnreachable
 from meandro.geometry import _GROUP_VALUES
 
 _ZERO_SUM_POLES = [0.8 + 0.3j, -1.1 + 0.5j, 0.2 - 1.4j, 1.7 + 0j]
@@ -208,3 +208,90 @@ def test_a_missing_radius_is_the_error_of_each_point_that_reaches_it():
     assert [type(res).__name__ for res in batch] == ["PoleProximity", "ConfigError", "ConfigError"]
     for z, got in zip(zs, batch):
         assert _same(got, _lone(seq, z))
+
+
+# Certified plain sums stop at the first sheet n with decay_cert.tail(n) <= tol,
+# known before any term.  Order-0 blocks run 1-64, 65-192, 193-448, ...
+_BLOCK_EDGES = [64, 65, 192, 193]
+
+
+def _reference(seq, z, tol, max_terms):
+    """``evaluate_sum`` sheet by sheet: pole check, term and tail on each sheet in turn.
+
+    Returns (sheets, tail, terms) or the error type with its sheet.
+    """
+    cert, perf = seq.decay_cert, seq.perforation
+    terms = []
+    for n in range(seq.n_min, seq.n_min + max_terms):
+        pole, d = perf.nearest_pole(n, z)
+        if d < perf.radius_at(n):
+            return PoleProximity, n
+        terms.append(seq.term(n, z))
+        if cert.tail(n) <= tol:
+            return n, cert.tail(n), terms
+    return TolUnreachable, None
+
+
+def _spied(seq):
+    """seq with a term_grid that records every sheet it is asked for."""
+    asked = []
+    grid = seq.term_grid
+
+    def spy(ns, zs):
+        asked.extend(ns.tolist())
+        return grid(ns, zs)
+
+    seq.term_grid = spy
+    return seq, asked
+
+
+_CERTIFIED = {"meander": lambda: MeanderModel(0.45 - 0.2j, c=0.1), "qlog": lambda: QLogModel(0.4 + 0.3j)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_CERTIFIED)),
+    stop=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 400)),
+    short=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_sums_stop_where_a_sheet_by_sheet_sum_stops(family, stop, short, seed):
+    seq, asked = _spied(_CERTIFIED[family]())
+    tol = seq.decay_cert.tail(stop)  # tail(stop - 1) > tol: the stop is that sheet
+    max_terms = stop - 1 if short and stop > 1 else 5_000  # a stop past max_terms: TolUnreachable
+    rng = np.random.default_rng(seed)
+    zs = [0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, math.tau)) for _ in range(6)]
+    # Points in a removed disc of a sheet before the stop, on it and after it.
+    for n in {max(1, stop // 2), stop, stop + 1, 2 * stop + 5}:
+        pole = seq.poles(n)[int(rng.integers(len(seq.poles(n))))]
+        zs.append(_disc_point(rng, complex(pole), seq.perforation.radius_at(n)))
+    batch = evaluate_sums(seq, zs, tol=tol, max_terms=max_terms)
+    for z, got in zip(zs, batch):
+        want = _reference(seq, z, tol, max_terms)
+        if isinstance(want[0], type):
+            assert type(got) is want[0], (z, got)
+            if want[0] is PoleProximity:
+                assert got.sheet == want[1]
+            continue
+        sheets, tail, terms = want
+        assert isinstance(got, SumResult), (z, got)
+        assert (got.terms_used, got.tail_bound) == (sheets, tail)
+        scale = math.fsum(abs(t) for t in terms)
+        exact = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        assert abs(got.value - exact) <= 1e-14 * scale, z
+    if max_terms >= stop:
+        assert max(asked) == stop  # no sheet past the stop is ever computed
+    else:
+        assert max(asked) == max_terms
+
+
+def test_no_sheet_past_the_furthest_stop_is_requested():
+    # One block of 128 sheets (65-192) holds each of these stops; the block
+    # is cut after the stop, for every group of points.
+    for stop in (65, 100, 192):
+        seq, asked = _spied(QLogModel(0.4 + 0.3j))
+        zs = [complex(t, 0.1) for t in np.linspace(-0.8, 0.8, 3 * _FIRST_GROUP)]
+        batch = evaluate_sums(seq, zs, tol=seq.decay_cert.tail(stop))
+        assert {res.terms_used for res in batch} == {stop}
+        assert max(asked) == stop
+        assert sorted(set(asked)) == list(range(1, stop + 1))
