@@ -44,8 +44,9 @@ from .covering import inclusion_check, induced_radii
 from .polar import AnnulusSpec, fiber_polar_sum, laurent_coefficients
 from .series import evaluate_sums, taylor_jet
 
-#: Most points of an ``eval`` ray: each point is a lane of the summation engine.
-_MAX_RAY_POINTS = 100_000
+#: Most points of an ``eval`` ray, a ``residual`` grid or a ``curve`` x grid,
+#: checked before numpy allocates them.
+_MAX_POINTS = 100_000
 
 _COMPLEX = {
     "oneOf": [
@@ -267,7 +268,9 @@ def _build_model(config: dict, override: str | None):
 
 
 def _grid(start: float, stop: float, count: int, what: str) -> np.ndarray:
-    """np.linspace(start, stop, count), refused when stop - start leaves the float range."""
+    """np.linspace(start, stop, count), refused past _MAX_POINTS points or when stop - start leaves the float range."""
+    if count > _MAX_POINTS:
+        raise ConfigError(f"the {what} has {count} points, more than {_MAX_POINTS}")
     if not math.isfinite(stop - start):
         raise ConfigError(f"the {what} from {start:g} to {stop:g} leaves the float range")
     return np.linspace(start, stop, count)
@@ -375,10 +378,10 @@ def cmd_eval(config, model, tol, cutoff):
         if theta is None:
             theta = 2.0 * math.pi * ray.get("theta_turns", math.sqrt(2.0))
         t_start, t_stop, t_step = ray.get("t_start", 0.0), ray.get("t_stop", 2.0), ray.get("t_step", 0.05)
-        if not (t_stop - t_start) / t_step <= _MAX_RAY_POINTS:  # an inf span too
+        if not (t_stop - t_start) / t_step <= _MAX_POINTS:  # an inf span too
             raise ConfigError(
                 f"the eval ray from {t_start:g} to {t_stop:g} in steps of {t_step:g} "
-                f"has more than {_MAX_RAY_POINTS} points"
+                f"has more than {_MAX_POINTS} points"
             )
         ts = np.arange(t_start, t_stop, t_step)
         points = [t * cmath.exp(1j * theta) for t in ts]
@@ -497,6 +500,10 @@ def cmd_residual(config, cutoff):
     perf = _build_perforation(_section(config, "perforation"))  # _load_config validated it
     section = _section(config, "residual")
     g = section["grid"]
+    if g["re_count"] * g["im_count"] > _MAX_POINTS:
+        raise ConfigError(
+            f"the residual grid of {g['re_count']} by {g['im_count']} points has more than {_MAX_POINTS} points"
+        )
     res = _grid(g["re_start"], g["re_stop"], g["re_count"], "residual grid's real part")
     ims = _grid(g["im_start"], g["im_stop"], g["im_count"], "residual grid's imaginary part")
     points = [complex(a, b) for b in ims for a in res]

@@ -19,12 +19,19 @@ bit for bit.  A block's terms come, for a few points at a time, from
 ``TermSequence.derivatives`` (one row per order) as one numpy array.  The
 points come in groups of at most about 4 096 values (at least one point, so
 a jet's group is its block), and a group's bookkeeping is numpy:
-finiteness, running sums, tolerances and the pole-clearance shortlist of
+finiteness, running sums, tolerances, the pole-clearance shortlist of
 ``first_blocked_all`` (a numpy sweep of the family's ``poles_table`` where
-it has one).  What stays per lane is the exact addition of the terms a lane
-keeps from a block, with ``math.fsum`` (Shewchuk) on their real and
-imaginary parts, the compensated accumulation of the block sums, the scalar
-certified tails and the scalar confirmations of the shortlists.
+it has one), the exact sums of the terms each lane keeps and their
+compensated accumulation.  The exact sums are ``math.fsum``'s, bit for bit:
+``_exact_sums`` splits each row at a power of two (Rump, Ogita and Oishi's
+ExtractVector), adds the parts in numpy, and proves from an error bound
+that the result is correctly rounded; a row it cannot prove (a near-tie,
+heavy cancellation, overflow) and a group of fewer than ``_FSUM_BELOW``
+values go to fsum.  A point stops being checked for clearance once the tail
+bounds of its poles and radii clear it of every later disc, which at most
+points of an evaluation happens after the first block.  What stays per lane
+is the scalar certified tails and the scalar confirmations of the
+shortlists.
 
 For each lane the engine picks one of four stopping rules from its inputs:
 
@@ -97,7 +104,7 @@ from .errors import (
     PoleProximity,
     TolUnreachable,
 )
-from .geometry import _GROUP_VALUES, DiophantineRadius, Disc, Perforation, doubling_blocks
+from .geometry import _GROUP_VALUES, DiophantineRadius, Disc, Perforation, _tail_clears, doubling_blocks
 from .tails import _CertifiedTails, power_geometric_tail
 
 _STABLE_WINDOW = 8
@@ -110,8 +117,22 @@ _JET_ABS_TOL = 1e-300
 _NORM_SAMPLES = 1024
 
 
+#: Below this many values, ``_exact_sums`` adds each row with ``math.fsum``,
+#: which is the faster route there.
+_FSUM_BELOW = 2000
+#: Most floats in one column tile of ``_exact_sums``: temporaries much larger
+#: than this run several times slower per value.
+_TILE_VALUES = 16_384
+#: 4u, with u = 2**-53 the unit roundoff.
+_FOUR_U = 2.0**-51
+
+
 class CompensatedSum:
-    """Neumaier compensated accumulator for complex values."""
+    """Neumaier compensated accumulator for complex values.
+
+    The engine keeps its accumulators as arrays (``_neumaier_step``); this is
+    the scalar reference.
+    """
 
     __slots__ = ("_sr", "_si", "_cr", "_ci")
 
@@ -135,6 +156,103 @@ class CompensatedSum:
     @property
     def value(self) -> complex:
         return complex(self._sr + self._cr, self._si + self._ci)
+
+
+def _neumaier_step(s: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``CompensatedSum._step`` on arrays: the same IEEE operations, so the same bits."""
+    t = s + x
+    return t, c + np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
+
+
+def _fsum(row: np.ndarray) -> float:
+    """math.fsum of the row, or NaN where it overflows."""
+    try:
+        return math.fsum(row.tolist())
+    except OverflowError:
+        return math.nan
+
+
+def _exact_sums(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``math.fsum(x[i, :lens[i]])`` for every row i, bit for bit, with NaN where fsum overflows.
+
+    Each row's first lens[i] >= 1 values are finite; nothing past them is
+    read as a value.  Below ``_FSUM_BELOW`` values in all, every row goes
+    to fsum.  Otherwise a row of n values of largest magnitude m is summed in
+    numpy (Rump, Ogita and Oishi's ExtractVector, "Accurate floating-point
+    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008), in column tiles of
+    at most ``_TILE_VALUES`` floats.  With u = 2**-53, fl() round to nearest
+    and eta = 2**-1074 the least float:
+
+    * sigma = 2**M, taken from the exponent of fl(2*n*m), exceeds 2*n*m:
+      rounding cannot carry 2*n*m past the power of two above fl(2*n*m).
+    * |x| < sigma/2, so fl(sigma + x) lies in [sigma/2, 2*sigma] and
+      q = fl(sigma + x) - sigma is exact (Sterbenz): a multiple of the
+      spacing g >= u*sigma of the floats in [sigma/2, sigma].  r = x - q is
+      the rounding error of sigma + x, so it is a float and fl(x - q) = r
+      (Dekker), with |r| <= u*sigma.
+    * Every partial sum of the q has magnitude at most n*m + n*u*sigma <
+      sigma, and is a multiple of g: a float.  So p = sum q is exact in any
+      order, numpy's and the tiles' included.
+    * s = fl(sum r), in any order, is within gamma*sum|r| of sum r, with
+      gamma = (n-1)u/(1 - (n-1)u) (Higham, Accuracy and Stability of
+      Numerical Algorithms, ch. 4); an addition with a subnormal result is
+      exact, so underflow adds nothing.  S = fl(sum|r|) >= (1 - gamma)
+      sum|r|, so the error is at most 2nu*S, and B = fl(4nu*S) bounds it:
+      where the product is subnormal, either B >= 2nu*S still, or 2nu*S <
+      eta/2 and the error, a multiple of eta, is 0.
+    * t = fl(p + s) and its TwoSum residual delta give sum x = t + delta + e
+      with |e| <= B.  fsum returns sum x rounded to nearest (ties to even),
+      which is t when sum x lies strictly inside t's rounding interval, half
+      a gap each way to the neighbouring floats: fl(delta + B) < fl(up/2)
+      and fl(delta - B) > -fl(down/2), sound since rounding is monotone and
+      fl(gap/2) <= gap/2.  |t| < sigma <= 2**1023, so both neighbours are
+      finite.
+    * t = delta = B = 0 is an exact 0, and fsum gives +0.0 for it.
+
+    Every other row goes to fsum: near-ties, heavy cancellation, overflow
+    and a non-finite sigma.
+    """
+    counts = lens.tolist()
+    rows, cols = len(counts), max(counts)
+    if sum(counts) < _FSUM_BELOW:
+        return np.array([_fsum(row[:k]) for row, k in zip(x, counts)], dtype=float)
+    width = max(1, _TILE_VALUES // rows)
+    ragged = min(counts) < cols
+
+    def tile(c0: int) -> np.ndarray:
+        part = x[:, c0 : min(c0 + width, cols)]
+        if ragged:
+            part = np.where(np.arange(c0, c0 + part.shape[1]) < lens[:, None], part, 0.0)
+        return part
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.zeros(rows)
+        for c0 in range(0, cols, width):
+            m = np.maximum(m, np.abs(tile(c0)).max(axis=1))
+        big = 2.0 * lens * m
+        sigma = np.ldexp(1.0, np.frexp(big)[1])[:, None]
+        p = s = S = 0.0
+        for c0 in range(0, cols, width):
+            part = tile(c0)
+            q = (sigma + part) - sigma
+            r = part - q
+            p = p + q.sum(axis=1)
+            s = s + r.sum(axis=1)
+            S = S + np.abs(r).sum(axis=1)
+        t = p + s
+        bv = t - p
+        delta = (p - (t - bv)) + (s - bv)
+        bound = (_FOUR_U * lens) * S
+        up = (np.nextafter(t, math.inf) - t) / 2.0
+        down = (t - np.nextafter(t, -math.inf)) / 2.0
+        ok = (delta + bound < up) & (delta - bound > -down) & np.isfinite(big)
+        if ok.all():
+            return t
+        zero = (t == 0.0) & (delta == 0.0) & (bound == 0.0) & np.isfinite(big)
+    out = np.where(zero, 0.0, t)
+    for i in np.flatnonzero(~(ok | zero)).tolist():
+        out[i] = _fsum(x[i, : counts[i]])
+    return out
 
 
 @dataclass(frozen=True)
@@ -575,11 +693,44 @@ class _RatioStop:
         return ends
 
 
-def _take_rows(block: np.ndarray, rows: list[int]) -> np.ndarray:
-    """block[rows]: a view when the rows are consecutive, else a copy."""
+def _index(rows: list[int]) -> slice | list[int]:
+    """An index of these rows: a slice (so a view) when they are consecutive."""
     if rows == list(range(rows[0], rows[-1] + 1)):
-        return block[rows[0] : rows[-1] + 1]
-    return block[rows]
+        return slice(rows[0], rows[-1] + 1)
+    return rows
+
+
+def _block_sums(terms: np.ndarray, rows: list[int], lens: np.ndarray) -> np.ndarray:
+    """Exact sums of terms[rows[i], :lens[i]], one (real, imag) row each.
+
+    Both parts go to ``_exact_sums`` as the rows of one contiguous copy, the
+    summation axis last.  Where no term has an imaginary part the imaginary
+    sums are +0.0, which fsum gives for them as well.
+    """
+    kept = terms[_index(rows), : int(lens.max())]
+    if not kept.imag.any():
+        out = np.zeros((len(rows), 2))
+        out[:, 0] = _exact_sums(kept.real, lens)
+        return out
+    x = np.stack([kept.real, kept.imag], axis=1).reshape(2 * len(rows), -1)
+    return _exact_sums(x, np.repeat(lens, 2)).reshape(-1, 2)
+
+
+def _clears(perf: Perforation, z: complex, sheet: int) -> bool:
+    """``geometry._tail_clears`` at margin 0, False where the radius at the sheet is below the float range."""
+    try:
+        return _tail_clears(perf, z, sheet, 0.0)
+    except OutOfRegime:
+        return False
+
+
+def _radius_is_float(perf: Perforation, n: int) -> bool:
+    """Whether ``radius_at(n)`` is a float; first_blocked_all raises on sheets where it is not."""
+    try:
+        perf.radius_at(n)
+    except MeandroError:
+        return False
+    return True
 
 
 def _sum_derivative_series(
@@ -617,9 +768,21 @@ def _sum_derivative_series(
     test stops (heuristic).
 
     Pole clearance is checked once per sheet, on every sheet up to the
-    furthest one a point's orders need.  A point's error is the first in
-    sheet order: a removed disc holding it (PoleProximity), a term that is
-    not finite (OutOfRegime), growing norm bounds (TolUnreachable).
+    furthest one a point's orders need, until the point is cleared: after a
+    block whose last sheet is L, ``geometry._tail_clears`` at L (the
+    residual scan's discharge rule) proves that no disc of a sheet after L
+    holds the point, and first_blocked_all then passes it over.  It still
+    takes the point where the radius at the furthest sheet the point needs
+    is below the float range, so that its OutOfRegime is raised as before.
+    A point's error is the first in sheet order: a removed disc holding it
+    (PoleProximity), a term that is not finite (OutOfRegime), growing norm
+    bounds (TolUnreachable); a block sum past the float range (OutOfRegime)
+    ends it after the block.
+
+    Each lane's kept terms of a block are added exactly, as ``math.fsum``
+    would add them (``_exact_sums``), and the block sums are accumulated
+    with Neumaier's compensation, in two (lanes, 2) arrays that one
+    ``_neumaier_step`` updates a group at a time.
     """
     finite = seq.n_max is not None
     certified = _certifiable(seq)
@@ -637,7 +800,8 @@ def _sum_derivative_series(
     lane_k = np.array(lane_order, dtype=np.int64)
     lane_abs = np.tile(np.broadcast_to(np.asarray(abs_tol, dtype=float), (width,)), len(zs))
     lane_floor = np.tile(np.broadcast_to(np.asarray(floor, dtype=float), (width,)), len(zs))
-    accs = [CompensatedSum() for _ in range(lanes)]
+    # Neumaier running sums and compensations, (real, imag) a lane.
+    acc_s, acc_c = np.zeros((lanes, 2)), np.zeros((lanes, 2))
     results: list[SumResult | None] = [None] * lanes
     last = seq.n_min + max_terms - 1
     if finite:
@@ -647,6 +811,8 @@ def _sum_derivative_series(
         rule = _CertifiedStop(seq, zs, width, last)
     else:
         rule = _StabilisedStop(lanes) if stabilise else _RatioStop(seq)
+    # Points that no disc after the last block can hold (``_tail_clears``).
+    cleared: set[int] = set()
 
     def sum_block(ns: np.ndarray, points: list[int]) -> None:
         """Sum the block of sheets ns for these points, as one lane group."""
@@ -660,11 +826,12 @@ def _sum_derivative_series(
                 block = seq.derivatives(ns, m, zs[points[0]])
             else:
                 block = np.concatenate([seq.derivatives(ns, m, zs[p]) for p in points])
-            at = {p: i * (m + 1) for i, p in enumerate(points)}
-            rows = [at[p] + lane_order[l] for p, l in group]
+            first_row = {p: i * (m + 1) for i, p in enumerate(points)}
+            rows = [first_row[p] + lane_order[l] for p, l in group]
             lanes = np.array(ids, dtype=np.int64)
-            acc = np.array([accs[l].value for l in ids], dtype=complex)
-            g = _Group(ns, _take_rows(block, rows), lanes, lane_k[lanes], acc, lane_abs[lanes],
+            at = _index(ids)
+            acc = (acc_s[at] + acc_c[at]).view(complex)[:, 0]
+            g = _Group(ns, block[_index(rows)], lanes, lane_k[lanes], acc, lane_abs[lanes],
                        lane_floor[lanes], rel_tol)
             ends = rule.scan(g)
         lo, last_j = int(ns[0]), len(ns) - 1
@@ -678,32 +845,48 @@ def _sum_derivative_series(
             reach[p] = max(reach[p], last_j if end is None else end[0])
             if end is not None and isinstance(end[1], MeandroError):
                 errors.setdefault(p, []).append((end[0], lane_order[l], end[1]))
-        blocked = seq.perforation.first_blocked_all(
-            ns, [zs[p] for p in points], ends=[reach[p] + 1 for p in points]
-        )
-        for p, hit in zip(points, blocked):
-            if isinstance(hit, ConfigError):  # a lone call raises it at once
-                outcomes[p] = hit
-            elif hit is not None:
-                errors.setdefault(p, []).append((hit[0] - lo, -1, PoleProximity(*hit)))
+        # A cleared point clears every disc of this block; it still goes to
+        # first_blocked_all when a sheet it needs has a radius below the
+        # float range, which raises there.
+        check = [p for p in points if p not in cleared]
+        if len(check) < len(points) and not _radius_is_float(
+            seq.perforation, lo + max(reach[p] for p in points if p in cleared)
+        ):
+            check = points
+        if check:
+            blocked = seq.perforation.first_blocked_all(
+                ns, [zs[p] for p in check], ends=[reach[p] + 1 for p in check]
+            )
+            for p, hit in zip(check, blocked):
+                if isinstance(hit, ConfigError):  # a lone call raises it at once
+                    outcomes[p] = hit
+                elif hit is not None:
+                    errors.setdefault(p, []).append((hit[0] - lo, -1, PoleProximity(*hit)))
         for p, errs in errors.items():
             if outcomes[p] is None:
                 outcomes[p] = min(errs, key=lambda e: e[:2])[2]
-        # A row with no imaginary part (real terms at a real point) adds 0.0
-        # in place of an exact sum, which would be +0.0 or -0.0.  A Neumaier
-        # step with either leaves the state bit for bit as it is: the running
-        # sum and its compensation start at +0.0 and never become -0.0.
-        complex_rows = block.imag.any(axis=1).tolist()
-        for (p, l), row, end in zip(group, rows, ends):
+        keep = [r for r, (p, _) in enumerate(group) if outcomes[p] is None]
+        if not keep:
+            return
+        stops = [last_j if ends[r] is None else ends[r][0] for r in keep]
+        sums = _block_sums(g.terms, keep, np.array(stops) + 1)
+        at = _index([ids[r] for r in keep])
+        acc_s[at], acc_c[at] = _neumaier_step(acc_s[at], acc_c[at], sums)
+        totals = (acc_s[at] + acc_c[at]).tolist()
+        finished = set()
+        for r, j, total, fine in zip(keep, stops, totals, np.isfinite(sums).all(axis=1).tolist()):
+            p, l = group[r]
             if outcomes[p] is not None:
                 continue
-            j, tail = end if end is not None else (last_j, None)
-            kept = block[row, : j + 1]
-            imag = math.fsum(kept.imag.tolist()) if complex_rows[row] else 0.0
-            accs[l].add(complex(math.fsum(kept.real.tolist()), imag))
-            if tail is not None:
-                results[l] = SumResult(accs[l].value, lo + j, tail)
-        for p in points:
+            if not fine:  # an exact sum past the float range (fsum overflows)
+                k = lane_order[l]
+                outcomes[p] = OutOfRegime(
+                    f"the order-{k} sum over sheets {lo} to {lo + j} overflows a float", order=k, sheet=lo + j
+                )
+            elif ends[r] is not None:
+                results[l] = SumResult(complex(*total), lo + j, ends[r][1])
+                finished.add(p)
+        for p in finished:
             if outcomes[p] is None and all(results[l] is not None for l in range(p * width, (p + 1) * width)):
                 outcomes[p] = results[p * width : (p + 1) * width]
 
@@ -731,6 +914,7 @@ def _sum_derivative_series(
         for start in range(0, len(live), size):
             sum_block(ns, live[start : start + size])
         live = [p for p in live if outcomes[p] is None]
+        cleared.update(p for p in live if p not in cleared and _clears(seq.perforation, zs[p], hi - 1))
     for p in live:
         if stabilise:
             outcomes[p] = DiophantineRequired(

@@ -26,13 +26,21 @@ def power_geometric_tail(q: float, rho: float, n: int) -> float:
     The term ratio rho*(1+1/j)**q decreases in j, so beyond n the series is
     dominated by the geometric series with ratio taken at j = n+1.
     """
+    return _power_geometric(q, rho, (n + 2) / (n + 1), math.log(n + 1), (n + 1) * math.log(rho))
+
+
+def _power_geometric(q: float, rho: float, step: float, log_n1: float, log_first_rho: float) -> float:
+    """``power_geometric_tail`` from the parts that every q shares at one n.
+
+    step = (n+2)/(n+1), log_n1 = log(n+1) and log_first_rho = (n+1)*log(rho).
+    """
     try:
-        ratio = rho * ((n + 2) / (n + 1)) ** q
+        ratio = rho * step**q
     except OverflowError:
         return math.inf
     if ratio >= 1.0:
         return math.inf
-    log_first = q * math.log(n + 1) + (n + 1) * math.log(rho)
+    log_first = q * log_n1 + log_first_rho
     if log_first > 700.0:
         return math.inf
     return math.exp(log_first) / (1.0 - ratio)
@@ -100,6 +108,7 @@ class _CertifiedTails:
         law = self.poles.distance_power_law(z0)
         self.law = law if law is not None and law[1] <= self.radius.alpha else None
         self._orders: dict[int, tuple[float, float]] = {}
+        self._sheets: dict[int, tuple] = {}
 
     def _order(self, k: int) -> tuple[float, float]:
         """``_tail_prefactor`` and log(k! * A) of order k."""
@@ -117,25 +126,48 @@ class _CertifiedTails:
         cap = min(1.0, self.reach / a) * (1.0 - 1e-9)
         return (a - self.radius.c * (n + 1.0) ** (beta - self.radius.alpha)) * cap
 
+    def _sheet(self, n: int) -> tuple:
+        """What the tails of every order share at sheet n.
+
+        The parts of ``power_geometric_tail`` at n, the local branch's
+        (n+1)*log(rho) - log(1 - rho) and log R(n) (None without a positive
+        R(n)), and log b(n) (None without a law or a positive b(n)).
+        """
+        if n not in self._sheets:
+            cert = self.cert
+            log_first_rho = (n + 1) * math.log(cert.rho)
+            log_r = None
+            d = self.poles.tail_distance_bound(self.z0, n)
+            if d is not None and d != math.inf:
+                R = min(self._shrunk(d) - self.radius.tail_sup(n), self.reach * (1.0 - 1e-9))
+                if R > 0.0:
+                    log_r = math.log(R)
+            log_b = None
+            if self.law is not None:
+                b = self._factor(n)
+                if b > 0.0:
+                    log_b = math.log(b)
+            self._sheets[n] = (
+                (n + 2) / (n + 1), math.log(n + 1), log_first_rho,
+                log_first_rho - math.log1p(-cert.rho), log_r, log_b,
+            )
+        return self._sheets[n]
+
     def tail(self, k: int, n: int) -> float:
         cert = self.cert
         if k == 0:
             return cert.tail(n)
         prefactor, log_k = self._order(k)
+        step, log_n1, log_first_rho, base, log_r, log_b = self._sheet(n)
         best = math.inf  # an infinite prefactor times a tail that underflowed to 0 bounds nothing
         if prefactor < math.inf:
-            best = prefactor * power_geometric_tail(self.radius.alpha * k, cert.rho, n)
-        d = self.poles.tail_distance_bound(self.z0, n)
-        if d is not None and d != math.inf:
-            R = min(self._shrunk(d) - self.radius.tail_sup(n), self.reach * (1.0 - 1e-9))
-            if R > 0.0:
-                log_tail = (n + 1) * math.log(cert.rho) - math.log1p(-cert.rho) + log_k - k * math.log(R)
-                best = min(best, _exp(log_tail))
-        if self.law is not None:
-            b = self._factor(n)
-            tail = power_geometric_tail(self.law[1] * k, cert.rho, n)
-            if b > 0.0 and tail < math.inf:
-                best = min(best, _exp(log_k - k * math.log(b) + math.log(tail)) if tail else 0.0)
+            best = prefactor * _power_geometric(self.radius.alpha * k, cert.rho, step, log_n1, log_first_rho)
+        if log_r is not None:
+            best = min(best, _exp(base + log_k - k * log_r))
+        if log_b is not None:
+            tail = _power_geometric(self.law[1] * k, cert.rho, step, log_n1, log_first_rho)
+            if tail < math.inf:
+                best = min(best, _exp(log_k - k * log_b + math.log(tail)) if tail else 0.0)
         return best
 
 

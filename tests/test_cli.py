@@ -189,10 +189,16 @@ def test_jet_rows(runner, tmp_path):
          "the residual grid's real part from -1e+308 to 1e+308 leaves the float range"),
         ("curve", {"curve": {"n": 3, "x_start": -1e308, "x_stop": 1e308, "x_count": 3}},
          "the curve x grid from -1e+308 to 1e+308 leaves the float range"),
+        # Grids too are refused on their point count before numpy sees them.
+        ("residual", {"perforation": ROOTS, "residual": {"grid": dict(GRID, re_count=10**20)}},
+         "the residual grid of 100000000000000000000 by 1 points has more than 100000 points"),
+        ("curve", {"curve": {"n": 3, "x_count": 10**20}},
+         "the curve x grid has 100000000000000000000 points, more than 100000"),
     ],
     ids=["curve-degree", "laurent-window", "laurent-sheet-past-the-last", "laurent-sheet-before-the-first",
          "fiber-omega", "covering-radius", "covering-exponent", "laurent-annulus-holds-a-pole",
-         "eval-ray-too-long", "eval-ray-past-memory", "residual-grid-past-the-float-range", "curve-grid-past-the-float-range"],
+         "eval-ray-too-long", "eval-ray-past-memory", "residual-grid-past-the-float-range", "curve-grid-past-the-float-range",
+         "residual-grid-too-large", "curve-grid-too-large"],
 )
 def test_inputs_a_command_refuses_are_config_errors(runner, tmp_path, command, payload, message):
     cfg = _write_config(tmp_path, payload)
@@ -504,6 +510,19 @@ def test_overflowing_jet_is_a_typed_error(runner, tmp_path):
     payload = json.loads(result.stderr)
     assert payload["error"] == "OutOfRegime"
     assert "sheet 9" in payload["detail"] and "order-120" in payload["detail"]
+
+
+@pytest.mark.parametrize("order", [95, 96])
+def test_a_block_sum_past_the_float_range_is_a_typed_error(runner, tmp_path, order):
+    # The order-95 terms are finite, but their exact sum over sheets 65 to
+    # 98 overflows a float.
+    cfg = _write_config(tmp_path, {"model": MEANDER, "jet": {"z0": [0, 0], "order": order}})
+    result = runner.invoke(main, ["jet", "--config", cfg, "--json"])
+    assert result.exit_code == 1
+    assert json.loads(result.stderr) == {
+        "error": "OutOfRegime", "detail": "the order-95 sum over sheets 65 to 98 overflows a float"
+    }
+    assert "Traceback" not in result.stderr
 
 
 _HUGE_ALPHA = {"poles": "meander", "radius": {"c": 0.05, "alpha": 2000}, "lambda": 1.5}

@@ -589,6 +589,41 @@ def test_norm_bound_holds_on_the_cauchy_circles_of_the_tails(seq, z0):
                 assert np.abs(seq.term_array(j, z0 + R * ring)).max() <= seq.norm_bound(j) * (1.0 + 1e-9)
 
 
+def _tail_reference(bounds, k: int, n: int) -> float:
+    """``_CertifiedTails.tail`` with every branch computed afresh from n and k."""
+    cert, radius = bounds.cert, bounds.radius
+    if k == 0:
+        return cert.tail(n)
+    prefactor = tails._tail_prefactor(bounds.seq, k)
+    log_k = math.lgamma(k + 1) + math.log(cert.A)
+    best = math.inf
+    if prefactor < math.inf:
+        best = prefactor * tails.power_geometric_tail(radius.alpha * k, cert.rho, n)
+    d = bounds.poles.tail_distance_bound(bounds.z0, n)
+    if d is not None and d != math.inf:
+        R = min(bounds._shrunk(d) - radius.tail_sup(n), bounds.reach * (1.0 - 1e-9))
+        if R > 0.0:
+            log_tail = (n + 1) * math.log(cert.rho) - math.log1p(-cert.rho) + log_k - k * math.log(R)
+            best = min(best, tails._exp(log_tail))
+    if bounds.law is not None:
+        b = bounds._factor(n)
+        tail = tails.power_geometric_tail(bounds.law[1] * k, cert.rho, n)
+        if b > 0.0 and tail < math.inf:
+            best = min(best, tails._exp(log_k - k * math.log(b) + math.log(tail)) if tail else 0.0)
+    return best
+
+
+@pytest.mark.parametrize("seq, z0", _TAIL_CASES)
+def test_certified_tails_share_per_sheet_parts_bit_for_bit(seq, z0):
+    # One _CertifiedTails caches what every order shares at a sheet; its
+    # tails are those computed afresh, in any order of calls.
+    bounds = tails._CertifiedTails(seq, z0)
+    rng = np.random.default_rng(5)
+    for k, n in zip(rng.integers(0, 41, 400).tolist(), rng.integers(1, 6000, 400).tolist()):
+        for sheet in (n, n + 1, 2 * n):
+            assert bounds.tail(k, sheet).hex() == _tail_reference(bounds, k, sheet).hex(), (k, sheet)
+
+
 def test_local_tail_is_no_larger_than_the_uniform_tail():
     for seq, z0 in _TAIL_CASES:
         for k in (1, 5, 30):
