@@ -14,11 +14,13 @@ never a pole.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -952,12 +954,12 @@ PERFORATION_SCHEMA = {
 }
 
 
-#: The JSON-Schema keywords ``_conform`` implements: those the package's schemas use.
-_KEYWORDS = frozenset({
-    "type", "enum", "oneOf", "properties", "required", "additionalProperties",
-    "items", "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
-})
-_BOUNDS = frozenset({"minimum", "maximum", "exclusiveMinimum"})
+#: The bounds ``_conform`` implements: the comparison that breaks each, and its wording.
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+}
 
 
 def _is_number(v) -> bool:
@@ -965,8 +967,8 @@ def _is_number(v) -> bool:
     return isinstance(v, (float, int, numbers.Number)) and not isinstance(v, bool)
 
 
-#: The Draft 2020-12 types the package's schemas use, as jsonschema decides
-#: them: a bool is no number, and a float with an integral value is an integer.
+#: The Draft 2020-12 types the package's schemas use: a bool is no number, and
+#: a float with an integral value is an integer.
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
@@ -977,106 +979,158 @@ _TYPES = {
 _REJECTED = object()
 
 
-def _conform(value, schema: dict):
-    """``value`` as ``schema`` accepts it, or ``_REJECTED``.
+class _Violation(NamedTuple):
+    """One violation of a schema keyword, as jsonschema's ``iter_errors`` reports it."""
 
-    The verdict is that of jsonschema's Draft 2020-12 validator, and every
-    integral float that an ``integer`` schema accepts comes back as an int.
-    Each bound rejects by jsonschema's own comparison, so NaN passes them.
-    A keyword or type this checker does not implement raises ValueError, so
-    a schema that outgrows it cannot widen what it accepts.
+    path: tuple  # from the root of the instance to the violating value
+    keyword: str
+    message: str
+    type_matches: bool  # whether the violating value is of its schema's "type"
+    context: Sequence  # for oneOf: the violations of the branches it tried
+
+
+def _conform(value, schema: dict, errors: list | None = None, path: tuple = ()):
+    """``value`` as ``schema`` accepts it, or ``_REJECTED``: the package's only config validator.
+
+    It implements the keywords of the package's schemas as JSON Schema Draft
+    2020-12 defines them; each bound rejects by Python's comparison, so NaN
+    passes them.  An integral float that an ``integer`` schema accepts comes
+    back as an int.  A keyword or type it does not implement raises
+    ValueError once reached, so a schema that outgrows it cannot widen what
+    it accepts.  With ``errors`` None it stops at the first violation.  Given
+    a list, it appends every ``_Violation`` of ``value`` (found at ``path``)
+    in the order of jsonschema's ``iter_errors``, each worded as jsonschema
+    4.26 words it, quoting the value as given rather than as converted.
     """
-    if not _KEYWORDS.issuperset(schema):
-        raise ValueError(f"the schema checker does not implement {sorted(set(schema) - _KEYWORDS)}")
-    kind = schema.get("type")
-    if kind is not None:
-        if kind not in _TYPES:
-            raise ValueError(f"the schema checker does not implement the type {kind!r}")
-        if not _TYPES[kind](value):
-            return _REJECTED
-        if kind == "integer":
-            value = int(value)
-    if "enum" in schema:
-        # jsonschema compares a value with a string member by == alone, and with
-        # other members by rules this checker leaves out.
-        if not all(isinstance(member, str) for member in schema["enum"]):
-            raise ValueError("the schema checker implements enums of strings only")
-        if not (isinstance(value, str) and value in schema["enum"]):
-            return _REJECTED
-    if "oneOf" in schema:
-        accepted = [v for v in (_conform(value, sub) for sub in schema["oneOf"]) if v is not _REJECTED]
-        if len(accepted) != 1:
-            return _REJECTED
-        value = accepted[0]
-    if isinstance(value, dict):
-        if not all(key in value for key in schema.get("required", ())):
-            return _REJECTED
-        properties = schema.get("properties", {})
-        rest = schema.get("additionalProperties", True)
-        conformed = {}
-        for key, item in value.items():
-            sub = properties.get(key, rest)
-            if sub is False:
+    instance = value
+    broken = False
+    for keyword, arg in schema.items():
+        # A satisfied keyword continues.  A violated one sets ``wrong`` to its
+        # messages (True if ``errors`` is None); one that checks the values
+        # below ``instance`` sets ``children`` to their steps.
+        wrong = children = ()
+        if keyword == "type":
+            if arg not in _TYPES:
+                raise ValueError(f"the schema checker does not implement the type {arg!r}")
+            if _TYPES[arg](instance):
+                value = int(instance) if arg == "integer" else value
+                continue
+            wrong = errors is None or (f"{instance!r} is not of type {arg!r}",)
+        elif keyword == "oneOf":
+            context = None if errors is None else []  # kept only if no branch accepts
+            accepted = []
+            for sub in arg:
+                conformed = _conform(instance, sub, context, path)
+                if conformed is not _REJECTED:
+                    accepted.append((conformed, sub))
+            if len(accepted) == 1:
+                value = accepted[0][0]
+                continue
+            if accepted:  # jsonschema names the first branch that accepts last
+                names = ", ".join(repr(sub) for _, sub in accepted[1:] + accepted[:1])
+                wrong, context = errors is None or (f"{instance!r} is valid under each of {names}",), ()
+            else:
+                wrong = errors is None or (f"{instance!r} is not valid under any of the given schemas",)
+        elif keyword in _BOUNDS:
+            breaks, phrase = _BOUNDS[keyword]
+            if not (_is_number(instance) and breaks(instance, arg)):
+                continue
+            wrong = errors is None or (f"{instance!r} {phrase} {arg!r}",)
+        elif keyword == "items":
+            if not isinstance(instance, list):
+                continue
+            children = range(len(instance))
+        elif keyword == "minItems":
+            if not isinstance(instance, list) or len(instance) >= arg:
+                continue
+            wrong = errors is None or (f"{instance!r} " + ("should be non-empty" if arg == 1 else "is too short"),)
+        elif keyword == "maxItems":
+            if not isinstance(instance, list) or len(instance) <= arg:
+                continue
+            wrong = errors is None or (f"{instance!r} " + ("is expected to be empty" if arg == 0 else "is too long"),)
+        elif keyword == "properties":
+            if not isinstance(instance, dict):
+                continue
+            children = filter(instance.__contains__, arg)
+        elif keyword == "required":
+            if not isinstance(instance, dict) or all(map(instance.__contains__, arg)):
+                continue
+            wrong = errors is None or [f"{key!r} is a required property" for key in arg if key not in instance]
+        elif keyword == "additionalProperties":
+            if not isinstance(instance, dict) or arg is True:
+                continue
+            properties = schema.get("properties", {})
+            if arg is not False:
+                children = itertools.filterfalse(properties.__contains__, instance)
+            elif instance.keys() <= properties.keys():
+                continue
+            else:
+                extras = sorted((key for key in instance if key not in properties), key=str)
+                names = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
+                wrong = errors is None or (f"Additional properties are not allowed ({names} unexpected)",)
+        elif keyword == "enum":
+            if isinstance(instance, str) and instance in arg:  # a string equals only a string
+                continue
+            if not all(isinstance(member, str) for member in arg):
+                raise ValueError("the schema checker implements enums of strings only")
+            wrong = errors is None or (f"{instance!r} is not one of {arg!r}",)
+        else:
+            raise ValueError(f"the schema checker does not implement {keyword!r}")
+        if wrong:
+            if errors is None:
                 return _REJECTED
-            if sub is not True:
-                item = _conform(item, sub)
-                if item is _REJECTED:
-                    return _REJECTED
-            conformed[key] = item
-        value = conformed
-    elif isinstance(value, list):
-        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
-            return _REJECTED
-        if "items" in schema:
-            value = [_conform(item, schema["items"]) for item in value]
-            if any(item is _REJECTED for item in value):
+            broken = True
+            kind = schema.get("type")
+            matches = kind in _TYPES and _TYPES[kind](instance)
+            errors += (_Violation(path, keyword, message, matches, context if keyword == "oneOf" else ())
+                       for message in wrong)
+            continue
+        value = instance.copy() if value is instance else value
+        for step in children:
+            sub = arg[step] if keyword == "properties" else arg
+            item = _conform(instance[step], sub, errors, None if errors is None else (*path, step))
+            if item is not _REJECTED:
+                value[step] = item
+            elif errors is None:
                 return _REJECTED
-    elif not _BOUNDS.isdisjoint(schema) and _is_number(value):
-        if (
-            ("minimum" in schema and value < schema["minimum"])
-            or ("maximum" in schema and value > schema["maximum"])
-            or ("exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"])
-        ):
-            return _REJECTED
-    return value
+            else:
+                broken = True
+    return _REJECTED if broken else value
 
 
 def _accepts(instance, schema: dict) -> bool:
-    """Whether jsonschema's Draft 2020-12 validator accepts ``instance``; see ``_conform``."""
+    """Whether ``_conform`` accepts ``instance`` under ``schema``."""
     return _conform(instance, schema) is not _REJECTED
 
 
-def schema_violation(instance, schema: dict):
-    """The error ``jsonschema.validate(instance, schema)`` would raise, or None.
+def _relevance(violation: _Violation) -> tuple:
+    # jsonschema's ``relevance`` key; no keyword of these schemas is "strong".
+    return (-len(violation.path), violation.path, violation.keyword != "oneOf", not violation.type_matches)
 
-    ``_accepts`` decides, so an accepted instance never imports jsonschema;
-    jsonschema looks again only at a rejected one and words its error, and
-    where the two disagree its verdict stands.  The schema itself is not
-    checked against the JSON-Schema meta-schema, which ``jsonschema.validate``
-    does again on every call: the schemas are constants of this package, and
-    the tests check them once.
-    """
-    if _accepts(instance, schema):
-        return None
-    import jsonschema
 
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    return jsonschema.exceptions.best_match(validator.iter_errors(instance))
+def _best(violations: list[_Violation]) -> _Violation:
+    """The violation jsonschema's ``best_match`` picks from ``violations``."""
+    best = max(violations, key=_relevance)
+    while best.context:
+        smallest = sorted(best.context, key=_relevance)[:2]
+        if len(smallest) == 2 and _relevance(smallest[0]) == _relevance(smallest[1]):
+            return best
+        best = smallest[0]
+    return best
 
 
 def validated(instance, schema: dict, context: str):
     """``instance`` as ``schema`` accepts it, with its integer fields as ints.
 
-    A rejected instance raises ConfigError with ``context`` and jsonschema's
-    message for it.
+    A rejected instance raises ConfigError with ``context`` and the message
+    of the violation that jsonschema's ``best_match`` would pick.
     """
     value = _conform(instance, schema)
-    if value is not _REJECTED:
-        return value
-    error = schema_violation(instance, schema)
-    if error is None:  # jsonschema accepts what the checker refused
-        return instance
-    raise ConfigError(f"{context}: {error.message}") from error
+    if value is _REJECTED:
+        violations: list[_Violation] = []
+        _conform(instance, schema, violations)
+        raise ConfigError(f"{context}: {_best(violations).message}")
+    return value
 
 
 def perforation_from_config(config: dict) -> Perforation:

@@ -96,16 +96,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DiophantineRequired,
-    MeandroError,
-    OutOfRegime,
-    PoleProximity,
-    TolUnreachable,
-)
+from .errors import DiophantineRequired, MeandroError, OutOfRegime, PoleProximity, TolUnreachable
 from .geometry import _GROUP_VALUES, DiophantineRadius, Disc, Perforation, _tail_clears, doubling_blocks
-from .tails import _CertifiedTails, power_geometric_tail
+from .tails import _CertifiedTails
 
 _STABLE_WINDOW = 8
 #: Highest jet order: k! overflows a float from k = 171 on.
@@ -398,20 +391,15 @@ class SumResult:
 
 @dataclass(frozen=True)
 class TaylorJet:
-    """Taylor coefficients of the sum with remainder data.
+    """Taylor coefficients of the sum and the tail bound of each.
 
-    coefficients[k] = S(f^{(k)})(z0)/k! for k = 0..order.  When the sequence
-    carries a Diophantine radius and a decay certificate, c_m records
-    sum_n norm_bound(n)/r_n**order and the remainder of the degree order-1
-    polynomial is bounded by (c_m/eps**order)*|z-z0|**order.
+    coefficients[k] = S(f^{(k)})(z0)/k! for k = 0..order.
     """
 
     center: complex
     coefficients: np.ndarray
     coefficient_tails: np.ndarray
     order: int
-    c_m: float | None = None
-    epsilon: float | None = None
     certified: bool = True
 
     def polynomial(self, z: complex, terms: int | None = None) -> complex:
@@ -724,6 +712,14 @@ def _clears(perf: Perforation, z: complex, sheet: int) -> bool:
         return False
 
 
+def _first_blocked(perf: Perforation, ns: np.ndarray, z: complex, end: int):
+    """``first_blocked_all`` for the point z alone, or the OutOfRegime it raises."""
+    try:
+        return perf.first_blocked_all(ns, [z], ends=[end])[0]
+    except OutOfRegime as exc:
+        return exc
+
+
 def _radius_is_float(perf: Perforation, n: int) -> bool:
     """Whether ``radius_at(n)`` is a float; first_blocked_all raises on sheets where it is not."""
     try:
@@ -854,11 +850,13 @@ def _sum_derivative_series(
         ):
             check = points
         if check:
-            blocked = seq.perforation.first_blocked_all(
-                ns, [zs[p] for p in check], ends=[reach[p] + 1 for p in check]
-            )
+            perf, limits = seq.perforation, [reach[p] + 1 for p in check]
+            try:
+                blocked = perf.first_blocked_all(ns, [zs[p] for p in check], ends=limits)
+            except OutOfRegime:  # a radius below the float range, up to some point's end
+                blocked = [_first_blocked(perf, ns, zs[p], end) for p, end in zip(check, limits)]
             for p, hit in zip(check, blocked):
-                if isinstance(hit, ConfigError):  # a lone call raises it at once
+                if isinstance(hit, MeandroError):  # a lone call raises it at once
                     outcomes[p] = hit
                 elif hit is not None:
                     errors.setdefault(p, []).append((hit[0] - lo, -1, PoleProximity(*hit)))
@@ -1004,10 +1002,8 @@ def taylor_jet(
     the circles of radius eps*r_j, the circles that fit between z0 and the
     poles of the later sheets, and the family's power law at z0 give (see
     the module docstring), so a series stops where the poles near z0 allow.
-    The remainder constant C_m = sum_n norm_bound(n)/r_n**m and
-    eps = lambda - 1 are then recorded for remainder_bound.  Without a certificate each series stops on
-    the stabilised rule: the tails are heuristic, the jet is marked
-    uncertified and carries no remainder data, and DiophantineRequired is
+    Without a certificate each series stops on the stabilised rule: the
+    tails are heuristic, the jet is marked uncertified, and DiophantineRequired is
     raised when a series does not settle within max(m + 64, 4096) sheets.
     Orders above 170, where k! overflows a float, raise OutOfRegime.
     """
@@ -1030,54 +1026,4 @@ def taylor_jet(
     inner = _one_point(outcome)
     coeffs = np.array([res.value / kf for res, kf in zip(inner, kfacs)], dtype=complex)
     tails = np.array([res.tail_bound / kf for res, kf in zip(inner, kfacs)], dtype=float)
-    if not certifiable:
-        return TaylorJet(z0, coeffs, tails, m, certified=False)
-    radius = seq.perforation.radius
-    c_m = _remainder_constant(seq.decay_cert, radius, m)
-    return TaylorJet(z0, coeffs, tails, m, c_m=c_m, epsilon=radius.lam - 1.0)
-
-
-def _remainder_constant(cert: DecayCert, radius: DiophantineRadius, m: int) -> float:
-    """C_m = sum_n norm_bound(n)/r_n**m bounded through the decay certificate.
-
-    The terms n**q * rho**n (q = alpha*m) are added in sheet order until the
-    geometric tail bound beyond sheet n is within 1e-16 of the running total.
-    Blocks of sheets are computed in numpy, and the running totals are one
-    sequential cumulative sum.  The scalar ``power_geometric_tail`` falls
-    and the totals rise, so the stopping sheet lies in the first block whose
-    last sheet passes the test, and a bisection finds it there.  An
-    overflowing term or total up to the stop, or no stop by sheet 1 000 001,
-    gives inf.
-    """
-    q = radius.alpha * m
-    log_rho = math.log(cert.rho)
-    total = 0.0
-
-    def stops(n: int, running: float) -> bool:
-        return power_geometric_tail(q, cert.rho, n) <= 1e-16 * running
-
-    for lo, hi in doubling_blocks(1, 1_000_002):
-        ns = np.arange(lo, hi, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            log_terms = q * np.log(ns) + ns * log_rho
-            totals = np.cumsum(np.concatenate(([total], np.exp(log_terms))))[1:]
-        if stops(hi - 1, totals[-1]):
-            a, b = 0, len(ns) - 1
-            while a < b:
-                mid = (a + b) // 2
-                a, b = (a, mid) if stops(lo + mid, totals[mid]) else (mid + 1, b)
-            if np.any(log_terms[: a + 1] > 700.0) or not math.isfinite(totals[a]):
-                return math.inf
-            tail = power_geometric_tail(q, cert.rho, lo + a)
-            return cert.A * (1.0 + radius.shift) ** q / radius.c**m * (float(totals[a]) + tail)
-        if np.any(log_terms > 700.0) or not math.isfinite(totals[-1]):
-            return math.inf
-        total = float(totals[-1])
-    return math.inf
-
-
-def remainder_bound(jet: TaylorJet, z: complex) -> float:
-    """Bound |S(f)(z) - sum_{k<order} a_k (z-z0)**k| <= (C_m/eps**m) |z-z0|**m."""
-    if jet.c_m is None or jet.epsilon is None:
-        raise DiophantineRequired("jet carries no remainder constants")
-    return jet.c_m / jet.epsilon**jet.order * abs(z - jet.center) ** jet.order
+    return TaylorJet(z0, coeffs, tails, m, certified=certifiable)

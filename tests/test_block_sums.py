@@ -236,5 +236,6 @@ def test_a_cleared_point_still_meets_a_radius_below_the_float_range():
     # With alpha = 100 the radius leaves the float range on sheet 1210; the
     # point is clear of the discs after sheet 64, but not of that error.
     seq = MeanderModel(0.5, c=0.1, alpha=100.0)
-    with pytest.raises(MeandroError, match="below the float range on sheet 1210"):
-        evaluate_sums(seq, [0.1 + 0j])
+    [error] = evaluate_sums(seq, [0.1 + 0j])
+    assert isinstance(error, MeandroError)
+    assert "below the float range on sheet 1210" in str(error)

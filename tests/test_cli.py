@@ -688,12 +688,12 @@ _IMPORTS = (
         ("eval", {"model": MEANDER, "eval": {"points": [[0.1, 0.0], 0.2]}}, "0 False\n", ""),
         ("jet", {"model": MEANDER, "jet": {"order": 3}}, "0 False\n", ""),
         ("residual", {"perforation": ROOTS, "residual": {"grid": GRID}}, "0 False\n", ""),
-        ("curve", {"curve": {"n": 40}}, "2 True\n",
+        ("curve", {"curve": {"n": 40}}, "2 False\n",
          "error (config): config rejected by schema: 40 is greater than the maximum of 39\n"),
     ],
     ids=["eval", "jet", "residual", "rejected"],
 )
-def test_only_a_rejected_config_imports_jsonschema(tmp_path, command, payload, stdout, stderr):
+def test_no_run_imports_jsonschema(tmp_path, command, payload, stdout, stderr):
     cfg = _write_config(tmp_path, payload)
     out = str(tmp_path / "rows.csv")
     env = dict(os.environ, PYTHONPATH=str(Path(meandro.__file__).parents[1]))

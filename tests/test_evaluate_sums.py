@@ -210,6 +210,17 @@ def test_a_missing_radius_is_the_error_of_each_point_that_reaches_it():
         assert _same(got, _lone(seq, z))
 
 
+def test_a_radius_below_the_float_range_is_the_error_of_each_point_that_reaches_it():
+    # At alpha = 100 the radius of sheet 1210 is below the float range.  A point
+    # in sheet 2's disc stops there, and every other point reaches sheet 1210.
+    seq = MeanderModel(0.5, c=0.1, alpha=100)
+    zs = [-0.5, 0.1, -0.5 + 1e-3j, 0.3]
+    batch = evaluate_sums(seq, zs)
+    assert [type(res).__name__ for res in batch] == ["PoleProximity", "OutOfRegime", "OutOfRegime", "OutOfRegime"]
+    for z, got in zip(zs, batch):
+        assert _same(got, _lone(seq, z))
+
+
 # Certified plain sums stop at the first sheet n with decay_cert.tail(n) <= tol,
 # known before any term.  Order-0 blocks run 1-64, 65-192, 193-448, ...
 _BLOCK_EDGES = [64, 65, 192, 193]

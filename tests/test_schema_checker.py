@@ -1,4 +1,4 @@
-"""The schema-subset checker decides exactly as jsonschema's Draft 2020-12 validator."""
+"""The schema-subset checker decides and words its rejections as jsonschema's Draft 2020-12 validator."""
 
 import copy
 
@@ -9,7 +9,8 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from meandro.cli import CONFIG_SCHEMA
-from meandro.geometry import PERFORATION_SCHEMA, _accepts, _conform
+from meandro.errors import ConfigError
+from meandro.geometry import PERFORATION_SCHEMA, _accepts, _best, _conform, validated
 
 MEANDER = {"name": "meander", "x": [0.5, 0.0], "c": 0.1, "alpha": 2, "lambda": 1.5}
 EXPLICIT = {"poles": {"explicit": [[1, 0.5, 0.0], [2, -0.25, 0.5]]}, "radius": {"c": 0.05, "alpha": 2},
@@ -38,6 +39,8 @@ PERFORATIONS = [EXPLICIT, TABLE, {"poles": "meander", "radius": {"c": 1e-3, "alp
 #: oneOf branches that overlap: 3 is under both, 2.5 under the second alone,
 #: -1 under the second alone, 11 under the first alone and 11.5 under neither.
 OVERLAP = {"oneOf": [{"type": "integer", "minimum": 0}, {"type": "number", "maximum": 10}]}
+#: OVERLAP beside other keywords: at 20.5 its oneOf and the maximum both reject.
+BESIDE = {"oneOf": OVERLAP["oneOf"], "type": "number", "maximum": 15}
 
 
 def _names(schema, found):
@@ -150,6 +153,33 @@ def test_the_checker_decides_perforations_as_jsonschema_does(instance):
 @given(st.one_of(LEAVES, st.sampled_from([3, 3.0, 2.5, -1, 11, 11.5, True])))
 def test_one_of_wants_exactly_one_branch(instance):
     assert _accepts(instance, OVERLAP) == _jsonschema_accepts(instance, OVERLAP)
+
+
+#: Each schema the checker serves, with the instances that probe it.
+CASES = {
+    "config": (CONFIG_SCHEMA, st.one_of(mutated(CONFIGS), at_a_bound(CONFIGS), JSON)),
+    "perforation": (PERFORATION_SCHEMA, st.one_of(mutated(PERFORATIONS), at_a_bound(PERFORATIONS), JSON)),
+    "overlap": (OVERLAP, st.one_of(LEAVES, st.sampled_from([3, 3.0, 2.5, -1, 11, 11.5, True]))),
+    "beside": (BESIDE, st.one_of(LEAVES, st.sampled_from([3, 2.5, 11, 11.5, 15, 16, 20.5, True]))),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_rejection_names_the_violation_best_match_names(name, data):
+    schema, instances = CASES[name]
+    instance = data.draw(instances)
+    error = best_match(validator_for(schema)(schema).iter_errors(instance))
+    if error is None:
+        assert _accepts(instance, schema)
+        return
+    with pytest.raises(ConfigError) as raised:
+        validated(instance, schema, "context")
+    assert str(raised.value) == f"context: {error.message}"
+    violations = []
+    assert _conform(instance, schema, violations) is _conform(instance, schema)
+    assert _best(violations).path == tuple(error.absolute_path)
 
 
 def test_integral_floats_come_back_as_ints():

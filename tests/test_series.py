@@ -20,13 +20,12 @@ from meandro import (
     ZeroSumPiK,
     derivative_sum,
     evaluate_sum,
-    remainder_bound,
     taylor_jet,
 )
 from meandro import geometry, models, series, tails
 from meandro.covering import pullback_model
 from meandro.geometry import DiophantineRadius, MeanderPoles, Perforation
-from meandro.series import DecayCert, sampled_norm_bound
+from meandro.series import sampled_norm_bound
 
 
 def test_compensated_sum_beats_naive():
@@ -150,38 +149,11 @@ def test_jet_vs_central_difference(meander_half, qlog_half):
             assert abs(jet.coefficients[1] - fd) / abs(fd) <= 1e-4
 
 
-def test_remainder_bound_dominates(meander_half):
-    jet = taylor_jet(meander_half, 0j, 3, rel_tol=1e-12)
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        z = complex(rng.uniform(0.005, 0.05), rng.uniform(-0.02, 0.02))
-        actual = abs(
-            evaluate_sum(meander_half, z, tol=1e-14).value - jet.polynomial(z, terms=3)
-        )
-        assert actual <= remainder_bound(jet, z)
-
-
-def test_remainder_bound_zero_at_center(meander_half):
-    jet = taylor_jet(meander_half, 0j, 3, rel_tol=1e-12)
-    assert remainder_bound(jet, 0j) == 0.0
-
-
-def test_order_zero_bound_is_norm_sum(meander_half):
-    jet = taylor_jet(meander_half, 0j, 0, rel_tol=1e-12)
-    # C_0 bounds the sum of the norm bounds, so it dominates |S(f)| anywhere.
-    bound = remainder_bound(jet, 0.3 + 0.2j)
-    direct = sum(meander_half.norm_bound(n) for n in range(1, 400))
-    assert bound >= direct * 0.99
-    assert abs(evaluate_sum(meander_half, 0.3 + 0.2j, tol=1e-10).value) <= bound
-
-
 def test_zero_sum_jet_is_unit(meander_half):
     jet = taylor_jet(ZeroSumPiK(), 0j, 6)
     assert jet.coefficients[0] == 1.0
     assert np.all(jet.coefficients[1:] == 0.0)
     assert not jet.certified
-    with pytest.raises(DiophantineRequired):
-        remainder_bound(jet, 0.01 + 0j)
 
 
 def test_uncertified_jet_stops_on_a_stabilised_window():
@@ -393,34 +365,6 @@ def test_certified_skip_stops_where_the_sheet_by_sheet_rule_stops(monkeypatch, m
         assert (got.terms_used, got.tail_bound, got.value) == (
             want.terms_used, want.tail_bound, want.value
         )
-
-
-@pytest.mark.parametrize(
-    "cert, radius, m",
-    [
-        (MeanderModel(0.95).decay_cert, DiophantineRadius(0.05, 2.0, 1.5), 30),
-        (MeanderModel(0.5, c=0.1).decay_cert, DiophantineRadius(0.1, 2.0, 1.5), 3),
-        (QLogModel(0.9).decay_cert, DiophantineRadius(0.05, 2.0, 1.5), 8),
-        (QLogModel(0.9).decay_cert, DiophantineRadius(0.05, 2.0, 1.5), 0),
-        (DecayCert(2.5, 0.6), DiophantineRadius(0.3, 1.5, 1.5, shift=1), 7),
-    ],
-    ids=["meander-30", "meander-3", "qlog-8", "qlog-0", "shifted-7"],
-)
-def test_remainder_constant_matches_a_50_digit_sum(cert, radius, m):
-    # C_m = A*(1 + shift)**q / c**m * sum_n n**q * rho**n with q = alpha*m.
-    with mpmath.workdps(50):
-        q, rho = mpmath.mpf(radius.alpha * m), mpmath.mpf(cert.rho)
-        peak = q / -mpmath.log(rho)
-        total, n = mpmath.mpf(0), 1
-        while True:
-            term = mpmath.mpf(n) ** q * rho**n
-            total += term
-            if n > peak and term < total * mpmath.mpf(10) ** -40:
-                break
-            n += 1
-        want = mpmath.mpf(cert.A) * (1 + radius.shift) ** q / mpmath.mpf(radius.c) ** m * total
-        got = series._remainder_constant(cert, radius, m)
-        assert abs(got - want) <= 1e-12 * want
 
 
 def test_scalar_derivative_jet_stops_computing_near_its_stops(monkeypatch):
@@ -742,13 +686,3 @@ def test_certified_stop_bisects_rather_than_walks_the_sheets(monkeypatch):
     last = max(res.terms_used for res in stops)
     blocks = [hi - lo for lo, hi in geometry.doubling_blocks(1, 200_001, 31) if lo <= last]
     assert len(calls) <= len(stops) * (len(blocks) + math.ceil(math.log2(max(blocks))) + 2)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_remainder_constant_where_the_tail_ratio_is_exactly_one():
-    # rho*(n + 2)/(n + 1) is exactly 1 at rho = 0.75, q = 1 and n = 2; the
-    # sum is then sum_n n*rho**n = rho/(1 - rho)**2 = 12.
-    cert = MeanderModel(0.5, alpha=1).decay_cert
-    assert cert.rho == 0.75
-    got = series._remainder_constant(cert, DiophantineRadius(0.05, 1.0, 1.5), 1)
-    assert got == pytest.approx(cert.A / 0.05 * 12.0, rel=1e-12)
