@@ -758,15 +758,31 @@ def residual_memberships(
     return out
 
 
-def _tail_clears(perf: Perforation, z: complex, sheet: int, margin: float) -> bool:
-    """True when no disc on a sheet after ``sheet`` can hold z (see ``residual_memberships``)."""
+def _tail_clears(perf: Perforation, z: complex, sheet: int, margin: float, last: int | None = None) -> bool:
+    """True when no disc after ``sheet`` (up to ``last``, if given) can hold z; see ``residual_memberships``.
+
+    Given ``last``, the law |z - p| >= a*n**-beta (``distance_power_law``)
+    may clear those sheets instead, as at an accumulation point: r_n <=
+    c*n**-alpha for any shift, so sheet n passes the test with d = a*n**-beta
+    if f(n) = a*n**-beta*(1 - 1e-9)*(1 - eps) - c*n**-alpha*(1 + margin)*
+    (1 + 1e-9) - eps*(1 + |z|) >= 0, with eps the slack.  f rises and then
+    falls when beta <= alpha, so sheets sheet + 1 and last cover those
+    between; a radius below the float range at last gives False.
+    """
     d = perf.poles.tail_distance_bound(z, sheet)
-    if d is None:
-        return False
     if d == math.inf:
         return True  # no pole after the sheet, so no disc
-    r = perf.radius.tail_sup(sheet)
-    return r is not None and d >= r * (1.0 + margin) * (1.0 + 1e-9) + _ABS_SLACK * (1.0 + abs(z) + d)
+    r = None if d is None else perf.radius.tail_sup(sheet)
+    if r is not None and d >= r * (1.0 + margin) * (1.0 + 1e-9) + _ABS_SLACK * (1.0 + abs(z) + d):
+        return True
+    law, radius = None if last is None else perf.poles.distance_power_law(z), perf.radius
+    if law is None or not isinstance(radius, DiophantineRadius) or law[1] > radius.alpha:
+        return False
+    a, c = law[0] * (1.0 - 1e-9) * (1.0 - _ABS_SLACK), radius.c * (1.0 + margin) * (1.0 + 1e-9)
+    try:
+        return all(a / n ** law[1] - c / n**radius.alpha >= _ABS_SLACK * (1 + abs(z)) for n in (sheet + 1, last))
+    except OverflowError:
+        return False
 
 
 def _tail_membership(perf: Perforation, z: complex, cutoff: int, margin: float) -> Membership:

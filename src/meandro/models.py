@@ -141,13 +141,15 @@ class MeanderModel(TermSequence):
         return self.x**ns / denom
 
     def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
-        # Row k is row k-1 times -k*n/(1 + n*z).
+        # Row k is row k-1 times -k*n/(1 + n*z), written in place.
         denom = 1.0 + ns * z
         step = -ns / denom
         out = np.empty((m + 1, len(ns)), dtype=complex)
         out[0] = self.x**ns / denom
+        scratch = np.empty(len(ns), dtype=complex)
         for k in range(1, m + 1):
-            out[k] = out[k - 1] * (k * step)
+            np.multiply(step, k, out=scratch)
+            np.multiply(out[k - 1], scratch, out=out[k])
         return out
 
     def norm_bound(self, n: int) -> float:

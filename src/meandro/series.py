@@ -28,8 +28,10 @@ ExtractVector), adds the parts in numpy, and proves from an error bound
 that the result is correctly rounded; a row it cannot prove (a near-tie,
 heavy cancellation, overflow) and a group of fewer than ``_FSUM_BELOW``
 values go to fsum.  A point stops being checked for clearance once the tail
-bounds of its poles and radii clear it of every later disc, which at most
-points of an evaluation happens after the first block.  What stays per lane
+bounds of its poles and radii clear it of every later disc, or, at an
+accumulation point of the poles, their distance power law clears it of every
+disc up to the last sheet; at most points of an evaluation and at a jet's
+accumulation point this happens after the first block.  What stays per lane
 is the scalar certified tails and the scalar confirmations of the
 shortlists.
 
@@ -44,11 +46,11 @@ For each lane the engine picks one of four stopping rules from its inputs:
   the scalar tail finds it once per order and point (once in all for order
   0, whose tail is the same at every point).  Each block then ends after
   the furthest stop of its open lanes, so no term, finiteness or clearance
-  check is done past it.  A jet's limits grow with its running sums: a
-  lane whose tail at the block's last sheet is above every limit of the
-  block (the tolerance at |sum so far| + sum of |terms|) cannot stop in it,
-  and in the other blocks the stopping sheet is found by bisection, with a
-  few scalar tails a lane;
+  check is done past it.  A jet's limits grow with its running sums, but
+  none in a block exceeds U, the tolerance at |sum so far| + sum of |terms|:
+  the same search against U finds the first sheet that can stop the lane
+  (none when the tail at the block's last sheet is above U), and the exact
+  limit is checked there, a few scalar tails a lane;
 * a jet without such a certificate stops once a window of consecutive terms
   is negligible (the stabilised rule); its tail is a heuristic estimate;
 * any other sum stops on the ratio test of the norm bounds; its tail is a
@@ -461,24 +463,70 @@ class _FiniteStop:
         return [(j, 0.0) if j < clean else None for clean in g.clean.tolist()]
 
 
+def _search(tail, bound, lo: int, hi: int) -> int:
+    """The first j in [lo, hi] with tail(j) <= bound(j), or hi + 1 if there is none.
+
+    It assumes only what a bisection would: tail does not increase and bound
+    does not decrease in j.  tail(hi) comes first, so a span with no such j
+    costs one tail, and then tail(lo).  While lo fails and hi passes, a step
+    joins the gaps g = log tail - log bound at lo and hi by a line and tries
+    j = lo + ceil(g_lo/(g_lo - g_hi)*(hi - lo)), in (lo, hi] as g_lo > 0 >=
+    g_hi; it then probes the neighbour on the side where the answer lies
+    (j - 1 if j passes, j + 1 if not), so a step that lands within a sheet
+    of it ends the search.  Where a gap is not finite (a tail or bound of
+    inf or 0), and after two steps that fail to halve the span, a step
+    bisects.  Each tail is taken at most once.
+    """
+    seen: dict[int, float | None] = {}
+
+    def passes(j: int) -> bool:
+        t, b = tail(j), bound(j)
+        seen[j] = math.log(t) - math.log(b) if 0.0 < t < math.inf and 0.0 < b < math.inf else None
+        return t <= b
+
+    if not passes(hi):
+        return hi + 1
+    if lo == hi or passes(lo):
+        return lo
+    misses = 0
+    while hi - lo > 1:
+        width, g_lo, g_hi = hi - lo, seen[lo], seen[hi]
+        if misses < 2 and g_lo is not None and g_hi is not None and g_lo > 0.0 >= g_hi:
+            j = lo + math.ceil(g_lo / (g_lo - g_hi) * width)
+            if j == hi or passes(j):
+                lo, hi = (lo, j - 1) if j - 1 > lo and passes(j - 1) else (max(lo, j - 1), j)
+            else:
+                lo, hi = (j, j + 1) if j + 1 == hi or passes(j + 1) else (j + 1, hi)
+        else:
+            j = (lo + hi) // 2
+            lo, hi = (lo, j) if passes(j) else (j, hi)
+        if 2 * (hi - lo) > width:
+            misses += 1
+    return hi
+
+
 class _CertifiedStop:
     """Stop at the first sheet whose certified tail is within the tolerance.
 
     Lane l sums at the point ``zs[l // width]``; its tails are those of
     ``_CertifiedTails`` there, and they do not increase with the sheet.
+    Every stop is found by ``_search`` on the scalar tail, a few tails a
+    lane rather than one a sheet.
 
     A lane whose limit is abs_tol on every sheet (rel_tol = 0: ``eval``,
     ``ray_trace``, the ``gevrey`` rows, ``derivative_sum``) has a stopping
     sheet known before any term: the first n in [n_min, last] with tail <=
-    abs_tol.  ``stop`` finds it once per order and point by a galloping
-    search and a bisection on the scalar tail, so no tail is taken much past
-    it; the order-0 tail is the same at every point, so a whole evaluation
-    pays a few dozen tails once.  The engine ends its blocks after the
-    furthest stop of its open lanes, and ``scan`` reads the stop.
+    abs_tol.  ``stop`` finds it once per order and point; the order-0 tail
+    is the same at every point, so a whole evaluation pays a few tails once.
+    The engine ends its blocks after the furthest stop of its open lanes,
+    and ``scan`` reads the stop.
 
-    A jet's limits grow with its running sums (rel_tol > 0).  A block in
-    which such a lane can stop is searched by bisection: a few scalar tails
-    a lane, not one a sheet.
+    A jet's limits grow with its running sums (rel_tol > 0).  Every limit of
+    a block is at most U, the tolerance at |acc| + sum |terms|, so a lane
+    first searches for j1, the first sheet with tail <= U*(1 + 1e-9): for
+    j < j1, tail(j) > U*(1 + 1e-9) >= limit(j), and no sheet before j1 can
+    stop it.  The exact limit is taken at j1 alone; the lane stops there if
+    its tail is within it, and otherwise ``_first_stop`` goes on from j1 + 1.
     """
 
     def __init__(self, seq: TermSequence, zs: list, width: int, last: int):
@@ -502,48 +550,40 @@ class _CertifiedStop:
 
         For a lane whose limit is the same on every sheet, and cached per
         order and point: the limit of an order is the same in every lane.
-        Sheets n_min + 2**i - 2 are tried until one passes, and the span
-        since the last that failed is bisected.
+        The blocks of ``doubling_blocks`` are searched in turn, so no tail is
+        taken past the stop's block, where the radius may leave the float
+        range.
         """
         key = (k, lane // self.width if k else 0)
         if key not in self._stops:
-            passes = lambda n: self._tail(lane, k, n) <= limit
-            n_min = self.seq.n_min
-            lo = hi = n_min  # every sheet before lo fails
-            while not passes(hi) and hi < self.last:
-                lo, hi = hi + 1, min(2 * hi - n_min + 2, self.last)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if passes(mid) else (mid + 1, hi)
-            self._stops[key] = (lo, self._tail(lane, k, lo)) if passes(lo) else None
+            self._stops[key] = None
+            tail = lambda n: self._tail(lane, k, n)
+            for lo, hi in doubling_blocks(self.seq.n_min, self.last + 1):
+                n = _search(tail, lambda n: limit, lo, hi - 1)
+                if n < hi:
+                    self._stops[key] = n, tail(n)
+                    break
         return self._stops[key]
 
-    def _first_stop(self, lane: int, k: int, ns: list[int], limit: np.ndarray) -> _Stop:
-        """The first j with tail(ns[j]) <= limit[j], with its tail, or None.
+    def _first_stop(self, lane: int, k: int, ns: list[int], limit: np.ndarray, start: int = 0) -> _Stop:
+        """The first j >= start with tail(ns[j]) <= limit[j], with its tail, or None.
 
         With M(j) the running maximum of the limits from ``start`` on, the
         test tail(j) <= M(j)*(1 + 1e-9) fails and then holds, since the tail
         does not increase and M does not decrease; no sheet before the first
-        j where it holds has tail <= limit.  Bisect for that j: it stops the
-        lane if its tail is within limit[j], and else the search goes on
-        from j + 1 with M restarted there.
+        j where it holds has tail <= limit.  ``_search`` finds that j: it
+        stops the lane if its tail is within limit[j], and else the search
+        goes on from j + 1 with M restarted there.
         """
-        start = 0
+        tail = lambda j: self._tail(lane, k, ns[j])
         while start < len(ns):
-            ceiling = np.maximum.accumulate(limit[start:]) * (1.0 + 1e-9)
-            lo, hi = start, len(ns)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._tail(lane, k, ns[mid]) <= ceiling[mid - start]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            if lo == len(ns):
+            ceiling = (np.maximum.accumulate(limit[start:]) * (1.0 + 1e-9)).tolist()
+            j = _search(tail, lambda j: ceiling[j - start], start, len(ns) - 1)
+            if j == len(ns):
                 return None
-            tail = self._tail(lane, k, ns[lo])
-            if tail <= limit[lo]:
-                return lo, tail
-            start = lo + 1
+            if tail(j) <= limit[j]:
+                return j, tail(j)
+            start = j + 1
         return None
 
     def scan(self, g: _Group) -> list[_Stop]:
@@ -555,25 +595,29 @@ class _CertifiedStop:
                 ends.append((stop[0] - lo, stop[1]) if stop is not None and stop[0] - lo < clean else None)
             return ends
         ns, ends = g.ns.tolist(), [None] * len(g.lanes)
-        # The tail is non-increasing in n, so a lane whose tail at its last
-        # clean sheet is above every limit of the block cannot stop in it.
-        # Every limit is at most the one at |acc| + sum |terms|.
+        # Every limit of the block is at most U, the one at |acc| + sum |terms|.
         mags = np.abs(g.terms).sum(axis=1)
         for r in np.flatnonzero(g.bad).tolist():
             mags[r] = np.abs(g.terms[r, : g.clean[r]]).sum()
-        bound = g.tol(np.abs(g.acc) + mags)
-        rows = [
-            r
-            for r, (lane, k, clean, limit) in enumerate(zip(lanes, ks, cleans, bound.tolist()))
-            if clean and not self._tail(lane, k, ns[clean - 1]) > limit * (1.0 + 1e-9)
-        ]
-        # The running sums behind the limits, for at most _GROUP_VALUES
-        # values at a time: a jet's group is its whole block.
-        step = max(1, _GROUP_VALUES // len(ns))
-        for start in range(0, len(rows), step):
-            some = rows[start : start + step]
-            for r, limit in zip(some, g.tol(np.abs(g.sums(some)), some)):
-                ends[r] = self._first_stop(lanes[r], ks[r], ns[: cleans[r]], limit)
+        bound = (g.tol(np.abs(g.acc) + mags) * (1.0 + 1e-9)).tolist()
+        firsts = {}
+        for r, (lane, k, clean) in enumerate(zip(lanes, ks, cleans)):
+            if clean:
+                j = _search(lambda j: self._tail(lane, k, ns[j]), lambda j: bound[r], 0, clean - 1)
+                if j < clean:
+                    firsts[r] = j
+        if not firsts:
+            return ends
+        # The running sums at each lane's j1, one row at a time, and the limits there.
+        rows, js = list(firsts), list(firsts.values())
+        sums = g.acc[rows] + np.array([np.cumsum(g.terms[r, : j + 1])[-1] for r, j in zip(rows, js)])
+        for r, j, limit in zip(rows, js, g.tol(np.abs(sums), rows).tolist()):
+            tail = self._tail(lanes[r], ks[r], ns[j])
+            if tail <= limit:
+                ends[r] = j, tail
+            elif j + 1 < cleans[r]:
+                limit = g.tol(np.abs(g.sums([r])), [r])[0]
+                ends[r] = self._first_stop(lanes[r], ks[r], ns[: cleans[r]], limit, j + 1)
         return ends
 
 
@@ -704,10 +748,10 @@ def _block_sums(terms: np.ndarray, rows: list[int], lens: np.ndarray) -> np.ndar
     return _exact_sums(x, np.repeat(lens, 2)).reshape(-1, 2)
 
 
-def _clears(perf: Perforation, z: complex, sheet: int) -> bool:
-    """``geometry._tail_clears`` at margin 0, False where the radius at the sheet is below the float range."""
+def _clears(perf: Perforation, z: complex, sheet: int, last: int) -> bool:
+    """``geometry._tail_clears`` at margin 0 up to ``last``; False if the radius is below the float range."""
     try:
-        return _tail_clears(perf, z, sheet, 0.0)
+        return _tail_clears(perf, z, sheet, 0.0, last)
     except OutOfRegime:
         return False
 
@@ -766,10 +810,12 @@ def _sum_derivative_series(
     Pole clearance is checked once per sheet, on every sheet up to the
     furthest one a point's orders need, until the point is cleared: after a
     block whose last sheet is L, ``geometry._tail_clears`` at L (the
-    residual scan's discharge rule) proves that no disc of a sheet after L
-    holds the point, and first_blocked_all then passes it over.  It still
-    takes the point where the radius at the furthest sheet the point needs
-    is below the float range, so that its OutOfRegime is raised as before.
+    residual scan's discharge rule, or the poles' distance power law up to
+    the last sheet of the pass) proves that no disc of a later sheet that
+    the pass can reach holds the point, and first_blocked_all then passes it
+    over.  It still takes the point where the radius at the furthest sheet
+    the point needs is below the float range, so that its OutOfRegime is
+    raised as before.
     A point's error is the first in sheet order: a removed disc holding it
     (PoleProximity), a term that is not finite (OutOfRegime), growing norm
     bounds (TolUnreachable); a block sum past the float range (OutOfRegime)
@@ -912,7 +958,7 @@ def _sum_derivative_series(
         for start in range(0, len(live), size):
             sum_block(ns, live[start : start + size])
         live = [p for p in live if outcomes[p] is None]
-        cleared.update(p for p in live if p not in cleared and _clears(seq.perforation, zs[p], hi - 1))
+        cleared.update(p for p in live if p not in cleared and _clears(seq.perforation, zs[p], hi - 1, last))
     for p in live:
         if stabilise:
             outcomes[p] = DiophantineRequired(

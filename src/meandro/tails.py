@@ -92,12 +92,12 @@ class _CertifiedTails:
     the membership discharge, and b(n) by a relative 1e-9.  A branch with no
     positive radius gives inf.
 
-    Every bound is non-increasing in n, which the block skip and the
-    bisection of ``series._CertifiedStop`` rely on: ``power_geometric_tail``
-    is inf on an initial run of sheets and falls after it; D(n) does not
-    decrease and tail_sup(n) does not increase (their declared contracts),
-    so R(n) does not decrease while rho**(n+1) falls; and b(n) does not
-    decrease as beta <= alpha.  So their minimum is non-increasing as well.
+    Every bound is non-increasing in n, which the certified stop's search
+    (``series._search``) relies on: ``power_geometric_tail`` is inf on an
+    initial run of sheets and falls after it; D(n) does not decrease and
+    tail_sup(n) does not increase (their declared contracts), so R(n) does
+    not decrease while rho**(n+1) falls; and b(n) does not decrease as
+    beta <= alpha.  So their minimum is non-increasing as well.
     """
 
     def __init__(self, seq: TermSequence, z0: complex):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from meandro import CompensatedSum, MeanderModel, QLogModel, evaluate_sums, series, taylor_jet
 from meandro.errors import MeandroError
 from meandro.geometry import Perforation
+from meandro.tails import _CertifiedTails
 
 _U = 2.0**-53
 _BIG = 1.7e308
@@ -186,6 +187,60 @@ def test_cleared_points_are_checked_in_the_first_block_only():
     assert spy.call_count == 0  # every block sum came from numpy
     every_sheet, want = _pairs(seq, zs, clear=False)
     assert every_sheet == 60 * 1278
+    assert got == want
+
+
+def _counts(run) -> tuple[int, int, object]:
+    """Point-sheet pairs given to first_blocked_all and certified tails taken during run(), and its value."""
+    pairs = taken = 0
+    scan, tail = Perforation.first_blocked_all, _CertifiedTails.tail
+
+    def counting(self, ns, points, margin=0.0, ends=None):
+        nonlocal pairs
+        pairs += sum(ends) if ends is not None else len(ns) * len(points)
+        return scan(self, ns, points, margin, ends)
+
+    def counted(self, k, n):
+        nonlocal taken
+        taken += 1
+        return tail(self, k, n)
+
+    with mock.patch.object(Perforation, "first_blocked_all", counting), \
+            mock.patch.object(_CertifiedTails, "tail", counted):
+        value = run()
+    return pairs, taken, value
+
+
+def _jet_bytes(jet) -> tuple[bytes, bytes]:
+    return jet.coefficients.tobytes(), jet.coefficient_tails.tobytes()
+
+
+def test_a_jet_at_an_accumulation_point_leaves_the_clearance_scan_after_one_block():
+    # The bench's order-30 jet at 0, where the poles -1/n accumulate: the
+    # distance power law clears 0 of every disc of sheets 65 to 200 000.
+    # Without it, every sheet through the furthest stop (4 730) is checked.
+    jet = lambda: taylor_jet(MeanderModel(0.95), 0j, 30, rel_tol=1e-10, max_terms=200_000)
+    pairs, taken, got = _counts(jet)
+    assert pairs == 64
+    assert taken == 336  # certified tails; 522 under the bisection (187 block skips and 335 steps)
+    with mock.patch.object(series, "_tail_clears", lambda *args: False):
+        every_sheet, _, want = _counts(jet)
+    assert every_sheet == 4730
+    assert _jet_bytes(got) == _jet_bytes(want)
+
+
+def test_gevrey_jet_and_rows_are_checked_in_their_first_block():
+    # The bench's gevrey op: an order-40 jet at 0 and three order-0 rows.
+    seq = MeanderModel(0.5, c=0.1)
+
+    def run():
+        jet = taylor_jet(seq, 0j, 40, rel_tol=1e-10, max_terms=10_000)
+        return _jet_bytes(jet), _outcomes(evaluate_sums(seq, [0.05, 0.12, 0.25], tol=1e-10, max_terms=10_000))
+
+    pairs, _, got = _counts(run)
+    assert pairs == 4 * 64
+    with mock.patch.object(series, "_tail_clears", lambda *args: False):
+        _, _, want = _counts(run)
     assert got == want
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meandro import (
@@ -30,6 +30,7 @@ from meandro import (
 )
 from meandro.covering import _PullbackPoles
 from meandro.errors import ConfigError, OutOfRegime
+from meandro.geometry import _tail_clears
 
 
 # ---------------------------------------------------------------------------
@@ -782,3 +783,50 @@ def test_perforation_from_config_roundtrip():
 def test_perforation_config_rejected(config):
     with pytest.raises(ConfigError):
         perforation_from_config(config)
+
+
+# ---------------------------------------------------------------------------
+# Clearance from the poles' distance power law
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.floats(0.01, 1.0),
+    alpha=st.floats(1.0, 3.0),
+    lam=st.floats(1.01, 3.0),
+    shift=st.integers(0, 3),
+    z=st.one_of(
+        st.just(0j),
+        st.builds(complex, st.floats(0.0, 1e-12), st.floats(-1e-12, 1e-12)),  # tiny |z|
+        st.builds(complex, st.floats(0.0, 1e-6), st.floats(-1.0, 1.0)),  # just right of the imaginary axis
+    ),
+    sheet=st.one_of(st.integers(1, 8), st.integers(1, 2000)),
+    span=st.integers(0, 3000),
+    margin=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+)
+@example(c=1.0, alpha=2.0, lam=1.5, shift=0, z=0j, sheet=1, span=100, margin=3.0)  # discs hold 0 on sheets 2, 3
+def test_power_law_clearance_holds_on_every_sheet_up_to_the_last(c, alpha, lam, shift, z, sheet, span, margin):
+    # The meander's poles -1/n accumulate at 0, where the law |z + 1/n| >= 1/n
+    # holds for Re z >= 0.  At margin 0 no disc reaches such a point (c <= 1),
+    # and only rounding is at stake; larger discs reach it on early sheets.
+    perf = Perforation(MeanderPoles(), DiophantineRadius(c, alpha, lam, shift))
+    last = min(sheet + span, 5000)
+    if _tail_clears(perf, z, sheet, margin, last):
+        assert perf.first_blocked_all(np.arange(sheet + 1, last + 1), [z], margin) == [None]
+
+
+def test_power_law_clears_an_accumulation_point_only_when_given_the_last_sheet():
+    perf = Perforation(MeanderPoles(), DiophantineRadius(0.05, 2.0))
+    assert _tail_clears(perf, 0j, 64, 0.0, 200_000)
+    assert not _tail_clears(perf, 0j, 64, 0.0)  # the residual scan's test: no law
+    assert not _tail_clears(perf, -1e-3 + 0j, 64, 0.0, 200_000)  # Re z < 0: no law
+    # c = 1 and alpha = 1: the discs reach as far as the law's bound.
+    assert not _tail_clears(Perforation(MeanderPoles(), DiophantineRadius(1.0, 1.0)), 0j, 64, 0.0, 200_000)
+
+
+def test_power_law_clearance_past_the_float_range_is_false():
+    # 1209**100 is a float and 1210**100 is not.
+    perf = Perforation(MeanderPoles(), DiophantineRadius(0.05, 100.0))
+    assert _tail_clears(perf, 0j, 64, 0.0, 1209)
+    assert not _tail_clears(perf, 0j, 64, 0.0, 1210)

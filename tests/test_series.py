@@ -592,7 +592,7 @@ def test_local_tails_at_a_huge_exponent_raise_no_overflow_error():
 
 
 # ---------------------------------------------------------------------------
-# The certified stop's bisection
+# The certified stop's search
 # ---------------------------------------------------------------------------
 
 
@@ -630,8 +630,12 @@ def _order_zero_lanes(seq, zs, tol):
         _order_zero_lanes(MeanderModel(0.95), [0j, 0.3 + 0.2j, -0.45 + 0.01j, 1.2j, 0.7], 1e-12),
         # The order-120 terms overflow from sheet 9 on, after the low orders stop.
         _jet_lanes(MeanderModel(0.5, c=0.1), 0j, 120),
+        _jet_lanes(MeanderModel(0.5, c=0.1), 0j, 40),  # the jet of the bench's gevrey op
+        # Away from the branch point the tail is the uniform circles' alone.
+        _jet_lanes(pullback_model(MeanderModel(0.5, c=0.1), 2), 0.3 + 0.3j, 8),
     ],
-    ids=["oscillating", "restarts", "off-the-poles", "region-cap", "five-points", "non-finite-term"],
+    ids=["oscillating", "restarts", "off-the-poles", "region-cap", "five-points", "non-finite-term",
+         "accumulation-point", "pullback"],
 )
 def test_bisection_stops_where_the_sheet_by_sheet_rule_stops(monkeypatch, run):
     fast = [_outcome(out) for out in run()]
@@ -642,13 +646,82 @@ def test_bisection_stops_where_the_sheet_by_sheet_rule_stops(monkeypatch, run):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40), st.data())
 def test_first_stop_is_the_first_sheet_within_its_limit(drops, data):
-    # Non-increasing tails against limits that rise and fall at will.
+    # Non-increasing tails against limits that rise and fall at will, from
+    # the first sheet or from a later one.
     tail = np.cumsum(drops)[::-1]
     limit = np.array(data.draw(st.lists(st.floats(0.0, 60.0), min_size=len(tail), max_size=len(tail))))
+    start = data.draw(st.one_of(st.just(0), st.integers(0, len(tail))))
     stop = series._CertifiedStop.__new__(series._CertifiedStop)
     stop._tail = lambda lane, k, n: float(tail[n])
-    want = next(((j, float(tail[j])) for j in range(len(tail)) if tail[j] <= limit[j]), None)
-    assert stop._first_stop(0, 1, list(range(len(tail))), limit) == want
+    want = next(((j, float(tail[j])) for j in range(start, len(tail)) if tail[j] <= limit[j]), None)
+    assert stop._first_stop(0, 1, list(range(len(tail))), limit, start) == want
+
+
+def _counted_search(tail, bound, lo, hi):
+    """``series._search`` over lists, with the sheets whose tail it takes."""
+    taken = []
+
+    def take(j):
+        taken.append(j)
+        return tail[j]
+
+    return series._search(take, bound.__getitem__, lo, hi), taken
+
+
+#: Runs of inf, plateaus, exact zeros and cliffs across hundreds of decades.
+_LEVELS = st.lists(
+    st.tuples(st.one_of(st.just(math.inf), st.just(0.0), st.floats(1e-300, 1e300)), st.integers(1, 300)),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(levels=_LEVELS, data=st.data())
+@example(levels=[(1e300, 600), (0.99, 600)], data=None)  # a cliff: the line lands by the far end
+@example(levels=[(2.0, 1), (1e-300, 40)], data=None)  # the line meets 0 within a sheet of lo
+def test_search_is_a_linear_scan(levels, data):
+    tail = [v for v, run in sorted(levels, key=lambda level: -level[0]) for _ in range(run)]
+    if data is None:  # the examples: a constant bound of 1 over every sheet
+        lo, hi, bound = 0, len(tail) - 1, [1.0] * len(tail)
+    else:
+        lo = data.draw(st.integers(0, len(tail) - 1))
+        hi = data.draw(st.sampled_from([lo, min(lo + 1, len(tail) - 1), len(tail) - 1]))
+        values = tail[lo : hi + 1] + [0.0, math.inf, 1.0]
+        drawn = data.draw(st.lists(st.one_of(st.sampled_from(values), st.floats(0.0, 1e300)), min_size=1, max_size=4))
+        # A constant bound, or a non-decreasing one.
+        steps = sorted(data.draw(st.lists(st.integers(lo, hi), min_size=len(drawn) - 1, max_size=len(drawn) - 1)))
+        bound = [0.0] * lo + [sorted(drawn)[sum(j >= step for step in steps)] for j in range(lo, hi + 1)]
+    got, taken = _counted_search(tail, bound, lo, hi)
+    assert got == next((j for j in range(lo, hi + 1) if tail[j] <= bound[j]), hi + 1)
+    assert len(taken) == len(set(taken))  # no tail is taken twice
+    # hi, lo, two secant steps that fail to halve the span, and at most two
+    # tails for each halving.
+    assert len(taken) <= 6 + 2 * max(hi - lo - 1, 0).bit_length()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    slope=st.floats(1e-3, 5.0), offset=st.floats(-300.0, 300.0), span=st.integers(1, 5000),
+    data=st.data(),
+)
+def test_search_on_a_geometric_tail_takes_four_tails(slope, offset, span, data):
+    # log tail is linear in j, and the bound sits halfway between two
+    # sheets: the line meets it half a sheet before the answer, which the
+    # first step tries and the probe of its neighbour confirms.
+    assume(offset - slope * (span + 1) > -700.0)  # no tail underflows
+    answer = data.draw(st.integers(0, span + 1))
+    tail = [math.exp(offset - slope * j) for j in range(span + 1)]
+    bound = [math.exp(offset - slope * (answer - 0.5))] * (span + 1)
+    got, taken = _counted_search(tail, bound, 0, span)
+    assert got == answer
+    assert len(taken) <= 4
+
+
+def test_a_plain_derivative_sum_takes_no_tail_past_the_block_of_its_stop():
+    # At alpha = 60 the radius leaves the float range on sheet 137 271, far
+    # past the stop: a tail taken there would raise OutOfRegime.
+    res = derivative_sum(MeanderModel(0.5, c=0.1, alpha=60.0), 0.3, 1)
+    assert res.terms_used == 913
 
 
 @settings(max_examples=60, deadline=None)
