@@ -163,14 +163,6 @@ class _PullbackPoles(PoleFamilyBase):
         # A NaN pad has NaN preimages.
         return self._preimages(base).reshape(len(ns), base.shape[1] * self.beta)
 
-    def nearest_pole(self, n: int, w: complex) -> tuple[complex, float]:
-        poles = self.poles_on_sheet(n)
-        if len(poles) == 0:
-            return 0j, math.inf
-        d = np.abs(w - poles)
-        i = int(np.argmin(d))
-        return complex(poles[i]), float(d[i])
-
     def sheets(self):
         return self._base.sheets()
 

@@ -259,6 +259,15 @@ class PoleFamilyBase:
         """
         return None
 
+    def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
+        """The first nearest pole of sheet n to z and its distance; (0j, inf) on a sheet without poles."""
+        poles = self.poles_on_sheet(n)
+        if len(poles) == 0:
+            return 0j, math.inf
+        d = np.abs(z - poles)
+        i = int(np.argmin(d))
+        return complex(poles[i]), float(d[i])
+
     def nearest_pole_all(self, ns: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
         """Nearest pole and its distance to z on each sheet of ns.
 
@@ -394,12 +403,6 @@ class ReciprocalPoles(PoleFamilyBase):
     def poles_on_sheet(self, n: int) -> np.ndarray:
         return 1.0 / np.arange(1, n + 2, dtype=float) + 0j
 
-    def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
-        poles = self.poles_on_sheet(n)
-        d = np.abs(z - poles)
-        i = int(np.argmin(d))
-        return complex(poles[i]), float(d[i])
-
     def tail_distance_bound(self, z: complex, cutoff: int) -> float:
         x = min(max(z.real, 0.0), 1.0)
         return abs(z - x)
@@ -454,14 +457,6 @@ class ExplicitPoles(PoleFamilyBase):
 
     def poles_on_sheet(self, n: int) -> np.ndarray:
         return self._table.get(n, np.empty(0, dtype=complex))
-
-    def nearest_pole(self, n: int, z: complex) -> tuple[complex, float]:
-        poles = self.poles_on_sheet(n)
-        if len(poles) == 0:
-            return 0j, math.inf
-        d = np.abs(z - poles)
-        i = int(np.argmin(d))
-        return complex(poles[i]), float(d[i])
 
     def poles_table(self, ns: np.ndarray) -> np.ndarray:
         i = np.minimum(np.searchsorted(self._sheets, ns), len(self._sheets) - 1)

@@ -290,16 +290,6 @@ def pi_k(k: int, z):
     return acc
 
 
-def _pik_partial_fractions(k: int) -> np.ndarray:
-    """Coefficients B_l of 1/pi_k = sum_l B_l/(1 - l*z), l = 1..k+1."""
-    ls = np.arange(1, k + 2, dtype=float)
-    coeffs = np.empty(k + 1, dtype=float)
-    for i, l in enumerate(ls):
-        others = np.delete(ls, i)
-        coeffs[i] = float(np.prod(l / (l - others)))
-    return coeffs
-
-
 class ZeroSumPiK(TermSequence):
     """Terms (-1)**k * k! * z**k / pi_k(z) on sheets k >= 0.
 
@@ -321,29 +311,38 @@ class ZeroSumPiK(TermSequence):
             ReciprocalPoles(), DiophantineRadius(c, alpha, lam, shift=1)
         )
         self.region = region if region is not None else Disc(0j, 0.5)
-        self._pf_cache: dict[int, np.ndarray] = {}
-        self._h_cache: dict[int, list[int]] = {}
+        self._h_cache: dict[int, tuple] = {}
+        self._h_point = 0j
 
-    def _pf(self, k: int) -> np.ndarray:
-        if k not in self._pf_cache:
-            self._pf_cache[k] = _pik_partial_fractions(k)
-        return self._pf_cache[k]
+    def _h_coefficients(self, n: int, order: int, z: complex) -> tuple:
+        """P and h_0..h_order with 1/pi_n(z + t) = P * sum_j h_j t**j.
 
-    def _h_coefficients(self, n: int, order: int) -> list[int]:
-        """Integer Taylor coefficients of 1/pi_n up to the given order.
-
-        Iterated convolution with the geometric series of each factor; all
-        contributions are non-negative integers, so the result is exact.
+        1/pi_n(z + t) = prod_l 1/(1 - l*z) * prod_l 1/(1 - r_l*t) with
+        r_l = l/(1 - l*z), l = 1..n+1: P is the first product, and the
+        prefix recurrence of each geometric series gives the complete
+        homogeneous symmetric polynomials h_j(r).  At z = 0 the r_l are the
+        integers l, so the h_j are exact integers.  The cache holds the
+        sheets of one point; sheet n goes on from sheet n - 1 when that has
+        the order, which takes the same operations as starting from l = 1.
         """
-        coeffs = self._h_cache.get(n)
-        if coeffs is None or len(coeffs) <= order:
-            coeffs = [1] + [0] * order
-            for l in range(1, n + 2):
-                # convolution with 1/(1 - l z) as a prefix recurrence
+        if z != self._h_point:
+            self._h_cache, self._h_point = {}, z
+        cached = self._h_cache.get(n)
+        if cached is None or len(cached[1]) <= order:
+            prev = self._h_cache.get(n - 1)
+            if prev is not None and len(prev[1]) > order:
+                scale, coeffs, ls = prev[0], prev[1][: order + 1], [n + 1]
+            else:
+                scale, coeffs, ls = 1, [1] + [0] * order, range(1, n + 2)
+            for l in ls:
+                r = l
+                if z != 0:
+                    d = 1.0 - l * z
+                    scale, r = scale * (1.0 / d), l / d
                 for j in range(1, order + 1):
-                    coeffs[j] = coeffs[j] + l * coeffs[j - 1]
-            self._h_cache[n] = coeffs
-        return coeffs
+                    coeffs[j] = coeffs[j] + r * coeffs[j - 1]
+            cached = self._h_cache[n] = scale, coeffs
+        return cached
 
     def term(self, n: int, z: complex) -> complex:
         return (-1.0) ** n * math.factorial(n) * z**n / pi_k(n, z)
@@ -355,30 +354,14 @@ class ZeroSumPiK(TermSequence):
             return self.term(n, z)
         if z == 0:
             # q-th derivative at 0 is q! * [z**q](term) with exact integer
-            # coefficients; the partial-fraction route would lose ~1e-10 of
-            # cancellation accuracy here.
+            # coefficients.
             if q < n:
                 return 0j
-            h = self._h_coefficients(n, q - n)[q - n]
+            h = self._h_coefficients(n, q - n, z)[1][q - n]
             return complex((-1) ** n * math.factorial(n) * math.factorial(q) * h)
-        B = self._pf(n)
-        ls = np.arange(1, n + 2, dtype=float)
-        total = 0j
-        for i in range(min(q, n) + 1):  # d^i z**n vanishes for i > n
-            mono = math.perm(n, i) * z ** (n - i)
-            if mono == 0:
-                continue
-            j = q - i
-            h_j = math.factorial(j) * complex(np.sum(B * ls**j / (1.0 - ls * z) ** (j + 1)))
-            total += math.comb(q, i) * mono * h_j
-        return (-1.0) ** n * math.factorial(n) * total
-
-    def residue(self, n: int, pole: complex) -> complex:
-        l = int(round(1.0 / pole.real))
-        if not (1 <= l <= n + 1) or abs(pole - 1.0 / l) > 1e-9:
-            raise ValueError(f"{pole} is not a sheet-{n} pole")
-        B = self._pf(n)[l - 1]
-        return (-1.0) ** n * math.factorial(n) * (1.0 / l) ** n * B * (-1.0 / l)
+        scale, h = self._h_coefficients(n, q, z)
+        total = sum(math.comb(n, i) * z ** (n - i) * h[q - i] for i in range(min(q, n) + 1))
+        return (-1.0) ** n * math.factorial(n) * math.factorial(q) * scale * total
 
 
 def zero_sum_coefficients(c, poles: Sequence, n: int) -> list:
@@ -451,12 +434,6 @@ class ZeroSumGeneral(TermSequence):
             h_j = math.factorial(j) * e ** -j / (1.0 - z / e) ** (j + 1)
             total += math.comb(q, i) * mono * h_j
         return self.coefficients[n] * total
-
-    def residue(self, n: int, pole: complex) -> complex:
-        if abs(pole - self.pole_list[n]) > 1e-9:
-            raise ValueError(f"{pole} is not the sheet-{n} pole")
-        e = self.pole_list[n]
-        return -self.coefficients[n] * e ** (n + 1)
 
 
 # ---------------------------------------------------------------------------

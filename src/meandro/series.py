@@ -27,34 +27,36 @@ compensated accumulation.  The exact sums are ``math.fsum``'s, bit for bit:
 ExtractVector), adds the parts in numpy, and proves from an error bound
 that the result is correctly rounded; a row it cannot prove (a near-tie,
 heavy cancellation, overflow) and a group of fewer than ``_FSUM_BELOW``
-values go to fsum.  A point stops being checked for clearance once the tail
-bounds of its poles and radii clear it of every later disc, or, at an
-accumulation point of the poles, their distance power law clears it of every
-disc up to the last sheet; at most points of an evaluation and at a jet's
-accumulation point this happens after the first block.  What stays per lane
-is the scalar certified tails and the scalar confirmations of the
-shortlists.
+values go to fsum.  In a pass whose last sheet has a float radius, a point
+stops being checked for clearance once the tail bounds of its poles and
+radii clear it of every later disc, or, at an accumulation point of the
+poles, their distance power law clears it of every disc up to the last
+sheet; at most points of an evaluation and at a jet's accumulation point
+this happens after the first block.  In any other pass every point is
+checked on every sheet it needs, so that a radius below the float range
+raises its OutOfRegime there.  What stays per lane is the scalar tails and
+the scalar confirmations of the shortlists.
 
-For each lane the engine picks one of four stopping rules from its inputs:
+For each lane the engine picks one of three stopping rules from its inputs:
 
-* a finite family is summed through its last sheet; its tail is exactly 0;
-* a decay certificate A*rho**n over a Diophantine radius gives a rigorous
-  tail bound (``tails._CertifiedTails``), which does not increase with the
-  sheet and does not depend on the terms.  A plain sum (no relative part,
-  as in ``evaluate_sums`` and ``derivative_sum``) has one limit, the
-  tolerance, so its stopping sheet is known before any term: a search on
-  the scalar tail finds it once per order and point (once in all for order
-  0, whose tail is the same at every point).  Each block then ends after
-  the furthest stop of its open lanes, so no term, finiteness or clearance
-  check is done past it.  A jet's limits grow with its running sums, but
-  none in a block exceeds U, the tolerance at |sum so far| + sum of |terms|:
-  the same search against U finds the first sheet that can stop the lane
-  (none when the tail at the block's last sheet is above U), and the exact
-  limit is checked there, a few scalar tails a lane;
-* a jet without such a certificate stops once a window of consecutive terms
-  is negligible (the stabilised rule); its tail is a heuristic estimate;
-* any other sum stops on the ratio test of the norm bounds; its tail is a
-  heuristic estimate as well.
+* tails known before the terms (``_CertifiedStop``): a finite family's are
+  inf before its last sheet and exactly 0 from it on
+  (``tails._FiniteTails``), and a decay certificate A*rho**n over a
+  Diophantine radius gives rigorous ones (``tails._CertifiedTails``).
+  Neither increases with the sheet, so a search on the scalar tail finds
+  each stop, a few tails a lane.  A plain sum (no relative part, as in
+  ``evaluate_sums`` and ``derivative_sum``) has one limit, the tolerance,
+  so its stopping sheet is known before any term, once per order and point
+  (once in all for order 0, whose tail is the same at every point), and
+  each block ends after the furthest stop of its open lanes: no term,
+  finiteness or clearance check is done past it.  A jet's limits grow with
+  its running sums, but none in a block exceeds U, the tolerance at |sum so
+  far| + sum of |terms|: the search against U finds the first sheet that
+  can stop the lane, and the exact limit is checked there;
+* a jet without such tails stops once a window of consecutive terms is
+  negligible (the stabilised rule); its tail is a heuristic estimate;
+* any other sum stops on the ratio test of the norm bounds (the ratio
+  rule); its tail is a heuristic estimate as well.
 
 A term that is not finite (overflow of the block arithmetic) at or before a
 lane's stopping sheet ends its point with OutOfRegime; terms computed past
@@ -100,7 +102,7 @@ import numpy as np
 
 from .errors import DiophantineRequired, MeandroError, OutOfRegime, PoleProximity, TolUnreachable
 from .geometry import _GROUP_VALUES, DiophantineRadius, Disc, Perforation, _tail_clears, doubling_blocks
-from .tails import _CertifiedTails
+from .tails import _CertifiedTails, _FiniteTails
 
 _STABLE_WINDOW = 8
 #: Highest jet order: k! overflows a float from k = 171 on.
@@ -452,17 +454,6 @@ class _Group:
         return self.acc[rows, None] + np.cumsum(self.terms[rows], axis=1)
 
 
-class _FiniteStop:
-    """Sum through the last sheet of a finite family; the tail is exactly 0."""
-
-    def __init__(self, n_max: int):
-        self.n_max = n_max
-
-    def scan(self, g: _Group) -> list[_Stop]:
-        j = self.n_max - int(g.ns[0])
-        return [(j, 0.0) if j < clean else None for clean in g.clean.tolist()]
-
-
 def _search(tail, bound, lo: int, hi: int) -> int:
     """The first j in [lo, hi] with tail(j) <= bound(j), or hi + 1 if there is none.
 
@@ -506,32 +497,21 @@ def _search(tail, bound, lo: int, hi: int) -> int:
 
 
 class _CertifiedStop:
-    """Stop at the first sheet whose certified tail is within the tolerance.
+    """Stop at the first sheet whose tail, known before the terms, is within the limit.
 
     Lane l sums at the point ``zs[l // width]``; its tails are those of
-    ``_CertifiedTails`` there, and they do not increase with the sheet.
-    Every stop is found by ``_search`` on the scalar tail, a few tails a
-    lane rather than one a sheet.
-
-    A lane whose limit is abs_tol on every sheet (rel_tol = 0: ``eval``,
-    ``ray_trace``, the ``gevrey`` rows, ``derivative_sum``) has a stopping
-    sheet known before any term: the first n in [n_min, last] with tail <=
-    abs_tol.  ``stop`` finds it once per order and point; the order-0 tail
-    is the same at every point, so a whole evaluation pays a few tails once.
-    The engine ends its blocks after the furthest stop of its open lanes,
-    and ``scan`` reads the stop.
-
-    A jet's limits grow with its running sums (rel_tol > 0).  Every limit of
-    a block is at most U, the tolerance at |acc| + sum |terms|, so a lane
-    first searches for j1, the first sheet with tail <= U*(1 + 1e-9): for
-    j < j1, tail(j) > U*(1 + 1e-9) >= limit(j), and no sheet before j1 can
-    stop it.  The exact limit is taken at j1 alone; the lane stops there if
-    its tail is within it, and otherwise ``_first_stop`` goes on from j1 + 1.
+    ``_FiniteTails`` there for a finite family and of ``_CertifiedTails``
+    otherwise.  A lane with one limit on every sheet (rel_tol = 0) gets its
+    stop from ``stop`` before any term.  A jet's lane searches for j1, the
+    first sheet with tail <= U*(1 + 1e-9), U the tolerance at |acc| + sum
+    |terms|: for j < j1, tail(j) > U*(1 + 1e-9) >= limit(j).  The lane stops at j1 if its tail is within the
+    exact limit there, and otherwise ``_first_stop`` goes on from j1 + 1.
     """
 
     def __init__(self, seq: TermSequence, zs: list, width: int, last: int):
         self.seq, self.zs, self.width, self.last = seq, zs, width, last
-        self._points: dict[int, _CertifiedTails] = {}
+        self._tails = _CertifiedTails if seq.n_max is None else _FiniteTails
+        self._points: dict[int, _CertifiedTails | _FiniteTails] = {}
         self._tail_cache: dict[tuple[int, int, int], float] = {}
         self._stops: dict[tuple[int, int], tuple[int, float] | None] = {}
 
@@ -541,7 +521,7 @@ class _CertifiedStop:
         if key not in self._tail_cache:
             p = key[2]
             if p not in self._points:
-                self._points[p] = _CertifiedTails(self.seq, self.zs[p])
+                self._points[p] = self._tails(self.seq, self.zs[p])
             self._tail_cache[key] = self._points[p].tail(k, n)
         return self._tail_cache[key]
 
@@ -748,29 +728,12 @@ def _block_sums(terms: np.ndarray, rows: list[int], lens: np.ndarray) -> np.ndar
     return _exact_sums(x, np.repeat(lens, 2)).reshape(-1, 2)
 
 
-def _clears(perf: Perforation, z: complex, sheet: int, last: int) -> bool:
-    """``geometry._tail_clears`` at margin 0 up to ``last``; False if the radius is below the float range."""
-    try:
-        return _tail_clears(perf, z, sheet, 0.0, last)
-    except OutOfRegime:
-        return False
-
-
 def _first_blocked(perf: Perforation, ns: np.ndarray, z: complex, end: int):
     """``first_blocked_all`` for the point z alone, or the OutOfRegime it raises."""
     try:
         return perf.first_blocked_all(ns, [z], ends=[end])[0]
     except OutOfRegime as exc:
         return exc
-
-
-def _radius_is_float(perf: Perforation, n: int) -> bool:
-    """Whether ``radius_at(n)`` is a float; first_blocked_all raises on sheets where it is not."""
-    try:
-        perf.radius_at(n)
-    except MeandroError:
-        return False
-    return True
 
 
 def _sum_derivative_series(
@@ -798,24 +761,19 @@ def _sum_derivative_series(
     is applied to the open lanes of each group, and each lane keeps the
     block's terms through its stopping sheet.
 
-    The inputs pick the stopping rule, first match wins.  A finite family
-    (``n_max`` set) is summed through its last sheet with tail 0, which is
-    exact.  A decay certificate over a Diophantine radius stops on the
-    certified tail (rigorous).  ``stabilise`` (a jet without a certificate)
-    stops once ``_STABLE_WINDOW`` consecutive terms are negligible, with the
-    window's sum as tail (heuristic); it skips the region check and gives
-    DiophantineRequired when out of sheets.  Otherwise the norm-bound ratio
-    test stops (heuristic).
+    The inputs pick one of the three rules of the module docstring: tails
+    known before the terms (a finite family's, exact, or a decay
+    certificate's over a Diophantine radius, rigorous), the stabilised rule
+    (``stabilise``: a jet without such tails; it skips the region check and
+    gives DiophantineRequired when out of sheets), and the ratio rule.
 
     Pole clearance is checked once per sheet, on every sheet up to the
-    furthest one a point's orders need, until the point is cleared: after a
-    block whose last sheet is L, ``geometry._tail_clears`` at L (the
-    residual scan's discharge rule, or the poles' distance power law up to
-    the last sheet of the pass) proves that no disc of a later sheet that
-    the pass can reach holds the point, and first_blocked_all then passes it
-    over.  It still takes the point where the radius at the furthest sheet
-    the point needs is below the float range, so that its OutOfRegime is
-    raised as before.
+    furthest one a point's orders need, until the point is cleared: in a
+    pass whose last sheet has a float radius, after a block whose last
+    sheet is L, ``geometry._tail_clears`` at L (the residual scan's
+    discharge rule, or the poles' distance power law up to the last sheet
+    of the pass) proves that no disc of a later sheet that the pass can
+    reach holds the point, and first_blocked_all then passes it over.
     A point's error is the first in sheet order: a removed disc holding it
     (PoleProximity), a term that is not finite (OutOfRegime), growing norm
     bounds (TolUnreachable); a block sum past the float range (OutOfRegime)
@@ -848,13 +806,18 @@ def _sum_derivative_series(
     last = seq.n_min + max_terms - 1
     if finite:
         last = min(last, seq.n_max)
-        rule = _FiniteStop(seq.n_max)
-    elif certified:
+    if finite or certified:
         rule = _CertifiedStop(seq, zs, width, last)
     else:
         rule = _StabilisedStop(lanes) if stabilise else _RatioStop(seq)
-    # Points that no disc after the last block can hold (``_tail_clears``).
+    # Points that no disc after the last block can hold (``_tail_clears``),
+    # in a pass whose last sheet has a float radius.
     cleared: set[int] = set()
+    clearable = True
+    try:
+        seq.perforation.radius_at(last)
+    except MeandroError:
+        clearable = False
 
     def sum_block(ns: np.ndarray, points: list[int]) -> None:
         """Sum the block of sheets ns for these points, as one lane group."""
@@ -887,14 +850,7 @@ def _sum_derivative_series(
             reach[p] = max(reach[p], last_j if end is None else end[0])
             if end is not None and isinstance(end[1], MeandroError):
                 errors.setdefault(p, []).append((end[0], lane_order[l], end[1]))
-        # A cleared point clears every disc of this block; it still goes to
-        # first_blocked_all when a sheet it needs has a radius below the
-        # float range, which raises there.
-        check = [p for p in points if p not in cleared]
-        if len(check) < len(points) and not _radius_is_float(
-            seq.perforation, lo + max(reach[p] for p in points if p in cleared)
-        ):
-            check = points
+        check = [p for p in points if p not in cleared]  # a cleared point clears every disc of the block
         if check:
             perf, limits = seq.perforation, [reach[p] + 1 for p in check]
             try:
@@ -958,7 +914,9 @@ def _sum_derivative_series(
         for start in range(0, len(live), size):
             sum_block(ns, live[start : start + size])
         live = [p for p in live if outcomes[p] is None]
-        cleared.update(p for p in live if p not in cleared and _clears(seq.perforation, zs[p], hi - 1, last))
+        if clearable:
+            perf = seq.perforation
+            cleared.update(p for p in live if p not in cleared and _tail_clears(perf, zs[p], hi - 1, 0.0, last))
     for p in live:
         if stabilise:
             outcomes[p] = DiophantineRequired(
@@ -1011,10 +969,7 @@ def evaluate_sum(
     z sits inside a removed disc of a sheet that is visited, and
     TolUnreachable when no certificate can push the tail bound below tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    outcome = _sum_derivative_series(seq, [z], range(1), tol, 0.0, 0.0, max_terms)[0]
-    return _one_point(outcome)[0]
+    return derivative_sum(seq, z, 0, tol, max_terms)
 
 
 def derivative_sum(

@@ -7,6 +7,7 @@ at z0 is at most k! * A*rho**j / R**k for any circle about z0 of radius R
 on which the bound holds.  ``_CertifiedTails`` sums these bounds over the
 sheets after n for three choices of R and keeps the least; the summation
 engine in ``series`` stops a lane once its tail is within the tolerance.
+A finite family's tails (``_FiniteTails``) need no bound: they are exact.
 """
 
 from __future__ import annotations
@@ -169,6 +170,16 @@ class _CertifiedTails:
             if tail < math.inf:
                 best = min(best, _exp(log_k - k * log_b + math.log(tail)) if tail else 0.0)
         return best
+
+
+class _FiniteTails:
+    """Tails of a finite family at any point and order: inf before its last sheet, exactly 0 from it on."""
+
+    def __init__(self, seq: TermSequence, z0: complex):
+        self.n_max = seq.n_max
+
+    def tail(self, k: int, n: int) -> float:
+        return 0.0 if n >= self.n_max else math.inf
 
 
 def _exp(log_tail: float) -> float:

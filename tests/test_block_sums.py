@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandro import CompensatedSum, MeanderModel, QLogModel, evaluate_sums, series, taylor_jet
-from meandro.errors import MeandroError
+from meandro.errors import MeandroError, OutOfRegime
 from meandro.geometry import Perforation
 from meandro.tails import _CertifiedTails
 
@@ -265,6 +265,8 @@ def _jet(seq, z0, m):
 _SEQUENCES = {
     "meander": lambda: MeanderModel(0.95, c=0.05),
     "qlog": lambda: QLogModel(0.9),
+    # The radius leaves the float range on sheet 1210, where no point is cleared.
+    "meander-alpha-100": lambda: MeanderModel(0.5, c=0.1, alpha=100),
 }
 
 
@@ -293,4 +295,16 @@ def test_a_cleared_point_still_meets_a_radius_below_the_float_range():
     seq = MeanderModel(0.5, c=0.1, alpha=100.0)
     [error] = evaluate_sums(seq, [0.1 + 0j])
     assert isinstance(error, MeandroError)
+    assert "below the float range on sheet 1210" in str(error)
+
+
+def test_no_point_is_cleared_in_a_pass_past_the_float_range_of_the_radius():
+    # The pass of evaluate_sums runs to sheet 200 000, whose radius is below
+    # the float range at alpha = 100, so no clearance is tried and the point
+    # meets that range's error on sheet 1210.
+    spy = mock.Mock(wraps=series._tail_clears)
+    with mock.patch.object(series, "_tail_clears", spy):
+        [error] = evaluate_sums(MeanderModel(0.5, c=0.1, alpha=100.0), [0.1 + 0j])
+    assert spy.call_count == 0
+    assert isinstance(error, OutOfRegime)
     assert "below the float range on sheet 1210" in str(error)

@@ -163,6 +163,19 @@ def test_pik_jet_is_one(meander_half):
     assert np.all(jet.coefficients[1:] == 0.0)
 
 
+@pytest.mark.parametrize("z", [0.013 + 0j, 0.03j, -0.2 + 0.05j, 0.3 + 0.4j])
+def test_pik_derivatives_off_the_origin_match_mpmath(z):
+    seq = ZeroSumPiK()
+    for n in range(31):
+        with mpmath.workdps(50):
+            def term(t):
+                return (-1) ** n * mpmath.factorial(n) * t**n / mpmath.fprod(1 - j * t for j in range(1, n + 2))
+
+            want = [complex(mpmath.diff(term, mpmath.mpc(z), q)) for q in range(9)]
+        for q in range(9):
+            assert seq.derivative(n, q, z) == pytest.approx(want[q], rel=1e-7, abs=0.0), (n, q)
+
+
 def test_zero_sum_coefficient_seeds():
     assert zero_sum_coefficients(1, [Fraction(2)], 0) == [-1]
     a = zero_sum_coefficients(1, [Fraction(1), Fraction(1)], 1)
