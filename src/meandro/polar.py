@@ -23,6 +23,7 @@ controlled by s(lam)*r times the annulus sup, where
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -364,16 +365,16 @@ def fiber_polar_sum(
         raise DiophantineRequired(
             "fiber polar sums need a decay certificate over a Diophantine radius"
         )
-    fiber = list(perf.poles.sheets_containing(omega_proj, sheet_limit))
-    if not fiber:
+    fiber = iter(perf.poles.sheets_containing(omega_proj, sheet_limit))  # drawn up to the stop alone
+    n0 = next(fiber, None)
+    if n0 is None:
         raise ValueError(f"{omega_proj} is not a pole projection of this family")
-    n0 = fiber[0]
     if abs(z - omega_proj) < radius.lam * radius.value(n0):
         raise PoleProximity(n0, omega_proj)
 
     s_val = s_lambda(radius.lam)
     acc = 0j
-    for n in fiber:
+    for n in itertools.chain([n0], fiber):
         pole, _ = perf.nearest_pole(n, omega_proj)
         acc += seq.residue(n, pole) / (z - pole)
         tail = (

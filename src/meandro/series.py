@@ -18,11 +18,14 @@ bit for bit.  A block's terms come, for a few points at a time, from
 ``TermSequence.term_grid`` (order 0, one row per point) or
 ``TermSequence.derivatives`` (one row per order) as one numpy array.  The
 points come in groups of at most about 4 096 values (at least one point, so
-a jet's group is its block), and a group's bookkeeping is numpy:
-finiteness, running sums, tolerances, the pole-clearance shortlist of
-``first_blocked_all`` (a numpy sweep of the family's ``poles_table`` where
-it has one), the exact sums of the terms each lane keeps and their
-compensated accumulation.  The exact sums are ``math.fsum``'s, bit for bit:
+a jet's group is its block).  The state of the lanes is arrays indexed by
+lane (running sum, whether it has stopped, its stopping sheet and tail) and
+by point (ended, cleared), so a group's bookkeeping is mask and index
+arithmetic: finiteness, running sums, tolerances, stops, the pole-clearance
+shortlist of ``first_blocked_all`` (a numpy sweep of the family's
+``poles_table`` where it has one), the exact sums of the terms each lane
+keeps and their compensated accumulation; errors, which are rare, are the
+only Python objects.  The exact sums are ``math.fsum``'s, bit for bit:
 ``_exact_sums`` splits each row at a power of two (Rump, Ogita and Oishi's
 ExtractVector), adds the parts in numpy, and proves from an error bound
 that the result is correctly rounded; a row it cannot prove (a near-tie,
@@ -34,8 +37,8 @@ poles, their distance power law clears it of every disc up to the last
 sheet; at most points of an evaluation and at a jet's accumulation point
 this happens after the first block.  In any other pass every point is
 checked on every sheet it needs, so that a radius below the float range
-raises its OutOfRegime there.  What stays per lane is the scalar tails and
-the scalar confirmations of the shortlists.
+raises its OutOfRegime there.  What stays per lane is a jet's scalar tails,
+and per point the scalar confirmations of the shortlists.
 
 For each lane the engine picks one of three stopping rules from its inputs:
 
@@ -46,10 +49,11 @@ For each lane the engine picks one of three stopping rules from its inputs:
   Neither increases with the sheet, so a search on the scalar tail finds
   each stop, a few tails a lane.  A plain sum (no relative part, as in
   ``evaluate_sums`` and ``derivative_sum``) has one limit, the tolerance,
-  so its stopping sheet is known before any term, once per order and point
-  (once in all for order 0, whose tail is the same at every point), and
-  each block ends after the furthest stop of its open lanes: no term,
-  finiteness or clearance check is done past it.  A jet's limits grow with
+  so its stopping sheet is searched before any term, once per order and
+  point (once in all for order 0, whose tail is the same at every point)
+  into an array of stops that each block reads, and each block ends after
+  the furthest stop of its live points: no term, finiteness or clearance
+  check is done past it.  A jet's limits grow with
   its running sums, but none in a block exceeds U, the tolerance at |sum so
   far| + sum of |terms|: the search against U finds the first sheet that
   can stop the lane, and the exact limit is checked there;
@@ -173,12 +177,13 @@ def _exact_sums(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """``math.fsum(x[i, :lens[i]])`` for every row i, bit for bit, with NaN where fsum overflows.
 
     Each row's first lens[i] >= 1 values are finite; nothing past them is
-    read as a value.  Below ``_FSUM_BELOW`` values in all, every row goes
-    to fsum.  Otherwise a row of n values of largest magnitude m is summed in
-    numpy (Rump, Ogita and Oishi's ExtractVector, "Accurate floating-point
-    summation, Part I", SIAM J. Sci. Comput. 31(1), 2008), in column tiles of
-    at most ``_TILE_VALUES`` floats.  With u = 2**-53, fl() round to nearest
-    and eta = 2**-1074 the least float:
+    read as a value, and on the numpy route they are overwritten with 0 (so
+    x must be a copy the caller can spare).  Below ``_FSUM_BELOW`` values in
+    all, every row goes to fsum.  Otherwise a row of n values of largest
+    magnitude m is summed in numpy (Rump, Ogita and Oishi's ExtractVector,
+    "Accurate floating-point summation, Part I", SIAM J. Sci. Comput. 31(1),
+    2008), in column tiles of at most ``_TILE_VALUES`` floats.  With u =
+    2**-53, fl() round to nearest and eta = 2**-1074 the least float:
 
     * sigma = 2**M, taken from the exponent of fl(2*n*m), exceeds 2*n*m:
       rounding cannot carry 2*n*m past the power of two above fl(2*n*m).
@@ -213,24 +218,19 @@ def _exact_sums(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
     rows, cols = len(counts), max(counts)
     if sum(counts) < _FSUM_BELOW:
         return np.array([_fsum(row[:k]) for row, k in zip(x, counts)], dtype=float)
-    width = max(1, _TILE_VALUES // rows)
-    ragged = min(counts) < cols
-
-    def tile(c0: int) -> np.ndarray:
-        part = x[:, c0 : min(c0 + width, cols)]
-        if ragged:
-            part = np.where(np.arange(c0, c0 + part.shape[1]) < lens[:, None], part, 0.0)
-        return part
-
+    x, width, ragged = x[:, :cols], max(1, _TILE_VALUES // rows), min(counts) < cols
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.zeros(rows)
         for c0 in range(0, cols, width):
-            m = np.maximum(m, np.abs(tile(c0)).max(axis=1))
+            part = x[:, c0 : c0 + width]
+            if ragged:  # each row's tail is zeroed once, a tile at a time
+                np.copyto(part, 0.0, where=np.arange(c0, c0 + part.shape[1]) >= lens[:, None])
+            m = np.maximum(m, np.maximum(part.max(axis=1), -part.min(axis=1)))
         big = 2.0 * lens * m
         sigma = np.ldexp(1.0, np.frexp(big)[1])[:, None]
         p = s = S = 0.0
         for c0 in range(0, cols, width):
-            part = tile(c0)
+            part = x[:, c0 : c0 + width]
             q = (sigma + part) - sigma
             r = part - q
             p = p + q.sum(axis=1)
@@ -421,26 +421,23 @@ def _certifiable(seq: TermSequence) -> bool:
     return seq.decay_cert is not None and isinstance(seq.perforation.radius, DiophantineRadius)
 
 
-#: What a stopping rule reports for one lane of a block: None (no stop in it),
-#: or the block index of the stopping sheet with the tail, or with the error
-#: due there.
-_Stop = tuple[int, float | MeandroError] | None
-
-
 class _Group:
     """One lane group of a block: row r of ``terms`` is lane ``lanes[r]``.
 
     ``clean[r]`` counts the row's finite terms before its first non-finite
     one, and ``bad[r]`` says whether it has one.  Lane r's tolerance at a
-    magnitude v is max(abs_tol[r], rel_tol * max(v, floor[r])).
+    magnitude v is max(abs_tol[r], rel_tol * max(v, floor[r])).  A stopping
+    rule's ``scan`` gives for the rows the block index of each one's
+    stopping sheet (the block's length where it holds none), the tail there,
+    and the rows whose stop is an error instead, with the error.
     """
 
     def __init__(self, ns, terms, lanes, k, acc, abs_tol, floor, rel_tol):
         self.ns, self.terms, self.lanes, self.k, self.acc = ns, terms, lanes, k, acc
         self.abs_tol, self.floor, self.rel_tol = abs_tol, floor, rel_tol
-        bad = ~np.isfinite(terms)
-        self.bad = bad.any(axis=1)
-        self.clean = np.where(self.bad, bad.argmax(axis=1), len(ns))
+        fine = np.isfinite(terms)
+        self.bad = ~fine.all(axis=1)
+        self.clean = np.where(self.bad, fine.argmin(axis=1), len(ns))
 
     def tol(self, v: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Tolerances of the lanes ``rows`` at v, one value (1-D v) or one row (2-D v) a lane."""
@@ -501,11 +498,12 @@ class _CertifiedStop:
 
     Lane l sums at the point ``zs[l // width]``; its tails are those of
     ``_FiniteTails`` there for a finite family and of ``_CertifiedTails``
-    otherwise.  A lane with one limit on every sheet (rel_tol = 0) gets its
-    stop from ``stop`` before any term.  A jet's lane searches for j1, the
+    otherwise.  Lanes with one limit on every sheet (rel_tol = 0) get their
+    stops from ``plan`` before any term.  A jet's lane searches for j1, the
     first sheet with tail <= U*(1 + 1e-9), U the tolerance at |acc| + sum
-    |terms|: for j < j1, tail(j) > U*(1 + 1e-9) >= limit(j).  The lane stops at j1 if its tail is within the
-    exact limit there, and otherwise ``_first_stop`` goes on from j1 + 1.
+    |terms|: for j < j1, tail(j) > U*(1 + 1e-9) >= limit(j).  The lane stops
+    at j1 if its tail is within the exact limit there, and otherwise
+    ``_first_stop`` goes on from j1 + 1.
     """
 
     def __init__(self, seq: TermSequence, zs: list, width: int, last: int):
@@ -513,7 +511,6 @@ class _CertifiedStop:
         self._tails = _CertifiedTails if seq.n_max is None else _FiniteTails
         self._points: dict[int, _CertifiedTails | _FiniteTails] = {}
         self._tail_cache: dict[tuple[int, int, int], float] = {}
-        self._stops: dict[tuple[int, int], tuple[int, float] | None] = {}
 
     def _tail(self, lane: int, k: int, n: int) -> float:
         # The order-0 tail is the same at every point.
@@ -525,27 +522,34 @@ class _CertifiedStop:
             self._tail_cache[key] = self._points[p].tail(k, n)
         return self._tail_cache[key]
 
-    def stop(self, lane: int, k: int, limit: float) -> tuple[int, float] | None:
-        """The first sheet n in [n_min, last] with tail(k, n) <= limit, with its tail, or None.
+    def stop(self, lane: int, k: int, limit: float) -> tuple[int, float]:
+        """The first sheet n in [n_min, last] with tail(k, n) <= limit, with its tail, or (last + 1, inf).
 
-        For a lane whose limit is the same on every sheet, and cached per
-        order and point: the limit of an order is the same in every lane.
-        The blocks of ``doubling_blocks`` are searched in turn, so no tail is
-        taken past the stop's block, where the radius may leave the float
-        range.
+        The blocks of ``doubling_blocks`` are searched in turn: no tail is
+        taken past the stop's block, where the radius may leave the float range.
         """
-        key = (k, lane // self.width if k else 0)
-        if key not in self._stops:
-            self._stops[key] = None
-            tail = lambda n: self._tail(lane, k, n)
-            for lo, hi in doubling_blocks(self.seq.n_min, self.last + 1):
-                n = _search(tail, lambda n: limit, lo, hi - 1)
-                if n < hi:
-                    self._stops[key] = n, tail(n)
-                    break
-        return self._stops[key]
+        tail = lambda n: self._tail(lane, k, n)
+        for lo, hi in doubling_blocks(self.seq.n_min, self.last + 1):
+            n = _search(tail, lambda n: limit, lo, hi - 1)
+            if n < hi:
+                return n, tail(n)
+        return self.last + 1, math.inf
 
-    def _first_stop(self, lane: int, k: int, ns: list[int], limit: np.ndarray, start: int = 0) -> _Stop:
+    def plan(self, points: np.ndarray, orders: range, limits: np.ndarray) -> None:
+        """The stops of the lanes of these points, each with its order's limit on every sheet.
+
+        ``stop`` runs once per order and point, once in all for order 0 (its tail is the same at every point).
+        Each lane's stopping sheet (last + 1 for none) and tail go to ``stop_at`` and ``stop_tail``.
+        """
+        lanes = len(self.zs) * self.width
+        self.stop_at, self.stop_tail = np.full(lanes, self.last + 1), np.zeros(lanes)
+        at, tail = self.stop_at.reshape(-1, self.width), self.stop_tail.reshape(-1, self.width)
+        for i, (k, limit) in enumerate(zip(orders, limits.tolist())):
+            for p in points[:1 if k == 0 else None].tolist():
+                share = slice(None) if k == 0 else p  # a lane of a point that has ended is never read
+                at[share, i], tail[share, i] = self.stop(p * self.width + i, k, limit)
+
+    def _first_stop(self, lane: int, k: int, ns: list[int], limit: np.ndarray, start: int = 0):
         """The first j >= start with tail(ns[j]) <= limit[j], with its tail, or None.
 
         With M(j) the running maximum of the limits from ``start`` on, the
@@ -566,39 +570,34 @@ class _CertifiedStop:
             start = j + 1
         return None
 
-    def scan(self, g: _Group) -> list[_Stop]:
-        lanes, ks, cleans = g.lanes.tolist(), g.k.tolist(), g.clean.tolist()
+    def scan(self, g: _Group) -> tuple[np.ndarray, np.ndarray, dict[int, MeandroError]]:
         if g.rel_tol == 0.0:  # an open lane's stop is at or after the block's first sheet
-            lo, ends = int(g.ns[0]), []
-            for lane, k, clean, limit in zip(lanes, ks, cleans, g.abs_tol.tolist()):
-                stop = self.stop(lane, k, limit)
-                ends.append((stop[0] - lo, stop[1]) if stop is not None and stop[0] - lo < clean else None)
-            return ends
-        ns, ends = g.ns.tolist(), [None] * len(g.lanes)
+            ends = self.stop_at[g.lanes] - int(g.ns[0])
+            return np.where(ends < g.clean, ends, len(g.ns)), self.stop_tail[g.lanes], {}
+        ns, lanes, ks, cleans = g.ns.tolist(), g.lanes.tolist(), g.k.tolist(), g.clean.tolist()
+        ends, tails = np.full(len(lanes), len(ns)), np.zeros(len(lanes))
         # Every limit of the block is at most U, the one at |acc| + sum |terms|.
         mags = np.abs(g.terms).sum(axis=1)
         for r in np.flatnonzero(g.bad).tolist():
             mags[r] = np.abs(g.terms[r, : g.clean[r]]).sum()
         bound = (g.tol(np.abs(g.acc) + mags) * (1.0 + 1e-9)).tolist()
-        firsts = {}
-        for r, (lane, k, clean) in enumerate(zip(lanes, ks, cleans)):
-            if clean:
-                j = _search(lambda j: self._tail(lane, k, ns[j]), lambda j: bound[r], 0, clean - 1)
-                if j < clean:
-                    firsts[r] = j
-        if not firsts:
-            return ends
+        firsts = [
+            _search(lambda j: self._tail(lane, k, ns[j]), lambda j: bound[r], 0, clean - 1) if clean else 0
+            for r, (lane, k, clean) in enumerate(zip(lanes, ks, cleans))
+        ]
+        rows = [r for r, j in enumerate(firsts) if j < cleans[r]]
         # The running sums at each lane's j1, one row at a time, and the limits there.
-        rows, js = list(firsts), list(firsts.values())
+        js = [firsts[r] for r in rows]
         sums = g.acc[rows] + np.array([np.cumsum(g.terms[r, : j + 1])[-1] for r, j in zip(rows, js)])
         for r, j, limit in zip(rows, js, g.tol(np.abs(sums), rows).tolist()):
             tail = self._tail(lanes[r], ks[r], ns[j])
             if tail <= limit:
-                ends[r] = j, tail
+                ends[r], tails[r] = j, tail
             elif j + 1 < cleans[r]:
                 limit = g.tol(np.abs(g.sums([r])), [r])[0]
-                ends[r] = self._first_stop(lanes[r], ks[r], ns[: cleans[r]], limit, j + 1)
-        return ends
+                stop = self._first_stop(lanes[r], ks[r], ns[: cleans[r]], limit, j + 1)
+                ends[r], tails[r] = stop or (len(ns), 0.0)
+        return ends, tails, {}
 
 
 class _StabilisedStop:
@@ -612,9 +611,10 @@ class _StabilisedStop:
     def __init__(self, lanes: int):
         self.scale = np.zeros(lanes)
         self.streak = np.zeros(lanes, dtype=np.int64)
-        self.recent: list[list[float]] = [[] for _ in range(lanes)]
+        # The last magnitudes of each lane, zeros before its first.
+        self.recent = np.zeros((lanes, _STABLE_WINDOW))
 
-    def scan(self, g: _Group) -> list[_Stop]:
+    def scan(self, g: _Group) -> tuple[np.ndarray, np.ndarray, dict[int, MeandroError]]:
         mags = np.abs(g.terms)
         scale = np.maximum(
             np.maximum.accumulate(np.maximum(np.abs(g.sums()), mags), axis=1),
@@ -624,17 +624,17 @@ class _StabilisedStop:
         last_big = np.maximum.accumulate(np.where(mags <= g.tol(scale), -1, idx), axis=1)
         streak = np.where(last_big >= 0, idx - last_big, self.streak[g.lanes, None] + idx + 1)
         hits = (streak >= _STABLE_WINDOW) & (idx < g.clean[:, None])
-        ends: list[_Stop] = []
-        for r, lane in enumerate(g.lanes.tolist()):
-            if hits[r].any():
-                j = int(hits[r].argmax())
-                window = self.recent[lane] + mags[r, max(j + 1 - _STABLE_WINDOW, 0) : j + 1].tolist()
-                ends.append((j, float(sum(window[-_STABLE_WINDOW:]))))
-                continue
-            ends.append(None)
-            self.scale[lane], self.streak[lane] = scale[r, -1], streak[r, -1]
-            self.recent[lane] = (self.recent[lane] + mags[r, -_STABLE_WINDOW:].tolist())[-_STABLE_WINDOW:]
-        return ends
+        hit = hits.any(axis=1)
+        ends, tails = np.where(hit, hits.argmax(axis=1), len(g.ns)), np.zeros(len(g.lanes))
+        for r in np.flatnonzero(hit).tolist():  # once per lane: its window, summed as a list
+            j, lane = int(ends[r]), int(g.lanes[r])
+            window = self.recent[lane].tolist() + mags[r, max(j + 1 - _STABLE_WINDOW, 0) : j + 1].tolist()
+            tails[r] = sum(window[-_STABLE_WINDOW:])
+        going, lanes = ~hit, g.lanes[~hit]
+        self.scale[lanes], self.streak[lanes] = scale[going, -1], streak[going, -1]
+        window = np.concatenate([self.recent[lanes], mags[going, -_STABLE_WINDOW:]], axis=1)
+        self.recent[lanes] = window[:, -_STABLE_WINDOW:]
+        return ends, tails, {}
 
 
 class _RatioStop:
@@ -684,9 +684,9 @@ class _RatioStop:
             self.nb_prev = nb
         return self._sheets[j]
 
-    def scan(self, g: _Group) -> list[_Stop]:
+    def scan(self, g: _Group) -> tuple[np.ndarray, np.ndarray, dict[int, MeandroError]]:
         limits = g.tol(np.abs(g.sums()))
-        ends: list[_Stop] = [None] * len(g.lanes)
+        ends, tails = np.full(len(g.lanes), len(g.ns)), np.zeros(len(g.lanes))
         open_ = np.ones(len(g.lanes), dtype=bool)
         for j in range(len(g.ns)):
             open_ &= g.clean > j
@@ -694,38 +694,36 @@ class _RatioStop:
                 break
             tail = self._sheet(g.ns, j)
             if isinstance(tail, MeandroError):
-                for r in np.flatnonzero(open_).tolist():
-                    ends[r] = j, tail
-                break
+                ends[open_] = j
+                return ends, tails, dict.fromkeys(np.flatnonzero(open_).tolist(), tail)
             if tail is not None:
                 hit = open_ & (tail <= limits[:, j])
-                for r in np.flatnonzero(hit).tolist():
-                    ends[r] = j, tail
+                ends[hit], tails[hit] = j, tail
                 open_ &= ~hit
-        return ends
+        return ends, tails, {}
 
 
-def _index(rows: list[int]) -> slice | list[int]:
-    """An index of these rows: a slice (so a view) when they are consecutive."""
-    if rows == list(range(rows[0], rows[-1] + 1)):
-        return slice(rows[0], rows[-1] + 1)
-    return rows
+def _index(rows: np.ndarray) -> slice | np.ndarray:
+    """An index of these ascending rows: a slice (so a view) when they are consecutive."""
+    first, last = int(rows[0]), int(rows[-1])
+    return slice(first, last + 1) if last - first == len(rows) - 1 else rows
 
 
-def _block_sums(terms: np.ndarray, rows: list[int], lens: np.ndarray) -> np.ndarray:
-    """Exact sums of terms[rows[i], :lens[i]], one (real, imag) row each.
+def _block_sums(terms: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Exact sums of terms[i, :lens[i]], one (real, imag) row each.
 
     Both parts go to ``_exact_sums`` as the rows of one contiguous copy, the
     summation axis last.  Where no term has an imaginary part the imaginary
     sums are +0.0, which fsum gives for them as well.
     """
-    kept = terms[_index(rows), : int(lens.max())]
+    kept = terms[:, : int(lens.max())]
     if not kept.imag.any():
-        out = np.zeros((len(rows), 2))
-        out[:, 0] = _exact_sums(kept.real, lens)
+        out = np.zeros((len(kept), 2))
+        out[:, 0] = _exact_sums(kept.real.copy(), lens)
         return out
-    x = np.stack([kept.real, kept.imag], axis=1).reshape(2 * len(rows), -1)
-    return _exact_sums(x, np.repeat(lens, 2)).reshape(-1, 2)
+    x = np.empty((len(kept), 2, kept.shape[1]))
+    x[:, 0], x[:, 1] = kept.real, kept.imag
+    return _exact_sums(x.reshape(2 * len(kept), -1), lens.repeat(2)).reshape(-1, 2)
 
 
 def _first_blocked(perf: Perforation, ns: np.ndarray, z: complex, end: int):
@@ -759,7 +757,9 @@ def _sum_derivative_series(
     its lone call; within a block the points are handled in groups of at
     most about _GROUP_VALUES values (at least one point).  The stopping rule
     is applied to the open lanes of each group, and each lane keeps the
-    block's terms through its stopping sheet.
+    block's terms through its stopping sheet.  Lane state is arrays (the
+    rules' stops too), and errors, in ``errors`` by point, the only objects;
+    plain sums take their stops from ``_CertifiedStop.plan``.
 
     The inputs pick one of the three rules of the module docstring: tails
     known before the terms (a finite family's, exact, or a decay
@@ -788,143 +788,142 @@ def _sum_derivative_series(
     certified = _certifiable(seq)
     stabilise = stabilise and not certified
     width = len(orders)
-    outcomes: list = [None] * len(zs)
-    if not stabilise and not seq.bounds_global:
-        for p, z in enumerate(zs):
-            if not seq.region.contains(z):
-                outcomes[p] = TolUnreachable(
-                    f"evaluation point {z} lies outside the working region of the norm bounds"
-                )
-    lanes = len(zs) * width
-    lane_order = list(orders) * len(zs)
-    lane_k = np.array(lane_order, dtype=np.int64)
-    lane_abs = np.tile(np.broadcast_to(np.asarray(abs_tol, dtype=float), (width,)), len(zs))
-    lane_floor = np.tile(np.broadcast_to(np.asarray(floor, dtype=float), (width,)), len(zs))
+    # The error that ends a point.
+    errors: dict[int, MeandroError] = {
+        p: TolUnreachable(f"evaluation point {z} lies outside the working region of the norm bounds")
+        for p, z in enumerate(zs)
+        if not (stabilise or seq.bounds_global or seq.region.contains(z))
+    }
+    # Points that have ended, with an error or with every lane stopped, and
+    # points that no disc after the last block can hold (``_tail_clears``).
+    ended, cleared = np.zeros((2, len(zs)), dtype=bool)
+    for p in errors:
+        ended[p] = True
+    points = np.array(zs, dtype=object)  # the points as given, to pick by index
+    n_lanes = len(zs) * width
+    lane_k, (lane_abs, lane_floor) = np.empty(n_lanes, dtype=np.int64), np.empty((2, n_lanes))
+    for lane_value, value in ((lane_k, orders), (lane_abs, abs_tol), (lane_floor, floor)):
+        lane_value.reshape(-1, width)[:] = value
     # Neumaier running sums and compensations, (real, imag) a lane.
-    acc_s, acc_c = np.zeros((lanes, 2)), np.zeros((lanes, 2))
-    results: list[SumResult | None] = [None] * lanes
+    acc_s, acc_c = np.zeros((2, n_lanes, 2))
+    # Whether each lane has stopped, and its stopping sheet and tail once it has.
+    done, stop_n, stop_tail = np.zeros(n_lanes, dtype=bool), np.zeros(n_lanes, dtype=np.int64), np.zeros(n_lanes)
     last = seq.n_min + max_terms - 1
     if finite:
         last = min(last, seq.n_max)
     if finite or certified:
         rule = _CertifiedStop(seq, zs, width, last)
     else:
-        rule = _StabilisedStop(lanes) if stabilise else _RatioStop(seq)
-    # Points that no disc after the last block can hold (``_tail_clears``),
-    # in a pass whose last sheet has a float radius.
-    cleared: set[int] = set()
+        rule = _StabilisedStop(n_lanes) if stabilise else _RatioStop(seq)
+    # Points are cleared only in a pass whose last sheet has a float radius.
     clearable = True
     try:
         seq.perforation.radius_at(last)
     except MeandroError:
         clearable = False
 
-    def sum_block(ns: np.ndarray, points: list[int]) -> None:
-        """Sum the block of sheets ns for these points, as one lane group."""
-        group = [(p, l) for p in points for l in range(p * width, (p + 1) * width) if results[l] is None]
-        ids = [l for _, l in group]
-        m = max(lane_order[l] for l in ids)
+    def sum_block(ns: np.ndarray, pts: np.ndarray) -> None:
+        """Sum the block of sheets ns for the open lanes of these points, as one lane group."""
+        where = _index(pts)
+        if width == 1:  # a live point's one lane is open (the general path costs some 12 µs a block more)
+            ids, lanes, m = pts, where, orders.start
+        else:
+            ids = (pts[:, None] * width + np.arange(width)).ravel()
+            ids = ids[~done[ids]]
+            lanes = _index(ids)
+            m = int(lane_k[lanes].max())
+        ks = lane_k[lanes]
         with np.errstate(all="ignore"):
             if m == 0:
-                block = seq.term_grid(ns, [zs[p] for p in points])
-            elif len(points) == 1:
-                block = seq.derivatives(ns, m, zs[points[0]])
+                block = seq.term_grid(ns, points[where].tolist())
+            elif len(pts) == 1:
+                block = seq.derivatives(ns, m, zs[int(pts[0])])
             else:
-                block = np.concatenate([seq.derivatives(ns, m, zs[p]) for p in points])
-            first_row = {p: i * (m + 1) for i, p in enumerate(points)}
-            rows = [first_row[p] + lane_order[l] for p, l in group]
-            lanes = np.array(ids, dtype=np.int64)
-            at = _index(ids)
-            acc = (acc_s[at] + acc_c[at]).view(complex)[:, 0]
-            g = _Group(ns, block[_index(rows)], lanes, lane_k[lanes], acc, lane_abs[lanes],
-                       lane_floor[lanes], rel_tol)
-            ends = rule.scan(g)
-        lo, last_j = int(ns[0]), len(ns) - 1
-        reach = dict.fromkeys(points, -1)
-        errors: dict[int, list] = {}
-        for (p, l), end, bad, clean in zip(group, ends, g.bad.tolist(), g.clean.tolist()):
-            if end is None and bad:
-                end = clean, OutOfRegime(
-                    f"order-{lane_order[l]} derivative term on sheet {lo + clean} is not finite"
-                )
-            reach[p] = max(reach[p], last_j if end is None else end[0])
-            if end is not None and isinstance(end[1], MeandroError):
-                errors.setdefault(p, []).append((end[0], lane_order[l], end[1]))
-        check = [p for p in points if p not in cleared]  # a cleared point clears every disc of the block
-        if check:
-            perf, limits = seq.perforation, [reach[p] + 1 for p in check]
+                block = np.concatenate([seq.derivatives(ns, m, z) for z in points[where].tolist()])
+            acc = (acc_s[lanes] + acc_c[lanes]).view(complex)[:, 0]
+            if len(ids) < len(block):  # rows ascend, so otherwise they are all of them
+                block = block[_index(np.searchsorted(pts, ids // width) * (m + 1) + ks)]
+            g = _Group(ns, block, ids, ks, acc, lane_abs[lanes], lane_floor[lanes], rel_tol)
+            ends, tails, errs = rule.scan(g)
+        lo, failures = int(ns[0]), len(errors)
+        # Each lane's last sheet of the block: its stop, its first non-finite term, or the block's last.
+        reach = np.minimum(np.minimum(ends, g.clean), len(ns) - 1)
+        if g.bad.any():
+            for r in np.flatnonzero(g.bad & (ends == len(ns))).tolist():
+                errs[r] = OutOfRegime(f"order-{ks[r]} derivative term on sheet {lo + reach[r]} is not finite")
+        # A point's error is its first in (sheet, order); a pole's disc comes before the terms.
+        firsts = [(int(ids[r]) // width, int(reach[r]), int(ks[r]), err) for r, err in errs.items()]
+        if not cleared[where].all():  # a cleared point clears every disc of the block
+            check = np.flatnonzero(~cleared[where])
+            point_reach = np.maximum.reduceat(reach, np.searchsorted(ids, pts * width))
+            perf, near = seq.perforation, points[pts[check]].tolist()
+            limits = (point_reach[check] + 1).tolist()
             try:
-                blocked = perf.first_blocked_all(ns, [zs[p] for p in check], ends=limits)
+                blocked = perf.first_blocked_all(ns, near, ends=limits)
             except OutOfRegime:  # a radius below the float range, up to some point's end
-                blocked = [_first_blocked(perf, ns, zs[p], end) for p, end in zip(check, limits)]
-            for p, hit in zip(check, blocked):
+                blocked = [_first_blocked(perf, ns, z, end) for z, end in zip(near, limits)]
+            for p, hit in zip(pts[check].tolist(), blocked):
                 if isinstance(hit, MeandroError):  # a lone call raises it at once
-                    outcomes[p] = hit
+                    errors[p] = hit
                 elif hit is not None:
-                    errors.setdefault(p, []).append((hit[0] - lo, -1, PoleProximity(*hit)))
-        for p, errs in errors.items():
-            if outcomes[p] is None:
-                outcomes[p] = min(errs, key=lambda e: e[:2])[2]
-        keep = [r for r, (p, _) in enumerate(group) if outcomes[p] is None]
-        if not keep:
-            return
-        stops = [last_j if ends[r] is None else ends[r][0] for r in keep]
-        sums = _block_sums(g.terms, keep, np.array(stops) + 1)
-        at = _index([ids[r] for r in keep])
-        acc_s[at], acc_c[at] = _neumaier_step(acc_s[at], acc_c[at], sums)
-        totals = (acc_s[at] + acc_c[at]).tolist()
-        finished = set()
-        for r, j, total, fine in zip(keep, stops, totals, np.isfinite(sums).all(axis=1).tolist()):
-            p, l = group[r]
-            if outcomes[p] is not None:
-                continue
-            if not fine:  # an exact sum past the float range (fsum overflows)
-                k = lane_order[l]
-                outcomes[p] = OutOfRegime(
-                    f"the order-{k} sum over sheets {lo} to {lo + j} overflows a float", order=k, sheet=lo + j
-                )
-            elif ends[r] is not None:
-                results[l] = SumResult(complex(*total), lo + j, ends[r][1])
-                finished.add(p)
-        for p in finished:
-            if outcomes[p] is None and all(results[l] is not None for l in range(p * width, (p + 1) * width)):
-                outcomes[p] = results[p * width : (p + 1) * width]
+                    firsts.append((p, hit[0] - lo, -1, PoleProximity(*hit)))
+        for p, *_, err in sorted(firsts, key=lambda first: first[:3]):
+            errors.setdefault(p, err)
+        rows = slice(None)
+        if len(errors) > failures:
+            ended[list(errors)] = True
+            rows = np.flatnonzero(~ended[ids // width])
+            if not len(rows):
+                return
+            lanes = ids[rows]
+        sums = _block_sums(g.terms[rows], reach[rows] + 1)
+        acc_s[lanes], acc_c[lanes] = _neumaier_step(acc_s[lanes], acc_c[lanes], sums)
+        if not np.isfinite(sums).all():  # fsum overflows
+            for r in np.flatnonzero(~np.isfinite(sums).all(axis=1)).tolist():
+                k, n = int(ks[rows][r]), lo + int(reach[rows][r])
+                err = OutOfRegime(f"the order-{k} sum over sheets {lo} to {n} overflows a float", order=k, sheet=n)
+                errors.setdefault(int(ids[rows][r]) // width, err)
+            ended[list(errors)] = True
+        stopped = ends < len(ns)  # the lanes of a point that has failed stop too, unread
+        if stopped.any():
+            hit = ids[stopped]
+            done[hit], stop_n[hit], stop_tail[hit] = True, lo + reach[stopped], tails[stopped]
+            ended[where] |= done.reshape(-1, width)[where].all(axis=1)
 
-    known_stops = isinstance(rule, _CertifiedStop) and rel_tol == 0.0
+    live = np.flatnonzero(~ended)
+    unclear = live.tolist() if clearable else []  # live points not yet cleared
+    furthest = None  # each point's furthest stop, known before the terms
+    if isinstance(rule, _CertifiedStop) and rel_tol == 0.0:
+        rule.plan(live, orders, lane_abs[:width])
+        furthest = rule.stop_at.reshape(-1, width).max(axis=1)  # a done lane's stop is in an earlier block
     first = None
     if not finite and type(seq).derivatives is TermSequence.derivatives:
         # One scalar call per sheet and order: start with the sheets that the
         # stabilised rule needs when every order settles at once.
         first = width + _STABLE_WINDOW
-    live = [p for p, out in enumerate(outcomes) if out is None]
     for lo, hi in doubling_blocks(seq.n_min, last + 1, orders[-1] + 1, first):
-        if not live:
+        if not len(live):
             break
-        if known_stops:
-            stops = [
-                rule.stop(l, lane_order[l], float(lane_abs[l]))
-                for p in live
-                for l in range(p * width, (p + 1) * width)
-                if results[l] is None
-            ]
-            if None not in stops:  # no sheet past the furthest stop is summed
-                hi = min(hi, 1 + max(stop[0] for stop in stops))
+        if furthest is not None:  # no sheet past the furthest stop is summed
+            hi = min(hi, 1 + int(furthest[live].max()))
         ns = np.arange(lo, hi)
         size = max(1, _GROUP_VALUES // (len(ns) * (orders[-1] + 1)))
         for start in range(0, len(live), size):
             sum_block(ns, live[start : start + size])
-        live = [p for p in live if outcomes[p] is None]
-        if clearable:
-            perf = seq.perforation
-            cleared.update(p for p in live if p not in cleared and _tail_clears(perf, zs[p], hi - 1, 0.0, last))
-    for p in live:
-        if stabilise:
-            outcomes[p] = DiophantineRequired(
-                "no decay certificate and the derivative series did not stabilise"
-            )
-        else:
-            outcomes[p] = TolUnreachable(f"tolerance not certified within {max_terms} sheets")
-    return outcomes
+        live = live[~ended[live]]
+        for p in unclear:
+            if not ended[p]:
+                cleared[p] = _tail_clears(seq.perforation, zs[p], hi - 1, 0.0, last)
+        unclear = [p for p in unclear if not (ended[p] or cleared[p])]
+    for p in live.tolist():  # out of sheets
+        errors[p] = (DiophantineRequired("no decay certificate and the derivative series did not stabilise")
+                     if stabilise else TolUnreachable(f"tolerance not certified within {max_terms} sheets"))
+    values, sheets, tails = (acc_s + acc_c).tolist(), stop_n.tolist(), stop_tail.tolist()
+    return [
+        errors[p] if p in errors else
+        [SumResult(complex(*values[l]), sheets[l], tails[l]) for l in range(p * width, (p + 1) * width)]
+        for p in range(len(zs))
+    ]
 
 
 def _one_point(outcome: list[SumResult] | MeandroError) -> list[SumResult]:

@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from meandro import (
     evaluate_sums,
     pullback_model,
     ray_trace,
+    series,
 )
 from meandro.errors import MeandroError, PoleProximity, TolUnreachable
 from meandro.geometry import _GROUP_VALUES
@@ -134,14 +138,44 @@ def test_batched_sums_equal_lone_calls_bit_for_bit(family, count, seed, numpy_po
         assert _same(got, _lone(seq, z, tol=1e-10, max_terms=5_000)), z
 
 
+def _in_groups(plain: str, specials: list[tuple[complex, str]]):
+    """Points over four lane groups of the first block, one special point in each of the first groups.
+
+    Every other point lies on a segment clear of the removed discs, where
+    it ends in ``plain``.  Returns the points and the kind of each outcome.
+    """
+    zs = [complex(t, 0.3) for t in np.linspace(-0.8, 0.8, 3 * _FIRST_GROUP + 5)]
+    kinds = [plain] * len(zs)
+    for group, (z, kind) in enumerate(specials):
+        zs[group * _FIRST_GROUP + 7], kinds[group * _FIRST_GROUP + 7] = z, kind
+    return zs, kinds
+
+
+# Batches with every kind of outcome: (sequence, points, kind of each outcome).
+_EVERY_KIND = [
+    (QLogModel(0.5), [0.3 + 0.2j, 1.0 + 0.001j, 2.5 + 0j, np.complex128(1.5 - 0.4j), 0.1j],
+     ["SumResult", "PoleProximity", "TolUnreachable", "SumResult", "SumResult"]),
+    (MeanderModel(0.5), [0.2 + 0j, complex(1e308, 1e308)], ["SumResult", "OutOfRegime"]),
+    # A disc of sheet 3, outside the region, and sums, each in its own lane group.
+    (QLogModel(0.5), *_in_groups("SumResult", [(cmath.exp(2j * math.pi / 3) + 0.001, "PoleProximity"),
+                                               (2.5 + 0j, "TolUnreachable")])),
+    # A disc of sheet 3, non-finite terms, and |z| past the float range.
+    (MeanderModel(0.5), *_in_groups("SumResult", [(-1 / 3 + 0.001j, "PoleProximity"),
+                                                  (complex(1e308, 1e308), "OutOfRegime"),
+                                                  (complex(1.7e308, 1.7e308), "OutOfRegime")])),
+    # Sheet radii past the float range from sheet 1210 on, which every point
+    # reaches but those in a disc of sheet 2 and those with non-finite terms.
+    (MeanderModel(0.5, c=0.1, alpha=100), *_in_groups("OutOfRegime", [(-0.5 + 0j, "PoleProximity"),
+                                                                      (complex(1e308, 1e308), "OutOfRegime")])),
+]
+
+
 def test_one_batch_holds_every_kind_of_outcome():
-    seq = QLogModel(0.5)
-    zs = [0.3 + 0.2j, 1.0 + 0.001j, 2.5 + 0j, np.complex128(1.5 - 0.4j), 0.1j]
-    kinds = [type(res).__name__ for res in evaluate_sums(seq, zs)]
-    assert kinds == ["SumResult", "PoleProximity", "TolUnreachable", "SumResult", "SumResult"]
-    meander = MeanderModel(0.5)
-    kinds = [type(res).__name__ for res in evaluate_sums(meander, [0.2 + 0j, complex(1e308, 1e308)])]
-    assert kinds == ["SumResult", "OutOfRegime"]
+    for seq, zs, kinds in _EVERY_KIND:
+        batch = evaluate_sums(seq, zs)
+        assert [type(res).__name__ for res in batch] == kinds
+        for z, got in zip(zs, batch):
+            assert _same(got, _lone(seq, z)), z
 
 
 @pytest.mark.parametrize("seq", [QLogModel(0.4 + 0.3j), MeanderModel(0.45 - 0.2j)], ids=["qlog", "meander"])
@@ -312,3 +346,53 @@ def test_no_sheet_past_the_furthest_stop_is_requested():
         assert {res.terms_used for res in batch} == {stop}
         assert max(asked) == stop
         assert sorted(set(asked)) == list(range(1, stop + 1))
+
+
+def _eval_meander_points() -> list[complex]:
+    """The 60 points of the eval-grid benchmark's eval-meander operation at seed 1."""
+    rng = random.Random("eval-grid/1")
+    zs = [0.3 + 0.2j]
+    while len(zs) < 60:
+        z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+        if abs(z) < 1.5 and not (-1.06 <= z.real <= 0.01 and abs(z.imag) < 0.06):
+            zs.append(z)
+    return zs
+
+
+def test_a_batch_searches_its_order_zero_stop_once():
+    # Order 0 has one stop at every point, found before any term: one
+    # search in all (600 calls of ``stop`` before lane state became arrays).
+    # The five blocks of the 1278 sheets go in 1 + 2 + 4 + 8 + 5 lane groups,
+    # and no row of a group of _FSUM_BELOW values or more goes to fsum.
+    sent = []
+    exact = series._exact_sums
+
+    def counted(x, lens):
+        before = fsum.call_count
+        out = exact(x, lens)
+        sent.append((int(lens.sum()), fsum.call_count - before))
+        return out
+
+    seq = MeanderModel(0.95)
+    with mock.patch.object(series._CertifiedStop, "stop", autospec=True, side_effect=series._CertifiedStop.stop) \
+            as stop, mock.patch.object(seq, "term_grid", wraps=seq.term_grid) as grid, \
+            mock.patch.object(series, "_fsum", wraps=series._fsum) as fsum, \
+            mock.patch.object(series, "_exact_sums", counted):
+        batch = evaluate_sums(seq, _eval_meander_points(), tol=1e-10, max_terms=10_000)
+    assert {res.terms_used for res in batch} == {1278}
+    assert stop.call_count == 1 and grid.call_count == 20
+    assert len(sent) == 20 and all(values >= series._FSUM_BELOW and calls == 0 for values, calls in sent)
+
+
+def test_a_batch_keeps_its_traced_memory():
+    # Peak of the eval-meander batch under tracemalloc, 351 KiB before lane
+    # state became arrays (Python 3.11.7, numpy 2.4.6): within 10% of it.
+    seq, zs = MeanderModel(0.95), _eval_meander_points()
+    evaluate_sums(seq, zs, tol=1e-10, max_terms=10_000)
+    tracemalloc.start()
+    try:
+        evaluate_sums(seq, zs, tol=1e-10, max_terms=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10 * 351 * 1024

@@ -365,17 +365,15 @@ def test_finite_family_outputs_are_pinned_bit_for_bit():
 def _sheet_by_sheet_certified_scan(self, group):
     """The certified rule on every sheet of every lane in turn, with the scalar tail alone."""
     limits = group.tol(np.abs(group.sums()))
-    ends = []
-    for lane, k, clean, limit in zip(group.lanes.tolist(), group.k.tolist(), group.clean.tolist(), limits):
+    ends, found = np.full(len(group.lanes), len(group.ns)), np.zeros(len(group.lanes))
+    for r, (lane, k, clean) in enumerate(zip(group.lanes.tolist(), group.k.tolist(), group.clean.tolist())):
         bounds = tails._CertifiedTails(self.seq, self.zs[lane // self.width])
-        end = None
         for j, n in enumerate(group.ns[:clean].tolist()):
             tail = bounds.tail(k, n)
-            if tail <= limit[j]:
-                end = j, tail
+            if tail <= limits[r, j]:
+                ends[r], found[r] = j, tail
                 break
-        ends.append(end)
-    return ends
+    return ends, found, {}
 
 
 @pytest.mark.parametrize(
