@@ -214,10 +214,10 @@ _FIELDS = {
 
 # Each model's constructor and the fields it reads.
 _MODELS = {
-    "meander": (mdl.MeanderModel, ("x", "c", "alpha", "lambda", "region_radius")),
+    "meander": (mdl.MeanderModel, ("x", "c", "alpha", "lambda")),
     "qlog": (mdl.QLogModel, ("x", "c", "alpha", "lambda", "region_radius")),
-    "zero_sum_pik": (mdl.ZeroSumPiK, ("c", "alpha", "lambda", "region_radius")),
-    "zero_sum_general": (mdl.ZeroSumGeneral, ("constant", "poles", "lambda", "region_radius")),
+    "zero_sum_pik": (mdl.ZeroSumPiK, ("c", "alpha", "lambda")),
+    "zero_sum_general": (mdl.ZeroSumGeneral, ("constant", "poles", "lambda")),
 }
 
 

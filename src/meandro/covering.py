@@ -189,7 +189,6 @@ class PullbackSequence(TermSequence):
         self.center = complex(center)
         self.n_min = base.n_min
         self.n_max = base.n_max
-        self.bounds_global = base.bounds_global
 
         base_radius = base.perforation.radius
         denom = _squeeze(beta)
@@ -204,11 +203,10 @@ class PullbackSequence(TermSequence):
         self.perforation = Perforation(
             _PullbackPoles(base.perforation.poles, beta, self.center), radius
         )
-        if base.region.center == 0:
-            reach = max(base.region.radius - abs(self.center), 1e-6)
-            self.region = Disc(0j, reach ** (1.0 / beta))
-        else:
-            self.region = base.region
+        region = base.region
+        if region is not None and region.center == 0:
+            region = Disc(0j, max(region.radius - abs(self.center), 1e-6) ** (1.0 / beta))
+        self.region = region
 
     @property
     def decay_cert(self):

@@ -17,14 +17,16 @@ finder and the ray tracer used for figure-level data.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .errors import MeandroError, OutOfRegime, PoleProximity, ZeroPole
+from .errors import MeandroError, NonConvergent, OutOfRegime, PoleProximity, TolUnreachable, ZeroPole
 from .geometry import (
     DiophantineRadius,
     Disc,
@@ -36,6 +38,7 @@ from .geometry import (
     TableRadius,
 )
 from .series import DecayCert, TermSequence, evaluate_sums
+from .tails import _RemainderTails
 
 DEFAULT_RAY_ANGLE = math.tau * math.sqrt(2.0)
 
@@ -102,25 +105,16 @@ class MeanderModel(TermSequence):
     |1 + n*z| = n*|z + 1/n| >= n*r_n, so the term is bounded by
     |x|**n * n**(alpha-1)/c everywhere off the disc.  That bound is
     dominated by A*rho**n with rho = (1 + |x|)/2; see ``_decay_cert``.
+    The bound holds on the whole perforated plane, so there is no region.
     """
 
-    bounds_global = True
-
-    def __init__(
-        self,
-        x: complex,
-        c: float = 0.05,
-        alpha: float = 2.0,
-        lam: float = 1.5,
-        region: Disc | None = None,
-    ):
+    def __init__(self, x: complex, c: float = 0.05, alpha: float = 2.0, lam: float = 1.5):
         x = complex(x)
         if abs(x) >= 1.0:
             raise ValueError("meander series needs |x| < 1")
         self.x = x
         self.n_min = 1
         self.perforation = Perforation(MeanderPoles(), DiophantineRadius(c, alpha, lam))
-        self.region = region if region is not None else Disc(0j, 2.0)
         self._cert = _decay_cert(abs(x), c, alpha)
 
     @property
@@ -293,26 +287,39 @@ def pi_k(k: int, z):
 class ZeroSumPiK(TermSequence):
     """Terms (-1)**k * k! * z**k / pi_k(z) on sheets k >= 0.
 
-    The partial sums converge pointwise to 1 while their poles 1/j pile up
-    at the origin, and the norm bounds grow factorially: the sequence is a
-    deliberate non-example for certified summation (evaluate_sum refuses it)
-    whose jets at the origin are nevertheless exactly computable.
+    The terms telescope: t_n = P_n/(1 - (n+1)*z) = P_n - P_{n+1} with
+    P_n = prod_{j<=n} -j*z/(1 - j*z), so the partial sum through sheet n is
+    1 - P_{n+1}.  They are computed in that product form.  The partial sums
+    converge to 1 in the closed left half-plane while their poles 1/j pile
+    up at the origin; no decay certificate exists, and the jet at the origin
+    is that of the constant 1.  The remainder gives the tails
+    (``tails._RemainderTails``).  For Re z > 0, |P_N| grows like
+    N**Re(1/z) and the series diverges.
     """
 
-    def __init__(
-        self,
-        c: float = 0.05,
-        alpha: float = 2.0,
-        lam: float = 1.5,
-        region: Disc | None = None,
-    ):
+    def __init__(self, c: float = 0.05, alpha: float = 2.0, lam: float = 1.5):
         self.n_min = 0
         self.perforation = Perforation(
             ReciprocalPoles(), DiophantineRadius(c, alpha, lam, shift=1)
         )
-        self.region = region if region is not None else Disc(0j, 0.5)
         self._h_cache: dict[int, tuple] = {}
         self._h_point = 0j
+
+    def tail_policy(self, z0: complex, m: int):
+        """``tails._RemainderTails`` at z0, or the error that refuses z0.
+
+        Re z0 > 0 is refused with NonConvergent.  On Re z0 = 0 off the
+        origin no circle about z0 stays in the closed left half-plane, so
+        orders m >= 1 are refused with TolUnreachable.
+        """
+        z0 = complex(z0)
+        if z0.real > 0.0:
+            growth = (1.0 / z0).real
+            message = f"the pi_k series diverges at {z0}: |P_N| grows like N**{growth:.6g}"
+            return NonConvergent(message, re_inverse=growth)
+        if m > 0 and z0.real == 0.0 and z0 != 0:
+            return TolUnreachable(f"no circle about {z0} stays in the closed left half-plane: no derivative tails")
+        return _RemainderTails(z0)
 
     def _h_coefficients(self, n: int, order: int, z: complex) -> tuple:
         """P and h_0..h_order with 1/pi_n(z + t) = P * sum_j h_j t**j.
@@ -345,7 +352,22 @@ class ZeroSumPiK(TermSequence):
         return cached
 
     def term(self, n: int, z: complex) -> complex:
-        return (-1.0) ** n * math.factorial(n) * z**n / pi_k(n, z)
+        return complex(self.term_grid(np.array([n]), [z])[0, 0])
+
+    def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
+        # t_n = P_n/(1 - (n+1)*z).  Each factor -j*z/(1 - j*z) is a numpy
+        # quotient, whose bits do not depend on the array's length; the
+        # running product P_n is taken in Python, as numpy's complex cumprod
+        # may round a prefix apart from the same product over a shorter array.
+        top = int(ns.max())
+        js, w = np.arange(1.0, top + 2.0), np.empty(top + 1, dtype=complex)
+        out = np.empty((len(zs), len(ns)), dtype=complex)
+        for row, z in zip(out, zs):
+            z = complex(z)
+            w.real, w.imag = js * z.real, js * z.imag  # w[j - 1] = j*z
+            products = [1.0 + 0j, *itertools.accumulate((-w[:top] / (1.0 - w[:top])).tolist(), operator.mul)]
+            row[:] = np.array(products)[ns] / (1.0 - w[ns])
+        return out
 
     def derivative(self, n: int, q: int, z: complex) -> complex:
         # Leibniz on z**n * h(z) with h = 1/pi_n.  The z**n factor kills the
@@ -396,7 +418,7 @@ class ZeroSumGeneral(TermSequence):
     sheet n has a vanishing jet through order n at the origin.
     """
 
-    def __init__(self, c, poles: Sequence, lam: float = 1.5, region: Disc | None = None):
+    def __init__(self, c, poles: Sequence, lam: float = 1.5):
         self.constant = complex(c)
         self.pole_list = [complex(e) for e in poles]
         # Exact when c and the poles are ints or Fractions, float otherwise.
@@ -414,8 +436,6 @@ class ZeroSumGeneral(TermSequence):
             ExplicitPoles({k: [e] for k, e in enumerate(self.pole_list)}),
             TableRadius(table, lam=lam),
         )
-        extent = 2.0 * max(abs(e) for e in self.pole_list)
-        self.region = region if region is not None else Disc(0j, max(extent, 0.5))
 
     def term(self, n: int, z: complex) -> complex:
         base = self.coefficients[n] * z**n / (1.0 - z / self.pole_list[n])

@@ -40,27 +40,36 @@ checked on every sheet it needs, so that a radius below the float range
 raises its OutOfRegime there.  What stays per lane is a jet's scalar tails,
 and per point the scalar confirmations of the shortlists.
 
-For each lane the engine picks one of three stopping rules from its inputs:
+Every lane stops on one rule (``_CertifiedStop``): at the first sheet
+whose tail, known before the terms, is within the lane's tolerance.  The
+family's tail policy, ``TermSequence.tail_policy``, gives the tails at a
+point up to a highest order, or the error that refuses the point before
+any term:
 
-* tails known before the terms (``_CertifiedStop``): a finite family's are
-  inf before its last sheet and exactly 0 from it on
-  (``tails._FiniteTails``), and a decay certificate A*rho**n over a
-  Diophantine radius gives rigorous ones (``tails._CertifiedTails``).
-  Neither increases with the sheet, so a search on the scalar tail finds
-  each stop, a few tails a lane.  A plain sum (no relative part, as in
-  ``evaluate_sums`` and ``derivative_sum``) has one limit, the tolerance,
-  so its stopping sheet is searched before any term, once per order and
-  point (once in all for order 0, whose tail is the same at every point)
-  into an array of stops that each block reads, and each block ends after
-  the furthest stop of its live points: no term, finiteness or clearance
-  check is done past it.  A jet's limits grow with
-  its running sums, but none in a block exceeds U, the tolerance at |sum so
-  far| + sum of |terms|: the search against U finds the first sheet that
-  can stop the lane, and the exact limit is checked there;
-* a jet without such tails stops once a window of consecutive terms is
-  negligible (the stabilised rule); its tail is a heuristic estimate;
-* any other sum stops on the ratio test of the norm bounds (the ratio
-  rule); its tail is a heuristic estimate as well.
+* a finite family's tails are inf before its last sheet and exactly 0 from
+  it on (``tails._FiniteTails``);
+* a decay certificate A*rho**n over a Diophantine radius gives rigorous
+  ones (``tails._CertifiedTails``) at points of the region where the norm
+  bounds hold, and TolUnreachable elsewhere.  Order 0 has the
+  certificate's tail at every point; order k >= 1 the least that Cauchy's
+  estimate gives on three kinds of circles about the point, so how far a
+  jet runs depends on how close the point is to the poles, not on how
+  small the removed discs are;
+* the pi_k family's terms telescope, and its exact remainder gives them
+  (``tails._RemainderTails``; see ``models.ZeroSumPiK``);
+* any other sequence is refused with DiophantineRequired.
+
+No tail increases with the sheet, so a search on the scalar tail finds
+each stop, a few tails a lane.  A plain sum (no relative part, as in
+``evaluate_sums`` and ``derivative_sum``) has one limit, the tolerance, so
+its stopping sheet is searched before any term, once per order and point
+(once in all for order 0 where its tail is the same at every point) into
+an array of stops that each block reads, and each block ends after the
+furthest stop of its live points: no term, finiteness or clearance check
+is done past it.  A jet's limits grow with its running sums, but none in a
+block exceeds U, the tolerance at |sum so far| + sum of |terms|: the
+search against U finds the first sheet that can stop the lane, and the
+exact limit is checked there.
 
 A term that is not finite (overflow of the block arithmetic) at or before a
 lane's stopping sheet ends its point with OutOfRegime; terms computed past
@@ -72,33 +81,14 @@ point; the concrete families override them with numpy code.  A subclass
 that overrides ``derivative`` but not ``derivatives`` gets both defaults
 back, and one that overrides ``derivatives`` but not ``term_grid`` gets the
 default ``term_grid``, so the block path always honours the scalar formula.
-An infinite family on the default ``derivatives`` starts with a block of as
-many sheets as orders plus the stabilised window, since each of its values
-costs a call.
-
-Derivative sums are controlled through Cauchy's estimate: the k-th
-derivative at z0 of the sheet-j term is at most k! * norm_bound(j) / R**k
-for any circle about z0 of radius R that keeps off sheet j's removed discs
-(and in the region, unless the norm bounds are global).  A lane of order
-k >= 1 takes the least of the tails that three radii give:
-
-* eps * r_j with eps = lambda - 1, the margin of the shrunk perforation;
-  the order-k tail then carries a factor j**(alpha*k);
-* off the accumulation set of the poles, the distance
-  ``tail_distance_bound(z0, n)`` to every pole after sheet n, less
-  tail_sup(n): one radius for all those sheets, so no power of j;
-* at an accumulation point, the family's ``distance_power_law``
-  a * j**-beta, less r_j: a factor j**(beta*k), where beta <= alpha.
-
-So how far a jet runs depends on how close z0 is to the poles, not on how
-small the removed discs are.  Order 0 needs no circle, and its tail is the
-certificate's A*rho**(n+1)/(1 - rho) at every point.
+An infinite family whose values each cost a scalar call (the default
+``derivatives``, or the default ``term_grid`` over it) starts with a block
+of as many sheets as orders.
 """
 
 from __future__ import annotations
 
 import abc
-import functools
 import math
 from dataclasses import dataclass
 
@@ -108,14 +98,10 @@ from .errors import DiophantineRequired, MeandroError, OutOfRegime, PoleProximit
 from .geometry import _GROUP_VALUES, DiophantineRadius, Disc, Perforation, _tail_clears, doubling_blocks
 from .tails import _CertifiedTails, _FiniteTails
 
-_STABLE_WINDOW = 8
 #: Highest jet order: k! overflows a float from k = 171 on.
 _MAX_JET_ORDER = 170
 #: Absolute tolerance of each jet coefficient a_k, below its relative one.
 _JET_ABS_TOL = 1e-300
-#: Samples on each circle of ``sampled_norm_bound``: the region boundary
-#: and each removed-disc rim.
-_NORM_SAMPLES = 1024
 
 
 #: Below this many values, ``_exact_sums`` adds each row with ``math.fsum``,
@@ -275,10 +261,9 @@ class TermSequence(abc.ABC):
     #: Last sheet carrying a term, or None for an infinite family.
     n_max: int | None = None
     perforation: Perforation
-    region: Disc
-    #: True when norm_bound dominates the term on the whole perforated plane,
-    #: not merely inside ``region``.
-    bounds_global: bool = False
+    #: Where norm_bound dominates the term; None where it does so on the
+    #: whole perforated plane.
+    region: Disc | None = None
 
     @abc.abstractmethod
     def term(self, n: int, z: complex) -> complex: ...
@@ -328,20 +313,21 @@ class TermSequence(abc.ABC):
     def decay_cert(self) -> DecayCert | None:
         return None
 
-    def norm_bound(self, n: int) -> float:
-        """Bound on the sup of the sheet-n term over the perforated region.
+    def tail_policy(self, z0: complex, m: int):
+        """The tails at z0 of the derivative series of orders 0..m, or the MeandroError that refuses z0.
 
-        Default: ``sampled_norm_bound``, a sampled estimate and not a
-        certified sup.  Families with a closed-form bound override it.
+        The tails are known before any term (see ``tails``): a finite
+        family's are exact, and a decay certificate over a Diophantine
+        radius gives rigorous ones inside the region of the norm bounds.
+        Any other sequence is refused with DiophantineRequired.
         """
-        cache = self._norm_bounds
-        if n not in cache:
-            cache[n] = sampled_norm_bound(self, n)
-        return cache[n]
-
-    @functools.cached_property
-    def _norm_bounds(self) -> dict[int, float]:
-        return {}
+        if self.n_max is not None:
+            return _FiniteTails(self.n_max)
+        if _certifiable(self):
+            if self.region is not None and not self.region.contains(z0):
+                return TolUnreachable(f"evaluation point {z0} lies outside the working region of the norm bounds")
+            return _CertifiedTails(self, z0)
+        return DiophantineRequired("no decay certificate over a Diophantine radius: no tails known before the terms")
 
     def residue(self, n: int, pole: complex) -> complex:
         raise NotImplementedError("this sequence does not expose closed-form residues")
@@ -349,41 +335,6 @@ class TermSequence(abc.ABC):
     def term_array(self, n: int, zs: np.ndarray) -> np.ndarray:
         """Vectorised term evaluation; subclasses override with numpy code."""
         return np.array([self.term(n, complex(z)) for z in zs])
-
-
-def sampled_norm_bound(seq: TermSequence, n: int, inflate: float = 1.01) -> float:
-    """Boundary-sampled sup of |term| over the perforated sheet of the region.
-
-    By the maximum principle the sup over the perforated sheet is attained on
-    the region boundary or on a removed-disc circle.  Removed discs are
-    mutually disjoint (radius-function invariant), so circle samples need no
-    cross-filtering; region-boundary samples falling inside a removed disc
-    are dropped.  Each circle carries ``_NORM_SAMPLES`` points.  Two uses
-    remain: the default ``TermSequence.norm_bound``, for the ratio test of
-    the zero-sum families, and the tests' cross-check of the closed-form
-    bounds.
-    """
-    region = seq.region
-    r_n = seq.perforation.radius_at(n)
-    poles = seq.poles(n)
-    outer = region.boundary_points(_NORM_SAMPLES)
-    samples = []
-    if len(poles):
-        dist = np.abs(outer[:, None] - poles[None, :]).min(axis=1)
-        samples.append(outer[dist >= r_n * (1.0 - 1e-12)])
-        ring = np.exp(1j * 2.0 * np.pi * np.arange(_NORM_SAMPLES) / _NORM_SAMPLES)
-        circles = (poles[:, None] + r_n * ring[None, :]).ravel()
-        keep = region.distance_to_complement(circles) >= 0.0
-        if keep.any():
-            samples.append(circles[keep])
-    else:
-        samples.append(outer)
-    pts = np.concatenate(samples)
-    try:
-        vals = seq.term_array(n, pts)
-    except (OverflowError, ZeroDivisionError) as exc:  # a scalar term at a sample that rounds onto a pole
-        raise OutOfRegime(f"the sheet-{n} term fails on a sample of its norm bound: {exc}", sheet=n) from None
-    return inflate * float(np.max(np.abs(vals)))
 
 
 @dataclass(frozen=True)
@@ -397,7 +348,10 @@ class SumResult:
 class TaylorJet:
     """Taylor coefficients of the sum and the tail bound of each.
 
-    coefficients[k] = S(f^{(k)})(z0)/k! for k = 0..order.
+    coefficients[k] = S(f^{(k)})(z0)/k! for k = 0..order.  ``certified``
+    says that a decay certificate over a Diophantine radius backs the tails;
+    a finite family's tails are exact and the pi_k family's come from its
+    remainder, though the flag is False for both.
     """
 
     center: complex
@@ -426,10 +380,10 @@ class _Group:
 
     ``clean[r]`` counts the row's finite terms before its first non-finite
     one, and ``bad[r]`` says whether it has one.  Lane r's tolerance at a
-    magnitude v is max(abs_tol[r], rel_tol * max(v, floor[r])).  A stopping
-    rule's ``scan`` gives for the rows the block index of each one's
-    stopping sheet (the block's length where it holds none), the tail there,
-    and the rows whose stop is an error instead, with the error.
+    magnitude v is max(abs_tol[r], rel_tol * max(v, floor[r])).
+    ``_CertifiedStop.scan`` gives for the rows the block index of each
+    one's stopping sheet (the block's length where it holds none) and the
+    tail there.
     """
 
     def __init__(self, ns, terms, lanes, k, acc, abs_tol, floor, rel_tol):
@@ -496,30 +450,27 @@ def _search(tail, bound, lo: int, hi: int) -> int:
 class _CertifiedStop:
     """Stop at the first sheet whose tail, known before the terms, is within the limit.
 
-    Lane l sums at the point ``zs[l // width]``; its tails are those of
-    ``_FiniteTails`` there for a finite family and of ``_CertifiedTails``
-    otherwise.  Lanes with one limit on every sheet (rel_tol = 0) get their
-    stops from ``plan`` before any term.  A jet's lane searches for j1, the
-    first sheet with tail <= U*(1 + 1e-9), U the tolerance at |acc| + sum
-    |terms|: for j < j1, tail(j) > U*(1 + 1e-9) >= limit(j).  The lane stops
-    at j1 if its tail is within the exact limit there, and otherwise
-    ``_first_stop`` goes on from j1 + 1.
+    Lane l sums at the point ``zs[l // width]``, whose tails are
+    ``tails[l // width]`` (None for a refused point).  Lanes with one limit
+    on every sheet (rel_tol = 0) get their stops from ``plan`` before any
+    term.  A jet's lane searches for j1, the first sheet with tail <=
+    U*(1 + 1e-9), U the tolerance at |acc| + sum |terms|: for j < j1,
+    tail(j) > U*(1 + 1e-9) >= limit(j).  The lane stops at j1 if its tail is
+    within the exact limit there, and otherwise ``_first_stop`` goes on from
+    j1 + 1.
     """
 
-    def __init__(self, seq: TermSequence, zs: list, width: int, last: int):
-        self.seq, self.zs, self.width, self.last = seq, zs, width, last
-        self._tails = _CertifiedTails if seq.n_max is None else _FiniteTails
-        self._points: dict[int, _CertifiedTails | _FiniteTails] = {}
+    def __init__(self, seq: TermSequence, zs: list, width: int, last: int, tails: list):
+        self.seq, self.zs, self.width, self.last, self.tails = seq, zs, width, last, tails
+        # Whether the order-0 tail is the same at every point.
+        self.shared = all(t.order0_shared for t in tails if t is not None)
         self._tail_cache: dict[tuple[int, int, int], float] = {}
 
     def _tail(self, lane: int, k: int, n: int) -> float:
-        # The order-0 tail is the same at every point.
-        key = (k, n, lane // self.width if k else 0)
+        p = lane // self.width
+        key = (k, n, -1 if k == 0 and self.shared else p)
         if key not in self._tail_cache:
-            p = key[2]
-            if p not in self._points:
-                self._points[p] = self._tails(self.seq, self.zs[p])
-            self._tail_cache[key] = self._points[p].tail(k, n)
+            self._tail_cache[key] = self.tails[p].tail(k, n)
         return self._tail_cache[key]
 
     def stop(self, lane: int, k: int, limit: float) -> tuple[int, float]:
@@ -538,15 +489,16 @@ class _CertifiedStop:
     def plan(self, points: np.ndarray, orders: range, limits: np.ndarray) -> None:
         """The stops of the lanes of these points, each with its order's limit on every sheet.
 
-        ``stop`` runs once per order and point, once in all for order 0 (its tail is the same at every point).
+        ``stop`` runs once per order and point, once in all for order 0 where its tail is the same at every point.
         Each lane's stopping sheet (last + 1 for none) and tail go to ``stop_at`` and ``stop_tail``.
         """
         lanes = len(self.zs) * self.width
         self.stop_at, self.stop_tail = np.full(lanes, self.last + 1), np.zeros(lanes)
         at, tail = self.stop_at.reshape(-1, self.width), self.stop_tail.reshape(-1, self.width)
         for i, (k, limit) in enumerate(zip(orders, limits.tolist())):
-            for p in points[:1 if k == 0 else None].tolist():
-                share = slice(None) if k == 0 else p  # a lane of a point that has ended is never read
+            shared = k == 0 and self.shared
+            for p in points[:1 if shared else None].tolist():
+                share = slice(None) if shared else p  # a lane of a point that has ended is never read
                 at[share, i], tail[share, i] = self.stop(p * self.width + i, k, limit)
 
     def _first_stop(self, lane: int, k: int, ns: list[int], limit: np.ndarray, start: int = 0):
@@ -570,10 +522,10 @@ class _CertifiedStop:
             start = j + 1
         return None
 
-    def scan(self, g: _Group) -> tuple[np.ndarray, np.ndarray, dict[int, MeandroError]]:
+    def scan(self, g: _Group) -> tuple[np.ndarray, np.ndarray]:
         if g.rel_tol == 0.0:  # an open lane's stop is at or after the block's first sheet
             ends = self.stop_at[g.lanes] - int(g.ns[0])
-            return np.where(ends < g.clean, ends, len(g.ns)), self.stop_tail[g.lanes], {}
+            return np.where(ends < g.clean, ends, len(g.ns)), self.stop_tail[g.lanes]
         ns, lanes, ks, cleans = g.ns.tolist(), g.lanes.tolist(), g.k.tolist(), g.clean.tolist()
         ends, tails = np.full(len(lanes), len(ns)), np.zeros(len(lanes))
         # Every limit of the block is at most U, the one at |acc| + sum |terms|.
@@ -597,110 +549,7 @@ class _CertifiedStop:
                 limit = g.tol(np.abs(g.sums([r])), [r])[0]
                 stop = self._first_stop(lanes[r], ks[r], ns[: cleans[r]], limit, j + 1)
                 ends[r], tails[r] = stop or (len(ns), 0.0)
-        return ends, tails, {}
-
-
-class _StabilisedStop:
-    """Stop once _STABLE_WINDOW consecutive terms are negligible (heuristic).
-
-    A term is negligible when it is within the tolerance of the largest
-    magnitude seen so far, partial sums included; the tail is the window's
-    sum.  The state of each lane carries over from block to block.
-    """
-
-    def __init__(self, lanes: int):
-        self.scale = np.zeros(lanes)
-        self.streak = np.zeros(lanes, dtype=np.int64)
-        # The last magnitudes of each lane, zeros before its first.
-        self.recent = np.zeros((lanes, _STABLE_WINDOW))
-
-    def scan(self, g: _Group) -> tuple[np.ndarray, np.ndarray, dict[int, MeandroError]]:
-        mags = np.abs(g.terms)
-        scale = np.maximum(
-            np.maximum.accumulate(np.maximum(np.abs(g.sums()), mags), axis=1),
-            self.scale[g.lanes, None],
-        )
-        idx = np.arange(len(g.ns))
-        last_big = np.maximum.accumulate(np.where(mags <= g.tol(scale), -1, idx), axis=1)
-        streak = np.where(last_big >= 0, idx - last_big, self.streak[g.lanes, None] + idx + 1)
-        hits = (streak >= _STABLE_WINDOW) & (idx < g.clean[:, None])
-        hit = hits.any(axis=1)
-        ends, tails = np.where(hit, hits.argmax(axis=1), len(g.ns)), np.zeros(len(g.lanes))
-        for r in np.flatnonzero(hit).tolist():  # once per lane: its window, summed as a list
-            j, lane = int(ends[r]), int(g.lanes[r])
-            window = self.recent[lane].tolist() + mags[r, max(j + 1 - _STABLE_WINDOW, 0) : j + 1].tolist()
-            tails[r] = sum(window[-_STABLE_WINDOW:])
-        going, lanes = ~hit, g.lanes[~hit]
-        self.scale[lanes], self.streak[lanes] = scale[going, -1], streak[going, -1]
-        window = np.concatenate([self.recent[lanes], mags[going, -_STABLE_WINDOW:]], axis=1)
-        self.recent[lanes] = window[:, -_STABLE_WINDOW:]
-        return ends, tails, {}
-
-
-class _RatioStop:
-    """Ratio test of the norm bounds (heuristic), consulted sheet by sheet.
-
-    It never stops at a zero norm bound, since a vanishing term says nothing
-    about the rest, and it gives up after 16 sheets of growing bounds.  The
-    norm bounds do not depend on the point, so the test runs once per sheet
-    for all lanes; only the tolerance is per lane.  A norm bound that cannot
-    be computed ends every lane still open at its sheet with that error.
-    """
-
-    _GIVE_UP = "norm bounds do not summably decay and no decay certificate is present"
-
-    def __init__(self, seq: TermSequence):
-        self.seq = seq
-        self.nb_prev: float | None = None
-        self.streak = 0
-        self.recent: list[float] = []
-        self._block = None
-        self._sheets: list[float | None | MeandroError] = []
-
-    def _sheet(self, ns: np.ndarray, j: int) -> float | None | MeandroError:
-        """Sheet j's ratio tail (None if it has none), or the error that ends the test there."""
-        if self._block != int(ns[0]):
-            self._block, self._sheets = int(ns[0]), []
-        while len(self._sheets) <= j:
-            n = int(ns[len(self._sheets)])
-            try:
-                nb = self.seq.norm_bound(n)
-            except MeandroError as exc:
-                self._sheets.append(exc)
-                break
-            out = None
-            if self.nb_prev is not None:
-                ratio = nb / self.nb_prev if self.nb_prev > 0 else math.inf
-                self.recent = (self.recent + [ratio])[-6:]
-                self.streak = self.streak + 1 if ratio >= 1.0 else 0  # growing bounds
-                q = max(self.recent)
-                if self.streak >= 16:
-                    out = TolUnreachable(self._GIVE_UP)
-                elif q < 1.0 and nb > 0.0:
-                    out = nb * q / (1.0 - q)
-            self._sheets.append(out)
-            if isinstance(out, MeandroError):
-                break
-            self.nb_prev = nb
-        return self._sheets[j]
-
-    def scan(self, g: _Group) -> tuple[np.ndarray, np.ndarray, dict[int, MeandroError]]:
-        limits = g.tol(np.abs(g.sums()))
-        ends, tails = np.full(len(g.lanes), len(g.ns)), np.zeros(len(g.lanes))
-        open_ = np.ones(len(g.lanes), dtype=bool)
-        for j in range(len(g.ns)):
-            open_ &= g.clean > j
-            if not open_.any():
-                break
-            tail = self._sheet(g.ns, j)
-            if isinstance(tail, MeandroError):
-                ends[open_] = j
-                return ends, tails, dict.fromkeys(np.flatnonzero(open_).tolist(), tail)
-            if tail is not None:
-                hit = open_ & (tail <= limits[:, j])
-                ends[hit], tails[hit] = j, tail
-                open_ &= ~hit
-        return ends, tails, {}
+        return ends, tails
 
 
 def _index(rows: np.ndarray) -> slice | np.ndarray:
@@ -742,8 +591,6 @@ def _sum_derivative_series(
     rel_tol: float,
     floor,
     max_terms: int,
-    *,
-    stabilise: bool = False,
 ) -> list[list[SumResult] | MeandroError]:
     """Shared engine: one ascending pass summing the derivative series of every lane.
 
@@ -756,16 +603,11 @@ def _sum_derivative_series(
     docstring), so every point gets the block partition, and the sums, of
     its lone call; within a block the points are handled in groups of at
     most about _GROUP_VALUES values (at least one point).  The stopping rule
-    is applied to the open lanes of each group, and each lane keeps the
-    block's terms through its stopping sheet.  Lane state is arrays (the
-    rules' stops too), and errors, in ``errors`` by point, the only objects;
+    of the module docstring is applied to the open lanes of each group,
+    with each point's tails from ``seq.tail_policy``, and each lane keeps
+    the block's terms through its stopping sheet.  Lane state is arrays
+    (the stops too), and errors, in ``errors`` by point, the only objects;
     plain sums take their stops from ``_CertifiedStop.plan``.
-
-    The inputs pick one of the three rules of the module docstring: tails
-    known before the terms (a finite family's, exact, or a decay
-    certificate's over a Diophantine radius, rigorous), the stabilised rule
-    (``stabilise``: a jet without such tails; it skips the region check and
-    gives DiophantineRequired when out of sheets), and the ratio rule.
 
     Pole clearance is checked once per sheet, on every sheet up to the
     furthest one a point's orders need, until the point is cleared: in a
@@ -774,10 +616,11 @@ def _sum_derivative_series(
     discharge rule, or the poles' distance power law up to the last sheet
     of the pass) proves that no disc of a later sheet that the pass can
     reach holds the point, and first_blocked_all then passes it over.
-    A point's error is the first in sheet order: a removed disc holding it
-    (PoleProximity), a term that is not finite (OutOfRegime), growing norm
-    bounds (TolUnreachable); a block sum past the float range (OutOfRegime)
-    ends it after the block.
+    A point whose tail policy refuses it ends with that error before any
+    term.  Otherwise its error is the first in sheet order: a removed disc
+    holding it (PoleProximity), a term that is not finite (OutOfRegime); a
+    block sum past the float range (OutOfRegime) ends it after the block,
+    and running out of sheets ends it with TolUnreachable.
 
     Each lane's kept terms of a block are added exactly, as ``math.fsum``
     would add them (``_exact_sums``), and the block sums are accumulated
@@ -785,15 +628,10 @@ def _sum_derivative_series(
     ``_neumaier_step`` updates a group at a time.
     """
     finite = seq.n_max is not None
-    certified = _certifiable(seq)
-    stabilise = stabilise and not certified
     width = len(orders)
-    # The error that ends a point.
-    errors: dict[int, MeandroError] = {
-        p: TolUnreachable(f"evaluation point {z} lies outside the working region of the norm bounds")
-        for p, z in enumerate(zs)
-        if not (stabilise or seq.bounds_global or seq.region.contains(z))
-    }
+    tails = [seq.tail_policy(z, orders[-1]) for z in zs]
+    # The error that ends a point, first the refusal of its tails.
+    errors: dict[int, MeandroError] = {p: t for p, t in enumerate(tails) if isinstance(t, MeandroError)}
     # Points that have ended, with an error or with every lane stopped, and
     # points that no disc after the last block can hold (``_tail_clears``).
     ended, cleared = np.zeros((2, len(zs)), dtype=bool)
@@ -811,10 +649,7 @@ def _sum_derivative_series(
     last = seq.n_min + max_terms - 1
     if finite:
         last = min(last, seq.n_max)
-    if finite or certified:
-        rule = _CertifiedStop(seq, zs, width, last)
-    else:
-        rule = _StabilisedStop(n_lanes) if stabilise else _RatioStop(seq)
+    rule = _CertifiedStop(seq, zs, width, last, [None if p in errors else t for p, t in enumerate(tails)])
     # Points are cleared only in a pass whose last sheet has a float radius.
     clearable = True
     try:
@@ -844,15 +679,16 @@ def _sum_derivative_series(
             if len(ids) < len(block):  # rows ascend, so otherwise they are all of them
                 block = block[_index(np.searchsorted(pts, ids // width) * (m + 1) + ks)]
             g = _Group(ns, block, ids, ks, acc, lane_abs[lanes], lane_floor[lanes], rel_tol)
-            ends, tails, errs = rule.scan(g)
+            ends, found = rule.scan(g)
         lo, failures = int(ns[0]), len(errors)
         # Each lane's last sheet of the block: its stop, its first non-finite term, or the block's last.
         reach = np.minimum(np.minimum(ends, g.clean), len(ns) - 1)
-        if g.bad.any():
-            for r in np.flatnonzero(g.bad & (ends == len(ns))).tolist():
-                errs[r] = OutOfRegime(f"order-{ks[r]} derivative term on sheet {lo + reach[r]} is not finite")
         # A point's error is its first in (sheet, order); a pole's disc comes before the terms.
-        firsts = [(int(ids[r]) // width, int(reach[r]), int(ks[r]), err) for r, err in errs.items()]
+        firsts = [
+            (int(ids[r]) // width, int(reach[r]), int(ks[r]),
+             OutOfRegime(f"order-{ks[r]} derivative term on sheet {lo + reach[r]} is not finite"))
+            for r in np.flatnonzero(g.bad & (ends == len(ns))).tolist()
+        ] if g.bad.any() else []
         if not cleared[where].all():  # a cleared point clears every disc of the block
             check = np.flatnonzero(~cleared[where])
             point_reach = np.maximum.reduceat(reach, np.searchsorted(ids, pts * width))
@@ -887,20 +723,19 @@ def _sum_derivative_series(
         stopped = ends < len(ns)  # the lanes of a point that has failed stop too, unread
         if stopped.any():
             hit = ids[stopped]
-            done[hit], stop_n[hit], stop_tail[hit] = True, lo + reach[stopped], tails[stopped]
+            done[hit], stop_n[hit], stop_tail[hit] = True, lo + reach[stopped], found[stopped]
             ended[where] |= done.reshape(-1, width)[where].all(axis=1)
 
     live = np.flatnonzero(~ended)
     unclear = live.tolist() if clearable else []  # live points not yet cleared
     furthest = None  # each point's furthest stop, known before the terms
-    if isinstance(rule, _CertifiedStop) and rel_tol == 0.0:
+    if rel_tol == 0.0:
         rule.plan(live, orders, lane_abs[:width])
         furthest = rule.stop_at.reshape(-1, width).max(axis=1)  # a done lane's stop is in an earlier block
     first = None
-    if not finite and type(seq).derivatives is TermSequence.derivatives:
-        # One scalar call per sheet and order: start with the sheets that the
-        # stabilised rule needs when every order settles at once.
-        first = width + _STABLE_WINDOW
+    scalar = type(seq).derivatives is TermSequence.derivatives
+    if not finite and scalar and (orders[-1] > 0 or type(seq).term_grid is TermSequence.term_grid):
+        first = width  # one scalar call per sheet and order: start with as many sheets as orders
     for lo, hi in doubling_blocks(seq.n_min, last + 1, orders[-1] + 1, first):
         if not len(live):
             break
@@ -916,12 +751,11 @@ def _sum_derivative_series(
                 cleared[p] = _tail_clears(seq.perforation, zs[p], hi - 1, 0.0, last)
         unclear = [p for p in unclear if not (ended[p] or cleared[p])]
     for p in live.tolist():  # out of sheets
-        errors[p] = (DiophantineRequired("no decay certificate and the derivative series did not stabilise")
-                     if stabilise else TolUnreachable(f"tolerance not certified within {max_terms} sheets"))
-    values, sheets, tails = (acc_s + acc_c).tolist(), stop_n.tolist(), stop_tail.tolist()
+        errors[p] = TolUnreachable(f"tolerance not certified within {max_terms} sheets")
+    values, sheets, tail_bounds = (acc_s + acc_c).tolist(), stop_n.tolist(), stop_tail.tolist()
     return [
         errors[p] if p in errors else
-        [SumResult(complex(*values[l]), sheets[l], tails[l]) for l in range(p * width, (p + 1) * width)]
+        [SumResult(complex(*values[l]), sheets[l], tail_bounds[l]) for l in range(p * width, (p + 1) * width)]
         for p in range(len(zs))
     ]
 
@@ -965,8 +799,9 @@ def evaluate_sum(
     """Sum the sequence at z until the tail bound drops below tol.
 
     This is ``evaluate_sums`` at the one point z.  Raises PoleProximity when
-    z sits inside a removed disc of a sheet that is visited, and
-    TolUnreachable when no certificate can push the tail bound below tol.
+    z sits inside a removed disc of a sheet that is visited, the error of
+    the family's tail policy where it refuses z, and TolUnreachable when the
+    tail bound does not drop below tol within max_terms sheets.
     """
     return derivative_sum(seq, z, 0, tol, max_terms)
 
@@ -996,16 +831,12 @@ def taylor_jet(
 ) -> TaylorJet:
     """Jet a_0..a_m of the sum at z0, a_k = S(f^{(k)})(z0)/k!.
 
-    All m+1 derivative series are summed in one pass over the sheets.  Each
-    carries its own tail certificate from Cauchy's estimate when the radius
-    is Diophantine and a decay certificate is present: the least tail that
-    the circles of radius eps*r_j, the circles that fit between z0 and the
-    poles of the later sheets, and the family's power law at z0 give (see
-    the module docstring), so a series stops where the poles near z0 allow.
-    Without a certificate each series stops on the stabilised rule: the
-    tails are heuristic, the jet is marked uncertified, and DiophantineRequired is
-    raised when a series does not settle within max(m + 64, 4096) sheets.
-    Orders above 170, where k! overflows a float, raise OutOfRegime.
+    All m+1 derivative series are summed in one pass over the sheets, each
+    with the tails of the family's tail policy at z0 (see the module
+    docstring), so a series stops where the poles near z0 allow.  A
+    sequence without tails known before its terms raises DiophantineRequired
+    before any term.  Orders above 170, where k! overflows a float, raise
+    OutOfRegime.
     """
     if m < 0:
         raise ValueError("jet order must be non-negative")
@@ -1013,17 +844,9 @@ def taylor_jet(
         raise OutOfRegime(f"jet order {m} exceeds {_MAX_JET_ORDER}: k! overflows a float")
     orders = range(m + 1)
     kfacs = [math.factorial(k) for k in orders]
-    certifiable = _certifiable(seq)
-    if certifiable:
-        floors = np.array(kfacs, dtype=float)
-        outcome = _sum_derivative_series(
-            seq, [z0], orders, _JET_ABS_TOL * floors, rel_tol, floors, max_terms, stabilise=True
-        )[0]
-    else:
-        outcome = _sum_derivative_series(
-            seq, [z0], orders, 0.0, rel_tol, 1e-300, max(m + 64, 4096), stabilise=True
-        )[0]
+    floors = np.array(kfacs, dtype=float)
+    outcome = _sum_derivative_series(seq, [z0], orders, _JET_ABS_TOL * floors, rel_tol, floors, max_terms)[0]
     inner = _one_point(outcome)
     coeffs = np.array([res.value / kf for res, kf in zip(inner, kfacs)], dtype=complex)
     tails = np.array([res.tail_bound / kf for res, kf in zip(inner, kfacs)], dtype=float)
-    return TaylorJet(z0, coeffs, tails, m, certified=certifiable)
+    return TaylorJet(z0, coeffs, tails, m, certified=_certifiable(seq))

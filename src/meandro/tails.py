@@ -1,24 +1,35 @@
-"""Certified tail bounds of the derivative series of a term sequence.
+"""Tail bounds of the derivative series of a term sequence, known before its terms.
 
-The sheet-j term of a sequence with a decay certificate is at most
-A*rho**j on the perforated sheet (``norm_bound``), and Cauchy's estimate
-turns that into a bound on its derivatives at a point: the k-th derivative
-at z0 is at most k! * A*rho**j / R**k for any circle about z0 of radius R
-on which the bound holds.  ``_CertifiedTails`` sums these bounds over the
-sheets after n for three choices of R and keeps the least; the summation
-engine in ``series`` stops a lane once its tail is within the tolerance.
-A finite family's tails (``_FiniteTails``) need no bound: they are exact.
+tail(k, n) bounds the order-k derivative series summed over the sheets
+after n, and does not increase with n; the summation engine in ``series``
+stops a lane once its tail is within the tolerance, and each family picks
+its tails with ``TermSequence.tail_policy``.  The sheet-j term of a sequence
+with a decay certificate is at most A*rho**j on the perforated sheet
+(``norm_bound``), and Cauchy's estimate turns that into a bound on its
+derivatives at a point: the k-th derivative at z0 is at most
+k! * A*rho**j / R**k for any circle about z0 of radius R on which the bound
+holds.  ``_CertifiedTails`` sums these bounds over the sheets after n for
+three choices of R and keeps the least.  A finite family's tails
+(``_FiniteTails``) need no bound: they are exact.  The pi_k series
+telescopes, and its remainder gives its tails (``_RemainderTails``).
+``order0_shared`` says whether the order-0 tail is the same at every point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .geometry import _ABS_SLACK
 
 if TYPE_CHECKING:
     from .series import TermSequence
+
+#: Sheets over which ``_RemainderTails`` multiplies its factors.
+_REMAINDER_SHEETS = 2**19
 
 
 def power_geometric_tail(q: float, rho: float, n: int) -> float:
@@ -85,9 +96,11 @@ class _CertifiedTails:
     discs, and these reach further), so ``_PullbackPoles`` declares neither
     distance contract.
 
-    Unless the norm bounds are global, the circle must also stay in the
-    region: R(n) is capped by the distance ``reach`` from z0 to the
-    region's complement, and b(n) is scaled by min(1, reach/a), which caps
+    Where the norm bounds hold only in the family's region (``region`` is
+    not None), z0 must lie in it (``TermSequence.tail_policy``), and the
+    circle must stay in it:
+    R(n) is capped by the distance ``reach`` from z0 to the region's
+    complement, and b(n) is scaled by min(1, reach/a), which caps
     b(n)*j**-beta <= a.  The distance bounds hold for the exact poles, so
     D(n) is shrunk by a relative 1e-9 and by 8*eps*(1 + |z0| + D(n)), as in
     the membership discharge, and b(n) by a relative 1e-9.  A branch with no
@@ -101,15 +114,26 @@ class _CertifiedTails:
     beta <= alpha.  So their minimum is non-increasing as well.
     """
 
+    order0_shared = True
+
     def __init__(self, seq: TermSequence, z0: complex):
         self.seq, self.z0 = seq, z0
         self.cert, self.radius = seq.decay_cert, seq.perforation.radius
         self.poles = seq.perforation.poles
-        self.reach = math.inf if seq.bounds_global else float(seq.region.distance_to_complement(z0))
-        law = self.poles.distance_power_law(z0)
-        self.law = law if law is not None and law[1] <= self.radius.alpha else None
         self._orders: dict[int, tuple[float, float]] = {}
         self._sheets: dict[int, tuple] = {}
+
+    @functools.cached_property
+    def reach(self) -> float:
+        """Distance from z0 to the complement of the region (inf where the norm bounds are global)."""
+        region = self.seq.region
+        return math.inf if region is None else float(region.distance_to_complement(self.z0))
+
+    @functools.cached_property
+    def law(self) -> tuple[float, float] | None:
+        """The poles' distance power law at z0, where beta <= alpha."""
+        law = self.poles.distance_power_law(self.z0)
+        return law if law is not None and law[1] <= self.radius.alpha else None
 
     def _order(self, k: int) -> tuple[float, float]:
         """``_tail_prefactor`` and log(k! * A) of order k."""
@@ -175,11 +199,66 @@ class _CertifiedTails:
 class _FiniteTails:
     """Tails of a finite family at any point and order: inf before its last sheet, exactly 0 from it on."""
 
-    def __init__(self, seq: TermSequence, z0: complex):
-        self.n_max = seq.n_max
+    order0_shared = True
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
 
     def tail(self, k: int, n: int) -> float:
         return 0.0 if n >= self.n_max else math.inf
+
+
+class _RemainderTails:
+    """Tails of the pi_k series (``models.ZeroSumPiK``) at z0 with Re z0 <= 0, from its remainder.
+
+    The sum through sheet n is 1 - P_{n+1}, with P_n = prod_{j<=n}
+    -j*z/(1 - j*z).  For Re z <= 0 no factor has modulus above 1, so |P_n|
+    does not increase, and it tends to 0 where Re z < 0.  The tail after
+    sheet n, with a relative 1e-9 added, is at order 0 |P_{n+1}(z0)|,
+    doubled on Re z0 = 0 (where the limit need not be 0).  At z0 = 0, where
+    P_{n+1} has a zero of order n+1, the order-k tail is exactly 0 from
+    sheet k on and inf before.  Otherwise the order-k tail is
+    |P_{n+1}^(k)(z0)| (the sum is 1 about z0), at most k! * sup|P_{n+1}| /
+    R**k on the circle of radius R = |Re z0|/2 about z0.  1/zeta maps that
+    circle onto the circle of centre conj(z0)/D and radius R/D, D = |z0|**2
+    - R**2, in the left half-plane, so |j*zeta/(1 - j*zeta)| = j/|1/zeta - j|
+    is at most m_j = j*(|j*D - conj(z0)| + R)/(D*j**2 + 2*|Re z0|*j + 1) < 1
+    there; R = 0 gives the order-0 factors.  Each m_j takes a few roundings
+    of non-negative terms and the running product one a sheet, well inside
+    the 1e-9 over ``_REMAINDER_SHEETS`` sheets.  Past them, and once the
+    product is below 1e-300, the tail keeps its last value, still a bound as
+    no factor exceeds 1; a factor that rounds above 1 (or is NaN) is taken
+    as 1, so no tail increases.
+    """
+
+    order0_shared = False
+
+    def __init__(self, z0: complex):
+        self.z0 = z0
+        self._products: dict[bool, np.ndarray] = {}
+
+    def _product(self, circle: bool, n: int) -> float:
+        """prod_{j<=n+1} m_j, inflated, on the circle about z0 or (not ``circle``) at z0."""
+        n = min(n, _REMAINDER_SHEETS - 1)
+        products = self._products.get(circle)
+        if products is None or len(products) <= n:
+            x, y = -self.z0.real, self.z0.imag
+            R, d = (x / 2.0, 0.75 * x * x + y * y) if circle else (0.0, x * x + y * y)
+            js = np.arange(1.0, min(max(2 * (n + 1), 64), _REMAINDER_SHEETS) + 1.0)
+            jd = js * d
+            products = np.cumprod(np.fmin(js * (np.hypot(jd + x, y) + R) / ((jd + 2.0 * x) * js + 1.0), 1.0))
+            tiny = np.flatnonzero(products < 1e-300)
+            if len(tiny):
+                products[tiny[0] :] = products[tiny[0]]
+            products = self._products[circle] = products * (1.0 + 1e-9)
+        return float(products[n])
+
+    def tail(self, k: int, n: int) -> float:
+        if self.z0 == 0:
+            return 0.0 if n >= k else math.inf
+        if k == 0:
+            return (2.0 if self.z0.real == 0.0 else 1.0) * self._product(False, n)
+        return _exp(math.lgamma(k + 1) - k * math.log(-self.z0.real / 2.0) + math.log(self._product(True, n)))
 
 
 def _exp(log_tail: float) -> float:

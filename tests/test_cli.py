@@ -248,7 +248,7 @@ def test_a_perforation_its_family_refuses_is_a_config_error(runner, tmp_path, po
         ("eval", {"model": {"name": "zero_sum_general", "poles": [1e-200, 1e-200, 0.5]}, "eval": {"points": [0.1]}},
          "OutOfRegime: the coefficient a_2 overflows a float: a pole is too small"),
         # The scalar term divides by zero at z0; the removed disc about 1 holds z0.
-        ("jet", {"model": {"name": "zero_sum_general", "poles": [1.0], "region_radius": 1e300},
+        ("jet", {"model": {"name": "zero_sum_general", "poles": [1.0]},
                  "jet": {"z0": [1, 1e-320], "order": 2}},
          "PoleProximity: point inside removed disc around (1+0j) on sheet 0"),
     ],
@@ -271,17 +271,25 @@ def test_a_covering_modulus_past_the_float_range_violates_the_hypothesis(runner,
 
 
 def test_a_norm_bound_sample_on_a_pole_is_out_of_regime(runner, tmp_path):
-    # The rim samples of sheet 1 lie 0.05/2**1000 from the poles 1 and 1/2
-    # and round onto them, where the scalar term divides by zero.
+    # Sheet 1's removed discs have radius 0.05/2**1000.  A sampled norm bound
+    # once put rim samples onto the poles 1 and 1/2 and refused this point as
+    # OutOfRegime; no norm bound is sampled any more: the remainder
+    # 2*|P_1| ~ 2e-200 stops the sum at sheet 0, whose term is 1/(1 - z).
     payload = {"model": {"name": "zero_sum_pik", "alpha": 1000}, "eval": {"points": [[0, 1e-200]]}}
     result = runner.invoke(main, ["eval", "--config", _write_config(tmp_path, payload), "--json"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    [row] = csv.DictReader(io.StringIO(result.stdout))
+    assert (row["S_re"], row["S_im"], row["terms_used"], row["status"]) == ("1", "9.9999999999999998e-201", "0", "ok")
+    assert 2e-200 <= float(row["tail_bound"]) <= 2.0000001e-200
+
+
+def test_pik_eval_in_the_right_half_plane_diverges(runner, tmp_path):
+    payload = {"model": {"name": "zero_sum_pik"}, "eval": {"points": [[-0.3, 0], [0.05, 0.05]]}}
+    result = runner.invoke(main, ["eval", "--config", _write_config(tmp_path, payload)])
     assert result.exit_code == 1
     assert result.stdout == ""
-    assert json.loads(result.stderr) == {
-        "error": "OutOfRegime",
-        "detail": "the sheet-1 term fails on a sample of its norm bound: complex division by zero",
-    }
-    assert "Traceback" not in result.stderr
+    assert result.stderr == "error (NonConvergent): the pi_k series diverges at (0.05+0.05j): |P_N| grows like N**10\n"
 
 
 def test_a_laurent_circle_that_rounds_onto_its_centre_is_out_of_regime(runner, tmp_path):
@@ -346,15 +354,21 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(runner, tmp_path, 
 
 
 def test_region_radius_reaches_zero_sum_general(runner, tmp_path):
-    # The default working region is the disc of radius 1 (twice the largest pole).
-    cfg = _write_config(tmp_path, {
-        "model": {"name": "zero_sum_general", "poles": [0.5, 0.25], "region_radius": 3.0},
-        "eval": {"points": [[1.5, 0.0], [0.1, 0.0]]},
-    })
+    # A finite family's sum is exact at every point off its discs, also
+    # outside twice its largest pole: no working region, so the model reads
+    # no region_radius and refuses the field.
+    model = {"name": "zero_sum_general", "poles": [0.5, 0.25]}
+    cfg = _write_config(tmp_path, {"model": model, "eval": {"points": [[1.5, 0.0], [0.1, 0.0]]}})
     result = runner.invoke(main, ["eval", "--config", cfg])
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.output)))
-    assert [(r["z_re"], r["status"]) for r in rows] == [("1.5", "ok"), ("0.10000000000000001", "ok")]
+    assert [(r["z_re"], r["tail_bound"], r["status"]) for r in rows] == [
+        ("1.5", "0", "ok"), ("0.10000000000000001", "0", "ok")
+    ]
+    cfg = _write_config(tmp_path, {"model": dict(model, region_radius=3.0), "eval": {"points": [[1.5, 0.0]]}})
+    result = runner.invoke(main, ["eval", "--config", cfg])
+    assert result.exit_code == 2
+    assert "reads no field 'region_radius'" in result.stderr
 
 
 def test_model_override_flag(runner, tmp_path):

@@ -77,6 +77,17 @@ CASES = {
         [],
         0,
     ),
+    # The pi_k family in the left half-plane, summed on its remainder: 1 at
+    # the origin, 1/(1 - z) with tail 2*|z| a hair off it.
+    "zero-sum-pik": (
+        {
+            "model": {"name": "zero_sum_pik", "c": 0.05, "alpha": 2, "lambda": 1.5},
+            "eval": {"points": [[-0.3, 0.0], [-0.1, 0.05], [0.0, 0.0], [0.0, 1e-200], [-0.02, 0.0], [-0.45, 0.0],
+                                [-0.25, 0.1]]},
+        },
+        ["--cutoff", "50000"],  # -0.45 stops after 47 575 sheets
+        0,
+    ),
     # Points in removed discs (sheets 2 and 3 of the meander) among clean ones.
     "removed-disc": (
         {

@@ -61,7 +61,7 @@ def _zero_sum_points(rng):
     if u < 0.15:
         return _disc_point(rng, _ZERO_SUM_POLES[int(rng.integers(4))], 0.1)
     if u < 0.25:
-        return complex(rng.uniform(3.5, 4.0), 0.0)  # outside the region: TolUnreachable
+        return complex(rng.uniform(3.5, 4.0), 0.0)  # far from the poles: summed to the last sheet, tail 0
     return complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
 
 
