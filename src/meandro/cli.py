@@ -35,7 +35,6 @@ from .errors import ConfigError, HypothesisViolated, MeandroError, PoleProximity
 from .gevrey import divergence_diagnostic, gevrey_fit, smallest_term_truncation
 from .geometry import (
     PERFORATION_SCHEMA,
-    Disc,
     _build_perforation,
     residual_memberships,
     validated,
@@ -71,7 +70,6 @@ CONFIG_SCHEMA = {
                 "lambda": {"type": "number", "exclusiveMinimum": 1},
                 "constant": _COMPLEX,
                 "poles": {"type": "array", "items": _COMPLEX, "minItems": 1},
-                "region_radius": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "perforation": PERFORATION_SCHEMA,
@@ -207,7 +205,6 @@ _FIELDS = {
     "c": ("c", float, None),
     "alpha": ("alpha", float, None),
     "lambda": ("lam", float, None),
-    "region_radius": ("region", lambda radius: Disc(0j, radius), None),
     "constant": ("c", _as_complex, 1.0),
     "poles": ("poles", _poles, []),
 }
@@ -215,7 +212,7 @@ _FIELDS = {
 # Each model's constructor and the fields it reads.
 _MODELS = {
     "meander": (mdl.MeanderModel, ("x", "c", "alpha", "lambda")),
-    "qlog": (mdl.QLogModel, ("x", "c", "alpha", "lambda", "region_radius")),
+    "qlog": (mdl.QLogModel, ("x", "c", "alpha", "lambda")),
     "zero_sum_pik": (mdl.ZeroSumPiK, ("c", "alpha", "lambda")),
     "zero_sum_general": (mdl.ZeroSumGeneral, ("constant", "poles", "lambda")),
 }

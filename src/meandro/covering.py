@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, OutOfRegime
-from .geometry import DiophantineRadius, Disc, Perforation, PoleFamilyBase, TableRadius
+from .geometry import DiophantineRadius, Perforation, PoleFamilyBase, TableRadius
 from .series import TermSequence
 
 
@@ -203,10 +203,6 @@ class PullbackSequence(TermSequence):
         self.perforation = Perforation(
             _PullbackPoles(base.perforation.poles, beta, self.center), radius
         )
-        region = base.region
-        if region is not None and region.center == 0:
-            region = Disc(0j, max(region.radius - abs(self.center), 1e-6) ** (1.0 / beta))
-        self.region = region
 
     @property
     def decay_cert(self):
@@ -256,8 +252,12 @@ class PullbackSequence(TermSequence):
                 k = j * self.beta
                 out[k] = base[j] * math.factorial(k) / math.factorial(j)
             return out
+        try:
+            z = self._image(w)
+        except OverflowError:  # infinite entries, as in the default ``derivatives``
+            return np.full((m + 1, len(ns)), math.inf, dtype=complex)
         # The partial-Bell coefficients depend on w alone.
-        base = self.base.derivatives(ns, m, self._image(w))
+        base = self.base.derivatives(ns, m, z)
         out[0] = base[0]
         xs = [math.perm(self.beta, i) * w ** (self.beta - i) if i <= self.beta else 0j
               for i in range(1, m + 1)]

@@ -44,6 +44,14 @@ _SHRINK_SAMPLES = 512
 _SHRINK_SLACK = 1e-9
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where |z| is past the float range (abs raises OverflowError there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class StackPoint:
     """A point of the stacked plane: a sheet index and a finite coordinate."""
@@ -71,9 +79,6 @@ class Disc:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("disc radius must be positive")
-
-    def contains(self, z: complex) -> bool:
-        return abs(z - self.center) < self.radius
 
     def distance_to_complement(self, z):
         """Distance from z to the complement; negative if z is outside.
@@ -244,7 +249,8 @@ class PoleFamilyBase:
         ``poles_on_sheet`` may lie a few ulps closer.  It is non-decreasing
         in the cutoff: once a cutoff gets a bound, every larger cutoff gets
         one at least as large.  inf means there is no pole beyond the
-        cutoff; None (the default) means no bound is known.
+        cutoff, or none within the float range of z; None (the default)
+        means no bound is known.
         """
         return None
 
@@ -338,7 +344,7 @@ class RootsOfUnity(PoleFamilyBase):
 
     def tail_distance_bound(self, z: complex, cutoff: int) -> float:
         # Every pole beyond the cutoff still lies on the unit circle.
-        return abs(abs(z) - 1.0)
+        return abs(_modulus(z) - 1.0)
 
     def sheets_containing(self, pole: complex, limit: int) -> Iterator[int]:
         if abs(abs(pole) - 1.0) > _POLE_MATCH_TOL:
@@ -377,7 +383,7 @@ class MeanderPoles(PoleFamilyBase):
         # Poles beyond the cutoff lie inside the real segment [-1/(cutoff+1), 0].
         a = -1.0 / (cutoff + 1)
         x = min(max(z.real, a), 0.0)
-        return abs(z - x)
+        return _modulus(z - x)
 
     def distance_power_law(self, z: complex) -> tuple[float, float] | None:
         # |z + 1/n| >= Re z + 1/n >= 1/n when Re z >= 0.
@@ -405,7 +411,7 @@ class ReciprocalPoles(PoleFamilyBase):
 
     def tail_distance_bound(self, z: complex, cutoff: int) -> float:
         x = min(max(z.real, 0.0), 1.0)
-        return abs(z - x)
+        return _modulus(z - x)
 
     def sheets_containing(self, pole: complex, limit: int) -> Iterator[int]:
         if pole.real <= 0 or abs(pole.imag) > _POLE_MATCH_TOL:

@@ -29,13 +29,13 @@ import numpy as np
 from .errors import MeandroError, NonConvergent, OutOfRegime, PoleProximity, TolUnreachable, ZeroPole
 from .geometry import (
     DiophantineRadius,
-    Disc,
     ExplicitPoles,
     MeanderPoles,
     Perforation,
     ReciprocalPoles,
     RootsOfUnity,
     TableRadius,
+    _modulus,
 )
 from .series import DecayCert, TermSequence, evaluate_sums
 from .tails import _RemainderTails
@@ -105,7 +105,7 @@ class MeanderModel(TermSequence):
     |1 + n*z| = n*|z + 1/n| >= n*r_n, so the term is bounded by
     |x|**n * n**(alpha-1)/c everywhere off the disc.  That bound is
     dominated by A*rho**n with rho = (1 + |x|)/2; see ``_decay_cert``.
-    The bound holds on the whole perforated plane, so there is no region.
+    The bound holds on the whole perforated plane.
     """
 
     def __init__(self, x: complex, c: float = 0.05, alpha: float = 2.0, lam: float = 1.5):
@@ -171,7 +171,9 @@ class QLogModel(TermSequence):
     |(1+u)**n - 1| >= 2*s + 1 - (1+r_n)**n >= 2*s + 1 - e**s >= kappa*s with
     kappa = (2*c - expm1(c))/c, as (2*s + 1 - e**s)/s decreases in s; kappa > 0
     for 0 < c <= 1.  So the term is bounded by |x|**n * n**(alpha-1)/(c*kappa),
-    the meander bound over kappa, on the whole perforated plane.
+    the meander bound over kappa, on the whole perforated plane, and the
+    certified tails (``tails._CertifiedTails``) serve every point off the
+    removed discs.
     """
 
     def __init__(
@@ -180,7 +182,6 @@ class QLogModel(TermSequence):
         c: float = 0.05,
         alpha: float = 2.0,
         lam: float = 1.5,
-        region: Disc | None = None,
     ):
         x = complex(x)
         if abs(x) >= 1.0:
@@ -188,7 +189,6 @@ class QLogModel(TermSequence):
         self.x = x
         self.n_min = 1
         self.perforation = Perforation(RootsOfUnity(), DiophantineRadius(c, alpha, lam))
-        self.region = region if region is not None else Disc(0j, 2.1)
         # kappa rounded down, so that c*kappa is a lower bound in floats too.
         self._c_kappa = (2.0 * c - math.expm1(c)) * (1.0 - 1e-12)
         self._cert = _decay_cert(abs(x), self._c_kappa, alpha)
@@ -221,7 +221,7 @@ class QLogModel(TermSequence):
         # and num = 1 (Leibniz on (z**n - 1) * g = 1).  Outside it, g = A/(1 - A)
         # with A = (z+t)**-n, so den = 1 - A and num = A; z**n then never
         # overflows.  Each form keeps the division stable on its side.
-        if abs(z) <= 1.0:
+        if _modulus(z) <= 1.0:
             den = [z**ns - 1.0]
             binom = np.ones(len(ns))
             for i in range(1, m + 1):
@@ -250,7 +250,7 @@ class QLogModel(TermSequence):
         if not all(isinstance(z, complex) for z in zs):
             return super().term_grid(ns, zs)
         out = np.empty((len(zs), len(ns)), dtype=complex)
-        inside = np.array([abs(z) <= 1.0 for z in zs], dtype=bool)
+        inside = np.array([_modulus(z) <= 1.0 for z in zs], dtype=bool)
         if inside.any():
             z_in = np.array([z for z, i in zip(zs, inside) if i], dtype=complex).reshape(-1, 1)
             out[inside] = 1.0 / (z_in**ns - 1.0)
@@ -309,15 +309,16 @@ class ZeroSumPiK(TermSequence):
         """``tails._RemainderTails`` at z0, or the error that refuses z0.
 
         Re z0 > 0 is refused with NonConvergent.  On Re z0 = 0 off the
-        origin no circle about z0 stays in the closed left half-plane, so
-        orders m >= 1 are refused with TolUnreachable.
+        origin no circle about z0 stays in the closed left half-plane, and
+        where |Re z0|/2 underflows to 0 the tails' circle has no radius, so
+        orders m >= 1 are refused with TolUnreachable there.
         """
         z0 = complex(z0)
         if z0.real > 0.0:
             growth = (1.0 / z0).real
             message = f"the pi_k series diverges at {z0}: |P_N| grows like N**{growth:.6g}"
             return NonConvergent(message, re_inverse=growth)
-        if m > 0 and z0.real == 0.0 and z0 != 0:
+        if m > 0 and z0.real / 2.0 == 0.0 and z0 != 0:
             return TolUnreachable(f"no circle about {z0} stays in the closed left half-plane: no derivative tails")
         return _RemainderTails(z0)
 

@@ -49,11 +49,11 @@ any term:
 * a finite family's tails are inf before its last sheet and exactly 0 from
   it on (``tails._FiniteTails``);
 * a decay certificate A*rho**n over a Diophantine radius gives rigorous
-  ones (``tails._CertifiedTails``) at points of the region where the norm
-  bounds hold, and TolUnreachable elsewhere.  Order 0 has the
-  certificate's tail at every point; order k >= 1 the least that Cauchy's
-  estimate gives on three kinds of circles about the point, so how far a
-  jet runs depends on how close the point is to the poles, not on how
+  ones (``tails._CertifiedTails``) at every point, as the norm bounds hold
+  on the whole perforated plane.  Order 0 has the certificate's tail at
+  every point; order k >= 1 the least that Cauchy's estimate gives on
+  three kinds of circles about the point, so how far a jet runs depends
+  on how close the point is to the poles, not on how
   small the removed discs are;
 * the pi_k family's terms telescope, and its exact remainder gives them
   (``tails._RemainderTails``; see ``models.ZeroSumPiK``);
@@ -95,7 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiophantineRequired, MeandroError, OutOfRegime, PoleProximity, TolUnreachable
-from .geometry import _GROUP_VALUES, DiophantineRadius, Disc, Perforation, _tail_clears, doubling_blocks
+from .geometry import _GROUP_VALUES, DiophantineRadius, Perforation, _tail_clears, doubling_blocks
 from .tails import _CertifiedTails, _FiniteTails
 
 #: Highest jet order: k! overflows a float from k = 171 on.
@@ -261,9 +261,6 @@ class TermSequence(abc.ABC):
     #: Last sheet carrying a term, or None for an infinite family.
     n_max: int | None = None
     perforation: Perforation
-    #: Where norm_bound dominates the term; None where it does so on the
-    #: whole perforated plane.
-    region: Disc | None = None
 
     @abc.abstractmethod
     def term(self, n: int, z: complex) -> complex: ...
@@ -318,14 +315,12 @@ class TermSequence(abc.ABC):
 
         The tails are known before any term (see ``tails``): a finite
         family's are exact, and a decay certificate over a Diophantine
-        radius gives rigorous ones inside the region of the norm bounds.
-        Any other sequence is refused with DiophantineRequired.
+        radius gives rigorous ones at every point.  Any other sequence is
+        refused with DiophantineRequired.
         """
         if self.n_max is not None:
             return _FiniteTails(self.n_max)
         if _certifiable(self):
-            if self.region is not None and not self.region.contains(z0):
-                return TolUnreachable(f"evaluation point {z0} lies outside the working region of the norm bounds")
             return _CertifiedTails(self, z0)
         return DiophantineRequired("no decay certificate over a Diophantine radius: no tails known before the terms")
 

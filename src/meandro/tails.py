@@ -96,14 +96,10 @@ class _CertifiedTails:
     discs, and these reach further), so ``_PullbackPoles`` declares neither
     distance contract.
 
-    Where the norm bounds hold only in the family's region (``region`` is
-    not None), z0 must lie in it (``TermSequence.tail_policy``), and the
-    circle must stay in it:
-    R(n) is capped by the distance ``reach`` from z0 to the region's
-    complement, and b(n) is scaled by min(1, reach/a), which caps
-    b(n)*j**-beta <= a.  The distance bounds hold for the exact poles, so
-    D(n) is shrunk by a relative 1e-9 and by 8*eps*(1 + |z0| + D(n)), as in
-    the membership discharge, and b(n) by a relative 1e-9.  A branch with no
+    The norm bounds hold on the whole perforated plane, so only the poles
+    limit a circle.  The distance bounds hold for the exact poles, so D(n)
+    is shrunk by a relative 1e-9 and by 8*eps*(1 + |z0| + D(n)), as in the
+    membership discharge, and b(n) by a relative 1e-9.  A branch with no
     positive radius gives inf.
 
     Every bound is non-increasing in n, which the certified stop's search
@@ -124,12 +120,6 @@ class _CertifiedTails:
         self._sheets: dict[int, tuple] = {}
 
     @functools.cached_property
-    def reach(self) -> float:
-        """Distance from z0 to the complement of the region (inf where the norm bounds are global)."""
-        region = self.seq.region
-        return math.inf if region is None else float(region.distance_to_complement(self.z0))
-
-    @functools.cached_property
     def law(self) -> tuple[float, float] | None:
         """The poles' distance power law at z0, where beta <= alpha."""
         law = self.poles.distance_power_law(self.z0)
@@ -146,10 +136,9 @@ class _CertifiedTails:
         return d * (1.0 - 1e-9) - _ABS_SLACK * (1.0 + abs(self.z0) + d)
 
     def _factor(self, n: int) -> float:
-        """b(n), scaled to the region and shrunk."""
+        """b(n), shrunk."""
         a, beta = self.law
-        cap = min(1.0, self.reach / a) * (1.0 - 1e-9)
-        return (a - self.radius.c * (n + 1.0) ** (beta - self.radius.alpha)) * cap
+        return (a - self.radius.c * (n + 1.0) ** (beta - self.radius.alpha)) * (1.0 - 1e-9)
 
     def _sheet(self, n: int) -> tuple:
         """What the tails of every order share at sheet n.
@@ -164,7 +153,7 @@ class _CertifiedTails:
             log_r = None
             d = self.poles.tail_distance_bound(self.z0, n)
             if d is not None and d != math.inf:
-                R = min(self._shrunk(d) - self.radius.tail_sup(n), self.reach * (1.0 - 1e-9))
+                R = self._shrunk(d) - self.radius.tail_sup(n)
                 if R > 0.0:
                     log_r = math.log(R)
             log_b = None
@@ -245,8 +234,9 @@ class _RemainderTails:
             x, y = -self.z0.real, self.z0.imag
             R, d = (x / 2.0, 0.75 * x * x + y * y) if circle else (0.0, x * x + y * y)
             js = np.arange(1.0, min(max(2 * (n + 1), 64), _REMAINDER_SHEETS) + 1.0)
-            jd = js * d
-            products = np.cumprod(np.fmin(js * (np.hypot(jd + x, y) + R) / ((jd + 2.0 * x) * js + 1.0), 1.0))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf/inf at a point near the float range
+                jd = js * d
+                products = np.cumprod(np.fmin(js * (np.hypot(jd + x, y) + R) / ((jd + 2.0 * x) * js + 1.0), 1.0))
             tiny = np.flatnonzero(products < 1e-300)
             if len(tiny):
                 products[tiny[0] :] = products[tiny[0]]

@@ -355,8 +355,8 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(runner, tmp_path, 
 
 def test_region_radius_reaches_zero_sum_general(runner, tmp_path):
     # A finite family's sum is exact at every point off its discs, also
-    # outside twice its largest pole: no working region, so the model reads
-    # no region_radius and refuses the field.
+    # outside twice its largest pole.  No model has a working region, so the
+    # schema refuses a region_radius field for every model.
     model = {"name": "zero_sum_general", "poles": [0.5, 0.25]}
     cfg = _write_config(tmp_path, {"model": model, "eval": {"points": [[1.5, 0.0], [0.1, 0.0]]}})
     result = runner.invoke(main, ["eval", "--config", cfg])
@@ -365,10 +365,23 @@ def test_region_radius_reaches_zero_sum_general(runner, tmp_path):
     assert [(r["z_re"], r["tail_bound"], r["status"]) for r in rows] == [
         ("1.5", "0", "ok"), ("0.10000000000000001", "0", "ok")
     ]
-    cfg = _write_config(tmp_path, {"model": dict(model, region_radius=3.0), "eval": {"points": [[1.5, 0.0]]}})
+    for refused in (model, {"name": "qlog"}):
+        cfg = _write_config(tmp_path, {"model": dict(refused, region_radius=3.0), "eval": {"points": [[1.5, 0.0]]}})
+        result = runner.invoke(main, ["eval", "--config", cfg])
+        assert result.exit_code == 2
+        assert "config rejected by schema" in result.stderr
+        assert "'region_radius' was unexpected" in result.stderr
+
+
+def test_qlog_eval_far_outside_the_unit_circle_is_summed(runner, tmp_path):
+    # The q-log's norm bound holds on the whole perforated plane, so a point
+    # at |z| = 2.5 gets the certified tails of any other point.
+    cfg = _write_config(tmp_path, {"model": {"name": "qlog", "x": 0.5}, "eval": {"points": [[2.5, 0.0]]}})
     result = runner.invoke(main, ["eval", "--config", cfg])
-    assert result.exit_code == 2
-    assert "reads no field 'region_radius'" in result.stderr
+    assert result.exit_code == 0, result.stderr
+    (row,) = list(csv.DictReader(io.StringIO(result.output)))
+    assert (row["z_re"], row["status"]) == ("2.5", "ok")
+    assert float(row["tail_bound"]) <= 1e-10
 
 
 def test_model_override_flag(runner, tmp_path):

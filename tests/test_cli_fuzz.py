@@ -1,9 +1,16 @@
-"""Schema-valid `residual` and `covering` configs with extreme numbers end in an exit code, never a traceback."""
+"""Schema-valid configs with extreme numbers end in an exit code, never a traceback.
+
+`residual` and `covering` take extreme grids and parameters; `eval` and
+`jet` take extreme points of every model, and must end without a warning
+and with at most one error line.
+"""
 
 import json
+import math
+import warnings
 
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meandro.cli import CONFIG_SCHEMA, main
@@ -56,9 +63,13 @@ def _run(tmp_path_factory, command: str, config: dict, *options: str):
     assert _accepts(config, CONFIG_SCHEMA)
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(config))
-    result = CliRunner().invoke(main, [command, "--config", str(path), *options])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = CliRunner().invoke(main, [command, "--config", str(path), *options])
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
     assert result.exit_code in (0, 1, 2, 3)
+    assert not caught, [str(w.message) for w in caught]
+    return result
 
 
 @settings(max_examples=150, deadline=None)
@@ -71,3 +82,45 @@ def test_residual_configs_exit_with_a_code(tmp_path_factory, perforation, residu
 @given(covering=_covering)
 def test_covering_configs_exit_with_a_code(tmp_path_factory, covering):
     _run(tmp_path_factory, "covering", {"covering": covering})
+
+
+_MODELS = [
+    {"name": "meander", "x": 0.5, "c": 0.1},
+    {"name": "qlog", "x": 0.5},
+    {"name": "zero_sum_pik"},
+    {"name": "zero_sum_general", "poles": [0.5, [0.25, 0.1]]},
+]
+#: Parts of a point: subnormal, on the unit circle (0.6 + 0.8i among them) and up to the top of the float range.
+_PARTS = [0.0, 5e-324, 1e-320, 1e-300, 0.6, 0.8, 1.0, 2.5, 1e300, 1e308, 1.7e308, 1.79e308]
+_part = st.sampled_from(_PARTS + [-x for x in _PARTS[1:]])
+_points = (
+    st.tuples(_part, _part).map(list)
+    | st.floats(0.0, 2.0 * math.pi).map(lambda t: [math.cos(t), math.sin(t)])
+    | st.builds(lambda m, t: [m * math.cos(t), m * math.sin(t)], st.sampled_from(_PARTS), st.floats(0.0, 2.0 * math.pi))
+)
+_cutoffs = st.sampled_from([1, 2, 64, 10_000]) | st.integers(1, 500)
+
+
+def _run_at_points(tmp_path_factory, command: str, config: dict, cutoff: int):
+    """Run the command; it ends with 0, 1 or 3, one error line at most, and no warning."""
+    result = _run(tmp_path_factory, command, config, "--cutoff", str(cutoff))
+    assert result.exit_code in (0, 1, 3), result.stderr
+    errors = result.stderr.splitlines()
+    assert len(errors) == (result.exit_code == 1), result.stderr
+    assert all(line.startswith("error (") for line in errors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(_MODELS), points=st.lists(_points, min_size=1, max_size=3), cutoff=_cutoffs)
+@example(model=_MODELS[2], points=[[-1e308, 0.0]], cutoff=10_000)  # RuntimeWarning in the pi_k tails
+@example(model=_MODELS[1], points=[[1.7e308, 1.7e308], [2.5, 0.0]], cutoff=10_000)
+def test_eval_configs_at_extreme_points_end_cleanly(tmp_path_factory, model, points, cutoff):
+    _run_at_points(tmp_path_factory, "eval", {"model": model, "eval": {"points": points}}, cutoff)
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.sampled_from(_MODELS), z0=_points, order=st.integers(0, 4), cutoff=_cutoffs)
+@example(model=_MODELS[0], z0=[1.7e308, 1.7e308], order=3, cutoff=10_000)  # OverflowError in the tail distance
+@example(model=_MODELS[2], z0=[-5e-324, 5e-324], order=2, cutoff=10_000)  # |Re z0|/2 underflows to 0
+def test_jet_configs_at_extreme_points_end_cleanly(tmp_path_factory, model, z0, order, cutoff):
+    _run_at_points(tmp_path_factory, "jet", {"model": model, "jet": {"z0": z0, "order": order}}, cutoff)

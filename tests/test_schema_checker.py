@@ -21,7 +21,7 @@ GRID = {"re_start": 0.9, "re_stop": 1.1, "re_count": 3, "im_start": 0, "im_stop"
 #: Valid configs, one or more per section, that the strategy mutates.
 CONFIGS = [
     {"model": MEANDER, "eval": {"points": [0.1, [0.2, 0.3]]}},
-    {"model": {"name": "qlog", "x": 0.9, "region_radius": 2},
+    {"model": {"name": "qlog", "x": 0.9},
      "eval": {"ray": {"theta_turns": 0.1, "t_start": 0, "t_stop": 2, "t_step": 0.05}}},
     {"model": {"name": "zero_sum_general", "constant": [1, 0], "poles": [0.5, [0.25, 0.1]]},
      "jet": {"z0": 0, "order": 8}},
