@@ -270,7 +270,8 @@ class PoleFamilyBase:
         poles = self.poles_on_sheet(n)
         if len(poles) == 0:
             return 0j, math.inf
-        d = np.abs(z - poles)
+        with np.errstate(over="ignore"):  # a distance past the float range is inf
+            d = np.abs(z - poles)
         i = int(np.argmin(d))
         return complex(poles[i]), float(d[i])
 
@@ -294,13 +295,14 @@ class PoleFamilyBase:
                 np.array([d for _, d in pairs], dtype=float).reshape(shape),
             )
         poles = table[:, 0]
-        dist = np.abs(z - poles)
-        for j in range(1, table.shape[1]):
-            column = table[:, j]
-            d = np.abs(z - column)
-            nearer = d < dist  # False on a NaN pad
-            poles = np.where(nearer, column, poles)
-            dist = np.where(nearer, d, dist)
+        with np.errstate(over="ignore"):  # a distance past the float range is inf
+            dist = np.abs(z - poles)
+            for j in range(1, table.shape[1]):
+                column = table[:, j]
+                d = np.abs(z - column)
+                nearer = d < dist  # False on a NaN pad
+                poles = np.where(nearer, column, poles)
+                dist = np.where(nearer, d, dist)
         empty = np.isnan(dist)  # pads start a row only when it has no poles
         if np.count_nonzero(empty):
             poles, dist = np.where(empty, 0j, poles), np.where(empty, math.inf, dist)

@@ -64,33 +64,14 @@ def _norm_bound(ax: float, n: int, c: float, alpha: float) -> float:
 
 
 def _decay_cert(ax: float, c: float, alpha: float) -> DecayCert:
-    """Certificate A*rho**n >= _norm_bound(ax, n, c, alpha) for every sheet n >= 1.
+    """The certificate of ``_norm_bound(ax, n, c, alpha)``: its own form, (C, q, sigma) = (1/c, alpha - 1, ax).
 
-    rho is (1 + ax)/2.  A is the exact maximum over n of
-    n**(alpha-1) * (ax/rho)**n / c (unimodal in n), rounded outward so that
-    it dominates the bound evaluated in floats as well.  ax is raised by
-    twice ``_UNDERFLOW`` first.  That changes only an ax below about 1e-307,
-    whose peak is at sheet 1, where ``_norm_bound`` adds ``_UNDERFLOW``; on
-    later sheets ax**n is 0 or far below the certificate.  A peak sheet or
-    a power n**(alpha-1) past the float range raises OutOfRegime.
+    C is 1/c raised by a relative 1e-9, which covers the rounding of the
+    bound and of the tails' float sums.  Where ax**n is subnormal the
+    bound is at most C * n**q * 2**-1021, which ``DecayCert.tail`` allows
+    for.
     """
-    rho = (1.0 + ax) / 2.0
-    if not (ax < rho < 1.0):  # rho rounds to 1 at ax = 1 - 2**-53
-        raise ValueError("need |x| < rho < 1")
-    if ax == 0.0:
-        return DecayCert(1e-300, rho)
-    tau = (ax + 2.0 * _UNDERFLOW) / rho
-    candidates = {1}
-    try:
-        if alpha > 1.0:
-            n_star = (alpha - 1.0) / math.log(1.0 / tau)
-            candidates.update({max(1, math.floor(n_star)), math.ceil(n_star)})
-        peak = max(n ** (alpha - 1.0) * tau**n for n in candidates)
-    except OverflowError:
-        raise OutOfRegime(
-            f"the decay certificate overflows a float (alpha = {alpha:g})", alpha=alpha
-        ) from None
-    return DecayCert(peak / c * (1.0 + 1e-12), rho)
+    return DecayCert(1.0 / c * (1.0 + 1e-9), alpha - 1.0, ax)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +84,9 @@ class MeanderModel(TermSequence):
 
     Outside the removed disc of radius r_n = c/n**alpha one has
     |1 + n*z| = n*|z + 1/n| >= n*r_n, so the term is bounded by
-    |x|**n * n**(alpha-1)/c everywhere off the disc.  That bound is
-    dominated by A*rho**n with rho = (1 + |x|)/2; see ``_decay_cert``.
-    The bound holds on the whole perforated plane.
+    |x|**n * n**(alpha-1)/c everywhere off the disc, on the whole
+    perforated plane.  The tails sum that bound itself, in the form
+    (C, q, sigma) = (1/c, alpha - 1, |x|); see ``_decay_cert``.
     """
 
     def __init__(self, x: complex, c: float = 0.05, alpha: float = 2.0, lam: float = 1.5):
@@ -171,7 +152,8 @@ class QLogModel(TermSequence):
     |(1+u)**n - 1| >= 2*s + 1 - (1+r_n)**n >= 2*s + 1 - e**s >= kappa*s with
     kappa = (2*c - expm1(c))/c, as (2*s + 1 - e**s)/s decreases in s; kappa > 0
     for 0 < c <= 1.  So the term is bounded by |x|**n * n**(alpha-1)/(c*kappa),
-    the meander bound over kappa, on the whole perforated plane, and the
+    the meander bound over kappa, on the whole perforated plane.  Its
+    certificate is the meander's with c*kappa in place of c, and the
     certified tails (``tails._CertifiedTails``) serve every point off the
     removed discs.
     """

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import DiophantineRequired, NonConvergent, OutOfRegime, PoleProximity
 from .geometry import DiophantineRadius
 from .series import SumResult, TermSequence
-from .tails import power_geometric_tail
 
 #: ``s_lambda`` stops once a term falls below this share of the running total.
 _S_LAMBDA_CUTOFF = 1e-16
@@ -354,9 +353,11 @@ def fiber_polar_sum(
 
     Every model in this package has simple poles, so the sheet-n polar part
     at the pole is residue/(z - pole).  The tail over unsummed sheets is
-    bounded by s(lam) * sum_{n>N} r_n * norm_bound(n) via the decay
-    certificate, which also guarantees the summability hypothesis
-    sum_n norm_bound(n)*r_n < infinity.
+    bounded by s(lam) * sum_{n>N} r_n * norm_bound(n) <= s(lam) * c *
+    sum_{n>N} n**-alpha * norm_bound(n), which the decay certificate sums
+    as s(lam) * C * c * sum_{n>N} n**(q-alpha) * sigma**n (``DecayCert.tail``
+    with the power q - alpha); that also guarantees the summability
+    hypothesis sum_n norm_bound(n)*r_n < infinity.
     """
     perf = seq.perforation
     radius = perf.radius
@@ -377,9 +378,7 @@ def fiber_polar_sum(
     for n in itertools.chain([n0], fiber):
         pole, _ = perf.nearest_pole(n, omega_proj)
         acc += seq.residue(n, pole) / (z - pole)
-        tail = (
-            s_val * cert.A * radius.c * power_geometric_tail(-radius.alpha, cert.rho, n)
-        )
+        tail = s_val * radius.c * cert.tail(n, cert.q - radius.alpha)
         if tail <= tol:
             return SumResult(acc, n, tail)
     if perf.poles.finite_fibers:

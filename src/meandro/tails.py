@@ -3,13 +3,16 @@
 tail(k, n) bounds the order-k derivative series summed over the sheets
 after n, and does not increase with n; the summation engine in ``series``
 stops a lane once its tail is within the tolerance, and each family picks
-its tails with ``TermSequence.tail_policy``.  The sheet-j term of a sequence
-with a decay certificate is at most A*rho**j on the perforated sheet
-(``norm_bound``), and Cauchy's estimate turns that into a bound on its
-derivatives at a point: the k-th derivative at z0 is at most
-k! * A*rho**j / R**k for any circle about z0 of radius R on which the bound
-holds.  ``_CertifiedTails`` sums these bounds over the sheets after n for
-three choices of R and keeps the least.  A finite family's tails
+its tails with ``TermSequence.tail_policy``.  A decay certificate
+(``series.DecayCert``) is the norm bound's own form: the sheet-j term is at
+most norm_bound(j) <= C * j**q * sigma**j on the perforated sheet, and
+Cauchy's estimate turns that into a bound on its derivatives at a point:
+the k-th derivative at z0 is at most k! * norm_bound(j) / R**k for any
+circle about z0 of radius R on which the bound holds.  ``_CertifiedTails``
+sums these bounds over the sheets after n for three choices of R and keeps
+the least.  Each sum is a factor times sum_{j>n} j**Q * sigma**j for an
+exponent Q (``_log_power_geometric``), plus an allowance for the sheets
+where sigma**j is subnormal (``_sheet_sum``).  A finite family's tails
 (``_FiniteTails``) need no bound: they are exact.  The pi_k series
 telescopes, and its remainder gives its tails (``_RemainderTails``).
 ``order0_shared`` says whether the order-0 tail is the same at every point.
@@ -26,25 +29,23 @@ import numpy as np
 from .geometry import _ABS_SLACK
 
 if TYPE_CHECKING:
-    from .series import TermSequence
+    from .series import DecayCert, TermSequence
 
 #: Sheets over which ``_RemainderTails`` multiplies its factors.
 _REMAINDER_SHEETS = 2**19
+#: log 2**-1021.  Where sigma**j may be subnormal, the norm bound is at most
+#: C * j**q * 2**-1021 (see ``series.DecayCert``).
+_LOG_SUBNORMAL = -1021.0 * math.log(2.0)
 
 
-def power_geometric_tail(q: float, rho: float, n: int) -> float:
-    """Rigorous upper bound for sum_{j>n} j**q * rho**j.
+def _log_power_geometric(q: float, rho: float, step: float, log_n1: float, log_first_rho: float) -> float:
+    """log of a rigorous upper bound for sum_{j>n} j**q * rho**j, with 0 <= rho < 1.
 
     The term ratio rho*(1+1/j)**q decreases in j, so beyond n the series is
-    dominated by the geometric series with ratio taken at j = n+1.
-    """
-    return _power_geometric(q, rho, (n + 2) / (n + 1), math.log(n + 1), (n + 1) * math.log(rho))
-
-
-def _power_geometric(q: float, rho: float, step: float, log_n1: float, log_first_rho: float) -> float:
-    """``power_geometric_tail`` from the parts that every q shares at one n.
-
-    step = (n+2)/(n+1), log_n1 = log(n+1) and log_first_rho = (n+1)*log(rho).
+    dominated by the geometric series with ratio taken at j = n+1.  The
+    parts that every q shares at one n come in: step = (n+2)/(n+1), log_n1 =
+    log(n+1) and log_first_rho = (n+1)*log(rho) (-inf for rho = 0, whose
+    sum is 0).  inf where the ratio is not below 1.
     """
     try:
         ratio = rho * step**q
@@ -52,43 +53,73 @@ def _power_geometric(q: float, rho: float, step: float, log_n1: float, log_first
         return math.inf
     if ratio >= 1.0:
         return math.inf
-    log_first = q * log_n1 + log_first_rho
-    if log_first > 700.0:
-        return math.inf
-    return math.exp(log_first) / (1.0 - ratio)
+    return q * log_n1 + log_first_rho - math.log1p(-ratio)
 
 
-def _tail_prefactor(seq: TermSequence, k: int) -> float:
-    """k! * A * (1+shift)**(alpha*k) / (eps*c)**k, the sheet-free factor of the k >= 1 tail."""
-    cert, radius = seq.decay_cert, seq.perforation.radius
-    # 1/r_j**k = ((j+shift)**alpha/c)**k <= ((1+shift)*j)**(alpha*k)/c**k.
-    try:
-        shift_factor = (1.0 + radius.shift) ** (radius.alpha * k)
-        return math.factorial(k) * cert.A * shift_factor / ((radius.lam - 1.0) * radius.c) ** k
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
+def _sheet_parts(cert: DecayCert, n: int) -> tuple:
+    """What the sums of ``_log_sums`` share at sheet n, for every exponent.
+
+    The parts of ``_log_power_geometric`` at n, and for the subnormal sheets
+    max(n, N_sub) < j <= N0 (``DecayCert.underflow_sheets``) the logs of
+    their count, of the last and of the first, or None where there is none.
+    """
+    n_sub, n0 = cert.underflow_sheets
+    first = max(n, n_sub) + 1
+    under = (math.log(n0 - first + 1), math.log(n0), math.log(first)) if first <= n0 else None
+    return (n + 2) / (n + 1), math.log(n + 1), (n + 1) * cert.log_sigma, under
+
+
+def _log_sums(cert: DecayCert, power: float, parts: tuple) -> tuple[float, float]:
+    """The logs of the two parts of a sum over the sheets after n, from its ``_sheet_parts``.
+
+    They are ``_log_power_geometric`` of sum_{j>n} j**power * sigma**j, for
+    the sheets where sigma**j is normal, and the log of 2**-1021 * sum
+    j**power over the subnormal sheets after n, at most their count times
+    the largest j**power (-inf where there is none).  Neither increases
+    with n.
+    """
+    step, log_n1, log_first, under = parts
+    log_normal = _log_power_geometric(power, cert.sigma, step, log_n1, log_first)
+    if under is None:
+        return log_normal, -math.inf
+    log_count, log_last, log_first_sub = under
+    return log_normal, _LOG_SUBNORMAL + log_count + power * (log_last if power >= 0.0 else log_first_sub)
+
+
+def _sheet_sum(log_factor: float, logs: tuple[float, float]) -> float:
+    """F times the sum of the two parts of ``_log_sums``, with F = exp(log_factor).
+
+    With the exponent power, that is F/C times a bound on sum_{j>n}
+    j**(power - q) * norm_bound(j) (see ``series.DecayCert``).  The factor
+    is added in log form, so a huge F times a sum below the float range
+    gives no 0.
+    """
+    return _exp(log_factor + logs[0]) + _exp(log_factor + logs[1])
 
 
 class _CertifiedTails:
     """Certified tails of the derivative series at z0 (needs ``series._certifiable``).
 
-    Order 0 has the tail of the decay certificate, A*rho**(n+1)/(1 - rho).
-    For k >= 1 the k-th derivative of the sheet-j term is at most
-    k!*A*rho**j/R_j**k for any circle about z0 of radius R_j on which
+    Order 0 has the tail of the decay certificate, ``DecayCert.tail``: C
+    times sum_{j>n} j**q * sigma**j plus the subnormal sheets' allowance.
+    For k >= 1 the k-th derivative of the sheet-j term is at most k! *
+    norm_bound(j) / R_j**k for any circle about z0 of radius R_j on which
     norm_bound(j) bounds the term (Cauchy's estimate), and the tail beyond
-    sheet n is the least of three bounds:
+    sheet n is the least of three bounds, each a ``_sheet_sum`` with a
+    factor and an exponent:
 
-    * the uniform circles R_j = eps*r_j of the shrunk perforation: the tail
-      is ``_tail_prefactor`` * ``power_geometric_tail(alpha*k, rho, n)``;
+    * the uniform circles R_j = eps*r_j of the shrunk perforation: as
+      r_j >= c/((1+shift)*j)**alpha, the factor is k! * C *
+      (1+shift)**(alpha*k) / (eps*c)**k and the exponent alpha*k + q;
     * off the poles' accumulation set, the circles that fit around z0: the
       poles of sheet j > n are at least D(n) = ``tail_distance_bound(z0, n)``
       away and r_j <= tail_sup(n), so R_j >= R(n) = D(n) - tail_sup(n), and
-      the tail is k!*A*rho**(n+1)/((1 - rho)*R(n)**k);
+      the factor is k! * C / R(n)**k and the exponent q;
     * where the family declares |z0 - p| >= a*j**-beta on sheet j
       (``distance_power_law``) with beta <= alpha, as at an accumulation
       point: r_j <= c*j**-alpha gives R_j >= b(n)*j**-beta for j > n with
-      b(n) = a - c*(n+1)**(beta-alpha), and the tail is
-      k!*A/b(n)**k * ``power_geometric_tail(beta*k, rho, n)``.
+      b(n) = a - c*(n+1)**(beta-alpha), and the factor is k! * C / b(n)**k
+      and the exponent beta*k + q.
 
     The last two take norm_bound(j) to hold at distance r_j from sheet j's
     poles, as the meander's and the q-log's do.  A pullback's does not (its
@@ -103,11 +134,10 @@ class _CertifiedTails:
     positive radius gives inf.
 
     Every bound is non-increasing in n, which the certified stop's search
-    (``series._search``) relies on: ``power_geometric_tail`` is inf on an
-    initial run of sheets and falls after it; D(n) does not decrease and
-    tail_sup(n) does not increase (their declared contracts), so R(n) does
-    not decrease while rho**(n+1) falls; and b(n) does not decrease as
-    beta <= alpha.  So their minimum is non-increasing as well.
+    (``series._search``) relies on: ``_sheet_sum`` does not increase with
+    n; D(n) does not decrease and tail_sup(n) does not increase (their
+    declared contracts), so R(n) does not decrease; and b(n) does not
+    decrease as beta <= alpha.  So their minimum is non-increasing as well.
     """
 
     order0_shared = True
@@ -126,9 +156,14 @@ class _CertifiedTails:
         return law if law is not None and law[1] <= self.radius.alpha else None
 
     def _order(self, k: int) -> tuple[float, float]:
-        """``_tail_prefactor`` and log(k! * A) of order k."""
+        """The uniform branch's log factor, log(k! * C * (1+shift)**(alpha*k) / (eps*c)**k), and log(k! * C)."""
         if k not in self._orders:
-            self._orders[k] = _tail_prefactor(self.seq, k), math.lgamma(k + 1) + math.log(self.cert.A)
+            radius = self.radius
+            log_k = math.lgamma(k + 1) + math.log(self.cert.C)
+            # 1/r_j**k = ((j+shift)**alpha/c)**k <= ((1+shift)*j)**(alpha*k)/c**k.
+            eps_c = (radius.lam - 1.0) * radius.c
+            log_eps_c = math.log(eps_c) if eps_c > 0.0 else -math.inf
+            self._orders[k] = log_k + radius.alpha * k * math.log1p(radius.shift) - k * log_eps_c, log_k
         return self._orders[k]
 
     def _shrunk(self, d: float) -> float:
@@ -143,13 +178,11 @@ class _CertifiedTails:
     def _sheet(self, n: int) -> tuple:
         """What the tails of every order share at sheet n.
 
-        The parts of ``power_geometric_tail`` at n, the local branch's
-        (n+1)*log(rho) - log(1 - rho) and log R(n) (None without a positive
+        The ``_sheet_parts`` at n, the ``_log_sums`` of the exponent q (the
+        local branch's at every order), log R(n) (None without a positive
         R(n)), and log b(n) (None without a law or a positive b(n)).
         """
         if n not in self._sheets:
-            cert = self.cert
-            log_first_rho = (n + 1) * math.log(cert.rho)
             log_r = None
             d = self.poles.tail_distance_bound(self.z0, n)
             if d is not None and d != math.inf:
@@ -161,28 +194,24 @@ class _CertifiedTails:
                 b = self._factor(n)
                 if b > 0.0:
                     log_b = math.log(b)
-            self._sheets[n] = (
-                (n + 2) / (n + 1), math.log(n + 1), log_first_rho,
-                log_first_rho - math.log1p(-cert.rho), log_r, log_b,
-            )
+            parts = _sheet_parts(self.cert, n)
+            self._sheets[n] = parts, _log_sums(self.cert, self.cert.q, parts), log_r, log_b
         return self._sheets[n]
 
-    def tail(self, k: int, n: int) -> float:
+    def branches(self, k: int, n: int) -> tuple[float, float, float]:
+        """The uniform, local and power-law tails of order k >= 1 after sheet n (inf for a branch with no circle)."""
+        log_uniform, log_k = self._order(k)
+        parts, local_logs, log_r, log_b = self._sheet(n)
         cert = self.cert
-        if k == 0:
-            return cert.tail(n)
-        prefactor, log_k = self._order(k)
-        step, log_n1, log_first_rho, base, log_r, log_b = self._sheet(n)
-        best = math.inf  # an infinite prefactor times a tail that underflowed to 0 bounds nothing
-        if prefactor < math.inf:
-            best = prefactor * _power_geometric(self.radius.alpha * k, cert.rho, step, log_n1, log_first_rho)
-        if log_r is not None:
-            best = min(best, _exp(base + log_k - k * log_r))
+        uniform = _sheet_sum(log_uniform, _log_sums(cert, self.radius.alpha * k + cert.q, parts))
+        local = math.inf if log_r is None else _sheet_sum(log_k - k * log_r, local_logs)
+        law = math.inf
         if log_b is not None:
-            tail = _power_geometric(self.law[1] * k, cert.rho, step, log_n1, log_first_rho)
-            if tail < math.inf:
-                best = min(best, _exp(log_k - k * log_b + math.log(tail)) if tail else 0.0)
-        return best
+            law = _sheet_sum(log_k - k * log_b, _log_sums(cert, self.law[1] * k + cert.q, parts))
+        return uniform, local, law
+
+    def tail(self, k: int, n: int) -> float:
+        return self.cert.tail(n) if k == 0 else min(self.branches(k, n))
 
 
 class _FiniteTails:
@@ -214,8 +243,13 @@ class _RemainderTails:
     is at most m_j = j*(|j*D - conj(z0)| + R)/(D*j**2 + 2*|Re z0|*j + 1) < 1
     there; R = 0 gives the order-0 factors.  Each m_j takes a few roundings
     of non-negative terms and the running product one a sheet, well inside
-    the 1e-9 over ``_REMAINDER_SHEETS`` sheets.  Past them, and once the
-    product is below 1e-300, the tail keeps its last value, still a bound as
+    the 1e-9 over ``_REMAINDER_SHEETS`` sheets.  Once the product is below
+    1e-300 it goes on as a sum of logs, so that it never underflows to 0:
+    log m_j is added to the log of the last product at or above 1e-300,
+    and 4u times the sheet count times the running sum of |log m_j| covers
+    the rounding of the logs and of their sum (u = 2**-53).  There the
+    order-0 tail is the next float above the exponential.  Past
+    ``_REMAINDER_SHEETS`` the tail keeps its last value, still a bound as
     no factor exceeds 1; a factor that rounds above 1 (or is NaN) is taken
     as 1, so no tail increases.
     """
@@ -226,29 +260,41 @@ class _RemainderTails:
         self.z0 = z0
         self._products: dict[bool, np.ndarray] = {}
 
-    def _product(self, circle: bool, n: int) -> float:
-        """prod_{j<=n+1} m_j, inflated, on the circle about z0 or (not ``circle``) at z0."""
+    def _product(self, circle: bool, n: int) -> tuple[float, float | None]:
+        """prod_{j<=n+1} m_j, inflated, on the circle about z0 or (not ``circle``) at z0.
+
+        It comes with its log where it is below 1e-300, and None elsewhere.
+        """
         n = min(n, _REMAINDER_SHEETS - 1)
-        products = self._products.get(circle)
-        if products is None or len(products) <= n:
+        cached = self._products.get(circle)
+        if cached is None or len(cached[0]) <= n:
             x, y = -self.z0.real, self.z0.imag
             R, d = (x / 2.0, 0.75 * x * x + y * y) if circle else (0.0, x * x + y * y)
             js = np.arange(1.0, min(max(2 * (n + 1), 64), _REMAINDER_SHEETS) + 1.0)
             with np.errstate(over="ignore", invalid="ignore"):  # inf/inf at a point near the float range
                 jd = js * d
-                products = np.cumprod(np.fmin(js * (np.hypot(jd + x, y) + R) / ((jd + 2.0 * x) * js + 1.0), 1.0))
-            tiny = np.flatnonzero(products < 1e-300)
-            if len(tiny):
-                products[tiny[0] :] = products[tiny[0]]
-            products = self._products[circle] = products * (1.0 + 1e-9)
-        return float(products[n])
+                factors = np.fmin(js * (np.hypot(jd + x, y) + R) / ((jd + 2.0 * x) * js + 1.0), 1.0)
+            products = np.cumprod(factors)
+            deep = int(np.argmax(products < 1e-300)) if products[-1] < 1e-300 else len(products)
+            logs = np.log(np.fmax(factors[deep:], math.ulp(0.0)))
+            start = math.log(products[deep - 1]) if deep else 0.0
+            slack = np.arange(1.0, len(logs) + 1.0) * 2.0**-51 * (abs(start) + np.cumsum(np.abs(logs)))
+            logs = start + np.cumsum(logs) + slack + math.log1p(1e-9)
+            products = products * (1.0 + 1e-9)
+            products[deep:] = np.nextafter(np.exp(logs), math.inf)
+            cached = self._products[circle] = products, logs, deep
+        products, logs, deep = cached
+        return float(products[n]), (float(logs[n - deep]) if n >= deep else None)
 
     def tail(self, k: int, n: int) -> float:
         if self.z0 == 0:
             return 0.0 if n >= k else math.inf
         if k == 0:
-            return (2.0 if self.z0.real == 0.0 else 1.0) * self._product(False, n)
-        return _exp(math.lgamma(k + 1) - k * math.log(-self.z0.real / 2.0) + math.log(self._product(True, n)))
+            return (2.0 if self.z0.real == 0.0 else 1.0) * self._product(False, n)[0]
+        product, log_product = self._product(True, n)
+        if log_product is None:
+            log_product = math.log(product)
+        return _exp(math.lgamma(k + 1) - k * math.log(-self.z0.real / 2.0) + log_product)
 
 
 def _exp(log_tail: float) -> float:

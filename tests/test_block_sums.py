@@ -174,19 +174,19 @@ def _pairs(seq, zs, clear: bool) -> tuple[int, list]:
 
 
 def test_cleared_points_are_checked_in_the_first_block_only():
-    # The meander at x = 0.95 stops on sheet 1278 at every point.  After the
+    # The meander at x = 0.95 stops on sheet 693 at every point.  After the
     # first block (sheets 1-64) each of these points is clear of every later
-    # disc, so its other 1214 sheets go unchecked.
+    # disc, so its other 629 sheets go unchecked.
     seq = MeanderModel(0.95, c=0.05)
     zs = [0.3 + 0.2j] + _meander_points(np.random.default_rng(1), 59)
     fsums = mock.patch.object(series, "_fsum", wraps=series._fsum)
     with fsums as spy:
         pairs, got = _pairs(seq, zs, clear=True)
-    assert {res.terms_used for res in got} == {1278}
+    assert {res.terms_used for res in got} == {693}
     assert pairs == 60 * 64
     assert spy.call_count == 0  # every block sum came from numpy
     every_sheet, want = _pairs(seq, zs, clear=False)
-    assert every_sheet == 60 * 1278
+    assert every_sheet == 60 * 693
     assert got == want
 
 
@@ -218,19 +218,21 @@ def _jet_bytes(jet) -> tuple[bytes, bytes]:
 def test_a_jet_at_an_accumulation_point_leaves_the_clearance_scan_after_one_block():
     # The bench's order-30 jet at 0, where the poles -1/n accumulate: the
     # distance power law clears 0 of every disc of sheets 65 to 200 000.
-    # Without it, every sheet through the furthest stop (4 730) is checked.
+    # Without it, every sheet through the furthest stop (1 878) is checked.
     jet = lambda: taylor_jet(MeanderModel(0.95), 0j, 30, rel_tol=1e-10, max_terms=200_000)
     pairs, taken, got = _counts(jet)
     assert pairs == 64
-    assert taken == 336  # certified tails; 522 under the bisection (187 block skips and 335 steps)
+    assert taken == 316  # certified tails
     with mock.patch.object(series, "_tail_clears", lambda *args: False):
         every_sheet, _, want = _counts(jet)
-    assert every_sheet == 4730
+    assert every_sheet == 1878
     assert _jet_bytes(got) == _jet_bytes(want)
 
 
 def test_gevrey_jet_and_rows_are_checked_in_their_first_block():
     # The bench's gevrey op: an order-40 jet at 0 and three order-0 rows.
+    # The jet is checked on its first block of 64 sheets, and each row on
+    # the 43 sheets through its stop.
     seq = MeanderModel(0.5, c=0.1)
 
     def run():
@@ -238,7 +240,7 @@ def test_gevrey_jet_and_rows_are_checked_in_their_first_block():
         return _jet_bytes(jet), _outcomes(evaluate_sums(seq, [0.05, 0.12, 0.25], tol=1e-10, max_terms=10_000))
 
     pairs, _, got = _counts(run)
-    assert pairs == 4 * 64
+    assert pairs == 64 + 3 * 43
     with mock.patch.object(series, "_tail_clears", lambda *args: False):
         _, _, want = _counts(run)
     assert got == want
@@ -266,7 +268,7 @@ _SEQUENCES = {
     "meander": lambda: MeanderModel(0.95, c=0.05),
     "qlog": lambda: QLogModel(0.9),
     # The radius leaves the float range on sheet 1210, where no point is cleared.
-    "meander-alpha-100": lambda: MeanderModel(0.5, c=0.1, alpha=100),
+    "meander-alpha-100": lambda: MeanderModel(0.7, c=0.1, alpha=100),
 }
 
 
@@ -292,7 +294,8 @@ def test_clearance_discharge_changes_no_outcome(family, seed):
 def test_a_cleared_point_still_meets_a_radius_below_the_float_range():
     # With alpha = 100 the radius leaves the float range on sheet 1210; the
     # point is clear of the discs after sheet 64, but not of that error.
-    seq = MeanderModel(0.5, c=0.1, alpha=100.0)
+    # At x = 0.7 the tail is still above the tolerance there.
+    seq = MeanderModel(0.7, c=0.1, alpha=100.0)
     [error] = evaluate_sums(seq, [0.1 + 0j])
     assert isinstance(error, MeandroError)
     assert "below the float range on sheet 1210" in str(error)
@@ -304,7 +307,7 @@ def test_no_point_is_cleared_in_a_pass_past_the_float_range_of_the_radius():
     # meets that range's error on sheet 1210.
     spy = mock.Mock(wraps=series._tail_clears)
     with mock.patch.object(series, "_tail_clears", spy):
-        [error] = evaluate_sums(MeanderModel(0.5, c=0.1, alpha=100.0), [0.1 + 0j])
+        [error] = evaluate_sums(MeanderModel(0.7, c=0.1, alpha=100.0), [0.1 + 0j])
     assert spy.call_count == 0
     assert isinstance(error, OutOfRegime)
     assert "below the float range on sheet 1210" in str(error)

@@ -240,9 +240,9 @@ def test_a_perforation_its_family_refuses_is_a_config_error(runner, tmp_path, po
 @pytest.mark.parametrize(
     "command, payload, detail",
     [
-        # The peak sheet of the decay certificate is past the float range.
+        # The radius of sheet 2 is past the float range, and so are the tails.
         ("eval", {"model": dict(MEANDER, alpha=1e308), "eval": {"points": [0.1]}},
-         "OutOfRegime: the decay certificate overflows a float (alpha = 1e+308)"),
+         "OutOfRegime: the radius c/(n + shift)**alpha is below the float range on sheet 2 (alpha = 1e+308)"),
         ("eval", {"model": {"name": "zero_sum_general", "poles": [1e-320, 0.5]}, "eval": {"points": [0.1]}},
          "OutOfRegime: the coefficient a_1 overflows a float: a pole is too small"),
         ("eval", {"model": {"name": "zero_sum_general", "poles": [1e-200, 1e-200, 0.5]}, "eval": {"points": [0.1]}},
@@ -562,10 +562,11 @@ _LINE = {"re_start": -0.02, "re_stop": 0.0, "re_count": 3, "im_start": 0.0, "im_
         # (n + shift)**alpha overflows a float from sheet 2 on.
         ("residual", {"perforation": _HUGE_ALPHA, "residual": {"grid": _LINE}},
          "the radius c/(n + shift)**alpha is below the float range on sheet 2 (alpha = 2000)"),
+        # The tails of the first block's last sheet take its radius, past the float range.
         ("jet", {"model": dict(MEANDER, alpha=2000), "jet": {"z0": [0, 0], "order": 5}},
-         "the decay certificate overflows a float (alpha = 2000)"),
-        # The model's certificate fits a float; its radii leave the float range.
-        ("eval", {"model": dict(MEANDER, alpha=100), "eval": {"points": [[0.1, 0.0]]}},
+         "the radius c/(n + shift)**alpha is below the float range on sheet 64 (alpha = 2000)"),
+        # The tail is still above the tolerance where the radii leave the float range.
+        ("eval", {"model": dict(MEANDER, x=0.7, alpha=100), "eval": {"points": [[0.1, 0.0]]}},
          "the radius c/(n + shift)**alpha is below the float range on sheet 1210 (alpha = 100)"),
     ],
     ids=["residual", "model-certificate", "model-radius"],

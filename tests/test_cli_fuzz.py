@@ -74,6 +74,17 @@ def _run(tmp_path_factory, command: str, config: dict, *options: str):
 
 @settings(max_examples=150, deadline=None)
 @given(perforation=_perforation, residual=_residual, cutoff=st.integers(1, 100))
+# A grid point and an explicit pole on opposite sides near 1e308: their difference overflows.
+@example(
+    perforation={
+        "poles": {"explicit": [[1, 1e-320, 1e-320], [1, 1e-320, 1e-200], [1, 1e-320, -1e308]]},
+        "radius": {"c": 1e-320, "alpha": 1},
+        "lambda": 1.5,
+    },
+    residual={"grid": {"re_start": 1e-320, "re_stop": 1e-320, "re_count": 2,
+                       "im_start": 1e308, "im_stop": 1e-320, "im_count": 1}},
+    cutoff=1,
+)
 def test_residual_configs_exit_with_a_code(tmp_path_factory, perforation, residual, cutoff):
     _run(tmp_path_factory, "residual", {"perforation": perforation, "residual": residual}, "--cutoff", str(cutoff))
 
@@ -122,5 +133,9 @@ def test_eval_configs_at_extreme_points_end_cleanly(tmp_path_factory, model, poi
 @given(model=st.sampled_from(_MODELS), z0=_points, order=st.integers(0, 4), cutoff=_cutoffs)
 @example(model=_MODELS[0], z0=[1.7e308, 1.7e308], order=3, cutoff=10_000)  # OverflowError in the tail distance
 @example(model=_MODELS[2], z0=[-5e-324, 5e-324], order=2, cutoff=10_000)  # |Re z0|/2 underflows to 0
+# The pi_k tails' product of the first two factors underflows to 0.
+@example(model=_MODELS[2], z0=[-1e-300, 0.0], order=1, cutoff=10_000)
+@example(model=_MODELS[2], z0=[-1e-320, 1e-300], order=1, cutoff=10_000)
+@example(model=_MODELS[2], z0=[-4.16e-301, 9.09e-301], order=1, cutoff=10_000)
 def test_jet_configs_at_extreme_points_end_cleanly(tmp_path_factory, model, z0, order, cutoff):
     _run_at_points(tmp_path_factory, "jet", {"model": model, "jet": {"z0": z0, "order": order}}, cutoff)

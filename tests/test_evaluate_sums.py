@@ -168,7 +168,7 @@ _EVERY_KIND = [
                                                   (complex(1.7e308, 1.7e308), "OutOfRegime")])),
     # Sheet radii past the float range from sheet 1210 on, which every point
     # reaches but those in a disc of sheet 2 and those with non-finite terms.
-    (MeanderModel(0.5, c=0.1, alpha=100), *_in_groups("OutOfRegime", [(-0.5 + 0j, "PoleProximity"),
+    (MeanderModel(0.7, c=0.1, alpha=100), *_in_groups("OutOfRegime", [(-0.5 + 0j, "PoleProximity"),
                                                                       (complex(1e308, 1e308), "OutOfRegime")])),
 ]
 
@@ -250,7 +250,7 @@ def test_a_missing_radius_is_the_error_of_each_point_that_reaches_it():
 def test_a_radius_below_the_float_range_is_the_error_of_each_point_that_reaches_it():
     # At alpha = 100 the radius of sheet 1210 is below the float range.  A point
     # in sheet 2's disc stops there, and every other point reaches sheet 1210.
-    seq = MeanderModel(0.5, c=0.1, alpha=100)
+    seq = MeanderModel(0.7, c=0.1, alpha=100)
     zs = [-0.5, 0.1, -0.5 + 1e-3j, 0.3]
     batch = evaluate_sums(seq, zs)
     assert [type(res).__name__ for res in batch] == ["PoleProximity", "OutOfRegime", "OutOfRegime", "OutOfRegime"]
@@ -365,7 +365,7 @@ def _eval_meander_points() -> list[complex]:
 def test_a_batch_searches_its_order_zero_stop_once():
     # Order 0 has one stop at every point, found before any term: one
     # search in all (600 calls of ``stop`` before lane state became arrays).
-    # The five blocks of the 1278 sheets go in 1 + 2 + 4 + 8 + 5 lane groups,
+    # The four blocks of the 693 sheets go in 1 + 2 + 4 + 4 lane groups,
     # and no row of a group of _FSUM_BELOW values or more goes to fsum.
     sent = []
     exact = series._exact_sums
@@ -382,9 +382,9 @@ def test_a_batch_searches_its_order_zero_stop_once():
             mock.patch.object(series, "_fsum", wraps=series._fsum) as fsum, \
             mock.patch.object(series, "_exact_sums", counted):
         batch = evaluate_sums(seq, _eval_meander_points(), tol=1e-10, max_terms=10_000)
-    assert {res.terms_used for res in batch} == {1278}
-    assert stop.call_count == 1 and grid.call_count == 20
-    assert len(sent) == 20 and all(values >= series._FSUM_BELOW and calls == 0 for values, calls in sent)
+    assert {res.terms_used for res in batch} == {693}
+    assert stop.call_count == 1 and grid.call_count == 11
+    assert len(sent) == 11 and all(values >= series._FSUM_BELOW and calls == 0 for values, calls in sent)
 
 
 def test_a_batch_keeps_its_traced_memory():

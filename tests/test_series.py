@@ -155,13 +155,54 @@ def test_uncertified_jet_that_never_settles_needs_a_certificate(monkeypatch):
     assert calls == []
 
 
-def test_norm_bound_certificate_holds(qlog_half, meander_half, meander_tight):
-    # The meander fixtures peak at sheets 2 and 3, where an unrounded A ties
-    # with the float norm bound.
-    for model in (qlog_half, meander_half, meander_tight):
-        cert = model.decay_cert
-        for n in range(1, 81):
-            assert model.norm_bound(n) <= cert.A * cert.rho**n
+def _suffix_sums(values: list[float], ns: list[int]) -> dict[int, float]:
+    """sum(values[n:]) for each n of the ascending ns, as the math.fsum of the fsums of its pieces between the ns."""
+    pieces = [math.fsum(values[a:b]) for a, b in zip(ns, [*ns[1:], len(values)])]
+    return {n: math.fsum(pieces[i:]) for i, n in enumerate(ns)}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("x", [0.5, 0.95, 0.999, 0.3, 1e-300, 5e-324])
+@pytest.mark.parametrize("family", ["meander", "qlog"])
+def test_decay_certificate_tails_dominate_the_norm_bounds(family, x, alpha):
+    # Every certified tail after sheet n must dominate the norm bounds it
+    # sums, evaluated in floats: on the sheets where |x|**j is normal, and on
+    # those where it is subnormal and the norm bound adds its underflow
+    # allowance, up to N0, after which |x|**j and the norm bound are 0.
+    seq = (MeanderModel if family == "meander" else QLogModel)(x, c=0.05, alpha=alpha)
+    cert = seq.decay_cert
+    n_sub, n0 = cert.underflow_sheets
+    top = n0 + 10
+    bounds = [seq.norm_bound(j) for j in range(1, top + 1)]  # bounds[j - 1] is sheet j's
+    assert all(b == 0.0 for b in bounds[n0:])
+    assert n_sub == 0 or abs(x) ** n_sub >= 2.0**-1022  # normal through N_sub
+    ns = sorted({n for n in (1, 2, 10, 100, n_sub // 2, *range(n_sub - 3, n_sub + 4), (n_sub + n0) // 2,
+                             *range(n0 - 3, n0 + 3)) if 1 <= n <= n0 + 2})
+    after = _suffix_sums(bounds, ns)  # after[n]: the sum of the norm bounds of the sheets j > n
+    for n in ns:
+        assert cert.tail(n) >= after[n], n
+    # Each k >= 1 branch against k! * sum norm_bound(j)/R_j**k on its own circles.
+    z0 = 0.3 + 0.2j if family == "meander" else 0.5 + 0j
+    tails_at = tails._CertifiedTails(seq, z0)
+    radius = seq.perforation.radius
+    js = np.arange(1, top + 1, dtype=float)
+    values = np.array(bounds)
+    for k in (1, 2):
+        uniform = values / ((radius.lam - 1.0) * radius.values(np.arange(1, top + 1))) ** k
+        uniform = _suffix_sums(uniform.tolist(), ns)
+        law = _suffix_sums((values * js ** (tails_at.law[1] * k)).tolist(), ns) if family == "meander" else None
+        for n in ns:
+            got = tails_at.branches(k, n)
+            assert got[0] >= math.factorial(k) * uniform[n], (k, n)
+            R = tails_at._shrunk(seq.perforation.poles.tail_distance_bound(z0, n)) - radius.tail_sup(n)
+            assert R > 0.0
+            assert got[1] >= math.factorial(k) / R**k * after[n], (k, n)
+            if law is not None:
+                b = tails_at._factor(n)
+                assert b > 0.0
+                assert got[2] >= math.factorial(k) / b**k * law[n], (k, n)
+            else:
+                assert got[2] == math.inf
 
 
 def test_meander_norm_bound_closed_form(meander_half):
@@ -207,8 +248,6 @@ def _sampled_sup(seq, n: int, disc: Disc) -> float:
 def test_qlog_norm_bound_dominates_sampled_sup(modulus, angle, c, alpha, n):
     model = QLogModel(modulus * cmath.exp(1j * angle), c=c, alpha=alpha)
     assert _sampled_sup(model, n, Disc(0j, 2.1)) <= model.norm_bound(n)
-    cert = model.decay_cert
-    assert model.norm_bound(n) <= cert.A * cert.rho**n
 
 
 @pytest.mark.parametrize("model_type", [MeanderModel, QLogModel])
@@ -218,12 +257,11 @@ def test_qlog_norm_bound_dominates_sampled_sup(modulus, angle, c, alpha, n):
 )
 def test_norm_bound_dominates_the_rounding_of_a_subnormal_term(model_type, x, n):
     # Once x**n is subnormal, rounding adds whole units of 5e-324 to the
-    # evaluated term; the bound and the certificate above it absorb them.
+    # evaluated term; the bound absorbs them (and the certified tails the
+    # bound, ``test_decay_certificate_tails_dominate_the_norm_bounds``).
     model = model_type(x, c=0.25, alpha=1.0)
     # The bounds are global; the disc of radius 2 holds every pole.
     assert _sampled_sup(model, n, Disc(0j, 2.0)) <= model.norm_bound(n)
-    cert = model.decay_cert
-    assert model.norm_bound(n) <= cert.A * cert.rho**n
 
 
 def test_qlog_jet_matches_lambert_series_within_tails():
@@ -450,7 +488,7 @@ def test_clearance_slack_near_the_float_range_raises_no_warning():
     # infinite slack only shortlists the sheet and the scalar test decides.
     # Only sheet 1's term is nonzero: 1 + n*z is inf from sheet 2 on.
     res = evaluate_sum(MeanderModel(0.5), 1e308)
-    assert (res.value, res.terms_used) == (complex(0.5 / 1e308), 94)
+    assert (res.value, res.terms_used) == (complex(0.5 / 1e308), 44)
     # |z| itself overflows: a typed error, not an OverflowError from abs(z).
     with pytest.raises(OutOfRegime, match="sheet 2"):
         evaluate_sum(MeanderModel(0.5), complex(1.7e308, 1.7e308))
@@ -597,28 +635,52 @@ def test_norm_bound_holds_on_the_cauchy_circles_of_the_tails(seq, z0):
                     assert np.abs(seq.term_array(j, z0 + R * ring)).max() <= seq.norm_bound(j) * (1.0 + 1e-9)
 
 
-def _tail_reference(bounds, k: int, n: int) -> float:
-    """``_CertifiedTails.tail`` with every branch computed afresh from n and k."""
+def _sheet_sum_reference(cert, n: int, log_factor: float, power: float) -> float:
+    """F * (sum_{j>n} j**power * sigma**j + 2**-1021 * sum of j**power over the subnormal sheets j > n).
+
+    F = exp(log_factor).  The first sum is bounded by its geometric
+    majorant, the second by the count of the subnormal sheets times the
+    largest j**power on them.
+    """
+    try:
+        ratio = cert.sigma * ((n + 2) / (n + 1)) ** power
+    except OverflowError:
+        ratio = math.inf
+    log_sigma = math.log(cert.sigma) if cert.sigma else -math.inf
+    log_normal = math.inf if ratio >= 1.0 else power * math.log(n + 1) + (n + 1) * log_sigma - math.log1p(-ratio)
+    total = tails._exp(log_factor + log_normal)
+    n_sub, n0 = cert.underflow_sheets
+    first = max(n, n_sub) + 1
+    if first <= n0:
+        log_top = math.log(n0 if power >= 0.0 else first)
+        total += tails._exp(log_factor + (-1021.0 * math.log(2.0) + math.log(n0 - first + 1) + power * log_top))
+    return total
+
+
+def _branch_reference(bounds, k: int, n: int) -> tuple[float, float, float]:
+    """``_CertifiedTails.branches`` computed afresh from n and k."""
     cert, radius = bounds.cert, bounds.radius
-    if k == 0:
-        return cert.tail(n)
-    prefactor = tails._tail_prefactor(bounds.seq, k)
-    log_k = math.lgamma(k + 1) + math.log(cert.A)
-    best = math.inf
-    if prefactor < math.inf:
-        best = prefactor * tails.power_geometric_tail(radius.alpha * k, cert.rho, n)
+    log_k = math.lgamma(k + 1) + math.log(cert.C)
+    log_uniform = log_k + radius.alpha * k * math.log1p(radius.shift) - k * math.log((radius.lam - 1.0) * radius.c)
+    uniform = _sheet_sum_reference(cert, n, log_uniform, radius.alpha * k + cert.q)
+    local = law = math.inf
     d = bounds.poles.tail_distance_bound(bounds.z0, n)
     if d is not None and d != math.inf:
         R = bounds._shrunk(d) - radius.tail_sup(n)
         if R > 0.0:
-            log_tail = (n + 1) * math.log(cert.rho) - math.log1p(-cert.rho) + log_k - k * math.log(R)
-            best = min(best, tails._exp(log_tail))
+            local = _sheet_sum_reference(cert, n, log_k - k * math.log(R), cert.q)
     if bounds.law is not None:
         b = bounds._factor(n)
-        tail = tails.power_geometric_tail(bounds.law[1] * k, cert.rho, n)
-        if b > 0.0 and tail < math.inf:
-            best = min(best, tails._exp(log_k - k * math.log(b) + math.log(tail)) if tail else 0.0)
-    return best
+        if b > 0.0:
+            law = _sheet_sum_reference(cert, n, log_k - k * math.log(b), bounds.law[1] * k + cert.q)
+    return uniform, local, law
+
+
+def _tail_reference(bounds, k: int, n: int) -> float:
+    """``_CertifiedTails.tail`` with every branch computed afresh from n and k."""
+    if k == 0:
+        return _sheet_sum_reference(bounds.cert, n, math.log(bounds.cert.C), bounds.cert.q)
+    return min(_branch_reference(bounds, k, n))
 
 
 @pytest.mark.parametrize("seq, z0", _TAIL_CASES)
@@ -630,16 +692,16 @@ def test_certified_tails_share_per_sheet_parts_bit_for_bit(seq, z0):
     for k, n in zip(rng.integers(0, 41, 400).tolist(), rng.integers(1, 6000, 400).tolist()):
         for sheet in (n, n + 1, 2 * n):
             assert bounds.tail(k, sheet).hex() == _tail_reference(bounds, k, sheet).hex(), (k, sheet)
+            if k:
+                assert bounds.branches(k, sheet) == _branch_reference(bounds, k, sheet), (k, sheet)
 
 
 def test_local_tail_is_no_larger_than_the_uniform_tail():
     for seq, z0 in _TAIL_CASES:
         for k in (1, 5, 30):
             for n in (1, 10, 100, 1000, 5000):
-                uniform = tails._tail_prefactor(seq, k) * tails.power_geometric_tail(
-                    seq.perforation.radius.alpha * k, seq.decay_cert.rho, n
-                )
-                assert tails._CertifiedTails(seq, z0).tail(k, n) <= uniform
+                bounds = tails._CertifiedTails(seq, z0)
+                assert bounds.tail(k, n) <= _branch_reference(bounds, k, n)[0]
 
 
 def test_local_tails_at_a_huge_exponent_raise_no_overflow_error():
@@ -785,7 +847,7 @@ def test_a_plain_derivative_sum_takes_no_tail_past_the_block_of_its_stop():
     # At alpha = 60 the radius leaves the float range on sheet 137 271, far
     # past the stop: a tail taken there would raise OutOfRegime.
     res = derivative_sum(MeanderModel(0.5, c=0.1, alpha=60.0), 0.3, 1)
-    assert res.terms_used == 913
+    assert res.terms_used == 581
 
 
 @settings(max_examples=60, deadline=None)
