@@ -40,7 +40,6 @@ from .geometry import (
 )
 from .series import (
     CompensatedSum,
-    DecayCert,
     SumResult,
     TaylorJet,
     TermSequence,
@@ -49,6 +48,7 @@ from .series import (
     evaluate_sums,
     taylor_jet,
 )
+from .tails import DecayCert
 from .polar import (
     AnnulusSpec,
     LaurentExpansion,

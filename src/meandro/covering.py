@@ -13,6 +13,7 @@ z = w**beta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import HypothesisViolated, OutOfRegime
 from .geometry import DiophantineRadius, Perforation, PoleFamilyBase, TableRadius
 from .series import TermSequence
+from .tails import DecayCert
 
 
 def _squeeze(alpha: int) -> float:
@@ -176,9 +178,17 @@ class PullbackSequence(TermSequence):
 
     Terms are F_n(w) = f_n(center + w**beta); derivatives come from the
     chain rule in partial-Bell form (the inner derivatives vanish beyond
-    order beta, so the expansion is finite).  Norm bounds and the decay
-    certificate transport unchanged: the pullback takes its values among the
-    base sequence's values.
+    order beta, so the expansion is finite).
+
+    The removed discs, of radius rho_n = r_n/(2**beta - 1) about the
+    preimages of the base poles, map into the base discs but do not cover
+    them, so the base norm bound does not hold off them: the image of such
+    a point may lie within r_n of a base pole.  The base must then have a
+    bound that grows at most like r_n over the distance to the poles,
+    |f_n(z)| <= norm_bound(n) * max(1, r_n/dist(z, P_n)), as the meander's
+    (exactly) and the q-log's (by its rim estimate) do.  The norm bound
+    and the certificate are the base's times the excess K * n**e of
+    ``_excess``, which bounds r_n/dist(z, P_n) off the removed discs.
     """
 
     def __init__(self, base: TermSequence, beta: int, center: complex = 0j):
@@ -204,9 +214,54 @@ class PullbackSequence(TermSequence):
             _PullbackPoles(base.perforation.poles, beta, self.center), radius
         )
 
-    @property
-    def decay_cert(self):
-        return self.base.decay_cert
+    @functools.cached_property
+    def _excess(self) -> tuple[float, float] | None:
+        """(K, e) with max(1, r_n/dist(center + w**beta, P_n)) <= K * n**e off the removed discs, or None.
+
+        For a base pole p of sheet n, let eta = p - center, mu =
+        |eta|**(1/beta), a_0..a_{beta-1} the preimages mu*zeta**k of eta, and
+        rho = rho_n.  1/(w**beta - eta) is holomorphic off the discs
+        D(a_k, rho) and vanishes at infinity, so by the maximum principle
+        |w**beta - eta| = prod_k |w - a_k| is least on a rim, where one
+        factor is rho and each other one is at least max(rho, mu*|1 -
+        zeta**m| - rho) >= mu*|1 - zeta**m|/2 (m = 1..beta-1).  As prod_m
+        |1 - zeta**m| = beta and r_n = (2**beta - 1)*rho, that gives
+        r_n/|w**beta - eta| <= (2**beta - 1) * 2**(beta-1)/beta *
+        mu**(1-beta).  A lower bound a*n**-b on |p - center| over the poles
+        of sheet n turns mu**(1-beta) into a**-s * n**(b*s), s = (beta -
+        1)/beta: the base poles' ``tail_distance_bound`` at the centre over
+        every sheet (b = 0) where it is positive, else their
+        ``distance_power_law``.  K is raised by a relative 1e-9 for its
+        rounding.  None where neither is known, where K is not finite, or
+        where the base is itself a pullback, whose bound has no such form.
+        """
+        base, beta = self.base, self.beta
+        if isinstance(base, PullbackSequence):
+            return None
+        poles = base.perforation.poles
+        d = poles.tail_distance_bound(self.center, base.n_min - 1)
+        if beta == 1 or d == math.inf:  # a shift, or no pole within the float range of the centre
+            return 1.0, 0.0
+        law = (d, 0.0) if d is not None and d > 0.0 else poles.distance_power_law(self.center)
+        if law is None:
+            return None
+        (a, b), s = law, (beta - 1) / beta
+        try:
+            K = _squeeze(beta) * 2.0 ** (beta - 1) / beta * a**-s
+        except OverflowError:
+            return None
+        if not K < math.inf:
+            return None
+        return max(1.0, K) * (1.0 + 1e-9), b * s
+
+    @functools.cached_property
+    def decay_cert(self) -> DecayCert | None:
+        """The base certificate times the excess: (C*K, q + e, sigma)."""
+        cert = self.base.decay_cert
+        if cert is None or self._excess is None:
+            return None
+        K, e = self._excess
+        return DecayCert(cert.C * K, cert.q + e, cert.sigma)
 
     def _image(self, w: complex) -> complex:
         return self.center + w**self.beta
@@ -269,7 +324,11 @@ class PullbackSequence(TermSequence):
         return out
 
     def norm_bound(self, n: int) -> float:
-        return self.base.norm_bound(n)
+        """The base norm bound times the excess K * n**e; inf where no excess is known."""
+        if self._excess is None:
+            return math.inf
+        K, e = self._excess
+        return self.base.norm_bound(n) * K * n**e
 
 
 def pullback_model(seq: TermSequence, beta: int, center: complex = 0j) -> PullbackSequence:

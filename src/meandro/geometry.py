@@ -123,7 +123,7 @@ class DiophantineRadius:
     estimates downstream.  ``shift`` accommodates families whose sheets are
     indexed from 0.  Where (n + shift)**alpha overflows a float, the radius
     is below the float range, and ``value``, ``values`` and ``tail_sup``
-    raise OutOfRegime for that sheet.
+    raise OutOfRegime naming the first sheet where it is.
     """
 
     c: float
@@ -175,6 +175,19 @@ class DiophantineRadius:
             raise self._underflow(n) from None
 
     def _underflow(self, n: int) -> OutOfRegime:
+        """The OutOfRegime of the first sheet whose radius is below the float range, given such a sheet n.
+
+        The first is searched by bisection, so every caller names the same
+        sheet, whichever sheet it reached first.
+        """
+        lo = 1 - self.shift  # (lo + shift)**alpha = 1
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            try:
+                (mid + self.shift) ** self.alpha
+                lo = mid
+            except OverflowError:
+                n = mid
         return OutOfRegime(
             f"the radius c/(n + shift)**alpha is below the float range on sheet {n} (alpha = {self.alpha:g})",
             sheet=n, alpha=self.alpha,

@@ -37,25 +37,17 @@ from .geometry import (
     TableRadius,
     _modulus,
 )
-from .series import DecayCert, TermSequence, evaluate_sums
-from .tails import _RemainderTails
+from .series import TermSequence, evaluate_sums
+from .tails import _UNDERFLOW, DecayCert, _RemainderTails
 
 DEFAULT_RAY_ANGLE = math.tau * math.sqrt(2.0)
-
-#: Allowance for gradual underflow in a term x**n / w evaluated in floats.
-#: Once x**n is subnormal, the power, the division and the modulus each
-#: round by up to half a unit of the smallest subnormal, 5e-324, and the
-#: power's rounding is scaled by 1/|w| >= 1; adding this much to x**n in a
-#: bound covers all of it.
-_UNDERFLOW = 8 * math.ulp(0.0)
-
 
 def _norm_bound(ax: float, n: int, c: float, alpha: float) -> float:
     """ax**n * n**(alpha-1)/c, a bound on |x**n / w| where 1/|w| <= n**(alpha-1)/c.
 
     The bound also dominates the term as evaluated in floats: where ax**n is
-    subnormal, ``_UNDERFLOW`` is added to it, which leaves a normal ax**n
-    unchanged.  A power that underflows to 0 stays 0.
+    subnormal, ``tails._UNDERFLOW`` is added to it, which leaves a normal
+    ax**n unchanged.  A power that underflows to 0 stays 0.
     """
     power = ax**n
     if power == 0.0:
@@ -68,8 +60,8 @@ def _decay_cert(ax: float, c: float, alpha: float) -> DecayCert:
 
     C is 1/c raised by a relative 1e-9, which covers the rounding of the
     bound and of the tails' float sums.  Where ax**n is subnormal the
-    bound is at most C * n**q * 2**-1021, which ``DecayCert.tail`` allows
-    for.
+    bound is at most C * n**q * 2**-1021, which ``DecayCert.scaled_sum``
+    allows for.
     """
     return DecayCert(1.0 / c * (1.0 + 1e-9), alpha - 1.0, ax)
 
@@ -85,7 +77,8 @@ class MeanderModel(TermSequence):
     Outside the removed disc of radius r_n = c/n**alpha one has
     |1 + n*z| = n*|z + 1/n| >= n*r_n, so the term is bounded by
     |x|**n * n**(alpha-1)/c everywhere off the disc, on the whole
-    perforated plane.  The tails sum that bound itself, in the form
+    perforated plane; within it, at distance d from the pole, the term is
+    at most that bound times r_n/d.  The tails sum that bound itself, in the form
     (C, q, sigma) = (1/c, alpha - 1, |x|); see ``_decay_cert``.
     """
 
@@ -152,7 +145,10 @@ class QLogModel(TermSequence):
     |(1+u)**n - 1| >= 2*s + 1 - (1+r_n)**n >= 2*s + 1 - e**s >= kappa*s with
     kappa = (2*c - expm1(c))/c, as (2*s + 1 - e**s)/s decreases in s; kappa > 0
     for 0 < c <= 1.  So the term is bounded by |x|**n * n**(alpha-1)/(c*kappa),
-    the meander bound over kappa, on the whole perforated plane.  Its
+    the meander bound over kappa, on the whole perforated plane.  The same
+    estimate with |u| = d < r_n in place of r_n bounds the term within a
+    disc by that bound times r_n/d, as a pullback needs
+    (``covering.PullbackSequence``).  Its
     certificate is the meander's with c*kappa in place of c, and the
     certified tails (``tails._CertifiedTails``) serve every point off the
     removed discs.

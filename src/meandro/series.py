@@ -49,7 +49,7 @@ any term:
 * a finite family's tails are inf before its last sheet and exactly 0 from
   it on (``tails._FiniteTails``);
 * a decay certificate over a Diophantine radius, the norm bound's own
-  form C*n**q*sigma**n (``DecayCert``), gives rigorous ones
+  form C*n**q*sigma**n (``tails.DecayCert``), gives rigorous ones
   (``tails._CertifiedTails``) at every point, as the norm bounds hold on
   the whole perforated plane.  Order 0 has the certificate's tail, the sum
   of the norm bounds after the sheet, at every point; order k >= 1 the
@@ -91,7 +91,6 @@ of as many sheets as orders.
 from __future__ import annotations
 
 import abc
-import functools
 import math
 from dataclasses import dataclass
 
@@ -99,7 +98,7 @@ import numpy as np
 
 from .errors import DiophantineRequired, MeandroError, OutOfRegime, PoleProximity, TolUnreachable
 from .geometry import _GROUP_VALUES, DiophantineRadius, Perforation, _tail_clears, doubling_blocks
-from .tails import _CertifiedTails, _FiniteTails, _log_sums, _sheet_parts, _sheet_sum
+from .tails import DecayCert, _CertifiedTails, _FiniteTails
 
 #: Highest jet order: k! overflows a float from k = 171 on.
 _MAX_JET_ORDER = 170
@@ -239,54 +238,6 @@ def _exact_sums(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~(ok | zero)).tolist():
         out[i] = _fsum(x[i, : counts[i]])
     return out
-
-
-@dataclass(frozen=True)
-class DecayCert:
-    """The norm bound's own decay: norm_bound(n) <= C * n**q * sigma**n wherever sigma**n is normal.
-
-    For the meander and the q-log this is the bound itself, |x|**n *
-    n**(alpha-1)/c, with C = 1/c rounded up (``models._decay_cert``).  Where
-    sigma**n may be subnormal, on the sheets N_sub < n <= N0 of
-    ``underflow_sheets``, the norm bound adds its allowance for gradual
-    underflow to sigma**n, and is at most C * n**q * 2**-1021; past N0,
-    sigma**n rounds to 0 and so does the norm bound.  ``tail`` sums both
-    forms (see ``tails._log_sums``).
-    """
-
-    C: float
-    q: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (self.C > 0 and 0 <= self.sigma < 1):
-            raise ValueError("need C > 0 and 0 <= sigma < 1")
-
-    @functools.cached_property
-    def log_sigma(self) -> float:
-        return math.log(self.sigma) if self.sigma else -math.inf
-
-    @functools.cached_property
-    def underflow_sheets(self) -> tuple[int, int]:
-        """(N_sub, N0): sigma**n is normal through sheet N_sub and rounds to 0 after sheet N0.
-
-        sigma**n falls below 2**-1022 after 1022*log(2)/log(1/sigma) sheets,
-        and below half the least subnormal, 2**-1075, after
-        1075*log(2)/log(1/sigma); a relative 1e-9 and a sheet each way cover
-        the rounding of the power.
-        """
-        if not self.sigma:
-            return 0, 0
-        halving = math.log(2.0) / -self.log_sigma  # sheets per halving of sigma**n
-        return max(0, math.floor(1022 * halving * (1.0 - 1e-9)) - 1), math.ceil(1075 * halving * (1.0 + 1e-9)) + 1
-
-    def tail(self, n: int, power: float | None = None) -> float:
-        """Bound for sum_{j>n} j**(power - q) * norm_bound(j).
-
-        The default power q gives the sum of the norm bounds beyond n.
-        """
-        power = self.q if power is None else power
-        return _sheet_sum(math.log(self.C), _log_sums(self, power, _sheet_parts(self, n)))
 
 
 class TermSequence(abc.ABC):

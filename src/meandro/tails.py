@@ -4,24 +4,25 @@ tail(k, n) bounds the order-k derivative series summed over the sheets
 after n, and does not increase with n; the summation engine in ``series``
 stops a lane once its tail is within the tolerance, and each family picks
 its tails with ``TermSequence.tail_policy``.  A decay certificate
-(``series.DecayCert``) is the norm bound's own form: the sheet-j term is at
-most norm_bound(j) <= C * j**q * sigma**j on the perforated sheet, and
+(``DecayCert``) is the norm bound's own form: the sheet-j term is at most
+norm_bound(j) <= C * j**q * sigma**j on the perforated sheet, and
 Cauchy's estimate turns that into a bound on its derivatives at a point:
 the k-th derivative at z0 is at most k! * norm_bound(j) / R**k for any
 circle about z0 of radius R on which the bound holds.  ``_CertifiedTails``
 sums these bounds over the sheets after n for three choices of R and keeps
 the least.  Each sum is a factor times sum_{j>n} j**Q * sigma**j for an
-exponent Q (``_log_power_geometric``), plus an allowance for the sheets
-where sigma**j is subnormal (``_sheet_sum``).  A finite family's tails
-(``_FiniteTails``) need no bound: they are exact.  The pi_k series
-telescopes, and its remainder gives its tails (``_RemainderTails``).
-``order0_shared`` says whether the order-0 tail is the same at every point.
+exponent Q, plus an allowance for the sheets where sigma**j is subnormal
+(``DecayCert.scaled_sum``).  A finite family's tails (``_FiniteTails``)
+need no bound: they are exact.  The pi_k series telescopes, and its
+remainder gives its tails (``_RemainderTails``).  ``order0_shared`` says
+whether the order-0 tail is the same at every point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,72 +30,111 @@ import numpy as np
 from .geometry import _ABS_SLACK
 
 if TYPE_CHECKING:
-    from .series import DecayCert, TermSequence
+    from .series import TermSequence
 
 #: Sheets over which ``_RemainderTails`` multiplies its factors.
 _REMAINDER_SHEETS = 2**19
-#: log 2**-1021.  Where sigma**j may be subnormal, the norm bound is at most
-#: C * j**q * 2**-1021 (see ``series.DecayCert``).
+#: Allowance for gradual underflow in a term x**n / w evaluated in floats.
+#: Once x**n is subnormal, the power, the division and the modulus each
+#: round by up to half a unit of the smallest subnormal, 5e-324, and the
+#: power's rounding is scaled by 1/|w| >= 1; adding this much to x**n in a
+#: bound covers all of it (``models._norm_bound``).
+_UNDERFLOW = 8 * math.ulp(0.0)
+#: log 2**-1021.  A subnormal sigma**j plus ``_UNDERFLOW`` is below
+#: 2**-1022 + 2**-1071 < 2**-1021.
 _LOG_SUBNORMAL = -1021.0 * math.log(2.0)
 
 
-def _log_power_geometric(q: float, rho: float, step: float, log_n1: float, log_first_rho: float) -> float:
-    """log of a rigorous upper bound for sum_{j>n} j**q * rho**j, with 0 <= rho < 1.
+@dataclass(frozen=True)
+class DecayCert:
+    """The norm bound's own decay: norm_bound(n) <= C * n**q * sigma**n wherever sigma**n is normal.
 
-    The term ratio rho*(1+1/j)**q decreases in j, so beyond n the series is
-    dominated by the geometric series with ratio taken at j = n+1.  The
-    parts that every q shares at one n come in: step = (n+2)/(n+1), log_n1 =
-    log(n+1) and log_first_rho = (n+1)*log(rho) (-inf for rho = 0, whose
-    sum is 0).  inf where the ratio is not below 1.
+    For the meander and the q-log this is the bound itself, |x|**n *
+    n**(alpha-1)/c, with C = 1/c rounded up (``models._decay_cert``); a
+    pullback scales C and q by its excess (``covering.PullbackSequence``).
+    Where sigma**n may be subnormal, on the sheets N_sub < n <= N0 of
+    ``underflow_sheets``, the norm bound adds ``_UNDERFLOW`` to sigma**n,
+    and is at most C * n**q * 2**-1021; past N0, sigma**n rounds to 0 and
+    so does the norm bound.  ``scaled_sum`` sums both forms.
     """
-    try:
-        ratio = rho * step**q
-    except OverflowError:
-        return math.inf
-    if ratio >= 1.0:
-        return math.inf
-    return q * log_n1 + log_first_rho - math.log1p(-ratio)
 
+    C: float
+    q: float
+    sigma: float
 
-def _sheet_parts(cert: DecayCert, n: int) -> tuple:
-    """What the sums of ``_log_sums`` share at sheet n, for every exponent.
+    def __post_init__(self):
+        if not (self.C > 0 and 0 <= self.sigma < 1):
+            raise ValueError("need C > 0 and 0 <= sigma < 1")
 
-    The parts of ``_log_power_geometric`` at n, and for the subnormal sheets
-    max(n, N_sub) < j <= N0 (``DecayCert.underflow_sheets``) the logs of
-    their count, of the last and of the first, or None where there is none.
-    """
-    n_sub, n0 = cert.underflow_sheets
-    first = max(n, n_sub) + 1
-    under = (math.log(n0 - first + 1), math.log(n0), math.log(first)) if first <= n0 else None
-    return (n + 2) / (n + 1), math.log(n + 1), (n + 1) * cert.log_sigma, under
+    @functools.cached_property
+    def log_sigma(self) -> float:
+        return math.log(self.sigma) if self.sigma else -math.inf
 
+    @functools.cached_property
+    def underflow_sheets(self) -> tuple[int, int]:
+        """(N_sub, N0): sigma**n is normal through sheet N_sub and rounds to 0 after sheet N0.
 
-def _log_sums(cert: DecayCert, power: float, parts: tuple) -> tuple[float, float]:
-    """The logs of the two parts of a sum over the sheets after n, from its ``_sheet_parts``.
+        sigma**n falls below 2**-1022 after 1022*log(2)/log(1/sigma) sheets,
+        and below half the least subnormal, 2**-1075, after
+        1075*log(2)/log(1/sigma); a relative 1e-9 and a sheet each way cover
+        the rounding of the power.
+        """
+        if not self.sigma:
+            return 0, 0
+        halving = math.log(2.0) / -self.log_sigma  # sheets per halving of sigma**n
+        return max(0, math.floor(1022 * halving * (1.0 - 1e-9)) - 1), math.ceil(1075 * halving * (1.0 + 1e-9)) + 1
 
-    They are ``_log_power_geometric`` of sum_{j>n} j**power * sigma**j, for
-    the sheets where sigma**j is normal, and the log of 2**-1021 * sum
-    j**power over the subnormal sheets after n, at most their count times
-    the largest j**power (-inf where there is none).  Neither increases
-    with n.
-    """
-    step, log_n1, log_first, under = parts
-    log_normal = _log_power_geometric(power, cert.sigma, step, log_n1, log_first)
-    if under is None:
-        return log_normal, -math.inf
-    log_count, log_last, log_first_sub = under
-    return log_normal, _LOG_SUBNORMAL + log_count + power * (log_last if power >= 0.0 else log_first_sub)
+    def scaled_sum(self, n: int, power: float, log_factor: float) -> float:
+        """F * (sum_{j>n} j**power * sigma**j + 2**-1021 * sum j**power over the subnormal sheets j > n).
 
+        F = exp(log_factor); with F = C it bounds sum_{j>n} j**(power - q) *
+        norm_bound(j) (``tail``).  The first sum is bounded by its geometric majorant:
+        the term ratio sigma*(1+1/j)**power decreases in j, so beyond n the
+        series is dominated by the geometric series with the ratio taken at
+        j = n+1 (inf where that ratio is not below 1).  The second, over
+        max(n, N_sub) < j <= N0, is at most the count of those sheets times
+        the largest j**power on them.  Both are taken in log form, so a huge
+        F times a sum below the float range gives no 0, and neither
+        increases with n.
+        """
+        step, log_n1, log_first, under = self._parts(n)
+        try:
+            ratio = self.sigma * step**power
+        except OverflowError:
+            ratio = math.inf
+        log_normal = math.inf if ratio >= 1.0 else power * log_n1 + log_first - math.log1p(-ratio)
+        total = _exp(log_factor + log_normal)
+        if under is not None:
+            log_count, log_last, log_first_sub = under
+            log_top = log_last if power >= 0.0 else log_first_sub
+            total += _exp(log_factor + (_LOG_SUBNORMAL + log_count + power * log_top))
+        return total
 
-def _sheet_sum(log_factor: float, logs: tuple[float, float]) -> float:
-    """F times the sum of the two parts of ``_log_sums``, with F = exp(log_factor).
+    @functools.cached_property
+    def _sheets(self) -> dict[int, tuple]:
+        return {}
 
-    With the exponent power, that is F/C times a bound on sum_{j>n}
-    j**(power - q) * norm_bound(j) (see ``series.DecayCert``).  The factor
-    is added in log form, so a huge F times a sum below the float range
-    gives no 0.
-    """
-    return _exp(log_factor + logs[0]) + _exp(log_factor + logs[1])
+    def _parts(self, n: int) -> tuple:
+        """What ``scaled_sum`` shares at sheet n for every power, kept by sheet.
+
+        (n+2)/(n+1), log(n+1), (n+1)*log(sigma), and for the subnormal
+        sheets max(n, N_sub) < j <= N0 the logs of their count, of the last
+        and of the first, or None where there is none.
+        """
+        parts = self._sheets.get(n)
+        if parts is None:
+            n_sub, n0 = self.underflow_sheets
+            first = max(n, n_sub) + 1
+            under = (math.log(n0 - first + 1), math.log(n0), math.log(first)) if first <= n0 else None
+            parts = self._sheets[n] = (n + 2) / (n + 1), math.log(n + 1), (n + 1) * self.log_sigma, under
+        return parts
+
+    def tail(self, n: int, power: float | None = None) -> float:
+        """Bound for sum_{j>n} j**(power - q) * norm_bound(j).
+
+        The default power q gives the sum of the norm bounds beyond n.
+        """
+        return self.scaled_sum(n, self.q if power is None else power, math.log(self.C))
 
 
 class _CertifiedTails:
@@ -105,8 +145,8 @@ class _CertifiedTails:
     For k >= 1 the k-th derivative of the sheet-j term is at most k! *
     norm_bound(j) / R_j**k for any circle about z0 of radius R_j on which
     norm_bound(j) bounds the term (Cauchy's estimate), and the tail beyond
-    sheet n is the least of three bounds, each a ``_sheet_sum`` with a
-    factor and an exponent:
+    sheet n is the least of three bounds, each a ``DecayCert.scaled_sum``
+    with a log factor and an exponent:
 
     * the uniform circles R_j = eps*r_j of the shrunk perforation: as
       r_j >= c/((1+shift)*j)**alpha, the factor is k! * C *
@@ -122,10 +162,8 @@ class _CertifiedTails:
       and the exponent beta*k + q.
 
     The last two take norm_bound(j) to hold at distance r_j from sheet j's
-    poles, as the meander's and the q-log's do.  A pullback's does not (its
-    bound is the base bound, which holds only off the preimages of the base
-    discs, and these reach further), so ``_PullbackPoles`` declares neither
-    distance contract.
+    poles, as the meander's and the q-log's do.  ``_PullbackPoles`` declares
+    neither distance contract, so a pullback has the uniform circles alone.
 
     The norm bounds hold on the whole perforated plane, so only the poles
     limit a circle.  The distance bounds hold for the exact poles, so D(n)
@@ -134,7 +172,7 @@ class _CertifiedTails:
     positive radius gives inf.
 
     Every bound is non-increasing in n, which the certified stop's search
-    (``series._search``) relies on: ``_sheet_sum`` does not increase with
+    (``series._search``) relies on: ``scaled_sum`` does not increase with
     n; D(n) does not decrease and tail_sup(n) does not increase (their
     declared contracts), so R(n) does not decrease; and b(n) does not
     decrease as beta <= alpha.  So their minimum is non-increasing as well.
@@ -147,7 +185,7 @@ class _CertifiedTails:
         self.cert, self.radius = seq.decay_cert, seq.perforation.radius
         self.poles = seq.perforation.poles
         self._orders: dict[int, tuple[float, float]] = {}
-        self._sheets: dict[int, tuple] = {}
+        self._sheets: dict[int, tuple[float | None, float | None]] = {}
 
     @functools.cached_property
     def law(self) -> tuple[float, float] | None:
@@ -175,12 +213,11 @@ class _CertifiedTails:
         a, beta = self.law
         return (a - self.radius.c * (n + 1.0) ** (beta - self.radius.alpha)) * (1.0 - 1e-9)
 
-    def _sheet(self, n: int) -> tuple:
-        """What the tails of every order share at sheet n.
+    def _sheet(self, n: int) -> tuple[float | None, float | None]:
+        """What the tails of every order share at sheet n: log R(n) and log b(n).
 
-        The ``_sheet_parts`` at n, the ``_log_sums`` of the exponent q (the
-        local branch's at every order), log R(n) (None without a positive
-        R(n)), and log b(n) (None without a law or a positive b(n)).
+        log R(n) is None without a positive R(n), and log b(n) without a law
+        or a positive b(n).
         """
         if n not in self._sheets:
             log_r = None
@@ -194,20 +231,19 @@ class _CertifiedTails:
                 b = self._factor(n)
                 if b > 0.0:
                     log_b = math.log(b)
-            parts = _sheet_parts(self.cert, n)
-            self._sheets[n] = parts, _log_sums(self.cert, self.cert.q, parts), log_r, log_b
+            self._sheets[n] = log_r, log_b
         return self._sheets[n]
 
     def branches(self, k: int, n: int) -> tuple[float, float, float]:
         """The uniform, local and power-law tails of order k >= 1 after sheet n (inf for a branch with no circle)."""
         log_uniform, log_k = self._order(k)
-        parts, local_logs, log_r, log_b = self._sheet(n)
+        log_r, log_b = self._sheet(n)
         cert = self.cert
-        uniform = _sheet_sum(log_uniform, _log_sums(cert, self.radius.alpha * k + cert.q, parts))
-        local = math.inf if log_r is None else _sheet_sum(log_k - k * log_r, local_logs)
+        uniform = cert.scaled_sum(n, self.radius.alpha * k + cert.q, log_uniform)
+        local = math.inf if log_r is None else cert.scaled_sum(n, cert.q, log_k - k * log_r)
         law = math.inf
         if log_b is not None:
-            law = _sheet_sum(log_k - k * log_b, _log_sums(cert, self.law[1] * k + cert.q, parts))
+            law = cert.scaled_sum(n, self.law[1] * k + cert.q, log_k - k * log_b)
         return uniform, local, law
 
     def tail(self, k: int, n: int) -> float:

@@ -562,9 +562,10 @@ _LINE = {"re_start": -0.02, "re_stop": 0.0, "re_count": 3, "im_start": 0.0, "im_
         # (n + shift)**alpha overflows a float from sheet 2 on.
         ("residual", {"perforation": _HUGE_ALPHA, "residual": {"grid": _LINE}},
          "the radius c/(n + shift)**alpha is below the float range on sheet 2 (alpha = 2000)"),
-        # The tails of the first block's last sheet take its radius, past the float range.
+        # The tails of the first block's last sheet take its radius, past the float range;
+        # the error names the first such sheet, as the residual command does.
         ("jet", {"model": dict(MEANDER, alpha=2000), "jet": {"z0": [0, 0], "order": 5}},
-         "the radius c/(n + shift)**alpha is below the float range on sheet 64 (alpha = 2000)"),
+         "the radius c/(n + shift)**alpha is below the float range on sheet 2 (alpha = 2000)"),
         # The tail is still above the tolerance where the radii leave the float range.
         ("eval", {"model": dict(MEANDER, x=0.7, alpha=100), "eval": {"points": [[0.1, 0.0]]}},
          "the radius c/(n + shift)**alpha is below the float range on sheet 1210 (alpha = 100)"),

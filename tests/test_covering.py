@@ -10,6 +10,7 @@ from meandro import (
     HypothesisViolated,
     OutOfRegime,
     MeanderModel,
+    QLogModel,
     ZeroSumGeneral,
     derivative_sum,
     evaluate_sum,
@@ -164,6 +165,46 @@ def test_pullback_jet_spreads_coefficients(meander_tight):
         gap = abs(spread.coefficients[2 * j] - base.coefficients[j])
         assert gap <= spread.coefficient_tails[2 * j] + base.coefficient_tails[j]
     assert np.all(spread.coefficients[1::2] == 0.0)
+
+
+_RING = np.exp(2j * np.pi * np.arange(64) / 64)
+
+
+@pytest.mark.parametrize("beta", [2, 3])
+@pytest.mark.parametrize("center", [0j, 0.05 + 0j, 0.3 + 0.1j])
+@pytest.mark.parametrize("family, top", [("meander", 200), ("qlog", 30)])
+def test_pullback_norm_bound_holds_on_the_rims_of_its_removed_discs(family, top, center, beta):
+    # Off its sheet's removed discs a term is largest on their rims (maximum
+    # principle; the terms vanish at infinity).  The rims' images come within
+    # r_n of the base poles, where the base bound alone does not hold.
+    base = MeanderModel(0.9, c=0.1) if family == "meander" else QLogModel(0.9, c=0.05)
+    pullback = pullback_model(base, beta, center)
+    over_base = 0.0
+    for n in range(1, top + 1):
+        rho, poles = pullback.perforation.radius_at(n), pullback.poles(n)
+        rims = (poles[:, None] + rho * _RING[None, :]).ravel()
+        rims = rims[np.abs(rims[:, None] - poles[None, :]).min(axis=1) >= rho * (1.0 - 1e-12)]
+        sup = float(np.abs(pullback.term_array(n, rims)).max())
+        assert sup <= pullback.norm_bound(n), n
+        over_base = max(over_base, sup / base.norm_bound(n))
+    assert over_base > 1.0
+
+
+def test_pullback_sum_beside_a_disc_after_its_stop_is_within_its_tail():
+    # At w = i/sqrt(n) + 1.6*rho_n, just off the removed disc about a preimage
+    # of the base pole -1/n, the sheet-n term is about 0.94*sqrt(n) times the
+    # base norm bound.  With n the sheet after the stop, that term is the
+    # first one left out, and the printed tail must still cover the error.
+    pullback = pullback_model(MeanderModel(0.9, c=0.1), 2)
+    stop = evaluate_sum(pullback, 0.3 + 0.3j).terms_used  # the same at every point
+    n = stop + 1
+    w = 1j / math.sqrt(n) + 1.6 * pullback.perforation.radius_at(n)
+    got = evaluate_sum(pullback, w)
+    assert got.terms_used == stop
+    terms = [pullback.term(j, w) for j in range(1, 4001)]  # 0.9**4000 is below 1e-180
+    exact = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    assert abs(got.value - exact) <= got.tail_bound + 1e-12 * sum(abs(t) for t in terms)
+    assert abs(terms[n - 1]) > pullback.base.norm_bound(n)
 
 
 def test_qlog_pullback_even_function(qlog_half):

@@ -163,13 +163,16 @@ def _suffix_sums(values: list[float], ns: list[int]) -> dict[int, float]:
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("x", [0.5, 0.95, 0.999, 0.3, 1e-300, 5e-324])
-@pytest.mark.parametrize("family", ["meander", "qlog"])
+@pytest.mark.parametrize("family", ["meander", "qlog", "pullback"])
 def test_decay_certificate_tails_dominate_the_norm_bounds(family, x, alpha):
     # Every certified tail after sheet n must dominate the norm bounds it
     # sums, evaluated in floats: on the sheets where |x|**j is normal, and on
     # those where it is subnormal and the norm bound adds its underflow
-    # allowance, up to N0, after which |x|**j and the norm bound are 0.
-    seq = (MeanderModel if family == "meander" else QLogModel)(x, c=0.05, alpha=alpha)
+    # allowance, up to N0, after which |x|**j and the norm bound are 0.  The
+    # pullback's bound is the meander's times its excess 3*sqrt(j).
+    seq = (QLogModel if family == "qlog" else MeanderModel)(x, c=0.05, alpha=alpha)
+    if family == "pullback":
+        seq = pullback_model(seq, 2)
     cert = seq.decay_cert
     n_sub, n0 = cert.underflow_sheets
     top = n0 + 10
@@ -194,6 +197,9 @@ def test_decay_certificate_tails_dominate_the_norm_bounds(family, x, alpha):
         for n in ns:
             got = tails_at.branches(k, n)
             assert got[0] >= math.factorial(k) * uniform[n], (k, n)
+            if family == "pullback":  # no distance contract: the uniform circles alone
+                assert got[1:] == (math.inf, math.inf)
+                continue
             R = tails_at._shrunk(seq.perforation.poles.tail_distance_bound(z0, n)) - radius.tail_sup(n)
             assert R > 0.0
             assert got[1] >= math.factorial(k) / R**k * after[n], (k, n)
