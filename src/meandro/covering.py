@@ -176,9 +176,11 @@ class _PullbackPoles(PoleFamilyBase):
 class PullbackSequence(TermSequence):
     """Composition of a sequence with the covering w -> center + w**beta.
 
-    Terms are F_n(w) = f_n(center + w**beta); derivatives come from the
-    chain rule in partial-Bell form (the inner derivatives vanish beyond
-    order beta, so the expansion is finite).
+    Terms are F_n(w) = f_n(center + w**beta): ``term_grid`` is the base's
+    at the images, and ``derivatives`` come from the base's by the chain
+    rule in partial-Bell form (the inner derivatives vanish beyond order
+    beta, so the expansion is finite).  Row 0 of ``derivatives`` is the
+    base's row 0 at the image, so it is ``term_grid``'s bit for bit.
 
     The removed discs, of radius rho_n = r_n/(2**beta - 1) about the
     preimages of the base poles, map into the base discs but do not cover
@@ -266,51 +268,33 @@ class PullbackSequence(TermSequence):
     def _image(self, w: complex) -> complex:
         return self.center + w**self.beta
 
-    def term(self, n: int, w: complex) -> complex:
-        return self.base.term(n, self._image(w))
+    def term_grid(self, ns: np.ndarray, ws: list) -> np.ndarray:
+        """The base's ``term_grid`` at the images center + w**beta; inf where an image overflows."""
+        out = np.full((len(ws), len(ns)), math.inf, dtype=complex)
+        images = {}
+        for i, w in enumerate(ws):
+            try:
+                images[i] = self._image(w)
+            except OverflowError:
+                pass
+        if images:
+            out[list(images)] = self.base.term_grid(ns, list(images.values()))
+        return out
 
-    def term_array(self, n: int, ws: np.ndarray) -> np.ndarray:
-        return self.base.term_array(n, self.center + ws**self.beta)
-
-    def derivative(self, n: int, k: int, w: complex) -> complex:
-        if k == 0:
-            return self.term(n, w)
+    def derivatives(self, ns: np.ndarray, m: int, w: complex) -> np.ndarray:
+        try:
+            z = self._image(w)
+        except OverflowError:  # infinite entries, as in ``term_grid``
+            return np.full((m + 1, len(ns)), math.inf, dtype=complex)
+        out = np.zeros((m + 1, len(ns)), dtype=complex)
         if w == 0 and self.beta > 1:
             # Only the beta-th inner derivative survives at the branch point:
             # F^(k)(0) = f^(j)(center) * k!/j! when k = j*beta, else 0.
-            if k % self.beta:
-                return 0j
-            j = k // self.beta
-            return (
-                self.base.derivative(n, j, self.center)
-                * math.factorial(k)
-                / math.factorial(j)
-            )
-        z = self._image(w)
-        # Derivatives of the inner map: beta!/(beta-i)! * w**(beta-i), zero past beta.
-        xs = [
-            math.perm(self.beta, i) * w ** (self.beta - i) if i <= self.beta else 0j
-            for i in range(1, k + 1)
-        ]
-        bells = _bell_row(k, xs)
-        total = 0j
-        for j in range(1, k + 1):
-            if bells[j] != 0:
-                total += self.base.derivative(n, j, z) * bells[j]
-        return total
-
-    def derivatives(self, ns: np.ndarray, m: int, w: complex) -> np.ndarray:
-        out = np.zeros((m + 1, len(ns)), dtype=complex)
-        if w == 0 and self.beta > 1:
-            base = self.base.derivatives(ns, m // self.beta, self.center)
+            base = self.base.derivatives(ns, m // self.beta, z)
             for j in range(m // self.beta + 1):
                 k = j * self.beta
                 out[k] = base[j] * math.factorial(k) / math.factorial(j)
             return out
-        try:
-            z = self._image(w)
-        except OverflowError:  # infinite entries, as in the default ``derivatives``
-            return np.full((m + 1, len(ns)), math.inf, dtype=complex)
         # The partial-Bell coefficients depend on w alone.
         base = self.base.derivatives(ns, m, z)
         out[0] = base[0]
@@ -322,6 +306,10 @@ class PullbackSequence(TermSequence):
                 if bells[j] != 0:
                     out[k] += base[j] * bells[j]
         return out
+
+    def residue(self, n: int, pole: complex) -> complex:
+        """f_n's residue over beta * pole**(beta-1): a preimage of a base pole is simple, as pole**beta != 0."""
+        return self.base.residue(n, self._image(pole)) / (self.beta * pole ** (self.beta - 1))
 
     def norm_bound(self, n: int) -> float:
         """The base norm bound times the excess K * n**e; inf where no excess is known."""

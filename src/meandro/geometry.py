@@ -674,17 +674,15 @@ class Membership:
         return self.state is MembershipState.IN
 
 
-def doubling_blocks(
-    start: int, stop: int, per_sheet: int = 1, first: int | None = None
-) -> Iterator[tuple[int, int]]:
+def doubling_blocks(start: int, stop: int, per_sheet: int = 1) -> Iterator[tuple[int, int]]:
     """Half-open ranges that tile [start, stop), each twice as long as the last.
 
-    The first is ``first`` sheets long, 64 by default.  A block holds at
-    most 65 536 values at ``per_sheet`` values a sheet, so the memory of a
-    block scan stays bounded at any length.
+    The first is 64 sheets long.  A block holds at most 65 536 values at
+    ``per_sheet`` values a sheet, so the memory of a block scan stays
+    bounded at any length.
     """
     cap = max(_BLOCK_VALUES // per_sheet, 1)
-    size = min(first or _FIRST_BLOCK, cap)
+    size = min(_FIRST_BLOCK, cap)
     while start < stop:
         end = min(start + size, stop)
         yield start, end

@@ -95,14 +95,8 @@ class MeanderModel(TermSequence):
     def decay_cert(self) -> DecayCert:
         return self._cert
 
-    def term(self, n: int, z: complex) -> complex:
-        return self.x**n / (1.0 + n * z)
-
     def term_array(self, n: int, zs: np.ndarray) -> np.ndarray:
         return self.x**n / (1.0 + n * zs)
-
-    def derivative(self, n: int, k: int, z: complex) -> complex:
-        return self.x**n * (-n) ** k * math.factorial(k) / (1.0 + n * z) ** (k + 1)
 
     def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
         denom = 1.0 + ns * np.array(zs, dtype=complex).reshape(-1, 1)
@@ -178,19 +172,9 @@ class QLogModel(TermSequence):
     def norm_bound(self, n: int) -> float:
         return _norm_bound(abs(self.x), n, self._c_kappa, self.perforation.radius.alpha)
 
-    def term(self, n: int, z: complex) -> complex:
-        return self.x**n / (z**n - 1.0)
-
     def term_array(self, n: int, zs: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.x**n / (zs**n - 1.0)
-
-    def derivative(self, n: int, k: int, z: complex) -> complex:
-        if k == 0:
-            return self.term(n, z)
-        roots = self.perforation.poles_on_sheet(n)
-        parts = roots / (z - roots) ** (k + 1)
-        return self.x**n / n * (-1.0) ** k * math.factorial(k) * complex(parts.sum())
 
     def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
         # Taylor coefficients h_k = g^(k)/k! of g = 1/(z**n - 1) by series
@@ -226,7 +210,7 @@ class QLogModel(TermSequence):
         # numpy and Python round a complex quotient differently.  A real z
         # takes real powers there, so real points go point by point.
         if not all(isinstance(z, complex) for z in zs):
-            return super().term_grid(ns, zs)
+            return np.array([self.derivatives(ns, 0, z)[0] for z in zs], dtype=complex).reshape(len(zs), len(ns))
         out = np.empty((len(zs), len(ns)), dtype=complex)
         inside = np.array([_modulus(z) <= 1.0 for z in zs], dtype=bool)
         if inside.any():
@@ -263,7 +247,7 @@ def pi_k(k: int, z):
 
 
 class ZeroSumPiK(TermSequence):
-    """Terms (-1)**k * k! * z**k / pi_k(z) on sheets k >= 0.
+    """Terms (-1)**n * n! * z**n / pi_n(z) on sheets n >= 0.
 
     The terms telescope: t_n = P_n/(1 - (n+1)*z) = P_n - P_{n+1} with
     P_n = prod_{j<=n} -j*z/(1 - j*z), so the partial sum through sheet n is
@@ -273,6 +257,31 @@ class ZeroSumPiK(TermSequence):
     is that of the constant 1.  The remainder gives the tails
     (``tails._RemainderTails``).  For Re z > 0, |P_N| grows like
     N**Re(1/z) and the series diverges.
+
+    No n! is formed for the derivatives: with r_j = j/(1 - j*z0), s =
+    -1/z0 and t_n(z0 + t)/t_n(z0) = (1 - s*t)**n / prod_{j<=n+1} (1 - r_j*t)
+    = sum_k c_k t**k, row k is k! * t_n(z0) * c_k, in one of three forms:
+
+    * at z0 = 0, the exact integer (-1)**n * n! * k! * S(k+1, n+1), S the
+      Stirling numbers of the second kind (0 for k < n);
+    * where n*|z0| < 1, Leibniz: c_k = sum_i C(n, i) * (-s)**i * H_{k-i},
+      H_k = h_k(r_1, ..., r_{n+1}) = cumsum(r*H_{k-1}) over the sheets.
+      t_n(z0) * C(n, i) * (-s)**i is a running product over n from
+      (-1)**i * i!/pi_i(z0) at n = i, so it stays in range where t_n(z0)
+      underflows and (1/z0)**i overflows;
+    * where n*|z0| >= 1, the log: k*c_k = sum_i p_i * c_{k-i}, p_i =
+      sum_{j<=n} (r_j**i - s**i) + r_{n+1}**i, each bracket (r_j - s) *
+      sum_a r_j**a * s**(i-1-a) with r_j - s = 1/(z0*(1 - j*z0)), summed
+      by one cumsum over the sheets.
+
+    The log form builds the polynomial (1 - s*t)**n from a series of radius
+    |z0|, whose terms, some (n*|s|)**k/k!, it matches only where n*|z0| >= 1
+    (at z0 = -1e-5, sheet 1, it is off by a relative 2e25); the Leibniz
+    terms alternate and cancel the more, the larger n*|z0|.  Switched at
+    n*|z0| = 1, every value of sheets 0-300 and orders up to 10 at -0.3,
+    -0.45, -0.1+0.05i, -0.2+0.05i, -0.013, -0.001+0.001i, -1e-5, 0.013,
+    0.03i, 0.3+0.4i and -2+3i is within a relative 1e-10 of 50-digit mpmath
+    where t_n(z0) is a normal float, and within 1e-306 where it is not.
     """
 
     def __init__(self, c: float = 0.05, alpha: float = 2.0, lam: float = 1.5):
@@ -280,8 +289,6 @@ class ZeroSumPiK(TermSequence):
         self.perforation = Perforation(
             ReciprocalPoles(), DiophantineRadius(c, alpha, lam, shift=1)
         )
-        self._h_cache: dict[int, tuple] = {}
-        self._h_point = 0j
 
     def tail_policy(self, z0: complex, m: int):
         """``tails._RemainderTails`` at z0, or the error that refuses z0.
@@ -300,39 +307,6 @@ class ZeroSumPiK(TermSequence):
             return TolUnreachable(f"no circle about {z0} stays in the closed left half-plane: no derivative tails")
         return _RemainderTails(z0)
 
-    def _h_coefficients(self, n: int, order: int, z: complex) -> tuple:
-        """P and h_0..h_order with 1/pi_n(z + t) = P * sum_j h_j t**j.
-
-        1/pi_n(z + t) = prod_l 1/(1 - l*z) * prod_l 1/(1 - r_l*t) with
-        r_l = l/(1 - l*z), l = 1..n+1: P is the first product, and the
-        prefix recurrence of each geometric series gives the complete
-        homogeneous symmetric polynomials h_j(r).  At z = 0 the r_l are the
-        integers l, so the h_j are exact integers.  The cache holds the
-        sheets of one point; sheet n goes on from sheet n - 1 when that has
-        the order, which takes the same operations as starting from l = 1.
-        """
-        if z != self._h_point:
-            self._h_cache, self._h_point = {}, z
-        cached = self._h_cache.get(n)
-        if cached is None or len(cached[1]) <= order:
-            prev = self._h_cache.get(n - 1)
-            if prev is not None and len(prev[1]) > order:
-                scale, coeffs, ls = prev[0], prev[1][: order + 1], [n + 1]
-            else:
-                scale, coeffs, ls = 1, [1] + [0] * order, range(1, n + 2)
-            for l in ls:
-                r = l
-                if z != 0:
-                    d = 1.0 - l * z
-                    scale, r = scale * (1.0 / d), l / d
-                for j in range(1, order + 1):
-                    coeffs[j] = coeffs[j] + r * coeffs[j - 1]
-            cached = self._h_cache[n] = scale, coeffs
-        return cached
-
-    def term(self, n: int, z: complex) -> complex:
-        return complex(self.term_grid(np.array([n]), [z])[0, 0])
-
     def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
         # t_n = P_n/(1 - (n+1)*z).  Each factor -j*z/(1 - j*z) is a numpy
         # quotient, whose bits do not depend on the array's length; the
@@ -348,21 +322,62 @@ class ZeroSumPiK(TermSequence):
             row[:] = np.array(products)[ns] / (1.0 - w[ns])
         return out
 
-    def derivative(self, n: int, q: int, z: complex) -> complex:
-        # Leibniz on z**n * h(z) with h = 1/pi_n.  The z**n factor kills the
-        # jet coefficients of order < n exactly.
-        if q == 0:
-            return self.term(n, z)
+    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        out = np.zeros((m + 1, len(ns)), dtype=complex)
+        out[0] = self.term_grid(ns, [z])[0]
+        z = complex(z)
+        if m == 0:
+            return out
         if z == 0:
-            # q-th derivative at 0 is q! * [z**q](term) with exact integer
-            # coefficients.
-            if q < n:
-                return 0j
-            h = self._h_coefficients(n, q - n, z)[1][q - n]
-            return complex((-1) ** n * math.factorial(n) * math.factorial(q) * h)
-        scale, h = self._h_coefficients(n, q, z)
-        total = sum(math.comb(n, i) * z ** (n - i) * h[q - i] for i in range(min(q, n) + 1))
-        return (-1.0) ** n * math.factorial(n) * math.factorial(q) * scale * total
+            stirling = [[1]]  # S(a, b) for b = 0..a
+            for a in range(1, m + 2):
+                prev = stirling[-1] + [0]
+                stirling.append([0] + [b * prev[b] + prev[b - 1] for b in range(1, a + 1)])
+            for col in np.flatnonzero(ns <= m).tolist():
+                n = int(ns[col])
+                for k in range(max(n, 1), m + 1):
+                    try:
+                        out[k, col] = float((-1) ** n * math.factorial(n) * math.factorial(k) * stirling[k + 1][n + 1])
+                    except OverflowError:
+                        out[k, col] = math.inf
+            return out
+        top = int(ns.max())
+        js, w = np.arange(1.0, top + 2.0), np.empty(top + 1, dtype=complex)
+        w.real, w.imag = js * z.real, js * z.imag
+        q = 1.0 / (1.0 - w)  # q[j - 1] = 1/(1 - j*z)
+        r = js * q
+        kfac = [float(math.factorial(k)) for k in range(m + 1)]
+        late = ns >= max(1.0 / _modulus(z), 1.0)  # n*|z| >= 1
+        if not late.all():
+            near = ns[~late]
+            last = int(near.max())
+            h = np.ones(last + 1, dtype=complex)  # H_k(n + 1) at index n
+            hs = [h[near]]
+            for _ in range(m):
+                h = np.cumsum(r[: last + 1] * h)
+                hs.append(h[near])
+            # a_i(n) = t_n * C(n, i) * (-s)**i, whose ratio to a_i(n - 1) is g(n)/(n - i).
+            ls = np.arange(last + 1.0)
+            g = -(ls * ls) * z * q[: last + 1]
+            firsts = np.cumprod(q[: min(m, last) + 1])
+            a = []
+            for i in range(min(m, last) + 1):
+                steps = np.concatenate(([(-1) ** i * kfac[i] * firsts[i]], g[i + 1 :] / (ls[i + 1 :] - i)))
+                a.append(np.concatenate((np.zeros(i), np.cumprod(steps)))[near])
+            for k in range(1, m + 1):
+                out[k, ~late] = kfac[k] * sum(a[i] * hs[k - i] for i in range(min(k, len(a) - 1) + 1))
+        if late.any():
+            far = ns[late]
+            last = int(far.max())
+            s, d, spread, p = -1.0 / z, q[:last] / z, np.ones(last, dtype=complex), [None]  # d[j - 1] = r_j - s
+            for i in range(1, m + 1):  # spread = sum_a r_j**a * s**(i-1-a)
+                p.append(np.cumsum(d * spread)[far - 1] + r[far] ** i)
+                spread = s * spread + r[:last] ** i
+            c = [1.0]
+            for k in range(1, m + 1):
+                c.append(sum(p[i] * c[k - i] for i in range(1, k + 1)) / k)
+                out[k, late] = out[0, late] * c[k] * kfac[k]
+        return out
 
 
 def zero_sum_coefficients(c, poles: Sequence, n: int) -> list:
@@ -416,23 +431,30 @@ class ZeroSumGeneral(TermSequence):
             TableRadius(table, lam=lam),
         )
 
-    def term(self, n: int, z: complex) -> complex:
-        base = self.coefficients[n] * z**n / (1.0 - z / self.pole_list[n])
-        return base + (self.constant if n == 0 else 0.0)
+    def _derivative(self, n: int, q: int, z: complex) -> complex:
+        """The q-th derivative of the sheet-n term, or inf where it raises.
 
-    def derivative(self, n: int, q: int, z: complex) -> complex:
-        if q == 0:
-            return self.term(n, z)
-        e = self.pole_list[n]
-        total = 0j
-        for i in range(q + 1):  # Leibniz on z**n * (1 - z/e)**(-1)
-            if i > n:
-                break
-            mono = math.perm(n, i) * z ** (n - i)
-            j = q - i
-            h_j = math.factorial(j) * e ** -j / (1.0 - z / e) ** (j + 1)
-            total += math.comb(q, i) * mono * h_j
-        return self.coefficients[n] * total
+        It is Python complex arithmetic, whose quotients the ``zero-sum`` golden values pin: numpy's round apart.
+        """
+        try:
+            if q == 0:
+                return self.coefficients[n] * z**n / (1.0 - z / self.pole_list[n]) + (self.constant if n == 0 else 0.0)
+            e = self.pole_list[n]
+            total = 0j
+            for i in range(min(q, n) + 1):  # Leibniz on z**n * (1 - z/e)**(-1)
+                h_j = math.factorial(q - i) * e ** -(q - i) / (1.0 - z / e) ** (q - i + 1)
+                total += math.comb(q, i) * (math.perm(n, i) * z ** (n - i)) * h_j
+            return self.coefficients[n] * total
+        except (OverflowError, ZeroDivisionError):
+            return math.inf
+
+    def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
+        rows = [[self._derivative(n, 0, z) for n in ns.tolist()] for z in zs]
+        return np.array(rows, dtype=complex).reshape(len(zs), len(ns))
+
+    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        rows = [[self._derivative(n, k, z) for n in ns.tolist()] for k in range(m + 1)]
+        return np.array(rows, dtype=complex).reshape(m + 1, len(ns))
 
 
 # ---------------------------------------------------------------------------

@@ -77,15 +77,11 @@ A term that is not finite (overflow of the block arithmetic) at or before a
 lane's stopping sheet ends its point with OutOfRegime; terms computed past
 the stop are never used.
 
-``TermSequence.derivatives`` defaults to calling the scalar ``derivative``
-sheet by sheet, and ``term_grid`` to row 0 of ``derivatives`` point by
-point; the concrete families override them with numpy code.  A subclass
-that overrides ``derivative`` but not ``derivatives`` gets both defaults
-back, and one that overrides ``derivatives`` but not ``term_grid`` gets the
-default ``term_grid``, so the block path always honours the scalar formula.
-An infinite family whose values each cost a scalar call (the default
-``derivatives``, or the default ``term_grid`` over it) starts with a block
-of as many sheets as orders.
+A family gives its terms through two methods alone, both on a block of
+sheets: ``derivatives`` and ``term_grid``.  Row i of ``term_grid(ns, zs)``
+is row 0 of ``derivatives(ns, 0, zs[i])``, bit for bit, so a point's sums
+do not depend on which of the two the engine calls; ``term`` and
+``term_array`` read ``term_grid``.
 """
 
 from __future__ import annotations
@@ -241,7 +237,11 @@ def _exact_sums(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 
 class TermSequence(abc.ABC):
-    """Per-sheet terms with closed-form derivatives and norm certificates."""
+    """Per-sheet terms with closed-form derivatives and norm certificates.
+
+    The terms come a block of sheets at a time (see the module docstring); an
+    entry that overflows is inf or NaN, OutOfRegime where the sum needs it.
+    """
 
     n_min: int = 1
     #: Last sheet carrying a term, or None for an infinite family.
@@ -249,45 +249,23 @@ class TermSequence(abc.ABC):
     perforation: Perforation
 
     @abc.abstractmethod
-    def term(self, n: int, z: complex) -> complex: ...
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # An inherited numpy formula would bypass a redefined scalar derivative.
-        own = vars(cls)
-        if "derivative" in own and "derivatives" not in own:
-            cls.derivatives = TermSequence.derivatives
-        if ("derivative" in own or "derivatives" in own) and "term_grid" not in own:
-            cls.term_grid = TermSequence.term_grid
+    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        """Derivatives of orders 0..m on the sheets ns at z: row k holds the k-th."""
 
     @abc.abstractmethod
-    def derivative(self, n: int, k: int, z: complex) -> complex:
-        """Closed-form k-th derivative of the sheet-n term; k = 0 is the term."""
-
-    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
-        """Derivatives of orders 0..m on the sheets ns: row k holds the k-th.
-
-        Default: the scalar ``derivative`` on every sheet and order.  An
-        OverflowError or ZeroDivisionError there becomes an infinite entry,
-        which the engine reports as OutOfRegime if the term is needed.
-        """
-        out = np.empty((m + 1, len(ns)), dtype=complex)
-        for j, n in enumerate(ns.tolist()):
-            for k in range(m + 1):
-                try:
-                    out[k, j] = self.derivative(n, k, z)
-                except (OverflowError, ZeroDivisionError):
-                    out[k, j] = math.inf
-        return out
-
     def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
         """Terms on the sheets ns at the points zs: row i holds the terms at zs[i].
 
-        Row i is ``derivatives(ns, 0, zs[i])[0]``, bit for bit, which is
-        also the default.
+        Row i is ``derivatives(ns, 0, zs[i])[0]``, bit for bit.
         """
-        rows = [self.derivatives(ns, 0, z)[0] for z in zs]
-        return np.array(rows, dtype=complex).reshape(len(zs), len(ns))
+
+    def term(self, n: int, z: complex) -> complex:
+        """The sheet-n term at z, from ``term_grid``."""
+        return complex(self.term_grid(np.array([n]), [z])[0, 0])
+
+    def term_array(self, n: int, zs: np.ndarray) -> np.ndarray:
+        """The sheet-n terms at the points zs, from ``term_grid``."""
+        return self.term_grid(np.array([n]), list(zs))[:, 0]
 
     def poles(self, n: int) -> np.ndarray:
         return self.perforation.poles_on_sheet(n)
@@ -608,7 +586,6 @@ def _sum_derivative_series(
     with Neumaier's compensation, in two (lanes, 2) arrays that one
     ``_neumaier_step`` updates a group at a time.
     """
-    finite = seq.n_max is not None
     width = len(orders)
     tails = [seq.tail_policy(z, orders[-1]) for z in zs]
     # The error that ends a point, first the refusal of its tails.
@@ -628,7 +605,7 @@ def _sum_derivative_series(
     # Whether each lane has stopped, and its stopping sheet and tail once it has.
     done, stop_n, stop_tail = np.zeros(n_lanes, dtype=bool), np.zeros(n_lanes, dtype=np.int64), np.zeros(n_lanes)
     last = seq.n_min + max_terms - 1
-    if finite:
+    if seq.n_max is not None:
         last = min(last, seq.n_max)
     rule = _CertifiedStop(seq, zs, width, last, [None if p in errors else t for p, t in enumerate(tails)])
     # Points are cleared only in a pass whose last sheet has a float radius.
@@ -713,11 +690,7 @@ def _sum_derivative_series(
     if rel_tol == 0.0:
         rule.plan(live, orders, lane_abs[:width])
         furthest = rule.stop_at.reshape(-1, width).max(axis=1)  # a done lane's stop is in an earlier block
-    first = None
-    scalar = type(seq).derivatives is TermSequence.derivatives
-    if not finite and scalar and (orders[-1] > 0 or type(seq).term_grid is TermSequence.term_grid):
-        first = width  # one scalar call per sheet and order: start with as many sheets as orders
-    for lo, hi in doubling_blocks(seq.n_min, last + 1, orders[-1] + 1, first):
+    for lo, hi in doubling_blocks(seq.n_min, last + 1, orders[-1] + 1):
         if not len(live):
             break
         if furthest is not None:  # no sheet past the furthest stop is summed

@@ -292,6 +292,15 @@ def test_pik_eval_in_the_right_half_plane_diverges(runner, tmp_path):
     assert result.stderr == "error (NonConvergent): the pi_k series diverges at (0.05+0.05j): |P_N| grows like N**10\n"
 
 
+def test_a_pik_jet_past_sheet_170_ends_cleanly(runner, tmp_path):
+    # Sheet 171 once ended this jet with OutOfRegime: its derivatives formed 171! as a float.
+    payload = {"model": {"name": "zero_sum_pik"}, "jet": {"z0": [-0.3, 0], "order": 2}}
+    result = runner.invoke(main, ["jet", "--config", _write_config(tmp_path, payload)])
+    assert result.exit_code in (0, 1)
+    if result.exit_code == 1:
+        assert result.stderr.startswith("error (TolUnreachable): ")
+
+
 def test_a_laurent_circle_that_rounds_onto_its_centre_is_out_of_regime(runner, tmp_path):
     # 2 + R*cos(theta) rounds to 2 at R = sqrt(1.5)*1e-100; the window -2..3
     # stays finite and settles, with c_1 half of f'(2).

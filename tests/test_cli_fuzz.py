@@ -137,5 +137,9 @@ def test_eval_configs_at_extreme_points_end_cleanly(tmp_path_factory, model, poi
 @example(model=_MODELS[2], z0=[-1e-300, 0.0], order=1, cutoff=10_000)
 @example(model=_MODELS[2], z0=[-1e-320, 1e-300], order=1, cutoff=10_000)
 @example(model=_MODELS[2], z0=[-4.16e-301, 9.09e-301], order=1, cutoff=10_000)
+# pi_k derivative blocks where (1/z0)**i overflows, and where j*z0 does.
+@example(model=_MODELS[2], z0=[-1e-300, 0.0], order=4, cutoff=10_000)
+@example(model=_MODELS[2], z0=[-1e-5, 0.0], order=3, cutoff=10_000)
+@example(model=_MODELS[2], z0=[-1e308, 1.0], order=2, cutoff=10_000)
 def test_jet_configs_at_extreme_points_end_cleanly(tmp_path_factory, model, z0, order, cutoff):
     _run_at_points(tmp_path_factory, "jet", {"model": model, "jet": {"z0": z0, "order": order}}, cutoff)

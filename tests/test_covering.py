@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandro import (
+    AnnulusSpec,
     HypothesisViolated,
     OutOfRegime,
     MeanderModel,
@@ -14,9 +15,11 @@ from meandro import (
     ZeroSumGeneral,
     derivative_sum,
     evaluate_sum,
+    fiber_polar_sum,
     gevrey_fit,
     inclusion_check,
     induced_radii,
+    laurent_coefficients,
     pullback_model,
     taylor_jet,
 )
@@ -139,12 +142,29 @@ def test_pullback_chain_rule_exact(meander_tight):
     pb = pullback_model(meander_tight, 2)
     w, n = 0.4 + 0.1j, 3
     z = w * w
-    d = meander_tight.derivative
-    assert pb.derivative(n, 1, w) == pytest.approx(d(n, 1, z) * 2 * w)
-    assert pb.derivative(n, 2, w) == pytest.approx(d(n, 2, z) * (2 * w) ** 2 + d(n, 1, z) * 2)
+    d = lambda seq, n, k, z: seq.derivatives(np.array([n]), k, z)[k, 0]
+    assert d(pb, n, 1, w) == pytest.approx(d(meander_tight, n, 1, z) * 2 * w)
+    assert d(pb, n, 2, w) == pytest.approx(d(meander_tight, n, 2, z) * (2 * w) ** 2 + d(meander_tight, n, 1, z) * 2)
     pb3 = pullback_model(meander_tight, 3)
-    expect = d(n, 2, w**3) * (3 * w**2) ** 2 + d(n, 1, w**3) * 6 * w
-    assert pb3.derivative(n, 2, w) == pytest.approx(expect)
+    expect = d(meander_tight, n, 2, w**3) * (3 * w**2) ** 2 + d(meander_tight, n, 1, w**3) * 6 * w
+    assert d(pb3, n, 2, w) == pytest.approx(expect)
+
+
+def test_pullback_residues_and_fiber_sums():
+    # A preimage a of a base pole is a simple pole: the base residue over beta * a**(beta-1).
+    pb = pullback_model(MeanderModel(0.5, c=0.1), 2)
+    a, w = -1j / 5**0.5, 0.3 + 0.2j
+    laurent = laurent_coefficients(lambda ws: pb.term_array(5, ws), AnnulusSpec(a, 0.01, 1.5), k_min=-2, k_max=2)
+    assert pb.residue(5, a) == pytest.approx(laurent.coefficient(-1), rel=1e-10)
+    res = fiber_polar_sum(pb, a, w)  # sheet 5 alone holds a
+    assert res.terms_used == 5 and res.tail_bound == 0.0
+    assert res.value == pytest.approx(pb.residue(5, a) / (w - a), rel=1e-14)
+    # Every sheet of the q-log holds the root 1, the preimage of 1 under w -> w**2.
+    pq = pullback_model(QLogModel(0.5), 2)
+    res = fiber_polar_sum(pq, 1.0 + 0j, 2.0 + 0j, tol=1e-12)
+    brute = sum(pq.residue(n, 1.0 + 0j) / (2.0 - 1.0) for n in range(1, 3001))
+    assert abs(res.value - brute) <= res.tail_bound + 1e-15
+    assert brute == pytest.approx(math.log(2.0) / 2.0, rel=1e-14)
 
 
 def test_pullback_jet_spreads_coefficients(meander_tight):

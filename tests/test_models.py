@@ -87,7 +87,8 @@ def test_meander_derivative_closed_form():
     m = MeanderModel(0.4, c=0.1, alpha=2.0, lam=1.5)
     z, n, k = 0.2 + 0.1j, 3, 4
     expect = 0.4**n * (-n) ** k * math.factorial(k) / (1 + n * z) ** (k + 1)
-    assert m.derivative(n, k, z) == expect
+    # Row k of the block is row k-1 times -k*n/(1 + n*z): a few roundings from the closed form.
+    assert m.derivatives(np.array([n]), k, z)[k, 0] == pytest.approx(expect, rel=1e-14, abs=0.0)
 
 
 def test_meander_rejects_large_x():
@@ -117,7 +118,7 @@ def test_qlog_derivative_matches_difference(qlog_half):
     z, n = 0.4 + 0.1j, 5
     h = 1e-6
     fd = (qlog_half.term(n, z + h) - qlog_half.term(n, z - h)) / (2 * h)
-    assert qlog_half.derivative(n, 1, z) == pytest.approx(fd, rel=1e-8)
+    assert qlog_half.derivatives(np.array([n]), 1, z)[1, 0] == pytest.approx(fd, rel=1e-8)
 
 
 def test_qlog_residues(qlog_half):
@@ -163,17 +164,49 @@ def test_pik_jet_is_one(meander_half):
     assert np.all(jet.coefficients[1:] == 0.0)
 
 
-@pytest.mark.parametrize("z", [0.013 + 0j, 0.03j, -0.2 + 0.05j, 0.3 + 0.4j])
+def test_pik_jet_off_the_origin_is_one():
+    # The sum is 1 about every point of the open left half-plane; sheet 170 once ended this jet.
+    jet = taylor_jet(ZeroSumPiK(), -0.1 + 0.05j, 6)
+    for k, (a, tail) in enumerate(zip(jet.coefficients, jet.coefficient_tails)):
+        assert abs(a - (k == 0)) <= tail, k
+
+
+def _pik_jets(z: complex, sheets: int, order: int) -> list[list[complex]]:
+    """k! times the Taylor coefficients of t_n(z + t), k <= order, n = 0..sheets, in 50-digit power series."""
+    jets = []
+    with mpmath.workdps(50):
+        z = mpmath.mpc(z)
+        c = [1 / (1 - z) ** (k + 1) for k in range(order + 1)]  # t_0 = 1/(1 - z - t)
+        for n in range(sheets + 1):
+            if n:  # t_n = t_{n-1} * -n*(z + t) / (1 - (n+1)*z - (n+1)*t)
+                c = [-n * (z * c[k] + (c[k - 1] if k else 0)) for k in range(order + 1)]
+                for k in range(order + 1):
+                    c[k] = (c[k] + (n + 1) * (c[k - 1] if k else 0)) / (1 - (n + 1) * z)
+            jets.append([complex(mpmath.factorial(k) * c[k]) for k in range(order + 1)])
+    return jets
+
+
+@pytest.mark.parametrize(
+    "z",
+    [0.013 + 0j, 0.03j, -0.2 + 0.05j, 0.3 + 0.4j, -0.3 + 0j, -0.45 + 0j, -0.1 + 0.05j, -0.013 + 0j, -0.001 + 0.001j,
+     -1e-5 + 0j],
+)
 def test_pik_derivatives_off_the_origin_match_mpmath(z):
-    seq = ZeroSumPiK()
-    for n in range(31):
+    # Past sheet 170 n! overflows a float; the block forms none.
+    got = ZeroSumPiK().derivatives(np.arange(301), 10, z)
+    want = _pik_jets(z, 300, 10)
+    for n in (0, 1, 30, 171, 300):  # the power series against mpmath's numerical derivatives
         with mpmath.workdps(50):
             def term(t):
                 return (-1) ** n * mpmath.factorial(n) * t**n / mpmath.fprod(1 - j * t for j in range(1, n + 2))
 
-            want = [complex(mpmath.diff(term, mpmath.mpc(z), q)) for q in range(9)]
-        for q in range(9):
-            assert seq.derivative(n, q, z) == pytest.approx(want[q], rel=1e-7, abs=0.0), (n, q)
+            diffs = [complex(d) for d in mpmath.diffs(term, mpmath.mpc(z), 10)]
+        assert all(abs(d - w) <= 1e-14 * abs(w) for d, w in zip(diffs, want[n])), n
+    for n in range(301):
+        # Where t_n(z) is below the normal range, so are the terms of its block sums.
+        floor = 0.0 if abs(want[n][0]) >= 2.0**-1022 else 1e-306
+        for k in range(11):
+            assert abs(got[k, n] - want[n][k]) <= 1e-10 * abs(want[n][k]) + floor, (n, k)
 
 
 def test_zero_sum_coefficient_seeds():

@@ -124,7 +124,7 @@ def test_terms_in_product_form_match_mpmath_past_sheet_170(z):
 
 @pytest.mark.parametrize("sheets", [1, 2, 3, 64, 300])
 def test_term_grid_rows_are_order_zero_derivatives_bit_for_bit(sheets):
-    # The default derivatives take the scalar term sheet by sheet.
+    # Row 0 of the derivatives is the point's own term_grid row; 0j takes the exact-integer form.
     seq = ZeroSumPiK()
     rng = np.random.default_rng(sheets)
     for start in rng.integers(0, 300, size=3).tolist():

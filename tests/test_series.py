@@ -16,14 +16,16 @@ from meandro import (
     OutOfRegime,
     PoleProximity,
     QLogModel,
+    TermSequence,
     ZeroSumGeneral,
     ZeroSumPiK,
     derivative_sum,
     evaluate_sum,
+    evaluate_sums,
     taylor_jet,
 )
 from meandro import geometry, models, series, tails
-from meandro.covering import pullback_model
+from meandro.covering import _bell_row, pullback_model
 from meandro.geometry import DiophantineRadius, Disc, MeanderPoles, Perforation
 
 
@@ -340,6 +342,35 @@ def _block_families():
     }
 
 
+def _meander_derivative(seq, n, k, z):
+    return seq.x**n * (-n) ** k * math.factorial(k) / (1.0 + n * z) ** (k + 1)
+
+
+def _qlog_derivative(seq, n, k, z):
+    if k == 0:
+        return seq.x**n / (z**n - 1.0)
+    roots = seq.perforation.poles_on_sheet(n)
+    parts = roots / (z - roots) ** (k + 1)
+    return seq.x**n / n * (-1.0) ** k * math.factorial(k) * complex(parts.sum())
+
+
+def _scalar_derivative(seq, n, k, z):
+    """Reference scalar formulas: the closed forms, the fiber sum and the chain rule over them."""
+    if isinstance(seq, MeanderModel):
+        return _meander_derivative(seq, n, k, z)
+    if isinstance(seq, QLogModel):
+        return _qlog_derivative(seq, n, k, z)
+    if k == 0:
+        return _scalar_derivative(seq.base, n, 0, seq.center + z**seq.beta)
+    if z == 0 and seq.beta > 1:  # F^(k)(0) = f^(j)(center) * k!/j! when k = j*beta, else 0
+        j = k // seq.beta
+        return 0j if k % seq.beta else _scalar_derivative(seq.base, n, j, seq.center) * math.factorial(k) / math.factorial(j)
+    xs = [math.perm(seq.beta, i) * z ** (seq.beta - i) if i <= seq.beta else 0j for i in range(1, k + 1)]
+    bells = _bell_row(k, xs)
+    image = seq.center + z**seq.beta
+    return sum(_scalar_derivative(seq.base, n, j, image) * bells[j] for j in range(1, k + 1))
+
+
 @pytest.mark.parametrize("family", list(_block_families()))
 @settings(max_examples=12, deadline=None)
 @given(
@@ -359,7 +390,7 @@ def test_block_derivatives_match_scalar(family, z, count, m):
     block = seq.derivatives(ns, m, z)
     assert block.shape == (m + 1, len(ns))
     for k in range(m + 1):
-        scalar = np.array([seq.derivative(int(n), k, z) for n in ns])
+        scalar = np.array([_scalar_derivative(seq, int(n), k, z) for n in ns])
         largest = float(np.max(np.abs(scalar)))
         assert np.max(np.abs(block[k] - scalar)) <= 1e-12 * largest
 
@@ -375,18 +406,38 @@ def test_one_pass_jet_matches_per_order_sums(meander_half, qlog_half):
             assert abs(res.value - alone.value) <= res.tail_bound
 
 
-def test_jet_honours_an_overridden_scalar_derivative():
-    # A certified subclass that redefines the scalar derivative must not be
-    # bypassed by the inherited numpy block formula.
+def test_the_block_methods_are_the_whole_term_interface():
+    # A certified subclass that redefines the block methods is honoured by
+    # jets and by batched sums.
     class Doubled(MeanderModel):
-        def derivative(self, n, k, z):
-            return 2.0 * super().derivative(n, k, z)
+        def derivatives(self, ns, m, z):
+            return 2.0 * super().derivatives(ns, m, z)
+
+        def term_grid(self, ns, zs):
+            return 2.0 * super().term_grid(ns, zs)
 
     jet = taylor_jet(Doubled(0.5), 0.1, 4)
     reference = taylor_jet(MeanderModel(0.5), 0.1, 4)
     assert jet.certified
     for got, want in zip(jet.coefficients, reference.coefficients):
         assert got == pytest.approx(2.0 * want, rel=1e-9)
+    zs = [0.1, 0.3 + 0.2j]
+    for got, want in zip(evaluate_sums(Doubled(0.5), zs), evaluate_sums(MeanderModel(0.5), zs)):
+        assert got.value == pytest.approx(2.0 * want.value, rel=1e-9)
+
+    # Without both block methods a family cannot be made.
+    class PerSheet(TermSequence):
+        def term_grid(self, ns, zs):
+            return np.ones((len(zs), len(ns)), dtype=complex)
+
+    class PerPoint(TermSequence):
+        def derivatives(self, ns, m, z):
+            return np.ones((m + 1, len(ns)), dtype=complex)
+
+    with pytest.raises(TypeError, match="derivatives"):
+        PerSheet()
+    with pytest.raises(TypeError, match="term_grid"):
+        PerPoint()
 
 
 def test_overflowing_jet_raises_out_of_regime():
@@ -471,22 +522,6 @@ def test_certified_skip_stops_where_the_sheet_by_sheet_rule_stops(monkeypatch, m
         assert (got.terms_used, got.tail_bound, got.value) == (
             want.terms_used, want.tail_bound, want.value
         )
-
-
-def test_scalar_derivative_jet_stops_computing_near_its_stops(monkeypatch):
-    # ZeroSumPiK has only the scalar derivative.  Its order-12 jet at 0 stops
-    # order k at sheet k, so the first block holds 13 sheets, not 64.
-    calls = []
-    scalar = ZeroSumPiK.derivative
-
-    def counted(self, n, k, z):
-        calls.append((n, k))
-        return scalar(self, n, k, z)
-
-    monkeypatch.setattr(ZeroSumPiK, "derivative", counted)
-    jet = taylor_jet(ZeroSumPiK(), 0j, 12)
-    assert jet.coefficients.tolist() == [1.0] + [0.0] * 12
-    assert max(n for n, _ in calls) == 12 and len(calls) == 13 * 13
 
 
 def test_clearance_slack_near_the_float_range_raises_no_warning():
