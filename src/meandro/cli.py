@@ -365,7 +365,7 @@ def _command(name: str, *reads: str):
 
 @_command("eval", "model", "tol", "cutoff")
 def cmd_eval(config, model, tol, cutoff):
-    """Evaluate the model sum on a point grid or along a ray."""
+    """Evaluate the model sum on a point grid or along a ray; tail_bound adds the sum's rounding to its tail."""
     section = config.get("eval", {})
     rows: list[list] = []
     flagged = 0
@@ -394,21 +394,18 @@ def cmd_eval(config, model, tol, cutoff):
         elif isinstance(res, MeandroError):
             raise res
         else:
-            rows.append([z.real, z.imag, res.value.real, res.value.imag, res.tail_bound, res.terms_used, "ok"])
+            rows.append([z.real, z.imag, res.value.real, res.value.imag, res.error_bound, res.terms_used, "ok"])
     header = ["z_re", "z_im", "S_re", "S_im", "tail_bound", "terms_used", "status"]
     return header, rows, 3 if flagged else 0
 
 
 @_command("jet", "model", "tol", "cutoff")
 def cmd_jet(config, model, tol, cutoff):
-    """Taylor coefficients of the sum at a point."""
+    """Taylor coefficients of the sum at a point; tail_bound adds each one's rounding to its tail."""
     section = _section(config, "jet")
     z0 = _as_complex(section.get("z0", 0.0))
     jet = taylor_jet(model, z0, section["order"], rel_tol=tol, max_terms=cutoff)
-    rows = [
-        [k, jet.coefficients[k].real, jet.coefficients[k].imag, float(jet.coefficient_tails[k])]
-        for k in range(jet.order + 1)
-    ]
+    rows = [[k, a.real, a.imag, bound] for k, (a, bound) in enumerate(zip(jet.coefficients, jet.coefficient_bounds))]
     return ["k", "a_re", "a_im", "tail_bound"], rows, 0
 
 

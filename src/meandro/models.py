@@ -289,6 +289,10 @@ class ZeroSumPiK(TermSequence):
         self.perforation = Perforation(
             ReciprocalPoles(), DiophantineRadius(c, alpha, lam, shift=1)
         )
+        # Per point, the last product (n, P_n) of ``term_grid`` and running sums (n, [C_1(n), ..., C_m(n)])
+        # of ``derivatives``, which a later block of sheets extends rather than rebuilds from sheet 1.
+        self._products: dict[complex, tuple[int, complex]] = {}
+        self._sums: dict[complex, tuple[int, list]] = {}
 
     def tail_policy(self, z0: complex, m: int):
         """``tails._RemainderTails`` at z0, or the error that refuses z0.
@@ -312,14 +316,22 @@ class ZeroSumPiK(TermSequence):
         # quotient, whose bits do not depend on the array's length; the
         # running product P_n is taken in Python, as numpy's complex cumprod
         # may round a prefix apart from the same product over a shorter array.
-        top = int(ns.max())
-        js, w = np.arange(1.0, top + 2.0), np.empty(top + 1, dtype=complex)
+        # It goes on from the point's last product where that is not past
+        # the block's first sheet, with the same multiplications.
+        first, top = int(ns.min()), int(ns.max())
         out = np.empty((len(zs), len(ns)), dtype=complex)
         for row, z in zip(out, zs):
             z = complex(z)
-            w.real, w.imag = js * z.real, js * z.imag  # w[j - 1] = j*z
-            products = [1.0 + 0j, *itertools.accumulate((-w[:top] / (1.0 - w[:top])).tolist(), operator.mul)]
-            row[:] = np.array(products)[ns] / (1.0 - w[ns])
+            start, last = self._products.get(z, (0, None))
+            if start > first:
+                start, last = 0, None
+            w = _multiples(z, start + 1, top + 1)  # w[j - start - 1] = j*z
+            factors = (-w[: top - start] / (1.0 - w[: top - start])).tolist()
+            products = list(itertools.accumulate(factors, operator.mul, initial=last))  # P_start on
+            if last is None:
+                products.insert(0, 1.0 + 0j)
+            self._products[z] = (top, products[-1])
+            row[:] = np.array(products)[ns - start] / (1.0 - w[ns - start])
         return out
 
     def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
@@ -341,16 +353,12 @@ class ZeroSumPiK(TermSequence):
                     except OverflowError:
                         out[k, col] = math.inf
             return out
-        top = int(ns.max())
-        js, w = np.arange(1.0, top + 2.0), np.empty(top + 1, dtype=complex)
-        w.real, w.imag = js * z.real, js * z.imag
-        q = 1.0 / (1.0 - w)  # q[j - 1] = 1/(1 - j*z)
-        r = js * q
         kfac = [float(math.factorial(k)) for k in range(m + 1)]
         late = ns >= max(1.0 / _modulus(z), 1.0)  # n*|z| >= 1
         if not late.all():
             near = ns[~late]
             last = int(near.max())
+            q, r = _steps(z, 1, last + 1)  # q[j - 1] = 1/(1 - j*z), r[j - 1] = r_j
             h = np.ones(last + 1, dtype=complex)  # H_k(n + 1) at index n
             hs = [h[near]]
             for _ in range(m):
@@ -367,17 +375,41 @@ class ZeroSumPiK(TermSequence):
             for k in range(1, m + 1):
                 out[k, ~late] = kfac[k] * sum(a[i] * hs[k - i] for i in range(min(k, len(a) - 1) + 1))
         if late.any():
+            # C_i(n), the sum over j <= n of d_j * spread, goes on from the
+            # point's last sums where they are not past the first late sheet.
             far = ns[late]
             last = int(far.max())
-            s, d, spread, p = -1.0 / z, q[:last] / z, np.ones(last, dtype=complex), [None]  # d[j - 1] = r_j - s
+            start, carried = self._sums.get(z, (0, []))
+            if start > int(far.min()) or len(carried) < m:
+                start, carried = 0, []
+            q, r = _steps(z, start + 1, last + 1)  # q[j - start - 1] = 1/(1 - j*z), r[j - start - 1] = r_j
+            # d[j - start - 1] = r_j - s, and sums[n - off] = C_i(n) below.
+            s, d, spread, p, ends = -1.0 / z, q[: last - start] / z, np.ones(last - start, dtype=complex), [None], []
+            off = start if carried else 1
             for i in range(1, m + 1):  # spread = sum_a r_j**a * s**(i-1-a)
-                p.append(np.cumsum(d * spread)[far - 1] + r[far] ** i)
-                spread = s * spread + r[:last] ** i
+                sums = np.cumsum(np.concatenate((carried[i - 1 : i], d * spread)))
+                p.append(sums[far - off] + r[far - start] ** i)
+                ends.append(complex(sums[-1]))
+                spread = s * spread + r[: last - start] ** i
+            self._sums[z] = (last, ends)
             c = [1.0]
             for k in range(1, m + 1):
                 c.append(sum(p[i] * c[k - i] for i in range(1, k + 1)) / k)
                 out[k, late] = out[0, late] * c[k] * kfac[k]
         return out
+
+
+def _multiples(z: complex, first: int, last: int) -> np.ndarray:
+    """j*z for j = first..last, each part a float product."""
+    js, w = np.arange(float(first), last + 1.0), np.empty(last - first + 1, dtype=complex)
+    w.real, w.imag = js * z.real, js * z.imag
+    return w
+
+
+def _steps(z: complex, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+    """q_j = 1/(1 - j*z) and r_j = j*q_j for j = first..last."""
+    q = 1.0 / (1.0 - _multiples(z, first, last))
+    return q, np.arange(float(first), last + 1.0) * q
 
 
 def zero_sum_coefficients(c, poles: Sequence, n: int) -> list:
@@ -434,7 +466,8 @@ class ZeroSumGeneral(TermSequence):
     def _derivative(self, n: int, q: int, z: complex) -> complex:
         """The q-th derivative of the sheet-n term, or inf where it raises.
 
-        It is Python complex arithmetic, whose quotients the ``zero-sum`` golden values pin: numpy's round apart.
+        It is Python complex arithmetic, whose quotients the ``zero-sum`` golden values pin: numpy's round apart,
+        so the block methods take each point as a Python complex.
         """
         try:
             if q == 0:
@@ -449,10 +482,11 @@ class ZeroSumGeneral(TermSequence):
             return math.inf
 
     def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
-        rows = [[self._derivative(n, 0, z) for n in ns.tolist()] for z in zs]
+        rows = [[self._derivative(n, 0, complex(z)) for n in ns.tolist()] for z in zs]
         return np.array(rows, dtype=complex).reshape(len(zs), len(ns))
 
     def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        z = complex(z)
         rows = [[self._derivative(n, k, z) for n in ns.tolist()] for k in range(m + 1)]
         return np.array(rows, dtype=complex).reshape(m + 1, len(ns))
 

@@ -23,14 +23,12 @@ lane (running sum, whether it has stopped, its stopping sheet and tail) and
 by point (ended, cleared), so a group's bookkeeping is mask and index
 arithmetic: finiteness, running sums, tolerances, stops, the pole-clearance
 shortlist of ``first_blocked_all`` (a numpy sweep of the family's
-``poles_table`` where it has one), the exact sums of the terms each lane
-keeps and their compensated accumulation; errors, which are rare, are the
-only Python objects.  The exact sums are ``math.fsum``'s, bit for bit:
-``_exact_sums`` splits each row at a power of two (Rump, Ogita and Oishi's
-ExtractVector), adds the parts in numpy, and proves from an error bound
-that the result is correctly rounded; a row it cannot prove (a near-tie,
-heavy cancellation, overflow) and a group of fewer than ``_FSUM_BELOW``
-values go to fsum.  In a pass whose last sheet has a float radius, a point
+``poles_table`` where it has one), numpy's pairwise sums of the terms
+each lane keeps, with a bound on their rounding, and their compensated
+accumulation; errors, which are rare, are the only Python objects.  The
+order of a pairwise sum depends on the length of the row alone, so a row
+is padded with zeros only up to the longest kept row of its own point
+(``_block_sums``).  In a pass whose last sheet has a float radius, a point
 stops being checked for clearance once the tail bounds of its poles and
 radii clear it of every later disc, or, at an accumulation point of the
 poles, their distance power law clears it of every disc up to the last
@@ -87,6 +85,7 @@ do not depend on which of the two the engine calls; ``term`` and
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,16 +99,6 @@ from .tails import DecayCert, _CertifiedTails, _FiniteTails
 _MAX_JET_ORDER = 170
 #: Absolute tolerance of each jet coefficient a_k, below its relative one.
 _JET_ABS_TOL = 1e-300
-
-
-#: Below this many values, ``_exact_sums`` adds each row with ``math.fsum``,
-#: which is the faster route there.
-_FSUM_BELOW = 2000
-#: Most floats in one column tile of ``_exact_sums``: temporaries much larger
-#: than this run several times slower per value.
-_TILE_VALUES = 16_384
-#: 4u, with u = 2**-53 the unit roundoff.
-_FOUR_U = 2.0**-51
 
 
 class CompensatedSum:
@@ -147,93 +136,6 @@ def _neumaier_step(s: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndar
     """``CompensatedSum._step`` on arrays: the same IEEE operations, so the same bits."""
     t = s + x
     return t, c + np.where(np.abs(s) >= np.abs(x), (s - t) + x, (x - t) + s)
-
-
-def _fsum(row: np.ndarray) -> float:
-    """math.fsum of the row, or NaN where it overflows."""
-    try:
-        return math.fsum(row.tolist())
-    except OverflowError:
-        return math.nan
-
-
-def _exact_sums(x: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """``math.fsum(x[i, :lens[i]])`` for every row i, bit for bit, with NaN where fsum overflows.
-
-    Each row's first lens[i] >= 1 values are finite; nothing past them is
-    read as a value, and on the numpy route they are overwritten with 0 (so
-    x must be a copy the caller can spare).  Below ``_FSUM_BELOW`` values in
-    all, every row goes to fsum.  Otherwise a row of n values of largest
-    magnitude m is summed in numpy (Rump, Ogita and Oishi's ExtractVector,
-    "Accurate floating-point summation, Part I", SIAM J. Sci. Comput. 31(1),
-    2008), in column tiles of at most ``_TILE_VALUES`` floats.  With u =
-    2**-53, fl() round to nearest and eta = 2**-1074 the least float:
-
-    * sigma = 2**M, taken from the exponent of fl(2*n*m), exceeds 2*n*m:
-      rounding cannot carry 2*n*m past the power of two above fl(2*n*m).
-    * |x| < sigma/2, so fl(sigma + x) lies in [sigma/2, 2*sigma] and
-      q = fl(sigma + x) - sigma is exact (Sterbenz): a multiple of the
-      spacing g >= u*sigma of the floats in [sigma/2, sigma].  r = x - q is
-      the rounding error of sigma + x, so it is a float and fl(x - q) = r
-      (Dekker), with |r| <= u*sigma.
-    * Every partial sum of the q has magnitude at most n*m + n*u*sigma <
-      sigma, and is a multiple of g: a float.  So p = sum q is exact in any
-      order, numpy's and the tiles' included.
-    * s = fl(sum r), in any order, is within gamma*sum|r| of sum r, with
-      gamma = (n-1)u/(1 - (n-1)u) (Higham, Accuracy and Stability of
-      Numerical Algorithms, ch. 4); an addition with a subnormal result is
-      exact, so underflow adds nothing.  S = fl(sum|r|) >= (1 - gamma)
-      sum|r|, so the error is at most 2nu*S, and B = fl(4nu*S) bounds it:
-      where the product is subnormal, either B >= 2nu*S still, or 2nu*S <
-      eta/2 and the error, a multiple of eta, is 0.
-    * t = fl(p + s) and its TwoSum residual delta give sum x = t + delta + e
-      with |e| <= B.  fsum returns sum x rounded to nearest (ties to even),
-      which is t when sum x lies strictly inside t's rounding interval, half
-      a gap each way to the neighbouring floats: fl(delta + B) < fl(up/2)
-      and fl(delta - B) > -fl(down/2), sound since rounding is monotone and
-      fl(gap/2) <= gap/2.  |t| < sigma <= 2**1023, so both neighbours are
-      finite.
-    * t = delta = B = 0 is an exact 0, and fsum gives +0.0 for it.
-
-    Every other row goes to fsum: near-ties, heavy cancellation, overflow
-    and a non-finite sigma.
-    """
-    counts = lens.tolist()
-    rows, cols = len(counts), max(counts)
-    if sum(counts) < _FSUM_BELOW:
-        return np.array([_fsum(row[:k]) for row, k in zip(x, counts)], dtype=float)
-    x, width, ragged = x[:, :cols], max(1, _TILE_VALUES // rows), min(counts) < cols
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = np.zeros(rows)
-        for c0 in range(0, cols, width):
-            part = x[:, c0 : c0 + width]
-            if ragged:  # each row's tail is zeroed once, a tile at a time
-                np.copyto(part, 0.0, where=np.arange(c0, c0 + part.shape[1]) >= lens[:, None])
-            m = np.maximum(m, np.maximum(part.max(axis=1), -part.min(axis=1)))
-        big = 2.0 * lens * m
-        sigma = np.ldexp(1.0, np.frexp(big)[1])[:, None]
-        p = s = S = 0.0
-        for c0 in range(0, cols, width):
-            part = x[:, c0 : c0 + width]
-            q = (sigma + part) - sigma
-            r = part - q
-            p = p + q.sum(axis=1)
-            s = s + r.sum(axis=1)
-            S = S + np.abs(r).sum(axis=1)
-        t = p + s
-        bv = t - p
-        delta = (p - (t - bv)) + (s - bv)
-        bound = (_FOUR_U * lens) * S
-        up = (np.nextafter(t, math.inf) - t) / 2.0
-        down = (t - np.nextafter(t, -math.inf)) / 2.0
-        ok = (delta + bound < up) & (delta - bound > -down) & np.isfinite(big)
-        if ok.all():
-            return t
-        zero = (t == 0.0) & (delta == 0.0) & (bound == 0.0) & np.isfinite(big)
-    out = np.where(zero, 0.0, t)
-    for i in np.flatnonzero(~(ok | zero)).tolist():
-        out[i] = _fsum(x[i, : counts[i]])
-    return out
 
 
 class TermSequence(abc.ABC):
@@ -291,33 +193,56 @@ class TermSequence(abc.ABC):
     def residue(self, n: int, pole: complex) -> complex:
         raise NotImplementedError("this sequence does not expose closed-form residues")
 
-    def term_array(self, n: int, zs: np.ndarray) -> np.ndarray:
-        """Vectorised term evaluation; subclasses override with numpy code."""
-        return np.array([self.term(n, complex(z)) for z in zs])
+
+def _upper_sum(a: float, b: float) -> float:
+    """a + b rounded up: fl(a + b), or the next float above it where it rounded down (TwoSum)."""
+    s = a + b
+    bv = s - a
+    return math.nextafter(s, math.inf) if (a - (s - bv)) + (b - bv) > 0.0 else s
 
 
 @dataclass(frozen=True)
 class SumResult:
+    """A sum over sheets, its last sheet and two bounds on its error.
+
+    ``tail_bound`` bounds the terms left out, and it alone decides the stop.
+    ``rounding`` bounds the error of adding the kept terms, as the family
+    computes them, in floating point.  ``error_bound``, their sum rounded
+    up, bounds |value - S|, S the sum of the series of those terms.
+    """
+
     value: complex
     terms_used: int
     tail_bound: float
+    rounding: float = 0.0
+
+    @property
+    def error_bound(self) -> float:
+        return _upper_sum(self.tail_bound, self.rounding)
 
 
 @dataclass(frozen=True)
 class TaylorJet:
-    """Taylor coefficients of the sum and the tail bound of each.
+    """Taylor coefficients of the sum and two bounds on the error of each.
 
-    coefficients[k] = S(f^{(k)})(z0)/k! for k = 0..order.  ``certified``
-    says that a decay certificate over a Diophantine radius backs the tails;
-    a finite family's tails are exact and the pi_k family's come from its
-    remainder, though the flag is False for both.
+    coefficients[k] = S(f^{(k)})(z0)/k! for k = 0..order, with the tail and
+    the rounding (that of the division included) over k! of the order-k sum
+    (see ``SumResult``).  ``certified`` says that a decay certificate over a
+    Diophantine radius backs the tails; a finite family's tails are exact
+    and the pi_k family's come from its remainder, though the flag is False
+    for both.
     """
 
     center: complex
     coefficients: np.ndarray
     coefficient_tails: np.ndarray
+    coefficient_rounding: np.ndarray
     order: int
     certified: bool = True
+
+    @property
+    def coefficient_bounds(self) -> list[float]:
+        return [_upper_sum(t, r) for t, r in zip(self.coefficient_tails.tolist(), self.coefficient_rounding.tolist())]
 
     def polynomial(self, z: complex, terms: int | None = None) -> complex:
         """Evaluate sum_{k<terms} a_k (z - center)**k (default: all stored)."""
@@ -517,21 +442,52 @@ def _index(rows: np.ndarray) -> slice | np.ndarray:
     return slice(first, last + 1) if last - first == len(rows) - 1 else rows
 
 
-def _block_sums(terms: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Exact sums of terms[i, :lens[i]], one (real, imag) row each.
+@functools.lru_cache(maxsize=1024)
+def _depth(n: int) -> int:
+    """The most roundings on one value's path through numpy's pairwise sum of n values.
 
-    Both parts go to ``_exact_sums`` as the rows of one contiguous copy, the
-    summation axis last.  Where no term has an imaginary part the imaginary
-    sums are +0.0, which fsum gives for them as well.
+    numpy's ``pairwise_sum`` (``loops_utils.h.src``) adds fewer than 8 values
+    one by one onto 0; up to 128, 8 accumulators take the first n - n % 8,
+    a tree of depth 3 adds them, and the rest come one by one; above 128 it
+    adds the sums of two parts split at a multiple of 8 near n/2.
     """
-    kept = terms[:, : int(lens.max())]
-    if not kept.imag.any():
-        out = np.zeros((len(kept), 2))
-        out[:, 0] = _exact_sums(kept.real.copy(), lens)
-        return out
-    x = np.empty((len(kept), 2, kept.shape[1]))
-    x[:, 0], x[:, 1] = kept.real, kept.imag
-    return _exact_sums(x.reshape(2 * len(kept), -1), lens.repeat(2)).reshape(-1, 2)
+    if n < 8:
+        return max(n - 1, 0)
+    if n <= 128:
+        return n // 8 + 2 + n % 8
+    half = n // 2 - n // 2 % 8
+    return 1 + max(_depth(half), _depth(n - half))
+
+
+def _block_sums(terms: np.ndarray, lens: np.ndarray, owners: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's pairwise sums of terms[i, :lens[i]], one (real, imag) row each, and a bound on their rounding.
+
+    Row i is padded with zeros, written over its later entries in ``terms``,
+    up to the longest kept row of its point owners[i] (ascending; None where
+    each row is a point), and rows of one padded length L are reduced
+    together, so a row's bits depend on its point alone.  The rounding of a
+    sum of L values is at most gamma_d*(sum |Re t| + sum |Im t|), gamma_d =
+    d*u/(1 - d*u), d = ``_depth(L)``, u = 2**-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4); the second array holds d*(sum
+    |Re t| + sum |Im t|) a row.  A sum past the float range is inf or NaN;
+    the caller ignores numpy's warnings of it.
+    """
+    pad = lens
+    if owners is not None and owners[0] == owners[-1]:  # one point
+        pad = np.full(len(lens), lens.max())
+    elif owners is not None:
+        starts = np.flatnonzero(np.diff(owners, prepend=-1))
+        pad = np.repeat(np.maximum.reduceat(lens, starts), np.diff(starts, append=len(owners)))
+    sums, weights = np.empty((len(lens), 2)), np.empty(len(lens))
+    lo, hi = int(pad.min()), int(pad.max())
+    for size in [hi] if lo == hi else np.unique(pad).tolist():
+        rows = slice(None) if lo == hi else _index(np.flatnonzero(pad == size))
+        kept = terms[rows, :size]
+        if owners is not None and (lens[rows] < size).any():
+            np.copyto(kept, 0.0, where=np.arange(size) >= lens[rows, None])
+        sums[rows, 0], sums[rows, 1] = np.add.reduce(kept.real, 1), np.add.reduce(kept.imag, 1)
+        weights[rows] = _depth(size) * (np.add.reduce(np.abs(kept.real), 1) + np.add.reduce(np.abs(kept.imag), 1))
+    return sums, weights
 
 
 def _first_blocked(perf: Perforation, ns: np.ndarray, z: complex, end: int):
@@ -581,10 +537,15 @@ def _sum_derivative_series(
     block sum past the float range (OutOfRegime) ends it after the block,
     and running out of sheets ends it with TolUnreachable.
 
-    Each lane's kept terms of a block are added exactly, as ``math.fsum``
-    would add them (``_exact_sums``), and the block sums are accumulated
-    with Neumaier's compensation, in two (lanes, 2) arrays that one
-    ``_neumaier_step`` updates a group at a time.
+    Each lane's kept terms of a block are added by ``_block_sums``, and the
+    block sums are accumulated with Neumaier's compensation, in two (lanes,
+    2) arrays that one ``_neumaier_step`` updates a group at a time.  A
+    step's new sum s and the error e of s + x are exact (Fast2Sum), and
+    adding e into the compensation c rounds by at most u|c| (Higham, ch.
+    4.3).  So a lane's rounding is u*W + |r|_1, raised by 2**-30 (for
+    gamma_d/(d*u) and the rounding of W, under 2**22 blocks) and rounded up:
+    W sums the blocks' ``_block_sums`` weights and |c|_1 after each step, r
+    is the error of v = fl(s + c) (TwoSum), and |x|_1 = |Re x| + |Im x|.
     """
     width = len(orders)
     tails = [seq.tail_policy(z, orders[-1]) for z in zs]
@@ -600,8 +561,8 @@ def _sum_derivative_series(
     lane_k, (lane_abs, lane_floor) = np.empty(n_lanes, dtype=np.int64), np.empty((2, n_lanes))
     for lane_value, value in ((lane_k, orders), (lane_abs, abs_tol), (lane_floor, floor)):
         lane_value.reshape(-1, width)[:] = value
-    # Neumaier running sums and compensations, (real, imag) a lane.
-    acc_s, acc_c = np.zeros((2, n_lanes, 2))
+    # Neumaier running sums and compensations, (real, imag) a lane, and W of each lane's rounding.
+    (acc_s, acc_c), acc_w = np.zeros((2, n_lanes, 2)), np.zeros(n_lanes)
     # Whether each lane has stopped, and its stopping sheet and tail once it has.
     done, stop_n, stop_tail = np.zeros(n_lanes, dtype=bool), np.zeros(n_lanes, dtype=np.int64), np.zeros(n_lanes)
     last = seq.n_min + max_terms - 1
@@ -670,9 +631,11 @@ def _sum_derivative_series(
             if not len(rows):
                 return
             lanes = ids[rows]
-        sums = _block_sums(g.terms[rows], reach[rows] + 1)
-        acc_s[lanes], acc_c[lanes] = _neumaier_step(acc_s[lanes], acc_c[lanes], sums)
-        if not np.isfinite(sums).all():  # fsum overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums, weights = _block_sums(g.terms[rows], reach[rows] + 1, None if width == 1 else ids[rows] // width)
+            acc_s[lanes], acc_c[lanes] = s, c = _neumaier_step(acc_s[lanes], acc_c[lanes], sums)
+            acc_w[lanes] += weights + np.abs(c).sum(axis=1)
+        if not np.isfinite(sums).all():
             for r in np.flatnonzero(~np.isfinite(sums).all(axis=1)).tolist():
                 k, n = int(ks[rows][r]), lo + int(reach[rows][r])
                 err = OutOfRegime(f"the order-{k} sum over sheets {lo} to {n} overflows a float", order=k, sheet=n)
@@ -706,19 +669,15 @@ def _sum_derivative_series(
         unclear = [p for p in unclear if not (ended[p] or cleared[p])]
     for p in live.tolist():  # out of sheets
         errors[p] = TolUnreachable(f"tolerance not certified within {max_terms} sheets")
-    values, sheets, tail_bounds = (acc_s + acc_c).tolist(), stop_n.tolist(), stop_tail.tolist()
-    return [
-        errors[p] if p in errors else
-        [SumResult(complex(*values[l]), sheets[l], tail_bounds[l]) for l in range(p * width, (p + 1) * width)]
-        for p in range(len(zs))
-    ]
-
-
-def _one_point(outcome: list[SumResult] | MeandroError) -> list[SumResult]:
-    """A lone point's results, or its error raised."""
-    if isinstance(outcome, MeandroError):
-        raise outcome
-    return outcome
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = acc_s + acc_c
+        bv = values - acc_s
+        rest = np.abs((acc_s - (values - bv)) + (acc_c - bv)).sum(axis=1)
+        roundings = (acc_w * 2.0**-53 + rest) * (1.0 + 2.0**-30)
+        roundings = np.where(roundings > 0.0, np.nextafter(roundings, math.inf), 0.0)
+    lanes = zip(values.tolist(), stop_n.tolist(), stop_tail.tolist(), roundings.tolist())
+    results = [SumResult(complex(*value), n, tail, rounding) for value, n, tail, rounding in lanes]
+    return [errors[p] if p in errors else results[p * width : (p + 1) * width] for p in range(len(zs))]
 
 
 def evaluate_sums(
@@ -775,7 +734,9 @@ def derivative_sum(
     if tol <= 0:
         raise ValueError("tol must be positive")
     outcome = _sum_derivative_series(seq, [z0], range(k, k + 1), tol, 0.0, 0.0, max_terms)[0]
-    return _one_point(outcome)[0]
+    if isinstance(outcome, MeandroError):
+        raise outcome
+    return outcome[0]
 
 
 def taylor_jet(
@@ -801,8 +762,14 @@ def taylor_jet(
     orders = range(m + 1)
     kfacs = [math.factorial(k) for k in orders]
     floors = np.array(kfacs, dtype=float)
-    outcome = _sum_derivative_series(seq, [z0], orders, _JET_ABS_TOL * floors, rel_tol, floors, max_terms)[0]
-    inner = _one_point(outcome)
+    inner = _sum_derivative_series(seq, [z0], orders, _JET_ABS_TOL * floors, rel_tol, floors, max_terms)[0]
+    if isinstance(inner, MeandroError):
+        raise inner
     coeffs = np.array([res.value / kf for res, kf in zip(inner, kfacs)], dtype=complex)
     tails = np.array([res.tail_bound / kf for res, kf in zip(inner, kfacs)], dtype=float)
-    return TaylorJet(z0, coeffs, tails, m, certified=_certifiable(seq))
+    # The rounding over k!, raised by 2**-50 for the rounding of k!, plus 4u|a_k| for the division; twice
+    # rounded up, as each of the three products may lose half the least float where it is subnormal.
+    roundings, mags = np.array([res.rounding for res in inner]), np.abs(coeffs.real) + np.abs(coeffs.imag)
+    bound = roundings / floors * (1.0 + 2.0**-50) + 2.0**-51 * mags
+    bound = np.where((roundings > 0.0) | (mags > 0.0), np.nextafter(np.nextafter(bound, math.inf), math.inf), 0.0)
+    return TaylorJet(z0, coeffs, tails, bound, m, certified=_certifiable(seq))

@@ -1,8 +1,10 @@
 """The engine's per-block bookkeeping against its scalar references.
 
-``series._exact_sums`` against ``math.fsum``, the array Neumaier step
-against ``CompensatedSum``, and the clearance discharge against sums that
-check every sheet of every point.
+The rounding bound of ``SumResult`` against exact sums of the float terms
+(integers in units of 2**-1074), the padding of ``series._block_sums``
+against reductions point by point, the array Neumaier step against
+``CompensatedSum``, and the clearance discharge against sums that check
+every sheet of every point.
 """
 
 import cmath
@@ -16,116 +18,192 @@ from hypothesis import strategies as st
 
 from meandro import CompensatedSum, MeanderModel, QLogModel, evaluate_sums, series, taylor_jet
 from meandro.errors import MeandroError, OutOfRegime
-from meandro.geometry import Perforation
+from meandro.geometry import DiophantineRadius, MeanderPoles, Perforation
+from meandro.series import TermSequence
 from meandro.tails import _CertifiedTails
 
-_U = 2.0**-53
 _BIG = 1.7e308
 
 
-def _row(kind: str, n: int, rng) -> list[float]:
+def _row(kind: str, n: int, rng) -> np.ndarray:
     """A row of n >= 1 finite floats of one kind."""
-    if kind == "tie":  # exactly half-way between 1 and its successor
-        return [1.0, _U] + [0.0] * (n - 2) if n >= 2 else [_U]
-    if kind == "near-tie":  # within a few ulps of 2**-105 of a tie, by parts a float sum may drop
-        head = [1.0, _U * (1.0 - float(rng.integers(0, 3)) * 2.0**-52)]
-        tail = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.integers(-112, -100, n).astype(float)
-        return (head + tail.tolist())[:n]
     if kind == "cancellation":
-        return ([1e16, 1.0, -1e16] * n)[:n]
+        return np.array(([1e16, 1.0, -1e16] * n)[:n])
     if kind == "subnormal":
-        return (rng.integers(-(2**20), 2**20, n) * 5e-324 * rng.choice([1.0, 2.0**30], n)).tolist()
-    if kind == "zeros":
-        return rng.choice([0.0, -0.0], n).tolist() if rng.uniform() < 0.5 else [-0.0] * n
+        return rng.integers(-(2**20), 2**20, n) * 5e-324 * rng.choice([1.0, 2.0**30], n)
     if kind == "exact-zero":  # pairs that cancel exactly, shuffled
-        half = (rng.standard_normal((n + 1) // 2) * 10.0 ** rng.uniform(-200, 200)).tolist()
-        values = half + [-v for v in half]
+        half = rng.standard_normal((n + 1) // 2) * 10.0 ** rng.uniform(-200, 200)
+        values = np.concatenate((half, -half))
         rng.shuffle(values)
-        return values[:n] if n % 2 == 0 else values[: n - 1] + [0.0]
+        return values[:n] if n % 2 == 0 else np.append(values[: n - 1], 0.0)
     if kind == "spread":  # 600 decades
-        return (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)).tolist()
-    if kind == "overflow":
-        return (rng.choice([1.0, 0.5, -0.25], n) * _BIG).tolist()
+        return rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    if kind == "large":  # partial sums far past the terms, near the float range
+        return rng.choice([1.0, -0.25], n) * 1e300 * rng.uniform(0.5, 1.0, n)
     if kind == "same-sign":  # partial sums near n times the largest value
-        return (rng.uniform(1.0, 2.0, n) * 10.0 ** rng.uniform(-5, 5)).tolist()
+        return rng.uniform(1.0, 2.0, n) * 10.0 ** rng.uniform(-5, 5)
     if kind == "drift":  # as same-sign, with a few small parts of the other sign
         values = rng.uniform(0.9, 1.0, n)
         values[rng.uniform(size=n) < 0.1] *= -1e-3
-        return (values * 10.0 ** rng.uniform(-5, 5)).tolist()
+        return values * 10.0 ** rng.uniform(-5, 5)
     if kind == "geometric":  # like a block of terms: a decaying series with a phase
         ratio = rng.uniform(0.5, 0.999) * cmath.exp(1j * rng.uniform(0, math.tau))
-        return (ratio ** np.arange(n)).real.tolist()
-    return (rng.standard_normal(n) * 10.0 ** rng.uniform(-10, 10)).tolist()
+        return (ratio ** np.arange(n)).real
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-10, 10)
 
 
-_KINDS = ["tie", "near-tie", "cancellation", "subnormal", "zeros", "exact-zero", "spread", "overflow",
-          "same-sign", "drift", "geometric", "normal"]
+_KINDS = ["cancellation", "subnormal", "exact-zero", "spread", "large", "same-sign", "drift", "geometric", "normal"]
+#: Lengths about numpy's thresholds (8 and 128 values) and the first blocks' ends (64, 192, 448, ...).
+_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 63, 64, 65, 127, 128, 129, 191, 192, 193, 300, 448, 449, 1000, 2047, 5000]
 
 
-def _fsum(values) -> float:
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        return math.nan
+def _units(x: float) -> int:
+    """x in units of 2**-1074, the least float: an exact integer."""
+    num, den = x.as_integer_ratio()
+    return num * (2**1074 // den)
 
 
-def _same_bits(got: float, want: float) -> bool:
-    return (math.isnan(got) and math.isnan(want)) or float(got).hex() == float(want).hex()
+class _Given(TermSequence):
+    """A finite family whose terms are given values, the same at every point and order."""
+
+    def __init__(self, values: np.ndarray):
+        self.values, self.n_max = values, len(values)
+        self.perforation = Perforation(MeanderPoles(), DiophantineRadius(0.05, 2.0, 1.5))
+
+    def term_grid(self, ns, zs):
+        return np.tile(self.values[ns - 1], (len(zs), 1))
+
+    def derivatives(self, ns, m, z):
+        return np.tile(self.values[ns - 1], (m + 1, 1))
 
 
-def _padded(rows: list[list[float]], rng) -> np.ndarray:
-    """The rows as one array, padded with values no sum may read."""
-    width = max(len(r) for r in rows)
-    x = np.empty((len(rows), width))
-    for i, r in enumerate(rows):
-        x[i, : len(r)] = r
-        x[i, len(r) :] = rng.choice([math.nan, math.inf, -math.inf, _BIG], width - len(r))
-    return x
+def _error_units(got: complex, values: np.ndarray) -> int:
+    """|Re(got - S)| + |Im(got - S)| in units of 2**-1074, S the exact sum of the values."""
+    re, im = sum(map(_units, values.real.tolist())), sum(map(_units, values.imag.tolist()))
+    return abs(_units(got.real) - re) + abs(_units(got.imag) - im)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
-    lengths=st.lists(st.integers(1, 300), min_size=6, max_size=6),
+    kinds=st.tuples(st.sampled_from(_KINDS), st.sampled_from(_KINDS)),
+    n=st.one_of(st.sampled_from(_LENGTHS), st.integers(1, 5000)),
     seed=st.integers(0, 2**32 - 1),
-    stacked=st.booleans(),
-    tile=st.sampled_from([1, 64, series._TILE_VALUES]),
-    numpy_route=st.booleans(),
 )
-def test_exact_sums_are_fsum_bit_for_bit(kinds, lengths, seed, stacked, tile, numpy_route):
+def test_a_sum_is_within_its_rounding_of_the_exact_sum_of_its_terms(kinds, n, seed):
     rng = np.random.default_rng(seed)
-    rows = [_row(kind, n, rng) for kind, n in zip(kinds, lengths)]
-    if stacked:  # complex rows as the engine passes them: real and imaginary parts interleaved
-        imag = [_row(kinds[(i + 1) % len(kinds)], len(r), rng) for i, r in enumerate(rows)]
-        rows = [part for pair in zip(rows, imag) for part in pair]
-    lens = np.array([len(r) for r in rows])
-    x = _padded(rows, rng)
-    floor = 0 if numpy_route else series._FSUM_BELOW
-    with mock.patch.object(series, "_FSUM_BELOW", floor), mock.patch.object(series, "_TILE_VALUES", tile):
-        got = series._exact_sums(x, lens)
-    for g, r in zip(got.tolist(), rows):
-        assert _same_bits(g, _fsum(r)), (r, g)
+    values = _row(kinds[0], n, rng) + 1j * _row(kinds[1], n, rng)
+    [res] = evaluate_sums(_Given(values), [5.0 + 0j])
+    assert (res.terms_used, res.tail_bound) == (n, 0.0)
+    assert _error_units(res.value, values) <= _units(res.rounding)
+    assert res.error_bound == res.rounding
+    # A jet's coefficients add the division by k! to the rounding of each sum.
+    jet = taylor_jet(_Given(values), 5.0 + 0j, 3)
+    for k, (a, bound) in enumerate(zip(jet.coefficients.tolist(), jet.coefficient_rounding.tolist())):
+        exact = [sum(map(_units, part.tolist())) for part in (values.real, values.imag)]
+        gaps = [abs(_units(got) * math.factorial(k) - want) for got, want in zip((a.real, a.imag), exact)]
+        assert sum(gaps) <= _units(bound) * math.factorial(k), k
+
+
+_U = 2.0**-53
 
 
 @pytest.mark.parametrize(
-    "row, want",
-    [([1.0, _U], 1.0), ([1.0, _U, 2.0**-110, 2.0**-110], 1.0 + 2 * _U), ([1e16, 1.0, -1e16], 1.0),
-     # Just below the tie, and pushed past it by parts that numpy's sum of
-     # the low parts drops: only the error bound sends the row to fsum.
-     ([1.0, _U - 2.0**-106] + ([0.0] * 7 + [2.0**-108]) * 6, 1.0 + 2 * _U),
-     # The low parts' float sum is an exact 0 that is not their sum.
-     ([2.0**60, 1e-20, 1.0, -1.0, -(2.0**60)], 1e-20),
-     ([-0.0, -0.0], 0.0), ([0.0, -0.0], 0.0), ([5e-324, -5e-324], 0.0), ([_BIG, _BIG, -_BIG], math.nan),
-     # numpy's order cancels to 0 where fsum's overflows.
-     ([_BIG, _BIG] + [0.0] * 6 + [-_BIG, -_BIG] + [0.0] * 6, math.nan)],
+    "row",
+    [[1.0, _U], [1.0, _U, 2.0**-110, 2.0**-110], [1e16, 1.0, -1e16],
+     [1.0, _U - 2.0**-106] + ([0.0] * 7 + [2.0**-108]) * 6,
+     [2.0**60, 1e-20, 1.0, -1.0, -(2.0**60)],
+     [-0.0, -0.0], [0.0, -0.0], [5e-324, -5e-324], [_BIG, _BIG, -_BIG],
+     # numpy's order cancels the large values before they overflow.
+     [_BIG, _BIG] + [0.0] * 6 + [-_BIG, -_BIG] + [0.0] * 6],
     ids=["tie", "near-tie", "cancellation", "dropped-low-parts", "cancelled-low-parts", "negative-zeros", "zeros",
          "subnormal-zero", "overflow", "overflow-numpy-misses"],
 )
-def test_exact_sums_of_the_hard_rows(row, want):
-    with mock.patch.object(series, "_FSUM_BELOW", 0):
-        got = series._exact_sums(np.array([row]), np.array([len(row)]))[0]
-    assert _same_bits(got, want)
-    assert _same_bits(got, _fsum(row))
+def test_exact_sums_of_the_hard_rows(row):
+    # Ties, parts far below an ulp of the sum, cancellation and overflow: each
+    # sum is within its rounding of the exact sum of its terms, or, where
+    # numpy's order leaves the float range, a typed error names the block.
+    values = np.array(row, dtype=complex)
+    [res] = evaluate_sums(_Given(values), [5.0 + 0j])
+    if isinstance(res, MeandroError):
+        assert isinstance(res, OutOfRegime) and str(res) == f"the order-0 sum over sheets 1 to {len(row)} overflows a float"
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(np.add.reduce(values.real))
+        return
+    assert res.rounding == math.inf or _error_units(res.value, values) <= _units(res.rounding)
+
+
+def test_a_sum_without_rounding_has_no_rounding_bound():
+    # One term, and terms that are all zero: no addition rounds.
+    for values in ([0.1 + 0.2j], [0j] * 300):
+        [res] = evaluate_sums(_Given(np.array(values)), [5.0 + 0j])
+        assert (res.value, res.rounding, res.error_bound) == (values[0], 0.0, 0.0)
+
+
+def _pairwise(values: list[float]) -> tuple[float, int]:
+    """numpy's pairwise sum of the values, operation for operation, and the most roundings on one value's path."""
+    n = len(values)
+    if n < 8:
+        total, depth = 0.0 + values[0], 0
+        for v in values[1:]:
+            total, depth = total + v, depth + 1
+        return total, depth
+    if n <= 128:
+        acc, i = values[:8], 8
+        while i < n - n % 8:
+            acc = [a + v for a, v in zip(acc, values[i : i + 8])]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        depth = (i // 8 - 1) + 3
+        for v in values[i:]:
+            total, depth = total + v, depth + 1
+        return total, depth
+    half = n // 2 - n // 2 % 8
+    (a, da), (b, db) = _pairwise(values[:half]), _pairwise(values[half:])
+    return a + b, 1 + max(da, db)
+
+
+def test_the_depth_is_that_of_numpys_order():
+    # numpy's sums of rows of complex terms, real and imaginary parts, are
+    # the pairwise sums above bit for bit, so their depth is _depth's.
+    rng = np.random.default_rng(5)
+    for n in [*range(1, 300), 1000, 4095, 8192, 8193, 20_000, 65_536, 70_001]:
+        terms = rng.standard_normal((3, n + 2)) * 10.0 ** rng.uniform(-8, 8, (3, n + 2))
+        terms = (terms + 1j * terms[::-1])[:, :n]
+        for part in (terms.real, terms.imag):
+            for got, row in zip(np.add.reduce(part, axis=1).tolist(), part.tolist()):
+                want, depth = _pairwise(row)
+                assert got.hex() == want.hex(), n
+                assert series._depth(n) == depth, n
+
+
+def _sums_apart(terms, lens, owners):
+    """``_block_sums`` one point at a time."""
+    out, weights = np.empty((len(lens), 2)), np.empty(len(lens))
+    for p in np.unique(owners).tolist():
+        rows = np.flatnonzero(owners == p)
+        out[rows], weights[rows] = series._block_sums(terms[rows].copy(), lens[rows], owners[rows])
+    return out, weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 300)), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sums_pad_within_a_point_only(rows, seed):
+    rng = np.random.default_rng(seed)
+    rows = sorted(rows)
+    owners, lens = np.array([p for p, _ in rows]), np.array([n for _, n in rows])
+    width = int(lens.max()) + int(rng.integers(0, 5))
+    terms = rng.standard_normal((len(rows), width)) + 1j * rng.standard_normal((len(rows), width))
+    terms *= 10.0 ** rng.uniform(-3, 3, (len(rows), 1))
+    terms[np.arange(width) >= lens[:, None]] = rng.choice([math.nan, math.inf, _BIG], 1)[0]  # never read
+    sums, weights = series._block_sums(terms.copy(), lens, owners)
+    apart, apart_weights = _sums_apart(terms, lens, owners)
+    assert sums.tobytes() == apart.tobytes() and weights.tobytes() == apart_weights.tobytes()
+    for (re, im), weight, row, n in zip(sums.tolist(), weights.tolist(), terms, lens.tolist()):
+        kept = row[:n]
+        assert _error_units(complex(re, im), kept) <= _units(weight * 2.0**-53 * (1.0 + 2.0**-30))
 
 
 def test_the_vectorised_neumaier_step_is_compensated_sum_bit_for_bit():
@@ -179,12 +257,9 @@ def test_cleared_points_are_checked_in_the_first_block_only():
     # disc, so its other 629 sheets go unchecked.
     seq = MeanderModel(0.95, c=0.05)
     zs = [0.3 + 0.2j] + _meander_points(np.random.default_rng(1), 59)
-    fsums = mock.patch.object(series, "_fsum", wraps=series._fsum)
-    with fsums as spy:
-        pairs, got = _pairs(seq, zs, clear=True)
+    pairs, got = _pairs(seq, zs, clear=True)
     assert {res.terms_used for res in got} == {693}
     assert pairs == 60 * 64
-    assert spy.call_count == 0  # every block sum came from numpy
     every_sheet, want = _pairs(seq, zs, clear=False)
     assert every_sheet == 60 * 693
     assert got == want

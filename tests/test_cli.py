@@ -363,17 +363,19 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(runner, tmp_path, 
 
 
 def test_region_radius_reaches_zero_sum_general(runner, tmp_path):
-    # A finite family's sum is exact at every point off its discs, also
-    # outside twice its largest pole.  No model has a working region, so the
-    # schema refuses a region_radius field for every model.
+    # A finite family's sum has no tail at every point off its discs, also
+    # outside twice its largest pole: the printed bound is the rounding of
+    # its three terms alone.  No model has a working region, so the schema
+    # refuses a region_radius field for every model.
     model = {"name": "zero_sum_general", "poles": [0.5, 0.25]}
     cfg = _write_config(tmp_path, {"model": model, "eval": {"points": [[1.5, 0.0], [0.1, 0.0]]}})
     result = runner.invoke(main, ["eval", "--config", cfg])
     assert result.exit_code == 0
     rows = list(csv.DictReader(io.StringIO(result.output)))
-    assert [(r["z_re"], r["tail_bound"], r["status"]) for r in rows] == [
-        ("1.5", "0", "ok"), ("0.10000000000000001", "0", "ok")
+    assert [(r["z_re"], r["terms_used"], r["status"]) for r in rows] == [
+        ("1.5", "1", "ok"), ("0.10000000000000001", "1", "ok")
     ]
+    assert all(0.0 < float(r["tail_bound"]) < 1e-15 for r in rows)
     for refused in (model, {"name": "qlog"}):
         cfg = _write_config(tmp_path, {"model": dict(refused, region_radius=3.0), "eval": {"points": [[1.5, 0.0]]}})
         result = runner.invoke(main, ["eval", "--config", cfg])

@@ -173,17 +173,17 @@ def test_pullback_jet_spreads_coefficients(meander_tight):
     spread = taylor_jet(pullback, 0j, 10, rel_tol=1e-12)
     # The pullback has the uniform tails alone, and the base at 0 the power
     # law's as well, so the pullback's lanes stop on later sheets.  Summed to
-    # those sheets, the base's series give the pullback's coefficients bit
-    # for bit; the two jets agree within their tails.
+    # those sheets, the base's series give the pullback's coefficients within
+    # their rounding; the two jets agree within their tails and rounding.
     kfacs = np.array([math.factorial(k) for k in range(11)], dtype=float)
     lanes = series._sum_derivative_series(pullback, [0j], range(11), 1e-300 * kfacs, 1e-12, kfacs, 200_000)[0]
     for j in range(6):
         terms = meander_tight.derivatives(np.arange(1, lanes[2 * j].terms_used + 1), j, 0j)[j]
-        assert complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) / math.factorial(j) == (
-            spread.coefficients[2 * j]
-        )
-        gap = abs(spread.coefficients[2 * j] - base.coefficients[j])
-        assert gap <= spread.coefficient_tails[2 * j] + base.coefficient_tails[j]
+        exact = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) / math.factorial(j)
+        a = spread.coefficients[2 * j]
+        assert abs(a - exact) <= spread.coefficient_rounding[2 * j] + 2.0**-52 * abs(exact)  # fsum rounds too
+        gap = abs(a - base.coefficients[j])
+        assert gap <= spread.coefficient_bounds[2 * j] + base.coefficient_bounds[j]
     assert np.all(spread.coefficients[1::2] == 0.0)
 
 

@@ -24,7 +24,7 @@ DATA = Path(__file__).parent / "data" / "eval_golden"
 _QLOG = {"name": "qlog", "c": 0.05, "alpha": 2, "lambda": 1.5}
 
 CASES = {
-    # Meander x = 0.95: a 7 x 4 grid off the real axis, 1278 sheets a point.
+    # Meander x = 0.95: a 7 x 4 grid off the real axis, 693 sheets a point.
     "meander-grid": (
         {
             "model": {"name": "meander", "x": 0.95, "c": 0.05, "alpha": 2, "lambda": 1.5},
@@ -63,7 +63,8 @@ CASES = {
         ["--tol", "1e-12"],
         0,
     ),
-    # The explicit finite zero-sum family: summed to its last sheet, tail 0.
+    # The explicit finite zero-sum family: summed to its last sheet, with no
+    # tail; the printed bound is the rounding of the sum.
     "zero-sum": (
         {
             "model": {

@@ -368,25 +368,14 @@ def test_a_batch_searches_its_order_zero_stop_once():
     # Order 0 has one stop at every point, found before any term: one
     # search in all (600 calls of ``stop`` before lane state became arrays).
     # The four blocks of the 693 sheets go in 1 + 2 + 4 + 4 lane groups,
-    # and no row of a group of _FSUM_BELOW values or more goes to fsum.
-    sent = []
-    exact = series._exact_sums
-
-    def counted(x, lens):
-        before = fsum.call_count
-        out = exact(x, lens)
-        sent.append((int(lens.sum()), fsum.call_count - before))
-        return out
-
+    # each one reduction of equal rows.
     seq = MeanderModel(0.95)
     with mock.patch.object(series._CertifiedStop, "stop", autospec=True, side_effect=series._CertifiedStop.stop) \
             as stop, mock.patch.object(seq, "term_grid", wraps=seq.term_grid) as grid, \
-            mock.patch.object(series, "_fsum", wraps=series._fsum) as fsum, \
-            mock.patch.object(series, "_exact_sums", counted):
+            mock.patch.object(series, "_block_sums", wraps=series._block_sums) as sums:
         batch = evaluate_sums(seq, _eval_meander_points(), tol=1e-10, max_terms=10_000)
     assert {res.terms_used for res in batch} == {693}
-    assert stop.call_count == 1 and grid.call_count == 11
-    assert len(sent) == 11 and all(values >= series._FSUM_BELOW and calls == 0 for values, calls in sent)
+    assert stop.call_count == 1 and grid.call_count == 11 and sums.call_count == 11
 
 
 def test_a_batch_keeps_its_traced_memory():

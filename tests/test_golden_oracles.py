@@ -6,6 +6,9 @@ sum of the moduli of the terms:
 
 * eval sums against brute-force ``math.fsum`` sums of the terms, taken far
   enough that the rest of the series is below 1e-20;
+* the finite zero-sum family against its 40-digit mpmath sum, and the pi_k
+  family against its partial sum 1 - P_{n+1}(z) and its limit 1, in 40-digit
+  mpmath;
 * the jets at 0 against exact rational jets: the meander's Eulerian power
   sums and the q-log's Lambert series;
 * the q-log fiber over 1 at z = 2 against log 2;
@@ -19,11 +22,12 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from meandro import MeanderModel, evaluate_sums, taylor_jet
+from meandro import MeanderModel, evaluate_sums, taylor_jet, zero_sum_coefficients
 from meandro.cli import main
 from meandro.gevrey import divergence_diagnostic, gevrey_fit
 
@@ -72,6 +76,51 @@ def test_eval_golden_sums_match_brute_force_sums(name):
         assert abs(got - want) <= float(row["tail_bound"]) + 1e-12 * scale, row
         checked += 1
     assert checked >= 3
+
+
+def _ok_rows(name: str) -> list[tuple[complex, complex, float, int]]:
+    """(z, S, printed tail_bound, terms_used) of the ok rows of an eval golden file."""
+    rows = _rows((DATA / "eval_golden" / f"{name}.csv").read_text(encoding="utf-8"))
+    return [
+        (complex(float(r["z_re"]), float(r["z_im"])), complex(float(r["S_re"]), float(r["S_im"])),
+         float(r["tail_bound"]), int(r["terms_used"]))
+        for r in rows if r["status"] == "ok"
+    ]
+
+
+def test_zero_sum_golden_sums_match_40_digit_sums():
+    # c + sum_k a_k z**k/(1 - z/e_k) over the six sheets, with the
+    # coefficients of the float poles taken in 40 digits as well.
+    model = test_eval_golden.CASES["zero-sum"][0]["model"]
+    rows = _ok_rows("zero-sum")
+    with mpmath.workdps(40):
+        poles = [mpmath.mpc(*e) for e in model["poles"]]
+        c = mpmath.mpf(model["constant"])
+        coefficients = zero_sum_coefficients(c, poles, len(poles) - 1)
+        for z, got, bound, sheets in rows:
+            assert sheets == len(poles) - 1
+            w = mpmath.mpc(z.real, z.imag)
+            terms = [a * w**k / (1 - w / e) for k, (a, e) in enumerate(zip(coefficients, poles))]
+            terms[0] += c
+            want, scale = complex(mpmath.fsum(terms)), float(mpmath.fsum(abs(t) for t in terms))
+            assert abs(got - want) <= bound + 1e-12 * scale, z
+    assert len(rows) == 5
+
+
+def test_zero_sum_pik_golden_sums_match_their_remainder():
+    # The partial sum through sheet n is 1 - P_{n+1}(z), P_n = prod_{j<=n} -j*z/(1 - j*z);
+    # the series sums to 1, within the printed tail.
+    rows = _ok_rows("zero-sum-pik")
+    with mpmath.workdps(40):
+        for z, got, bound, sheets in rows:
+            w, product, scale = mpmath.mpc(z.real, z.imag), mpmath.mpf(1), mpmath.mpf(0)
+            for n in range(sheets + 1):
+                scale += abs(product / (1 - (n + 1) * w))  # |t_n| = |P_n/(1 - (n+1)*z)|
+                product *= -(n + 1) * w / (1 - (n + 1) * w)
+            want = complex(1 - product)
+            assert abs(got - want) <= bound + 1e-12 * float(scale), z
+            assert abs(got - 1.0) <= bound + 1e-12 * float(scale), z
+    assert len(rows) == 7
 
 
 def _eulerian(k: int) -> list[int]:

@@ -1,5 +1,6 @@
 import cmath
 import decimal
+from unittest import mock
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -19,13 +20,16 @@ from meandro import (
     ZeroPole,
     eulerian_polynomial,
     evaluate_sum,
+    evaluate_sums,
     geometric_power_sum,
     meander_curve,
     pi_k,
+    pullback_model,
     ray_trace,
     taylor_jet,
     zero_sum_coefficients,
 )
+from meandro.geometry import doubling_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +171,59 @@ def test_pik_jet_is_one(meander_half):
 def test_pik_jet_off_the_origin_is_one():
     # The sum is 1 about every point of the open left half-plane; sheet 170 once ended this jet.
     jet = taylor_jet(ZeroSumPiK(), -0.1 + 0.05j, 6)
-    for k, (a, tail) in enumerate(zip(jet.coefficients, jet.coefficient_tails)):
-        assert abs(a - (k == 0)) <= tail, k
+    for k, (a, tail, rounding) in enumerate(zip(jet.coefficients, jet.coefficient_tails, jet.coefficient_rounding)):
+        assert abs(a - (k == 0)) <= tail + rounding, k
+
+
+@pytest.mark.parametrize("z", [-0.3 + 0j, -0.1 + 0.05j, -0.001 + 0.001j, -1e-5 + 0j, 0.3 + 0.4j])
+def test_pik_blocks_carry_their_prefix_bit_for_bit(z):
+    # One sequence goes on from its last product and running sums block by
+    # block; a fresh sequence per block rebuilds them from sheet 1.
+    carried = ZeroSumPiK()
+    for m in (0, 3, 6):
+        for lo, hi in doubling_blocks(0, 3000, m + 1):
+            ns = np.arange(lo, hi)
+            with np.errstate(all="ignore"):
+                got = carried.derivatives(ns, m, z), carried.term_grid(ns, [z, 0.5 * z])
+                want = ZeroSumPiK().derivatives(ns, m, z), ZeroSumPiK().term_grid(ns, [z, 0.5 * z])
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), (m, lo)
+    # A new pass starts over; the sequence keeps one state per point.
+    assert carried.term(5, z) == ZeroSumPiK().term(5, z)
+    assert len(carried._products) == 2 and len(carried._sums) <= 1  # no late sheet at -1e-5
+
+
+_INHERITED = {
+    "pik": lambda: ZeroSumPiK(),
+    "general": lambda: ZeroSumGeneral(1, [0.5, -0.75j, 2.0, 1.5 + 1j]),
+    "pullback-meander": lambda: pullback_model(MeanderModel(0.9, c=0.1), 2),
+    "pullback-qlog": lambda: pullback_model(QLogModel(0.9), 3, 0.1 + 0j),
+    "pullback-general": lambda: pullback_model(ZeroSumGeneral(1, [0.5, -0.75j, 2.0]), 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_INHERITED))
+def test_term_array_is_one_term_grid_call(family):
+    seq = _INHERITED[family]()
+    zs = np.array([-0.3 + 0.1j, -0.05j, 0.2 - 0.4j, -1.7 + 0.2j])
+    n = seq.n_max or 7
+    with mock.patch.object(seq, "term_grid", wraps=seq.term_grid) as grid, np.errstate(all="ignore"):
+        got = seq.term_array(n, zs)
+    assert grid.call_count == 1
+    with np.errstate(all="ignore"):
+        assert got.tobytes() == np.array([seq.term(n, z) for z in zs]).tobytes()
+
+
+def test_zero_sum_general_sums_do_not_depend_on_the_type_of_the_point():
+    # 64 points on a circle about -0.2, as numpy complex128 (a ray) and as Python complex (listed points).
+    seq = ZeroSumGeneral(1, [0.5, -0.75j, 2.0, 1.5 + 1j])
+    ring = -0.2 + 0.3 * np.exp(2j * np.pi * np.arange(64) / 64)
+    numpy_points = evaluate_sums(seq, list(ring))
+    python_points = evaluate_sums(seq, ring.tolist())
+    assert [(r.value.real.hex(), r.value.imag.hex(), r.rounding) for r in numpy_points] == [
+        (r.value.real.hex(), r.value.imag.hex(), r.rounding) for r in python_points
+    ]
+    jets = [taylor_jet(seq, z, 3).coefficients.tobytes() for z in (ring[5], complex(ring[5]))]
+    assert jets[0] == jets[1]
 
 
 def _pik_jets(z: complex, sheets: int, order: int) -> list[list[complex]]:

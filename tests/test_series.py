@@ -457,27 +457,42 @@ def _hex(values) -> list:
     return [(v.real.hex(), v.imag.hex()) for v in values]
 
 
+def _exact_gap(value: complex, terms: np.ndarray, k: int = 0) -> Fraction:
+    """|Re| + |Im| of value - S/k!, S the exact sum of the float terms."""
+    parts = ((value.real, terms.real), (value.imag, terms.imag))
+    return sum(abs(Fraction(v) - sum(map(Fraction, ts.tolist())) / math.factorial(k)) for v, ts in parts)
+
+
 def test_finite_family_outputs_are_pinned_bit_for_bit():
     # Finite families stop at their last sheet with tail exactly 0, in jets
-    # (relative limits) and in evaluations (one limit).  Recorded values.
-    jet = taylor_jet(ZeroSumGeneral(1, [0.5, -0.75j, 2.0]), 0.1 + 0.1j, 4)
+    # (relative limits) and in evaluations (one limit).  Recorded values,
+    # each within its rounding of the exact sum of its terms.
+    seq = ZeroSumGeneral(1, [0.5, -0.75j, 2.0])
+    jet = taylor_jet(seq, 0.1 + 0.1j, 4)
     assert _hex(jet.coefficients.tolist()) == [
         ("0x1.d5ddf516d8858p-6", "-0x1.9ea4a4b10c940p-7"),
         ("0x1.3bb53d097108cp-2", "-0x1.4106b46c4dee7p-1"),
-        ("-0x1.ab58b9a973abbp-1", "-0x1.5b5a8a9b636f4p+2"),
+        ("-0x1.ab58b9a973ab8p-1", "-0x1.5b5a8a9b636f4p+2"),
         ("-0x1.18ff051ec80ebp+3", "-0x1.06582895ca24fp+4"),
-        ("-0x1.6d2846e7a127bp+3", "-0x1.5014d7df2c087p+5"),
+        ("-0x1.6d2846e7a127bp+3", "-0x1.5014d7df2c086p+5"),
     ]
     assert jet.coefficient_tails.tolist() == [0.0] * 5 and not jet.certified
-    jet = taylor_jet(pullback_model(ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)]), 2), 0.3, 3)
+    rows = seq.derivatives(np.arange(3), 4, 0.1 + 0.1j)
+    for k, (a, rounding) in enumerate(zip(jet.coefficients.tolist(), jet.coefficient_rounding.tolist())):
+        assert 0.0 < rounding < 1e-13 and _exact_gap(a, rows[k], k) <= Fraction(rounding), k
+    pullback = pullback_model(ZeroSumGeneral(1, [1 / (k + 1) for k in range(10)]), 2)
+    jet = taylor_jet(pullback, 0.3, 3)
     assert _hex(jet.coefficients.tolist()) == [
-        ("0x1.fce874a899a58p-24", "0x0.0p+0"),
-        ("0x1.5bf4cda7834dcp-13", "0x0.0p+0"),
-        ("0x1.8ab4b17b0ca5dp-6", "0x0.0p+0"),
-        ("0x1.0f3d5273a008dp+1", "0x0.0p+0"),
+        ("0x1.fce874a8994c0p-24", "0x0.0p+0"),
+        ("0x1.5bf4cda7834d4p-13", "0x0.0p+0"),
+        ("0x1.8ab4b17b0ca60p-6", "0x0.0p+0"),
+        ("0x1.0f3d5273a008cp+1", "0x0.0p+0"),
     ]
     assert jet.coefficient_tails.tolist() == [0.0] * 4 and not jet.certified
-    first, inside, last = series.evaluate_sums(ZeroSumGeneral(1, [0.5, -0.75j, 2.0]), [0.1 + 0.1j, 0.49, 0.2j])
+    rows = pullback.derivatives(np.arange(10), 3, 0.3)
+    for k, (a, rounding) in enumerate(zip(jet.coefficients.tolist(), jet.coefficient_rounding.tolist())):
+        assert 0.0 < rounding < 1e-13 and _exact_gap(a, rows[k], k) <= Fraction(rounding), k
+    first, inside, last = series.evaluate_sums(seq, [0.1 + 0.1j, 0.49, 0.2j])
     assert (_hex([first.value]), first.terms_used, first.tail_bound) == (
         [("0x1.d5ddf516d8858p-6", "-0x1.9ea4a4b10c940p-7")], 2, 0.0
     )
@@ -485,6 +500,10 @@ def test_finite_family_outputs_are_pinned_bit_for_bit():
     assert (_hex([last.value]), last.terms_used, last.tail_bound) == (
         [("-0x1.fca7c9c99cdc8p-6", "0x1.f181da8b2686cp-5")], 2, 0.0
     )
+    for res, z in ((first, 0.1 + 0.1j), (last, 0.2j)):
+        assert 0.0 < res.rounding < 1e-15 and _exact_gap(res.value, seq.term_grid(np.arange(3), [z])[0]) <= Fraction(
+            res.rounding
+        )
 
 
 def _sheet_by_sheet_certified_scan(self, group):
