@@ -411,7 +411,7 @@ def cmd_jet(config, model, tol, cutoff):
 
 @_command("polar", "model", "tol", "cutoff")
 def cmd_polar(config, model, tol, cutoff):
-    """Laurent coefficients of one sheet, or a fiber polar sum."""
+    """Laurent coefficients of one sheet, or a fiber polar sum; its tail_bound is the truncation tail alone."""
     section = _section(config, "polar")
     mode = section["mode"]
     for key in {"laurent": ("sheet", "center", "r"), "fiber": ("omega", "z")}[mode]:

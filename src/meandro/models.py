@@ -289,10 +289,9 @@ class ZeroSumPiK(TermSequence):
         self.perforation = Perforation(
             ReciprocalPoles(), DiophantineRadius(c, alpha, lam, shift=1)
         )
-        # Per point, the last product (n, P_n) of ``term_grid`` and running sums (n, [C_1(n), ..., C_m(n)])
-        # of ``derivatives``, which a later block of sheets extends rather than rebuilds from sheet 1.
-        self._products: dict[complex, tuple[int, complex]] = {}
-        self._sums: dict[complex, tuple[int, list]] = {}
+        # The last product (n, P_n) of ``term_grid`` at each point of the current pass, keyed by its bits,
+        # which a later block extends rather than rebuilds from sheet 1; a block from sheet 0 starts a pass.
+        self._products: dict[tuple[str, str], tuple[int, complex]] = {}
 
     def tail_policy(self, z0: complex, m: int):
         """``tails._RemainderTails`` at z0, or the error that refuses z0.
@@ -317,12 +316,17 @@ class ZeroSumPiK(TermSequence):
         # running product P_n is taken in Python, as numpy's complex cumprod
         # may round a prefix apart from the same product over a shorter array.
         # It goes on from the point's last product where that is not past
-        # the block's first sheet, with the same multiplications.
+        # the block's first sheet, with the same multiplications; products
+        # are stored after the block, so a repeated point reads the same.
         first, top = int(ns.min()), int(ns.max())
         out = np.empty((len(zs), len(ns)), dtype=complex)
+        if first == 0:  # a new pass
+            self._products = {}
+        stored = {}
         for row, z in zip(out, zs):
             z = complex(z)
-            start, last = self._products.get(z, (0, None))
+            key = z.real.hex(), z.imag.hex()
+            start, last = self._products.get(key, (0, None))
             if start > first:
                 start, last = 0, None
             w = _multiples(z, start + 1, top + 1)  # w[j - start - 1] = j*z
@@ -330,8 +334,9 @@ class ZeroSumPiK(TermSequence):
             products = list(itertools.accumulate(factors, operator.mul, initial=last))  # P_start on
             if last is None:
                 products.insert(0, 1.0 + 0j)
-            self._products[z] = (top, products[-1])
+            stored[key] = (top, products[-1])
             row[:] = np.array(products)[ns - start] / (1.0 - w[ns - start])
+        self._products.update(stored)
         return out
 
     def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
@@ -353,12 +358,14 @@ class ZeroSumPiK(TermSequence):
                     except OverflowError:
                         out[k, col] = math.inf
             return out
+        top = int(ns.max())
+        q = 1.0 / (1.0 - _multiples(z, 1, top + 1))  # q[j - 1] = 1/(1 - j*z)
+        r = np.arange(1.0, top + 2.0) * q
         kfac = [float(math.factorial(k)) for k in range(m + 1)]
         late = ns >= max(1.0 / _modulus(z), 1.0)  # n*|z| >= 1
         if not late.all():
             near = ns[~late]
             last = int(near.max())
-            q, r = _steps(z, 1, last + 1)  # q[j - 1] = 1/(1 - j*z), r[j - 1] = r_j
             h = np.ones(last + 1, dtype=complex)  # H_k(n + 1) at index n
             hs = [h[near]]
             for _ in range(m):
@@ -375,23 +382,12 @@ class ZeroSumPiK(TermSequence):
             for k in range(1, m + 1):
                 out[k, ~late] = kfac[k] * sum(a[i] * hs[k - i] for i in range(min(k, len(a) - 1) + 1))
         if late.any():
-            # C_i(n), the sum over j <= n of d_j * spread, goes on from the
-            # point's last sums where they are not past the first late sheet.
             far = ns[late]
             last = int(far.max())
-            start, carried = self._sums.get(z, (0, []))
-            if start > int(far.min()) or len(carried) < m:
-                start, carried = 0, []
-            q, r = _steps(z, start + 1, last + 1)  # q[j - start - 1] = 1/(1 - j*z), r[j - start - 1] = r_j
-            # d[j - start - 1] = r_j - s, and sums[n - off] = C_i(n) below.
-            s, d, spread, p, ends = -1.0 / z, q[: last - start] / z, np.ones(last - start, dtype=complex), [None], []
-            off = start if carried else 1
+            s, d, spread, p = -1.0 / z, q[:last] / z, np.ones(last, dtype=complex), [None]  # d[j - 1] = r_j - s
             for i in range(1, m + 1):  # spread = sum_a r_j**a * s**(i-1-a)
-                sums = np.cumsum(np.concatenate((carried[i - 1 : i], d * spread)))
-                p.append(sums[far - off] + r[far - start] ** i)
-                ends.append(complex(sums[-1]))
-                spread = s * spread + r[: last - start] ** i
-            self._sums[z] = (last, ends)
+                p.append(np.cumsum(d * spread)[far - 1] + r[far] ** i)
+                spread = s * spread + r[:last] ** i
             c = [1.0]
             for k in range(1, m + 1):
                 c.append(sum(p[i] * c[k - i] for i in range(1, k + 1)) / k)
@@ -404,12 +400,6 @@ def _multiples(z: complex, first: int, last: int) -> np.ndarray:
     js, w = np.arange(float(first), last + 1.0), np.empty(last - first + 1, dtype=complex)
     w.real, w.imag = js * z.real, js * z.imag
     return w
-
-
-def _steps(z: complex, first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-    """q_j = 1/(1 - j*z) and r_j = j*q_j for j = first..last."""
-    q = 1.0 / (1.0 - _multiples(z, first, last))
-    return q, np.arange(float(first), last + 1.0) * q
 
 
 def zero_sum_coefficients(c, poles: Sequence, n: int) -> list:
@@ -611,6 +601,7 @@ class RayPoint:
     value: complex | None
     tail_bound: float | None
     terms_used: int | None
+    rounding: float | None
     flagged: tuple[int, complex] | None = None
 
 
@@ -625,16 +616,17 @@ def ray_trace(
 
     Points falling inside a removed disc are flagged with the witness sheet
     and pole, never silently skipped; any other error is raised.  All the
-    points are summed in one ``evaluate_sums`` pass.
+    points are summed in one ``evaluate_sums`` pass, and each keeps its
+    sum's tail and rounding (``SumResult``).
     """
     direction = cmath.exp(1j * theta)
     points = [t * direction for t in t_grid]
     out: list[RayPoint] = []
     for t, z, res in zip(t_grid, points, evaluate_sums(model, points, tol=tol, max_terms=max_terms)):
         if isinstance(res, PoleProximity):
-            out.append(RayPoint(float(t), z, None, None, None, (res.sheet, res.pole)))
+            out.append(RayPoint(float(t), z, None, None, None, None, (res.sheet, res.pole)))
         elif isinstance(res, MeandroError):
             raise res
         else:
-            out.append(RayPoint(float(t), z, res.value, res.tail_bound, res.terms_used))
+            out.append(RayPoint(float(t), z, res.value, res.tail_bound, res.terms_used, res.rounding))
     return out

@@ -357,7 +357,8 @@ def fiber_polar_sum(
     sum_{n>N} n**-alpha * norm_bound(n), which the decay certificate sums
     as s(lam) * C * c * sum_{n>N} n**(q-alpha) * sigma**n (``DecayCert.tail``
     with the power q - alpha); that also guarantees the summability
-    hypothesis sum_n norm_bound(n)*r_n < infinity.
+    hypothesis sum_n norm_bound(n)*r_n < infinity.  The terms are added one
+    by one, and ``SumResult.rounding`` bounds the rounding of that sum.
     """
     perf = seq.perforation
     radius = perf.radius
@@ -374,15 +375,21 @@ def fiber_polar_sum(
         raise PoleProximity(n0, omega_proj)
 
     s_val = s_lambda(radius.lam)
-    acc = 0j
+    acc, mag, count = 0j, 0.0, 0
     for n in itertools.chain([n0], fiber):
         pole, _ = perf.nearest_pole(n, omega_proj)
-        acc += seq.residue(n, pole) / (z - pole)
+        term = seq.residue(n, pole) / (z - pole)
+        acc += term
+        mag, count = mag + abs(term.real) + abs(term.imag), count + 1
         tail = s_val * radius.c * cert.tail(n, cert.q - radius.alpha)
         if tail <= tol:
-            return SumResult(acc, n, tail)
-    if perf.poles.finite_fibers:
-        return SumResult(acc, n, 0.0)  # the fiber is exhausted: no tail at all
-    raise NonConvergent(
-        f"fiber tail bound {tail:.3g} still above tol after sheet {n}"
-    )
+            break
+    else:
+        if not perf.poles.finite_fibers:
+            raise NonConvergent(f"fiber tail bound {tail:.3g} still above tol after sheet {n}")
+        tail = 0.0  # the fiber is exhausted: no tail at all
+    # Each part of the sum rounds by at most gamma_{count-1} = (count-1)*u/(1 - (count-1)*u) times the sum of its
+    # |t|, u = 2**-53 (Higham, ch. 4.2, and 0 + t is exact); 1 + 2**-16 covers gamma's denominator and the roundings
+    # of mag and of this product, under 2**32 terms.
+    rounding = math.nextafter((count - 1) * 2.0**-53 * mag * (1.0 + 2.0**-16), math.inf) if count > 1 else 0.0
+    return SumResult(acc, n, tail, rounding)

@@ -214,7 +214,7 @@ class SumResult:
     value: complex
     terms_used: int
     tail_bound: float
-    rounding: float = 0.0
+    rounding: float
 
     @property
     def error_bound(self) -> float:
@@ -449,7 +449,11 @@ def _depth(n: int) -> int:
     numpy's ``pairwise_sum`` (``loops_utils.h.src``) adds fewer than 8 values
     one by one onto 0; up to 128, 8 accumulators take the first n - n % 8,
     a tree of depth 3 adds them, and the rest come one by one; above 128 it
-    adds the sums of two parts split at a multiple of 8 near n/2.
+    adds the sums of two parts split at a multiple of 8 near n/2.  The
+    rounding bound is sound only where numpy reduces in this order: numpy
+    2.4.6 does, in the engine's layout (``.real`` and ``.imag`` of complex
+    rows), as ``tests/test_block_sums.py::test_the_depth_is_that_of_numpys_order``
+    checks; that test fails on a numpy that reduces otherwise.
     """
     if n < 8:
         return max(n - 1, 0)
@@ -459,32 +463,27 @@ def _depth(n: int) -> int:
     return 1 + max(_depth(half), _depth(n - half))
 
 
-def _block_sums(terms: np.ndarray, lens: np.ndarray, owners: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _block_sums(terms: np.ndarray, lens: np.ndarray, padded: bool) -> tuple[np.ndarray, np.ndarray]:
     """numpy's pairwise sums of terms[i, :lens[i]], one (real, imag) row each, and a bound on their rounding.
 
-    Row i is padded with zeros, written over its later entries in ``terms``,
-    up to the longest kept row of its point owners[i] (ascending; None where
-    each row is a point), and rows of one padded length L are reduced
-    together, so a row's bits depend on its point alone.  The rounding of a
-    sum of L values is at most gamma_d*(sum |Re t| + sum |Im t|), gamma_d =
-    d*u/(1 - d*u), d = ``_depth(L)``, u = 2**-53 (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 4); the second array holds d*(sum
-    |Re t| + sum |Im t|) a row.  A sum past the float range is inf or NaN;
-    the caller ignores numpy's warnings of it.
+    Where ``padded`` (the rows of one point), each row is padded with zeros,
+    written over its later entries in ``terms``, up to the longest row, and
+    all are reduced together; otherwise the rows of each length are reduced
+    together.  Either way a row's bits depend on its point alone.  The
+    rounding of a sum of L values is at most gamma_d*(sum |Re t| + sum |Im
+    t|), gamma_d = d*u/(1 - d*u), d = ``_depth(L)``, u = 2**-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 4); the second
+    array holds d*(sum |Re t| + sum |Im t|) a row.  A sum past the float
+    range is inf or NaN; the caller ignores numpy's warnings of it.
     """
-    pad = lens
-    if owners is not None and owners[0] == owners[-1]:  # one point
-        pad = np.full(len(lens), lens.max())
-    elif owners is not None:
-        starts = np.flatnonzero(np.diff(owners, prepend=-1))
-        pad = np.repeat(np.maximum.reduceat(lens, starts), np.diff(starts, append=len(owners)))
+    pad = np.full(len(lens), lens.max()) if padded else lens
     sums, weights = np.empty((len(lens), 2)), np.empty(len(lens))
     lo, hi = int(pad.min()), int(pad.max())
     for size in [hi] if lo == hi else np.unique(pad).tolist():
         rows = slice(None) if lo == hi else _index(np.flatnonzero(pad == size))
         kept = terms[rows, :size]
-        if owners is not None and (lens[rows] < size).any():
-            np.copyto(kept, 0.0, where=np.arange(size) >= lens[rows, None])
+        if padded and (lens < size).any():
+            np.copyto(kept, 0.0, where=np.arange(size) >= lens[:, None])
         sums[rows, 0], sums[rows, 1] = np.add.reduce(kept.real, 1), np.add.reduce(kept.imag, 1)
         weights[rows] = _depth(size) * (np.add.reduce(np.abs(kept.real), 1) + np.add.reduce(np.abs(kept.imag), 1))
     return sums, weights
@@ -509,7 +508,8 @@ def _sum_derivative_series(
 ) -> list[list[SumResult] | MeandroError]:
     """Shared engine: one ascending pass summing the derivative series of every lane.
 
-    A lane is one point of ``zs`` and one order of ``orders``.  Returns, for
+    A lane is one point of ``zs`` and one order of ``orders``; a pass of
+    orders above 0 sums one point, and only order 0 many.  Returns, for
     each point, one SumResult per order, or the MeandroError that ends the
     point's pass: the one that a call with that point alone returns.  Order
     k's tolerance at a magnitude v is max(abs_tol, rel_tol * max(v, floor));
@@ -548,6 +548,8 @@ def _sum_derivative_series(
     is the error of v = fl(s + c) (TwoSum), and |x|_1 = |Re x| + |Im x|.
     """
     width = len(orders)
+    if orders[-1] > 0 and len(zs) > 1:
+        raise ValueError("a pass of orders above 0 sums one point")
     tails = [seq.tail_policy(z, orders[-1]) for z in zs]
     # The error that ends a point, first the refusal of its tails.
     errors: dict[int, MeandroError] = {p: t for p, t in enumerate(tails) if isinstance(t, MeandroError)}
@@ -590,13 +592,11 @@ def _sum_derivative_series(
         with np.errstate(all="ignore"):
             if m == 0:
                 block = seq.term_grid(ns, points[where].tolist())
-            elif len(pts) == 1:
+            else:  # one point: a pass of orders above 0 sums one
                 block = seq.derivatives(ns, m, zs[int(pts[0])])
-            else:
-                block = np.concatenate([seq.derivatives(ns, m, z) for z in points[where].tolist()])
             acc = (acc_s[lanes] + acc_c[lanes]).view(complex)[:, 0]
-            if len(ids) < len(block):  # rows ascend, so otherwise they are all of them
-                block = block[_index(np.searchsorted(pts, ids // width) * (m + 1) + ks)]
+            if len(ids) < len(block):  # the open orders of one point's rows 0..m
+                block = block[_index(ks)]
             g = _Group(ns, block, ids, ks, acc, lane_abs[lanes], lane_floor[lanes], rel_tol)
             ends, found = rule.scan(g)
         lo, failures = int(ns[0]), len(errors)
@@ -632,7 +632,7 @@ def _sum_derivative_series(
                 return
             lanes = ids[rows]
         with np.errstate(over="ignore", invalid="ignore"):
-            sums, weights = _block_sums(g.terms[rows], reach[rows] + 1, None if width == 1 else ids[rows] // width)
+            sums, weights = _block_sums(g.terms[rows], reach[rows] + 1, width > 1)
             acc_s[lanes], acc_c[lanes] = s, c = _neumaier_step(acc_s[lanes], acc_c[lanes], sums)
             acc_w[lanes] += weights + np.abs(c).sum(axis=1)
         if not np.isfinite(sums).all():

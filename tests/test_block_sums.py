@@ -2,7 +2,7 @@
 
 The rounding bound of ``SumResult`` against exact sums of the float terms
 (integers in units of 2**-1074), the padding of ``series._block_sums``
-against reductions point by point, the array Neumaier step against
+against rows reduced one by one, the array Neumaier step against
 ``CompensatedSum``, and the clearance discharge against sums that check
 every sheet of every point.
 """
@@ -176,33 +176,23 @@ def test_the_depth_is_that_of_numpys_order():
                 assert series._depth(n) == depth, n
 
 
-def _sums_apart(terms, lens, owners):
-    """``_block_sums`` one point at a time."""
-    out, weights = np.empty((len(lens), 2)), np.empty(len(lens))
-    for p in np.unique(owners).tolist():
-        rows = np.flatnonzero(owners == p)
-        out[rows], weights[rows] = series._block_sums(terms[rows].copy(), lens[rows], owners[rows])
-    return out, weights
-
-
 @settings(max_examples=40, deadline=None)
-@given(
-    rows=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 300)), min_size=1, max_size=12),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_block_sums_pad_within_a_point_only(rows, seed):
+@given(lens=st.lists(st.integers(1, 300), min_size=1, max_size=12), padded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_block_sums_pad_one_points_rows_to_the_longest(lens, padded, seed):
+    # Padded rows (one point's) are summed as rows zero-padded to the longest; others at their own length.
     rng = np.random.default_rng(seed)
-    rows = sorted(rows)
-    owners, lens = np.array([p for p, _ in rows]), np.array([n for _, n in rows])
+    lens = np.array(lens)
     width = int(lens.max()) + int(rng.integers(0, 5))
-    terms = rng.standard_normal((len(rows), width)) + 1j * rng.standard_normal((len(rows), width))
-    terms *= 10.0 ** rng.uniform(-3, 3, (len(rows), 1))
+    terms = rng.standard_normal((len(lens), width)) + 1j * rng.standard_normal((len(lens), width))
+    terms *= 10.0 ** rng.uniform(-3, 3, (len(lens), 1))
     terms[np.arange(width) >= lens[:, None]] = rng.choice([math.nan, math.inf, _BIG], 1)[0]  # never read
-    sums, weights = series._block_sums(terms.copy(), lens, owners)
-    apart, apart_weights = _sums_apart(terms, lens, owners)
-    assert sums.tobytes() == apart.tobytes() and weights.tobytes() == apart_weights.tobytes()
+    sums, weights = series._block_sums(terms.copy(), lens, padded)
     for (re, im), weight, row, n in zip(sums.tolist(), weights.tolist(), terms, lens.tolist()):
         kept = row[:n]
+        size = int(lens.max()) if padded else n
+        alone = np.concatenate((kept, np.zeros(size - n, dtype=complex)))
+        assert (re, im) == (np.add.reduce(alone.real), np.add.reduce(alone.imag))
+        assert weight == series._depth(size) * (np.add.reduce(np.abs(alone.real)) + np.add.reduce(np.abs(alone.imag)))
         assert _error_units(complex(re, im), kept) <= _units(weight * 2.0**-53 * (1.0 + 2.0**-30))
 
 

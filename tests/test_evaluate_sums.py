@@ -208,8 +208,8 @@ def test_ray_trace_rows_are_those_of_lone_calls():
         if isinstance(want, PoleProximity):
             assert (row.value, row.flagged) == (None, (want.sheet, want.pole))
         else:
-            assert (row.value, row.tail_bound, row.terms_used) == (
-                want.value, want.tail_bound, want.terms_used
+            assert (row.value, row.tail_bound, row.terms_used, row.rounding) == (
+                want.value, want.tail_bound, want.terms_used, want.rounding
             )
 
 

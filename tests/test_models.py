@@ -177,19 +177,21 @@ def test_pik_jet_off_the_origin_is_one():
 
 @pytest.mark.parametrize("z", [-0.3 + 0j, -0.1 + 0.05j, -0.001 + 0.001j, -1e-5 + 0j, 0.3 + 0.4j])
 def test_pik_blocks_carry_their_prefix_bit_for_bit(z):
-    # One sequence goes on from its last product and running sums block by
-    # block; a fresh sequence per block rebuilds them from sheet 1.
-    carried = ZeroSumPiK()
-    for m in (0, 3, 6):
-        for lo, hi in doubling_blocks(0, 3000, m + 1):
-            ns = np.arange(lo, hi)
-            with np.errstate(all="ignore"):
-                got = carried.derivatives(ns, m, z), carried.term_grid(ns, [z, 0.5 * z])
-                want = ZeroSumPiK().derivatives(ns, m, z), ZeroSumPiK().term_grid(ns, [z, 0.5 * z])
-            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), (m, lo)
-    # A new pass starts over; the sequence keeps one state per point.
-    assert carried.term(5, z) == ZeroSumPiK().term(5, z)
-    assert len(carried._products) == 2 and len(carried._sums) <= 1  # no late sheet at -1e-5
+    # One sequence goes on from its last product block by block; a fresh
+    # sequence per block rebuilds it from sheet 1.  A repeated point and the
+    # point whose imaginary part differs in sign (for a real z, in the sign
+    # of its zero) have states of their own.
+    carried, pts = ZeroSumPiK(), [z, 0.5 * z, z, complex(z.real, -z.imag)]
+    for lo, hi in doubling_blocks(0, 3000, 1):
+        ns = np.arange(lo, hi)
+        with np.errstate(all="ignore"):
+            got, want = carried.term_grid(ns, pts), ZeroSumPiK().term_grid(ns, pts)
+        assert got.tobytes() == want.tobytes(), lo
+    assert len(carried._products) == 3
+    # A pass from sheet 0 drops the states of earlier passes.
+    with np.errstate(all="ignore"):
+        carried.derivatives(np.arange(64), 2, 0.5 * z)
+    assert list(carried._products) == [((0.5 * z).real.hex(), (0.5 * z).imag.hex())]
 
 
 _INHERITED = {

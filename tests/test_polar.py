@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -203,7 +204,19 @@ def test_fiber_sum_single_sheet_is_term(meander_half):
     z = 0.3 + 0j
     res = fiber_polar_sum(meander_half, -1.0 / 5.0 + 0j, z, tol=1e-12)
     assert res.value == pytest.approx(meander_half.term(5, z), abs=1e-14)
-    assert res.tail_bound == 0.0
+    assert res.tail_bound == res.rounding == 0.0
+
+
+@pytest.mark.parametrize("omega, z", [(1.0 + 0j, 2.0 + 0j), (cmath.exp(2j * math.pi / 3.0), 0.4 + 0.2j), (1j, 1j + 0.8)])
+def test_fiber_sum_is_within_its_rounding_of_the_exact_sum_of_its_terms(qlog_half, omega, z):
+    res = fiber_polar_sum(qlog_half, omega, z, tol=1e-12)
+    perf = qlog_half.perforation
+    sheets = list(perf.poles.sheets_containing(omega, res.terms_used))
+    poles = [perf.nearest_pole(n, omega)[0] for n in sheets]
+    terms = [qlog_half.residue(n, pole) / (z - pole) for n, pole in zip(sheets, poles)]
+    error = abs(Fraction(res.value.real) - sum(Fraction(t.real) for t in terms))
+    error += abs(Fraction(res.value.imag) - sum(Fraction(t.imag) for t in terms))
+    assert 0.0 < res.rounding and error <= Fraction(res.rounding)
 
 
 def test_fiber_sum_rejects_non_pole(qlog_half):
