@@ -43,7 +43,7 @@ from .series import (
     SumResult,
     TaylorJet,
     TermSequence,
-    derivative_sum,
+    coefficient_sum,
     evaluate_sum,
     evaluate_sums,
     taylor_jet,

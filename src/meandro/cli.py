@@ -411,7 +411,7 @@ def cmd_jet(config, model, tol, cutoff):
 
 @_command("polar", "model", "tol", "cutoff")
 def cmd_polar(config, model, tol, cutoff):
-    """Laurent coefficients of one sheet, or a fiber polar sum; its tail_bound is the truncation tail alone."""
+    """Laurent coefficients of one sheet, or a fiber polar sum; its tail_bound adds the sum's rounding to its tail."""
     section = _section(config, "polar")
     mode = section["mode"]
     for key in {"laurent": ("sheet", "center", "r"), "fiber": ("omega", "z")}[mode]:
@@ -446,7 +446,7 @@ def cmd_polar(config, model, tol, cutoff):
     except ValueError as exc:  # omega is no pole projection within the cutoff
         raise ConfigError(f"invalid polar fiber: {exc}") from exc
     header = ["omega_re", "omega_im", "z_re", "z_im", "S_re", "S_im", "tail_bound", "sheets_used"]
-    row = [om.real, om.imag, z.real, z.imag, res.value.real, res.value.imag, res.tail_bound, res.terms_used]
+    row = [om.real, om.imag, z.real, z.imag, res.value.real, res.value.imag, res.error_bound, res.terms_used]
     return header, [row], 0
 
 

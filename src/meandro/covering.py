@@ -111,18 +111,20 @@ def inclusion_check(
     )
 
 
-def _bell_row(k: int, xs: list[complex]) -> list[complex]:
-    """Partial Bell polynomials B_{k,j}(x_1, ...) for j = 0..k, by recurrence."""
-    table = {(0, 0): 1 + 0j}
-    for kk in range(1, k + 1):
-        for jj in range(1, kk + 1):
-            acc = 0j
-            for i in range(1, kk - jj + 2):
-                prev = table.get((kk - i, jj - 1), 0j)
-                if prev != 0 and i <= len(xs):
-                    acc += math.comb(kk - 1, i - 1) * xs[i - 1] * prev
-            table[(kk, jj)] = acc
-    return [table.get((k, j), 0j) for j in range(k + 1)]
+@functools.lru_cache(maxsize=8)
+def _powers(beta: int, w: complex, m: int, top: int) -> tuple[tuple[int, int, complex], ...]:
+    """(j, k, [t**k] P(t)**j) for each non-zero entry with j <= top and 1 <= k <= m.
+
+    P(t) = (w + t)**beta - w**beta = sum_{i=1..beta} C(beta, i) * w**(beta-i) * t**i,
+    so [t**k] P(t)**j is 0 for k < j.  A jet's pass asks for the same table
+    on most blocks of its point, so the last few are kept.
+    """
+    inner = np.array([0j] + [math.comb(beta, i) * w ** (beta - i) for i in range(1, min(beta, m) + 1)])
+    powers = np.zeros((top + 1, m + 1), dtype=complex)
+    powers[0, 0] = 1.0
+    for j in range(1, top + 1):
+        powers[j] = np.convolve(powers[j - 1], inner)[: m + 1]
+    return tuple((j, k + 1, complex(powers[j, k + 1])) for j, k in np.argwhere(powers[:, 1:]).tolist())
 
 
 class _PullbackPoles(PoleFamilyBase):
@@ -177,10 +179,14 @@ class PullbackSequence(TermSequence):
     """Composition of a sequence with the covering w -> center + w**beta.
 
     Terms are F_n(w) = f_n(center + w**beta): ``term_grid`` is the base's
-    at the images, and ``derivatives`` come from the base's by the chain
-    rule in partial-Bell form (the inner derivatives vanish beyond order
-    beta, so the expansion is finite).  Row 0 of ``derivatives`` is the
-    base's row 0 at the image, so it is ``term_grid``'s bit for bit.
+    at the images, and ``taylor_coefficients`` come from the base's at the
+    image z0 = center + w0**beta by composition: with z - z0 = P(t) =
+    sum_{i=1..beta} C(beta, i) * w0**(beta-i) * t**i and f_n = sum_j b_j *
+    (z - z0)**j, the coefficient of t**k is sum_j b_j * [t**k] P(t)**j, one
+    (m+1)**2 table of the powers of P per point.  At the branch point w0 = 0
+    (beta > 1), P(t) = t**beta, so only the base's orders up to m//beta
+    are needed.  Row 0 is the base's row 0 at the image, so it is
+    ``term_grid``'s bit for bit.
 
     The removed discs, of radius rho_n = r_n/(2**beta - 1) about the
     preimages of the base poles, map into the base discs but do not cover
@@ -281,30 +287,17 @@ class PullbackSequence(TermSequence):
             out[list(images)] = self.base.term_grid(ns, list(images.values()))
         return out
 
-    def derivatives(self, ns: np.ndarray, m: int, w: complex) -> np.ndarray:
+    def taylor_coefficients(self, ns: np.ndarray, m: int, w: complex) -> np.ndarray:
         try:
             z = self._image(w)
         except OverflowError:  # infinite entries, as in ``term_grid``
             return np.full((m + 1, len(ns)), math.inf, dtype=complex)
+        top = m // self.beta if w == 0 and self.beta > 1 else m  # the base orders that reach order m
+        base = self.base.taylor_coefficients(ns, top, z)
         out = np.zeros((m + 1, len(ns)), dtype=complex)
-        if w == 0 and self.beta > 1:
-            # Only the beta-th inner derivative survives at the branch point:
-            # F^(k)(0) = f^(j)(center) * k!/j! when k = j*beta, else 0.
-            base = self.base.derivatives(ns, m // self.beta, z)
-            for j in range(m // self.beta + 1):
-                k = j * self.beta
-                out[k] = base[j] * math.factorial(k) / math.factorial(j)
-            return out
-        # The partial-Bell coefficients depend on w alone.
-        base = self.base.derivatives(ns, m, z)
         out[0] = base[0]
-        xs = [math.perm(self.beta, i) * w ** (self.beta - i) if i <= self.beta else 0j
-              for i in range(1, m + 1)]
-        for k in range(1, m + 1):
-            bells = _bell_row(k, xs)
-            for j in range(1, k + 1):
-                if bells[j] != 0:
-                    out[k] += base[j] * bells[j]
+        for j, k, power in _powers(self.beta, w, m, top):
+            out[k] += power * base[j]
         return out
 
     def residue(self, n: int, pole: complex) -> complex:

@@ -118,7 +118,7 @@ def huygens_distance(U: Disc, V: Disc) -> float:
 class DiophantineRadius:
     """Per-sheet radius c/(n + shift)**alpha with a lambda margin.
 
-    The polynomial decay is what makes derivative sums of the perforation
+    The polynomial decay is what makes coefficient sums of the perforation
     converge; alpha >= 1 and r <= 1 are required by the shrinking and Taylor
     estimates downstream.  ``shift`` accommodates families whose sheets are
     indexed from 0.  Where (n + shift)**alpha overflows a float, the radius

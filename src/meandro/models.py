@@ -102,16 +102,14 @@ class MeanderModel(TermSequence):
         denom = 1.0 + ns * np.array(zs, dtype=complex).reshape(-1, 1)
         return self.x**ns / denom
 
-    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
-        # Row k is row k-1 times -k*n/(1 + n*z), written in place.
+    def taylor_coefficients(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        # Row k is row k-1 times -n/(1 + n*z), written in place.
         denom = 1.0 + ns * z
         step = -ns / denom
         out = np.empty((m + 1, len(ns)), dtype=complex)
         out[0] = self.x**ns / denom
-        scratch = np.empty(len(ns), dtype=complex)
         for k in range(1, m + 1):
-            np.multiply(step, k, out=scratch)
-            np.multiply(out[k - 1], scratch, out=out[k])
+            np.multiply(out[k - 1], step, out=out[k])
         return out
 
     def norm_bound(self, n: int) -> float:
@@ -132,7 +130,7 @@ class MeanderModel(TermSequence):
 class QLogModel(TermSequence):
     """Terms x**n/(z**n - 1) for n >= 1 with poles at the n-th roots of unity.
 
-    Derivatives come from the fiber decomposition differentiated termwise.
+    Taylor coefficients come from a series division (``taylor_coefficients``).
     1/(z**n - 1) is holomorphic off the removed discs and vanishes at
     infinity, so its sup is reached on a rim z = w*(1 + u), w**n = 1,
     |u| = r_n.  There, with s = n*r_n <= c (alpha >= 1), one has
@@ -176,8 +174,8 @@ class QLogModel(TermSequence):
         with np.errstate(over="ignore", invalid="ignore"):
             return self.x**n / (zs**n - 1.0)
 
-    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
-        # Taylor coefficients h_k = g^(k)/k! of g = 1/(z**n - 1) by series
+    def taylor_coefficients(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        # Taylor coefficients h_k of g = 1/(z**n - 1) about z by series
         # division, h * den = num in powers of t (no roots of unity are built).
         # Inside the unit circle den = (z+t)**n - 1 = sum_i C(n,i) z**(n-i) t**i
         # and num = 1 (Leibniz on (z**n - 1) * g = 1).  Outside it, g = A/(1 - A)
@@ -200,17 +198,18 @@ class QLogModel(TermSequence):
             acc = num[k] - sum(den[i] * h[k - i] for i in range(1, k + 1))
             h[k] = acc / den[0]
         scale = self.x**ns
-        for k in range(m + 1):
-            h[k] *= scale * math.factorial(k)
+        for row in h:  # one product per row, as in ``term_grid``
+            row *= scale
         return h
 
     def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
-        # Row 0 of ``derivatives`` with its operations, on a row of points per
-        # side of the unit circle.  1/z is taken point by point, as there:
-        # numpy and Python round a complex quotient differently.  A real z
-        # takes real powers there, so real points go point by point.
+        # Row 0 of ``taylor_coefficients`` with its operations, on a row of
+        # points per side of the unit circle.  1/z is taken point by point, as
+        # there: numpy and Python round a complex quotient differently.  A real
+        # z takes real powers there, so real points go point by point.
         if not all(isinstance(z, complex) for z in zs):
-            return np.array([self.derivatives(ns, 0, z)[0] for z in zs], dtype=complex).reshape(len(zs), len(ns))
+            rows = [self.taylor_coefficients(ns, 0, z)[0] for z in zs]
+            return np.array(rows, dtype=complex).reshape(len(zs), len(ns))
         out = np.empty((len(zs), len(ns)), dtype=complex)
         inside = np.array([_modulus(z) <= 1.0 for z in zs], dtype=bool)
         if inside.any():
@@ -258,11 +257,11 @@ class ZeroSumPiK(TermSequence):
     (``tails._RemainderTails``).  For Re z > 0, |P_N| grows like
     N**Re(1/z) and the series diverges.
 
-    No n! is formed for the derivatives: with r_j = j/(1 - j*z0), s =
-    -1/z0 and t_n(z0 + t)/t_n(z0) = (1 - s*t)**n / prod_{j<=n+1} (1 - r_j*t)
-    = sum_k c_k t**k, row k is k! * t_n(z0) * c_k, in one of three forms:
+    No n! is formed for the Taylor coefficients: with r_j = j/(1 - j*z0), s
+    = -1/z0 and t_n(z0 + t)/t_n(z0) = (1 - s*t)**n / prod_{j<=n+1} (1 -
+    r_j*t) = sum_k c_k t**k, row k is t_n(z0) * c_k, in one of three forms:
 
-    * at z0 = 0, the exact integer (-1)**n * n! * k! * S(k+1, n+1), S the
+    * at z0 = 0, the exact integer (-1)**n * n! * S(k+1, n+1), S the
       Stirling numbers of the second kind (0 for k < n);
     * where n*|z0| < 1, Leibniz: c_k = sum_i C(n, i) * (-s)**i * H_{k-i},
       H_k = h_k(r_1, ..., r_{n+1}) = cumsum(r*H_{k-1}) over the sheets.
@@ -307,7 +306,7 @@ class ZeroSumPiK(TermSequence):
             message = f"the pi_k series diverges at {z0}: |P_N| grows like N**{growth:.6g}"
             return NonConvergent(message, re_inverse=growth)
         if m > 0 and z0.real / 2.0 == 0.0 and z0 != 0:
-            return TolUnreachable(f"no circle about {z0} stays in the closed left half-plane: no derivative tails")
+            return TolUnreachable(f"no circle about {z0} stays in the closed left half-plane: no coefficient tails")
         return _RemainderTails(z0)
 
     def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
@@ -339,7 +338,7 @@ class ZeroSumPiK(TermSequence):
         self._products.update(stored)
         return out
 
-    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+    def taylor_coefficients(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
         out = np.zeros((m + 1, len(ns)), dtype=complex)
         out[0] = self.term_grid(ns, [z])[0]
         z = complex(z)
@@ -354,14 +353,13 @@ class ZeroSumPiK(TermSequence):
                 n = int(ns[col])
                 for k in range(max(n, 1), m + 1):
                     try:
-                        out[k, col] = float((-1) ** n * math.factorial(n) * math.factorial(k) * stirling[k + 1][n + 1])
+                        out[k, col] = float((-1) ** n * math.factorial(n) * stirling[k + 1][n + 1])
                     except OverflowError:
                         out[k, col] = math.inf
             return out
         top = int(ns.max())
         q = 1.0 / (1.0 - _multiples(z, 1, top + 1))  # q[j - 1] = 1/(1 - j*z)
         r = np.arange(1.0, top + 2.0) * q
-        kfac = [float(math.factorial(k)) for k in range(m + 1)]
         late = ns >= max(1.0 / _modulus(z), 1.0)  # n*|z| >= 1
         if not late.all():
             near = ns[~late]
@@ -377,10 +375,11 @@ class ZeroSumPiK(TermSequence):
             firsts = np.cumprod(q[: min(m, last) + 1])
             a = []
             for i in range(min(m, last) + 1):
-                steps = np.concatenate(([(-1) ** i * kfac[i] * firsts[i]], g[i + 1 :] / (ls[i + 1 :] - i)))
+                first = (-1) ** i * float(math.factorial(i)) * firsts[i]  # t_i's own i!
+                steps = np.concatenate(([first], g[i + 1 :] / (ls[i + 1 :] - i)))
                 a.append(np.concatenate((np.zeros(i), np.cumprod(steps)))[near])
             for k in range(1, m + 1):
-                out[k, ~late] = kfac[k] * sum(a[i] * hs[k - i] for i in range(min(k, len(a) - 1) + 1))
+                out[k, ~late] = sum(a[i] * hs[k - i] for i in range(min(k, len(a) - 1) + 1))
         if late.any():
             far = ns[late]
             last = int(far.max())
@@ -391,7 +390,7 @@ class ZeroSumPiK(TermSequence):
             c = [1.0]
             for k in range(1, m + 1):
                 c.append(sum(p[i] * c[k - i] for i in range(1, k + 1)) / k)
-                out[k, late] = out[0, late] * c[k] * kfac[k]
+                out[k, late] = out[0, late] * c[k]
         return out
 
 
@@ -453,8 +452,8 @@ class ZeroSumGeneral(TermSequence):
             TableRadius(table, lam=lam),
         )
 
-    def _derivative(self, n: int, q: int, z: complex) -> complex:
-        """The q-th derivative of the sheet-n term, or inf where it raises.
+    def _coefficient(self, n: int, q: int, z: complex) -> complex:
+        """The q-th Taylor coefficient at z of the sheet-n term, or inf where it raises.
 
         It is Python complex arithmetic, whose quotients the ``zero-sum`` golden values pin: numpy's round apart,
         so the block methods take each point as a Python complex.
@@ -464,20 +463,19 @@ class ZeroSumGeneral(TermSequence):
                 return self.coefficients[n] * z**n / (1.0 - z / self.pole_list[n]) + (self.constant if n == 0 else 0.0)
             e = self.pole_list[n]
             total = 0j
-            for i in range(min(q, n) + 1):  # Leibniz on z**n * (1 - z/e)**(-1)
-                h_j = math.factorial(q - i) * e ** -(q - i) / (1.0 - z / e) ** (q - i + 1)
-                total += math.comb(q, i) * (math.perm(n, i) * z ** (n - i)) * h_j
+            for i in range(min(q, n) + 1):  # Leibniz on z**n * (1 - z/e)**(-1), in coefficients
+                total += math.comb(n, i) * z ** (n - i) * (e ** -(q - i) / (1.0 - z / e) ** (q - i + 1))
             return self.coefficients[n] * total
         except (OverflowError, ZeroDivisionError):
             return math.inf
 
     def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
-        rows = [[self._derivative(n, 0, complex(z)) for n in ns.tolist()] for z in zs]
+        rows = [[self._coefficient(n, 0, complex(z)) for n in ns.tolist()] for z in zs]
         return np.array(rows, dtype=complex).reshape(len(zs), len(ns))
 
-    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+    def taylor_coefficients(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
         z = complex(z)
-        rows = [[self._derivative(n, k, z) for n in ns.tolist()] for k in range(m + 1)]
+        rows = [[self._coefficient(n, k, z) for n in ns.tolist()] for k in range(m + 1)]
         return np.array(rows, dtype=complex).reshape(m + 1, len(ns))
 
 

@@ -1,24 +1,26 @@
 """Summation of per-sheet rational terms and Taylor jets of the sum.
 
 A term sequence assigns to each sheet a rational function, its closed-form
-derivatives, its poles and a bound on its supremum over the perforated
-sheet.  One engine sums derivative series in a single ascending pass over
-the sheets.  Each series it sums is a lane: one point and one order.  A
-Taylor jet of order m is m+1 lanes at one point, so it costs one pass
-rather than m+1; an evaluation at P points (``evaluate_sums``) is P lanes
-of order 0, and costs one pass rather than P.
+Taylor coefficients, its poles and a bound on its supremum over the
+perforated sheet.  One engine sums coefficient series in a single ascending
+pass over the sheets.  Each series it sums is a lane: one point and one
+order.  A Taylor jet of order m is m+1 lanes at one point, so it costs one
+pass rather than m+1; an evaluation at P points (``evaluate_sums``) is P
+lanes of order 0, and costs one pass rather than P.  The families give
+Taylor coefficients, the tails bound them and a jet is their sums, so no
+module converts to or from derivatives.
 
 The pass walks blocks of consecutive sheets from
 ``geometry.doubling_blocks``: the first holds 64 sheets, each next one
-twice as many, up to 65 536 derivative values of one point per block.  The
+twice as many, up to 65 536 coefficient values of one point per block.  The
 partition depends on the orders and the number of sheets alone, never on
 the number of points, so each point is summed over the blocks of its lone
 call, and its sum, stopping sheet, tail and error are those of that call,
 bit for bit.  A block's terms come, for a few points at a time, from
 ``TermSequence.term_grid`` (order 0, one row per point) or
-``TermSequence.derivatives`` (one row per order) as one numpy array.  The
-points come in groups of at most about 4 096 values (at least one point, so
-a jet's group is its block).  The state of the lanes is arrays indexed by
+``TermSequence.taylor_coefficients`` (one row per order) as one numpy
+array.  The points come in groups of at most about 4 096 values (at least
+one point, so a jet's group is its block).  The state of the lanes is arrays indexed by
 lane (running sum, whether it has stopped, its stopping sheet and tail) and
 by point (ended, cleared), so a group's bookkeeping is mask and index
 arithmetic: finiteness, running sums, tolerances, stops, the pole-clearance
@@ -51,7 +53,7 @@ any term:
   (``tails._CertifiedTails``) at every point, as the norm bounds hold on
   the whole perforated plane.  Order 0 has the certificate's tail, the sum
   of the norm bounds after the sheet, at every point; order k >= 1 the
-  least that Cauchy's estimate gives on
+  least that Cauchy's estimate, |a_k| <= M/R**k, gives on
   three kinds of circles about the point, so how far a jet runs depends
   on how close the point is to the poles, not on how
   small the removed discs are;
@@ -61,7 +63,7 @@ any term:
 
 No tail increases with the sheet, so a search on the scalar tail finds
 each stop, a few tails a lane.  A plain sum (no relative part, as in
-``evaluate_sums`` and ``derivative_sum``) has one limit, the tolerance, so
+``evaluate_sums`` and ``coefficient_sum``) has one limit, the tolerance, so
 its stopping sheet is searched before any term, once per order and point
 (once in all for order 0 where its tail is the same at every point) into
 an array of stops that each block reads, and each block ends after the
@@ -76,10 +78,10 @@ lane's stopping sheet ends its point with OutOfRegime; terms computed past
 the stop are never used.
 
 A family gives its terms through two methods alone, both on a block of
-sheets: ``derivatives`` and ``term_grid``.  Row i of ``term_grid(ns, zs)``
-is row 0 of ``derivatives(ns, 0, zs[i])``, bit for bit, so a point's sums
-do not depend on which of the two the engine calls; ``term`` and
-``term_array`` read ``term_grid``.
+sheets: ``taylor_coefficients`` and ``term_grid``.  Row i of
+``term_grid(ns, zs)`` is row 0 of ``taylor_coefficients(ns, 0, zs[i])``,
+bit for bit, so a point's sums do not depend on which of the two the
+engine calls; ``term`` and ``term_array`` read ``term_grid``.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from .errors import DiophantineRequired, MeandroError, OutOfRegime, PoleProximit
 from .geometry import _GROUP_VALUES, DiophantineRadius, Perforation, _tail_clears, doubling_blocks
 from .tails import DecayCert, _CertifiedTails, _FiniteTails
 
-#: Highest jet order: k! overflows a float from k = 171 on.
+#: Highest jet order that ``taylor_jet`` accepts.
 _MAX_JET_ORDER = 170
 #: Absolute tolerance of each jet coefficient a_k, below its relative one.
 _JET_ABS_TOL = 1e-300
@@ -139,7 +141,7 @@ def _neumaier_step(s: np.ndarray, c: np.ndarray, x: np.ndarray) -> tuple[np.ndar
 
 
 class TermSequence(abc.ABC):
-    """Per-sheet terms with closed-form derivatives and norm certificates.
+    """Per-sheet terms with closed-form Taylor coefficients and norm certificates.
 
     The terms come a block of sheets at a time (see the module docstring); an
     entry that overflows is inf or NaN, OutOfRegime where the sum needs it.
@@ -151,14 +153,14 @@ class TermSequence(abc.ABC):
     perforation: Perforation
 
     @abc.abstractmethod
-    def derivatives(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
-        """Derivatives of orders 0..m on the sheets ns at z: row k holds the k-th."""
+    def taylor_coefficients(self, ns: np.ndarray, m: int, z: complex) -> np.ndarray:
+        """Taylor coefficients of orders 0..m on the sheets ns at z: row k holds those of (. - z)**k."""
 
     @abc.abstractmethod
     def term_grid(self, ns: np.ndarray, zs: list) -> np.ndarray:
         """Terms on the sheets ns at the points zs: row i holds the terms at zs[i].
 
-        Row i is ``derivatives(ns, 0, zs[i])[0]``, bit for bit.
+        Row i is ``taylor_coefficients(ns, 0, zs[i])[0]``, bit for bit.
         """
 
     def term(self, n: int, z: complex) -> complex:
@@ -177,7 +179,7 @@ class TermSequence(abc.ABC):
         return None
 
     def tail_policy(self, z0: complex, m: int):
-        """The tails at z0 of the derivative series of orders 0..m, or the MeandroError that refuses z0.
+        """The tails at z0 of the coefficient series of orders 0..m, or the MeandroError that refuses z0.
 
         The tails are known before any term (see ``tails``): a finite
         family's are exact, and a decay certificate over a Diophantine
@@ -225,8 +227,8 @@ class SumResult:
 class TaylorJet:
     """Taylor coefficients of the sum and two bounds on the error of each.
 
-    coefficients[k] = S(f^{(k)})(z0)/k! for k = 0..order, with the tail and
-    the rounding (that of the division included) over k! of the order-k sum
+    coefficients[k] is the sum over the sheets of the terms' coefficients
+    of (z - z0)**k, for k = 0..order, with that sum's tail and rounding
     (see ``SumResult``).  ``certified`` says that a decay certificate over a
     Diophantine radius backs the tails; a finite family's tails are exact
     and the pi_k family's come from its remainder, though the flag is False
@@ -263,8 +265,8 @@ class _Group:
     """One lane group of a block: row r of ``terms`` is lane ``lanes[r]``.
 
     ``clean[r]`` counts the row's finite terms before its first non-finite
-    one, and ``bad[r]`` says whether it has one.  Lane r's tolerance at a
-    magnitude v is max(abs_tol[r], rel_tol * max(v, floor[r])).
+    one, and ``bad[r]`` says whether it has one.  A lane's tolerance at a
+    magnitude v is max(abs_tol, rel_tol * max(v, floor)).
     ``_CertifiedStop.scan`` gives for the rows the block index of each
     one's stopping sheet (the block's length where it holds none) and the
     tail there.
@@ -277,12 +279,9 @@ class _Group:
         self.bad = ~fine.all(axis=1)
         self.clean = np.where(self.bad, fine.argmin(axis=1), len(ns))
 
-    def tol(self, v: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """Tolerances of the lanes ``rows`` at v, one value (1-D v) or one row (2-D v) a lane."""
-        abs_tol, floor = self.abs_tol[rows], self.floor[rows]
-        if v.ndim == 2:
-            abs_tol, floor = abs_tol[:, None], floor[:, None]
-        return np.maximum(abs_tol, self.rel_tol * np.maximum(v, floor))
+    def tol(self, v: np.ndarray) -> np.ndarray:
+        """The tolerances at the magnitudes v, elementwise."""
+        return np.maximum(self.abs_tol, self.rel_tol * np.maximum(v, self.floor))
 
     def sums(self, rows=slice(None)) -> np.ndarray:
         """Running sums of the lanes ``rows`` through each sheet of the block."""
@@ -370,8 +369,8 @@ class _CertifiedStop:
                 return n, tail(n)
         return self.last + 1, math.inf
 
-    def plan(self, points: np.ndarray, orders: range, limits: np.ndarray) -> None:
-        """The stops of the lanes of these points, each with its order's limit on every sheet.
+    def plan(self, points: np.ndarray, orders: range, limit: float) -> None:
+        """The stops of the lanes of these points, each with this limit on every sheet.
 
         ``stop`` runs once per order and point, once in all for order 0 where its tail is the same at every point.
         Each lane's stopping sheet (last + 1 for none) and tail go to ``stop_at`` and ``stop_tail``.
@@ -379,7 +378,7 @@ class _CertifiedStop:
         lanes = len(self.zs) * self.width
         self.stop_at, self.stop_tail = np.full(lanes, self.last + 1), np.zeros(lanes)
         at, tail = self.stop_at.reshape(-1, self.width), self.stop_tail.reshape(-1, self.width)
-        for i, (k, limit) in enumerate(zip(orders, limits.tolist())):
+        for i, k in enumerate(orders):
             shared = k == 0 and self.shared
             for p in points[:1 if shared else None].tolist():
                 share = slice(None) if shared else p  # a lane of a point that has ended is never read
@@ -425,12 +424,12 @@ class _CertifiedStop:
         # The running sums at each lane's j1, one row at a time, and the limits there.
         js = [firsts[r] for r in rows]
         sums = g.acc[rows] + np.array([np.cumsum(g.terms[r, : j + 1])[-1] for r, j in zip(rows, js)])
-        for r, j, limit in zip(rows, js, g.tol(np.abs(sums), rows).tolist()):
+        for r, j, limit in zip(rows, js, g.tol(np.abs(sums)).tolist()):
             tail = self._tail(lanes[r], ks[r], ns[j])
             if tail <= limit:
                 ends[r], tails[r] = j, tail
             elif j + 1 < cleans[r]:
-                limit = g.tol(np.abs(g.sums([r])), [r])[0]
+                limit = g.tol(np.abs(g.sums([r])))[0]
                 stop = self._first_stop(lanes[r], ks[r], ns[: cleans[r]], limit, j + 1)
                 ends[r], tails[r] = stop or (len(ns), 0.0)
         return ends, tails
@@ -501,23 +500,22 @@ def _sum_derivative_series(
     seq: TermSequence,
     zs: list,
     orders: range,
-    abs_tol,
+    abs_tol: float,
     rel_tol: float,
-    floor,
+    floor: float,
     max_terms: int,
 ) -> list[list[SumResult] | MeandroError]:
-    """Shared engine: one ascending pass summing the derivative series of every lane.
+    """Shared engine: one ascending pass summing the Taylor coefficient series of every lane.
 
     A lane is one point of ``zs`` and one order of ``orders``; a pass of
     orders above 0 sums one point, and only order 0 many.  Returns, for
     each point, one SumResult per order, or the MeandroError that ends the
-    point's pass: the one that a call with that point alone returns.  Order
-    k's tolerance at a magnitude v is max(abs_tol, rel_tol * max(v, floor));
-    ``abs_tol`` and ``floor`` are numbers or one number per order.  The
-    sheets are walked in the blocks of a single point (see the module
-    docstring), so every point gets the block partition, and the sums, of
-    its lone call; within a block the points are handled in groups of at
-    most about _GROUP_VALUES values (at least one point).  The stopping rule
+    point's pass: the one that a call with that point alone returns.  A
+    lane's tolerance at a magnitude v is max(abs_tol, rel_tol * max(v,
+    floor)).  The sheets are walked in the blocks of a single point (see
+    the module docstring), so every point gets the block partition, and the
+    sums, of its lone call; within a block the points are handled in groups
+    of at most about _GROUP_VALUES values (at least one point).  The stopping rule
     of the module docstring is applied to the open lanes of each group,
     with each point's tails from ``seq.tail_policy``, and each lane keeps
     the block's terms through its stopping sheet.  Lane state is arrays
@@ -560,9 +558,7 @@ def _sum_derivative_series(
         ended[p] = True
     points = np.array(zs, dtype=object)  # the points as given, to pick by index
     n_lanes = len(zs) * width
-    lane_k, (lane_abs, lane_floor) = np.empty(n_lanes, dtype=np.int64), np.empty((2, n_lanes))
-    for lane_value, value in ((lane_k, orders), (lane_abs, abs_tol), (lane_floor, floor)):
-        lane_value.reshape(-1, width)[:] = value
+    lane_k = np.tile(np.arange(orders.start, orders.stop), len(zs))
     # Neumaier running sums and compensations, (real, imag) a lane, and W of each lane's rounding.
     (acc_s, acc_c), acc_w = np.zeros((2, n_lanes, 2)), np.zeros(n_lanes)
     # Whether each lane has stopped, and its stopping sheet and tail once it has.
@@ -593,11 +589,11 @@ def _sum_derivative_series(
             if m == 0:
                 block = seq.term_grid(ns, points[where].tolist())
             else:  # one point: a pass of orders above 0 sums one
-                block = seq.derivatives(ns, m, zs[int(pts[0])])
+                block = seq.taylor_coefficients(ns, m, zs[int(pts[0])])
             acc = (acc_s[lanes] + acc_c[lanes]).view(complex)[:, 0]
             if len(ids) < len(block):  # the open orders of one point's rows 0..m
                 block = block[_index(ks)]
-            g = _Group(ns, block, ids, ks, acc, lane_abs[lanes], lane_floor[lanes], rel_tol)
+            g = _Group(ns, block, ids, ks, acc, abs_tol, floor, rel_tol)
             ends, found = rule.scan(g)
         lo, failures = int(ns[0]), len(errors)
         # Each lane's last sheet of the block: its stop, its first non-finite term, or the block's last.
@@ -651,7 +647,7 @@ def _sum_derivative_series(
     unclear = live.tolist() if clearable else []  # live points not yet cleared
     furthest = None  # each point's furthest stop, known before the terms
     if rel_tol == 0.0:
-        rule.plan(live, orders, lane_abs[:width])
+        rule.plan(live, orders, abs_tol)
         furthest = rule.stop_at.reshape(-1, width).max(axis=1)  # a done lane's stop is in an earlier block
     for lo, hi in doubling_blocks(seq.n_min, last + 1, orders[-1] + 1):
         if not len(live):
@@ -718,19 +714,19 @@ def evaluate_sum(
     the family's tail policy where it refuses z, and TolUnreachable when the
     tail bound does not drop below tol within max_terms sheets.
     """
-    return derivative_sum(seq, z, 0, tol, max_terms)
+    return coefficient_sum(seq, z, 0, tol, max_terms)
 
 
-def derivative_sum(
+def coefficient_sum(
     seq: TermSequence,
     z0: complex,
     k: int,
     tol: float = 1e-10,
     max_terms: int = 200_000,
 ) -> SumResult:
-    """Sum the k-th derivative series at z0 with a Cauchy-estimate tail bound (see ``taylor_jet``)."""
+    """Sum the k-th Taylor coefficient series at z0 with a Cauchy-estimate tail bound (see ``taylor_jet``)."""
     if k < 0:
-        raise ValueError("derivative order must be non-negative")
+        raise ValueError("coefficient order must be non-negative")
     if tol <= 0:
         raise ValueError("tol must be positive")
     outcome = _sum_derivative_series(seq, [z0], range(k, k + 1), tol, 0.0, 0.0, max_terms)[0]
@@ -746,30 +742,23 @@ def taylor_jet(
     rel_tol: float = 1e-11,
     max_terms: int = 200_000,
 ) -> TaylorJet:
-    """Jet a_0..a_m of the sum at z0, a_k = S(f^{(k)})(z0)/k!.
+    """Jet a_0..a_m of the sum at z0: a_k sums the terms' Taylor coefficients of order k.
 
-    All m+1 derivative series are summed in one pass over the sheets, each
+    All m+1 coefficient series are summed in one pass over the sheets, each
     with the tails of the family's tail policy at z0 (see the module
-    docstring), so a series stops where the poles near z0 allow.  A
-    sequence without tails known before its terms raises DiophantineRequired
-    before any term.  Orders above 170, where k! overflows a float, raise
-    OutOfRegime.
+    docstring), so a series stops where the poles near z0 allow; order k
+    stops within max(1e-300, rel_tol * max(|a_k|, 1)).  A sequence without
+    tails known before its terms raises DiophantineRequired before any term.
+    Orders above 170 raise OutOfRegime.
     """
     if m < 0:
         raise ValueError("jet order must be non-negative")
     if m > _MAX_JET_ORDER:
-        raise OutOfRegime(f"jet order {m} exceeds {_MAX_JET_ORDER}: k! overflows a float")
-    orders = range(m + 1)
-    kfacs = [math.factorial(k) for k in orders]
-    floors = np.array(kfacs, dtype=float)
-    inner = _sum_derivative_series(seq, [z0], orders, _JET_ABS_TOL * floors, rel_tol, floors, max_terms)[0]
+        raise OutOfRegime(f"jet order {m} exceeds {_MAX_JET_ORDER}, the highest that jets accept")
+    inner = _sum_derivative_series(seq, [z0], range(m + 1), _JET_ABS_TOL, rel_tol, 1.0, max_terms)[0]
     if isinstance(inner, MeandroError):
         raise inner
-    coeffs = np.array([res.value / kf for res, kf in zip(inner, kfacs)], dtype=complex)
-    tails = np.array([res.tail_bound / kf for res, kf in zip(inner, kfacs)], dtype=float)
-    # The rounding over k!, raised by 2**-50 for the rounding of k!, plus 4u|a_k| for the division; twice
-    # rounded up, as each of the three products may lose half the least float where it is subnormal.
-    roundings, mags = np.array([res.rounding for res in inner]), np.abs(coeffs.real) + np.abs(coeffs.imag)
-    bound = roundings / floors * (1.0 + 2.0**-50) + 2.0**-51 * mags
-    bound = np.where((roundings > 0.0) | (mags > 0.0), np.nextafter(np.nextafter(bound, math.inf), math.inf), 0.0)
-    return TaylorJet(z0, coeffs, tails, bound, m, certified=_certifiable(seq))
+    coeffs = np.array([res.value for res in inner], dtype=complex)
+    tails = np.array([res.tail_bound for res in inner], dtype=float)
+    rounding = np.array([res.rounding for res in inner], dtype=float)
+    return TaylorJet(z0, coeffs, tails, rounding, m, certified=_certifiable(seq))

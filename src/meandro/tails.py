@@ -1,13 +1,13 @@
-"""Tail bounds of the derivative series of a term sequence, known before its terms.
+"""Tail bounds of the Taylor coefficient series of a term sequence, known before its terms.
 
-tail(k, n) bounds the order-k derivative series summed over the sheets
-after n, and does not increase with n; the summation engine in ``series``
-stops a lane once its tail is within the tolerance, and each family picks
-its tails with ``TermSequence.tail_policy``.  A decay certificate
+tail(k, n) bounds the series of the order-k Taylor coefficients summed
+over the sheets after n, and does not increase with n; the summation engine
+in ``series`` stops a lane once its tail is within the tolerance, and each
+family picks its tails with ``TermSequence.tail_policy``.  A decay certificate
 (``DecayCert``) is the norm bound's own form: the sheet-j term is at most
 norm_bound(j) <= C * j**q * sigma**j on the perforated sheet, and
-Cauchy's estimate turns that into a bound on its derivatives at a point:
-the k-th derivative at z0 is at most k! * norm_bound(j) / R**k for any
+Cauchy's estimate turns that into a bound on its Taylor coefficients at a
+point: the k-th coefficient at z0 is at most norm_bound(j) / R**k for any
 circle about z0 of radius R on which the bound holds.  ``_CertifiedTails``
 sums these bounds over the sheets after n for three choices of R and keeps
 the least.  Each sum is a factor times sum_{j>n} j**Q * sigma**j for an
@@ -138,28 +138,28 @@ class DecayCert:
 
 
 class _CertifiedTails:
-    """Certified tails of the derivative series at z0 (needs ``series._certifiable``).
+    """Certified tails of the coefficient series at z0 (needs ``series._certifiable``).
 
     Order 0 has the tail of the decay certificate, ``DecayCert.tail``: C
     times sum_{j>n} j**q * sigma**j plus the subnormal sheets' allowance.
-    For k >= 1 the k-th derivative of the sheet-j term is at most k! *
+    For k >= 1 the k-th Taylor coefficient of the sheet-j term is at most
     norm_bound(j) / R_j**k for any circle about z0 of radius R_j on which
     norm_bound(j) bounds the term (Cauchy's estimate), and the tail beyond
     sheet n is the least of three bounds, each a ``DecayCert.scaled_sum``
     with a log factor and an exponent:
 
     * the uniform circles R_j = eps*r_j of the shrunk perforation: as
-      r_j >= c/((1+shift)*j)**alpha, the factor is k! * C *
+      r_j >= c/((1+shift)*j)**alpha, the factor is C *
       (1+shift)**(alpha*k) / (eps*c)**k and the exponent alpha*k + q;
     * off the poles' accumulation set, the circles that fit around z0: the
       poles of sheet j > n are at least D(n) = ``tail_distance_bound(z0, n)``
       away and r_j <= tail_sup(n), so R_j >= R(n) = D(n) - tail_sup(n), and
-      the factor is k! * C / R(n)**k and the exponent q;
+      the factor is C / R(n)**k and the exponent q;
     * where the family declares |z0 - p| >= a*j**-beta on sheet j
       (``distance_power_law``) with beta <= alpha, as at an accumulation
       point: r_j <= c*j**-alpha gives R_j >= b(n)*j**-beta for j > n with
-      b(n) = a - c*(n+1)**(beta-alpha), and the factor is k! * C / b(n)**k
-      and the exponent beta*k + q.
+      b(n) = a - c*(n+1)**(beta-alpha), and the factor is C / b(n)**k and
+      the exponent beta*k + q.
 
     The last two take norm_bound(j) to hold at distance r_j from sheet j's
     poles, as the meander's and the q-log's do.  ``_PullbackPoles`` declares
@@ -184,7 +184,8 @@ class _CertifiedTails:
         self.seq, self.z0 = seq, z0
         self.cert, self.radius = seq.decay_cert, seq.perforation.radius
         self.poles = seq.perforation.poles
-        self._orders: dict[int, tuple[float, float]] = {}
+        self._orders: dict[int, float] = {}
+        self._log_c = math.log(self.cert.C)
         self._sheets: dict[int, tuple[float | None, float | None]] = {}
 
     @functools.cached_property
@@ -193,15 +194,14 @@ class _CertifiedTails:
         law = self.poles.distance_power_law(self.z0)
         return law if law is not None and law[1] <= self.radius.alpha else None
 
-    def _order(self, k: int) -> tuple[float, float]:
-        """The uniform branch's log factor, log(k! * C * (1+shift)**(alpha*k) / (eps*c)**k), and log(k! * C)."""
+    def _order(self, k: int) -> float:
+        """The uniform branch's log factor, log(C * (1+shift)**(alpha*k) / (eps*c)**k)."""
         if k not in self._orders:
             radius = self.radius
-            log_k = math.lgamma(k + 1) + math.log(self.cert.C)
             # 1/r_j**k = ((j+shift)**alpha/c)**k <= ((1+shift)*j)**(alpha*k)/c**k.
             eps_c = (radius.lam - 1.0) * radius.c
             log_eps_c = math.log(eps_c) if eps_c > 0.0 else -math.inf
-            self._orders[k] = log_k + radius.alpha * k * math.log1p(radius.shift) - k * log_eps_c, log_k
+            self._orders[k] = self._log_c + radius.alpha * k * math.log1p(radius.shift) - k * log_eps_c
         return self._orders[k]
 
     def _shrunk(self, d: float) -> float:
@@ -236,14 +236,13 @@ class _CertifiedTails:
 
     def branches(self, k: int, n: int) -> tuple[float, float, float]:
         """The uniform, local and power-law tails of order k >= 1 after sheet n (inf for a branch with no circle)."""
-        log_uniform, log_k = self._order(k)
         log_r, log_b = self._sheet(n)
         cert = self.cert
-        uniform = cert.scaled_sum(n, self.radius.alpha * k + cert.q, log_uniform)
-        local = math.inf if log_r is None else cert.scaled_sum(n, cert.q, log_k - k * log_r)
+        uniform = cert.scaled_sum(n, self.radius.alpha * k + cert.q, self._order(k))
+        local = math.inf if log_r is None else cert.scaled_sum(n, cert.q, self._log_c - k * log_r)
         law = math.inf
         if log_b is not None:
-            law = cert.scaled_sum(n, self.law[1] * k + cert.q, log_k - k * log_b)
+            law = cert.scaled_sum(n, self.law[1] * k + cert.q, self._log_c - k * log_b)
         return uniform, local, law
 
     def tail(self, k: int, n: int) -> float:
@@ -271,66 +270,55 @@ class _RemainderTails:
     sheet n, with a relative 1e-9 added, is at order 0 |P_{n+1}(z0)|,
     doubled on Re z0 = 0 (where the limit need not be 0).  At z0 = 0, where
     P_{n+1} has a zero of order n+1, the order-k tail is exactly 0 from
-    sheet k on and inf before.  Otherwise the order-k tail is
-    |P_{n+1}^(k)(z0)| (the sum is 1 about z0), at most k! * sup|P_{n+1}| /
-    R**k on the circle of radius R = |Re z0|/2 about z0.  1/zeta maps that
-    circle onto the circle of centre conj(z0)/D and radius R/D, D = |z0|**2
-    - R**2, in the left half-plane, so |j*zeta/(1 - j*zeta)| = j/|1/zeta - j|
-    is at most m_j = j*(|j*D - conj(z0)| + R)/(D*j**2 + 2*|Re z0|*j + 1) < 1
-    there; R = 0 gives the order-0 factors.  Each m_j takes a few roundings
-    of non-negative terms and the running product one a sheet, well inside
-    the 1e-9 over ``_REMAINDER_SHEETS`` sheets.  Once the product is below
-    1e-300 it goes on as a sum of logs, so that it never underflows to 0:
-    log m_j is added to the log of the last product at or above 1e-300,
-    and 4u times the sheet count times the running sum of |log m_j| covers
-    the rounding of the logs and of their sum (u = 2**-53).  There the
-    order-0 tail is the next float above the exponential.  Past
-    ``_REMAINDER_SHEETS`` the tail keeps its last value, still a bound as
-    no factor exceeds 1; a factor that rounds above 1 (or is NaN) is taken
-    as 1, so no tail increases.
+    sheet k on and inf before.  Otherwise the order-k tail is the modulus
+    of the k-th Taylor coefficient of P_{n+1} at z0 (the sum is 1 about
+    z0), at most sup|P_{n+1}| / R**k on the circle of radius R = |Re z0|/2
+    about z0 (Cauchy's estimate).  1/zeta maps that circle onto the circle
+    of centre conj(z0)/D and radius R/D, D = |z0|**2 - R**2, in the left
+    half-plane, so |j*zeta/(1 - j*zeta)| = j/|1/zeta - j| is at most m_j =
+    j*(|j*D - conj(z0)| + R)/(D*j**2 + 2*|Re z0|*j + 1) < 1 there; R = 0
+    gives the order-0 factors.  The product is carried as a sum of logs, so
+    that it never underflows to 0.  Each m_j takes a few roundings of
+    non-negative terms, well inside the relative 1e-9 (added to the log as
+    log1p(1e-9)) over ``_REMAINDER_SHEETS`` sheets; the n-th partial sum of
+    the logs is raised by 4u*n times the running sum of |log m_j|, which
+    covers the rounding of the logs and of their sum (u = 2**-53), and the
+    running minimum of these bounds is kept, as no factor exceeds 1.  The
+    order-0 tail is the next float above the exponential.
+    Past ``_REMAINDER_SHEETS`` the tail keeps its last value, still a bound
+    as no factor exceeds 1; a factor that rounds above 1 (or is NaN) is
+    taken as 1, so no tail increases.
     """
 
     order0_shared = False
 
     def __init__(self, z0: complex):
         self.z0 = z0
-        self._products: dict[bool, np.ndarray] = {}
+        self._logs: dict[bool, np.ndarray] = {}
 
-    def _product(self, circle: bool, n: int) -> tuple[float, float | None]:
-        """prod_{j<=n+1} m_j, inflated, on the circle about z0 or (not ``circle``) at z0.
-
-        It comes with its log where it is below 1e-300, and None elsewhere.
-        """
+    def _log_product(self, circle: bool, n: int) -> float:
+        """log prod_{j<=n+1} m_j, inflated, on the circle about z0 or (not ``circle``) at z0."""
         n = min(n, _REMAINDER_SHEETS - 1)
-        cached = self._products.get(circle)
-        if cached is None or len(cached[0]) <= n:
+        logs = self._logs.get(circle)
+        if logs is None or len(logs) <= n:
             x, y = -self.z0.real, self.z0.imag
             R, d = (x / 2.0, 0.75 * x * x + y * y) if circle else (0.0, x * x + y * y)
             js = np.arange(1.0, min(max(2 * (n + 1), 64), _REMAINDER_SHEETS) + 1.0)
             with np.errstate(over="ignore", invalid="ignore"):  # inf/inf at a point near the float range
                 jd = js * d
                 factors = np.fmin(js * (np.hypot(jd + x, y) + R) / ((jd + 2.0 * x) * js + 1.0), 1.0)
-            products = np.cumprod(factors)
-            deep = int(np.argmax(products < 1e-300)) if products[-1] < 1e-300 else len(products)
-            logs = np.log(np.fmax(factors[deep:], math.ulp(0.0)))
-            start = math.log(products[deep - 1]) if deep else 0.0
-            slack = np.arange(1.0, len(logs) + 1.0) * 2.0**-51 * (abs(start) + np.cumsum(np.abs(logs)))
-            logs = start + np.cumsum(logs) + slack + math.log1p(1e-9)
-            products = products * (1.0 + 1e-9)
-            products[deep:] = np.nextafter(np.exp(logs), math.inf)
-            cached = self._products[circle] = products, logs, deep
-        products, logs, deep = cached
-        return float(products[n]), (float(logs[n - deep]) if n >= deep else None)
+            logs = np.log(np.fmax(factors, math.ulp(0.0)))
+            slack = js * 2.0**-51 * np.cumsum(np.abs(logs))
+            logs = self._logs[circle] = np.minimum.accumulate(np.cumsum(logs) + slack + math.log1p(1e-9))
+        return float(logs[n])
 
     def tail(self, k: int, n: int) -> float:
         if self.z0 == 0:
             return 0.0 if n >= k else math.inf
         if k == 0:
-            return (2.0 if self.z0.real == 0.0 else 1.0) * self._product(False, n)[0]
-        product, log_product = self._product(True, n)
-        if log_product is None:
-            log_product = math.log(product)
-        return _exp(math.lgamma(k + 1) - k * math.log(-self.z0.real / 2.0) + log_product)
+            product = math.nextafter(math.exp(self._log_product(False, n)), math.inf)
+            return (2.0 if self.z0.real == 0.0 else 1.0) * product
+        return _exp(self._log_product(True, n) - k * math.log(-self.z0.real / 2.0))
 
 
 def _exp(log_tail: float) -> float:

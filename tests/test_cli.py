@@ -293,7 +293,7 @@ def test_pik_eval_in_the_right_half_plane_diverges(runner, tmp_path):
 
 
 def test_a_pik_jet_past_sheet_170_ends_cleanly(runner, tmp_path):
-    # Sheet 171 once ended this jet with OutOfRegime: its derivatives formed 171! as a float.
+    # Sheet 171 once ended this jet with OutOfRegime: its derivative terms formed 171! as a float.
     payload = {"model": {"name": "zero_sum_pik"}, "jet": {"z0": [-0.3, 0], "order": 2}}
     result = runner.invoke(main, ["jet", "--config", _write_config(tmp_path, payload)])
     assert result.exit_code in (0, 1)
@@ -541,24 +541,24 @@ def test_json_format(runner, tmp_path):
 
 
 def test_overflowing_jet_is_a_typed_error(runner, tmp_path):
-    # At order 120 the meander terms overflow a float; the CLI reports it.
-    cfg = _write_config(tmp_path, {"model": MEANDER, "jet": {"z0": [0, 0], "order": 120}})
+    # At x = 0.95 the meander's coefficient terms of orders near 150 overflow a float; the CLI reports it.
+    cfg = _write_config(tmp_path, {"model": dict(MEANDER, x=0.95), "jet": {"z0": [0, 0], "order": 150}})
     result = runner.invoke(main, ["jet", "--config", cfg, "--json"])
     assert result.exit_code == 1
     payload = json.loads(result.stderr)
     assert payload["error"] == "OutOfRegime"
-    assert "sheet 9" in payload["detail"] and "order-120" in payload["detail"]
+    assert "sheet 127" in payload["detail"] and "order-148" in payload["detail"]
 
 
-@pytest.mark.parametrize("order", [95, 96])
+@pytest.mark.parametrize("order", [160, 161])
 def test_a_block_sum_past_the_float_range_is_a_typed_error(runner, tmp_path, order):
-    # The order-95 terms are finite, but their exact sum over sheets 65 to
-    # 98 overflows a float.
+    # The order-160 terms are finite, but their exact sum over sheets 65 to
+    # 191 overflows a float.
     cfg = _write_config(tmp_path, {"model": MEANDER, "jet": {"z0": [0, 0], "order": order}})
     result = runner.invoke(main, ["jet", "--config", cfg, "--json"])
     assert result.exit_code == 1
     assert json.loads(result.stderr) == {
-        "error": "OutOfRegime", "detail": "the order-95 sum over sheets 65 to 98 overflows a float"
+        "error": "OutOfRegime", "detail": "the order-160 sum over sheets 65 to 191 overflows a float"
     }
     assert "Traceback" not in result.stderr
 
@@ -619,7 +619,7 @@ def test_eval_near_the_float_range_prints_only_the_typed_error(runner, tmp_path)
     "payload, code",
     [
         ({"model": MEANDER, "eval": {"points": [[0.1, 0.0]]}}, 0),
-        ({"model": MEANDER, "jet": {"z0": [0, 0], "order": 120}}, 1),  # an error on stderr
+        ({"model": dict(MEANDER, x=0.95), "jet": {"z0": [0, 0], "order": 150}}, 1),  # an error on stderr
     ],
     ids=["rows", "error"],
 )

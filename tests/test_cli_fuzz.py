@@ -130,7 +130,7 @@ def test_eval_configs_at_extreme_points_end_cleanly(tmp_path_factory, model, poi
 
 
 @settings(max_examples=150, deadline=None)
-@given(model=st.sampled_from(_MODELS), z0=_points, order=st.integers(0, 4), cutoff=_cutoffs)
+@given(model=st.sampled_from(_MODELS), z0=_points, order=st.integers(0, 170), cutoff=_cutoffs)
 @example(model=_MODELS[0], z0=[1.7e308, 1.7e308], order=3, cutoff=10_000)  # OverflowError in the tail distance
 @example(model=_MODELS[2], z0=[-5e-324, 5e-324], order=2, cutoff=10_000)  # |Re z0|/2 underflows to 0
 # The pi_k tails' product of the first two factors underflows to 0.

@@ -13,7 +13,7 @@ from meandro import (
     MeanderModel,
     QLogModel,
     ZeroSumGeneral,
-    derivative_sum,
+    coefficient_sum,
     evaluate_sum,
     fiber_polar_sum,
     gevrey_fit,
@@ -134,7 +134,7 @@ def test_pullback_of_a_finite_family_stops_at_its_last_sheet():
     jet = taylor_jet(pb, w, 1)
     assert np.all(jet.coefficient_tails == 0.0)
     assert jet.coefficients[0] == pytest.approx(direct.value, rel=1e-12)
-    slope = derivative_sum(base, z, 1).value * 2 * w
+    slope = coefficient_sum(base, z, 1).value * 2 * w
     assert jet.coefficients[1] == pytest.approx(slope, rel=1e-12)
 
 
@@ -142,12 +142,13 @@ def test_pullback_chain_rule_exact(meander_tight):
     pb = pullback_model(meander_tight, 2)
     w, n = 0.4 + 0.1j, 3
     z = w * w
-    d = lambda seq, n, k, z: seq.derivatives(np.array([n]), k, z)[k, 0]
-    assert d(pb, n, 1, w) == pytest.approx(d(meander_tight, n, 1, z) * 2 * w)
-    assert d(pb, n, 2, w) == pytest.approx(d(meander_tight, n, 2, z) * (2 * w) ** 2 + d(meander_tight, n, 1, z) * 2)
+    # In Taylor coefficients a_k = f^(k)/k!: F(w) = f(w**2) has F'' = f''*(2w)**2 + f'*2, so A_2 = a_2*(2w)**2 + a_1.
+    a = lambda seq, n, k, z: seq.taylor_coefficients(np.array([n]), k, z)[k, 0]
+    assert a(pb, n, 1, w) == pytest.approx(a(meander_tight, n, 1, z) * 2 * w)
+    assert a(pb, n, 2, w) == pytest.approx(a(meander_tight, n, 2, z) * (2 * w) ** 2 + a(meander_tight, n, 1, z))
     pb3 = pullback_model(meander_tight, 3)
-    expect = d(meander_tight, n, 2, w**3) * (3 * w**2) ** 2 + d(meander_tight, n, 1, w**3) * 6 * w
-    assert d(pb3, n, 2, w) == pytest.approx(expect)
+    expect = a(meander_tight, n, 2, w**3) * (3 * w**2) ** 2 + a(meander_tight, n, 1, w**3) * 3 * w
+    assert a(pb3, n, 2, w) == pytest.approx(expect)
 
 
 def test_pullback_residues_and_fiber_sums():
@@ -175,11 +176,10 @@ def test_pullback_jet_spreads_coefficients(meander_tight):
     # law's as well, so the pullback's lanes stop on later sheets.  Summed to
     # those sheets, the base's series give the pullback's coefficients within
     # their rounding; the two jets agree within their tails and rounding.
-    kfacs = np.array([math.factorial(k) for k in range(11)], dtype=float)
-    lanes = series._sum_derivative_series(pullback, [0j], range(11), 1e-300 * kfacs, 1e-12, kfacs, 200_000)[0]
+    lanes = series._sum_derivative_series(pullback, [0j], range(11), 1e-300, 1e-12, 1.0, 200_000)[0]
     for j in range(6):
-        terms = meander_tight.derivatives(np.arange(1, lanes[2 * j].terms_used + 1), j, 0j)[j]
-        exact = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) / math.factorial(j)
+        terms = meander_tight.taylor_coefficients(np.arange(1, lanes[2 * j].terms_used + 1), j, 0j)[j]
+        exact = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
         a = spread.coefficients[2 * j]
         assert abs(a - exact) <= spread.coefficient_rounding[2 * j] + 2.0**-52 * abs(exact)  # fsum rounds too
         gap = abs(a - base.coefficients[j])

@@ -229,7 +229,7 @@ def test_term_grid_rows_are_order_zero_derivatives_bit_for_bit(family, sheets):
             ns %= seq.n_max + 1
         with np.errstate(all="ignore"):
             grid = seq.term_grid(ns, zs)
-            rows = [seq.derivatives(ns, 0, z)[0] for z in zs]
+            rows = [seq.taylor_coefficients(ns, 0, z)[0] for z in zs]
         assert grid.shape == (len(zs), sheets)
         for got, want in zip(grid, rows):
             assert got.tobytes() == want.tobytes()

@@ -64,7 +64,7 @@ def test_jet_coefficients_match_golden(tmp_path, name):
     assert result.stderr == ""
     assert _columns(result.stdout) == (DATA / f"{name}.csv").read_text(encoding="utf-8")
     # The jet sums to rel_tol 1e-10: order k stops once its tail is within
-    # 1e-10 * max(|k! a_k|, k!), and the printed tail is that tail over k!.
+    # 1e-10 * max(|a_k|, 1), and the printed tail adds the sum's rounding to it.
     for row in csv.DictReader(io.StringIO(result.stdout)):
         a_k = abs(complex(float(row["a_re"]), float(row["a_im"])))
         assert float(row["tail_bound"]) <= 1e-10 * max(a_k, 1.0) * (1.0 + 1e-6)

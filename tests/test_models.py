@@ -90,9 +90,9 @@ def test_meander_factorial_growth_bounds(meander_half):
 def test_meander_derivative_closed_form():
     m = MeanderModel(0.4, c=0.1, alpha=2.0, lam=1.5)
     z, n, k = 0.2 + 0.1j, 3, 4
-    expect = 0.4**n * (-n) ** k * math.factorial(k) / (1 + n * z) ** (k + 1)
-    # Row k of the block is row k-1 times -k*n/(1 + n*z): a few roundings from the closed form.
-    assert m.derivatives(np.array([n]), k, z)[k, 0] == pytest.approx(expect, rel=1e-14, abs=0.0)
+    expect = 0.4**n * (-n) ** k / (1 + n * z) ** (k + 1)  # the k-th derivative over k!
+    # Row k of the block is row k-1 times -n/(1 + n*z): a few roundings from the closed form.
+    assert m.taylor_coefficients(np.array([n]), k, z)[k, 0] == pytest.approx(expect, rel=1e-14, abs=0.0)
 
 
 def test_meander_rejects_large_x():
@@ -122,7 +122,7 @@ def test_qlog_derivative_matches_difference(qlog_half):
     z, n = 0.4 + 0.1j, 5
     h = 1e-6
     fd = (qlog_half.term(n, z + h) - qlog_half.term(n, z - h)) / (2 * h)
-    assert qlog_half.derivatives(np.array([n]), 1, z)[1, 0] == pytest.approx(fd, rel=1e-8)
+    assert qlog_half.taylor_coefficients(np.array([n]), 1, z)[1, 0] == pytest.approx(fd, rel=1e-8)
 
 
 def test_qlog_residues(qlog_half):
@@ -190,7 +190,7 @@ def test_pik_blocks_carry_their_prefix_bit_for_bit(z):
     assert len(carried._products) == 3
     # A pass from sheet 0 drops the states of earlier passes.
     with np.errstate(all="ignore"):
-        carried.derivatives(np.arange(64), 2, 0.5 * z)
+        carried.taylor_coefficients(np.arange(64), 2, 0.5 * z)
     assert list(carried._products) == [((0.5 * z).real.hex(), (0.5 * z).imag.hex())]
 
 
@@ -229,7 +229,7 @@ def test_zero_sum_general_sums_do_not_depend_on_the_type_of_the_point():
 
 
 def _pik_jets(z: complex, sheets: int, order: int) -> list[list[complex]]:
-    """k! times the Taylor coefficients of t_n(z + t), k <= order, n = 0..sheets, in 50-digit power series."""
+    """The Taylor coefficients of t_n(z + t), k <= order, n = 0..sheets, in 50-digit power series."""
     jets = []
     with mpmath.workdps(50):
         z = mpmath.mpc(z)
@@ -239,7 +239,7 @@ def _pik_jets(z: complex, sheets: int, order: int) -> list[list[complex]]:
                 c = [-n * (z * c[k] + (c[k - 1] if k else 0)) for k in range(order + 1)]
                 for k in range(order + 1):
                     c[k] = (c[k] + (n + 1) * (c[k - 1] if k else 0)) / (1 - (n + 1) * z)
-            jets.append([complex(mpmath.factorial(k) * c[k]) for k in range(order + 1)])
+            jets.append([complex(c[k]) for k in range(order + 1)])
     return jets
 
 
@@ -250,20 +250,63 @@ def _pik_jets(z: complex, sheets: int, order: int) -> list[list[complex]]:
 )
 def test_pik_derivatives_off_the_origin_match_mpmath(z):
     # Past sheet 170 n! overflows a float; the block forms none.
-    got = ZeroSumPiK().derivatives(np.arange(301), 10, z)
+    got = ZeroSumPiK().taylor_coefficients(np.arange(301), 10, z)
     want = _pik_jets(z, 300, 10)
     for n in (0, 1, 30, 171, 300):  # the power series against mpmath's numerical derivatives
         with mpmath.workdps(50):
             def term(t):
                 return (-1) ** n * mpmath.factorial(n) * t**n / mpmath.fprod(1 - j * t for j in range(1, n + 2))
 
-            diffs = [complex(d) for d in mpmath.diffs(term, mpmath.mpc(z), 10)]
+            diffs = [complex(d / mpmath.factorial(k)) for k, d in enumerate(mpmath.diffs(term, mpmath.mpc(z), 10))]
         assert all(abs(d - w) <= 1e-14 * abs(w) for d, w in zip(diffs, want[n])), n
     for n in range(301):
         # Where t_n(z) is below the normal range, so are the terms of its block sums.
         floor = 0.0 if abs(want[n][0]) >= 2.0**-1022 else 1e-306
         for k in range(11):
             assert abs(got[k, n] - want[n][k]) <= 1e-10 * abs(want[n][k]) + floor, (n, k)
+
+
+def _mp_term(seq, n: int):
+    """The sheet-n term of a family as a function of one mpmath number."""
+    if isinstance(seq, ZeroSumPiK):
+        return lambda z: (-1) ** n * mpmath.factorial(n) * z**n / mpmath.fprod(1 - j * z for j in range(1, n + 2))
+    if isinstance(seq, ZeroSumGeneral):  # with the family's own float coefficient a_n
+        a, e = mpmath.mpc(seq.coefficients[n]), mpmath.mpc(seq.pole_list[n])
+        return lambda z: a * z**n / (1 - z / e) + (mpmath.mpc(seq.constant) if n == 0 else 0)
+    if hasattr(seq, "base"):  # a pullback
+        base, center = _mp_term(seq.base, n), mpmath.mpc(seq.center)
+        return lambda w: base(center + w**seq.beta)
+    x = mpmath.mpc(seq.x)
+    if isinstance(seq, MeanderModel):
+        return lambda z: x**n / (1 + n * z)
+    return lambda z: x**n / (z**n - 1)
+
+
+_COEFFICIENT_CASES = {
+    "meander": (lambda: MeanderModel(0.9), [0j, 0.3 + 0.2j], [1, 2, 7, 30]),
+    "qlog-inside-and-outside": (lambda: QLogModel(0.9), [0.5 + 0.3j, 1.6 - 0.4j], [1, 2, 7, 30]),
+    "pullback-meander": (lambda: pullback_model(MeanderModel(0.5, c=0.1), 2), [0j, 0.3 + 0.2j], [1, 2, 7, 30]),
+    "pullback-qlog": (lambda: pullback_model(QLogModel(0.5), 3, 0.1), [0j, 0.2 - 0.1j], [1, 2, 7, 30]),
+    "zero-sum-general": (lambda: ZeroSumGeneral(1, [0.5, -0.75j, 2.0, 1.5 + 1j]), [0.1 + 0.1j, -0.2j], [0, 1, 2, 3]),
+    # The origin's integers, the Leibniz form (n*|z| < 1) and the log form (n*|z| >= 1).
+    "pik": (lambda: ZeroSumPiK(), [0j, -0.3 + 0j, -0.1 + 0.05j, 0.013 + 0j], [0, 1, 2, 7, 30]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_COEFFICIENT_CASES))
+def test_taylor_coefficient_rows_match_40_digit_mpmath_taylor(family):
+    # Row k of every family is the k-th Taylor coefficient of its terms, at
+    # the branch point of a pullback (w = 0) and off it.  mpmath's numerical
+    # differences leave about 1e-40 where a coefficient is 0.
+    make, points, sheets = _COEFFICIENT_CASES[family]
+    seq = make()
+    for z in points:
+        rows = seq.taylor_coefficients(np.array(sheets), 8, z)
+        for col, n in enumerate(sheets):
+            with mpmath.workdps(40):
+                want = [complex(a) for a in mpmath.taylor(_mp_term(seq, n), mpmath.mpc(z), 8)]
+            for k, (got, ref) in enumerate(zip(rows[:, col].tolist(), want)):
+                assert abs(got - ref) <= 1e-11 * abs(ref) + 1e-30, (z, n, k)
 
 
 def test_zero_sum_coefficient_seeds():

@@ -32,8 +32,8 @@ def _p(n: int, z):
 def _rounding(seq, z0, k: int, last: int) -> float:
     """(4k + 8) ulps of the sum of |t_n^(k)(z0)/k!| over sheets 0..last, which no tail accounts for."""
     ns = np.arange(last + 1)
-    terms = seq.term_grid(ns, [z0])[0] if k == 0 else seq.derivatives(ns, k, z0)[k]
-    return (4 * k + 8) * np.finfo(float).eps * float(np.abs(terms).sum()) / math.factorial(k)
+    terms = seq.term_grid(ns, [z0])[0] if k == 0 else seq.taylor_coefficients(ns, k, z0)[k]
+    return (4 * k + 8) * np.finfo(float).eps * float(np.abs(terms).sum())
 
 
 @pytest.mark.parametrize("z0", _POINTS)
@@ -64,10 +64,10 @@ _ORACLE_CASES = [
 
 @pytest.mark.parametrize("z0, n, k", _ORACLE_CASES)
 def test_each_tail_bounds_the_derivative_of_the_remainder(z0, n, k):
-    # The order-k sum after sheet n is -P_{n+1}^(k)(z0) (order 0: P_{n+1} - lim P).
+    # The order-k sum after sheet n is -P_{n+1}^(k)(z0)/k! (order 0: P_{n+1} - lim P).
     tail = ZeroSumPiK().tail_policy(z0, k).tail(k, n)
     with mpmath.workdps(40):
-        exact = abs(mpmath.diff(lambda z: _p(n + 1, z), mpmath.mpc(z0), k))
+        exact = abs(mpmath.diff(lambda z: _p(n + 1, z), mpmath.mpc(z0), k)) / mpmath.factorial(k)
     assert exact <= tail + 1e-30  # mpmath's differences are off by about 1e-38 where P^(k) is 0
 
 
@@ -124,7 +124,7 @@ def test_terms_in_product_form_match_mpmath_past_sheet_170(z):
 
 @pytest.mark.parametrize("sheets", [1, 2, 3, 64, 300])
 def test_term_grid_rows_are_order_zero_derivatives_bit_for_bit(sheets):
-    # Row 0 of the derivatives is the point's own term_grid row; 0j takes the exact-integer form.
+    # Row 0 of the Taylor coefficients is the point's own term_grid row; 0j takes the exact-integer form.
     seq = ZeroSumPiK()
     rng = np.random.default_rng(sheets)
     for start in rng.integers(0, 300, size=3).tolist():
@@ -133,7 +133,7 @@ def test_term_grid_rows_are_order_zero_derivatives_bit_for_bit(sheets):
         ns = np.arange(start, start + sheets)
         with np.errstate(all="ignore"):
             grid = seq.term_grid(ns, zs)
-            rows = [seq.derivatives(ns, 0, z)[0] for z in zs]
+            rows = [seq.taylor_coefficients(ns, 0, z)[0] for z in zs]
         assert grid.shape == (len(zs), sheets)
         for got, want in zip(grid, rows):
             assert got.tobytes() == want.tobytes()
