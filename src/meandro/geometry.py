@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, MarginViolated, NotContained, OutOfRegime
+from .errors import ConfigError, MarginViolated, MeandroError, NotContained, OutOfRegime
 
 #: Sheets in the first block of a block scan; each next block is twice as long.
 _FIRST_BLOCK = 64
@@ -122,8 +122,9 @@ class DiophantineRadius:
     converge; alpha >= 1 and r <= 1 are required by the shrinking and Taylor
     estimates downstream.  ``shift`` accommodates families whose sheets are
     indexed from 0.  Where (n + shift)**alpha overflows a float, the radius
-    is below the float range, and ``value``, ``values`` and ``tail_sup``
-    raise OutOfRegime naming the first sheet where it is.
+    is below the float range: ``values`` gives NaN there, as ``TableRadius``
+    does on an untabulated sheet, and ``value`` and ``tail_sup`` raise
+    OutOfRegime naming the first such sheet.
     """
 
     c: float
@@ -149,14 +150,15 @@ class DiophantineRadius:
         return self.c / self._power(n)
 
     def values(self, ns: np.ndarray) -> np.ndarray:
-        """Radii on the sheets ns (a sorted integer array)."""
+        """Radii on the sheets ns (a sorted integer array); NaN where the radius is below the float range."""
         if len(ns) and ns[0] + self.shift < 1:
             raise ValueError("Diophantine radii are defined for sheets n + shift >= 1")
         with np.errstate(over="ignore"):
             powers = (ns + self.shift) ** self.alpha
+        radii = self.c / powers
         if len(ns) and not np.isfinite(powers[-1]):
-            raise self._underflow(int(ns[np.argmin(np.isfinite(powers))]))
-        return self.c / powers
+            radii[~np.isfinite(powers)] = math.nan
+        return radii
 
     def tail_sup(self, cutoff: int) -> float:
         """Upper bound for the radius on every sheet beyond the cutoff.
@@ -164,9 +166,7 @@ class DiophantineRadius:
         It is r_cutoff itself: r_n <= tail_sup(cutoff) for every n > cutoff,
         and tail_sup is non-increasing in the cutoff.
         """
-        if cutoff + self.shift < 1:
-            raise ValueError("Diophantine tail bounds need cutoff + shift >= 1")
-        return self.c / self._power(cutoff)
+        return self.value(cutoff)
 
     def _power(self, n: int) -> float:
         try:
@@ -544,7 +544,7 @@ class Perforation:
 
     def first_blocked_all(
         self, ns: np.ndarray, zs: list, margin: float = 0.0, ends: list[int] | None = None
-    ) -> list[tuple[int, complex] | ConfigError | None]:
+    ) -> list[tuple[int, complex] | MeandroError | None]:
         """For each point of zs, the first sheet whose disc of radius r_n*(1 + margin) holds it.
 
         Point i looks at the sheets ns[:ends[i]] (all of ns by default) and
@@ -554,9 +554,11 @@ class Perforation:
         ``radius_at`` decide each shortlisted pair in sheet order, so the
         verdict and the witness are those of the sheet-by-sheet test.  Near
         the end of the float range the slack may be infinite, which only
-        shortlists.  A sheet with no tabulated radius is shortlisted too;
-        the point gets the ConfigError of ``radius_at`` there if no earlier
-        sheet holds it.
+        shortlists.  A sheet with poles whose radius ``values`` gives as NaN
+        (untabulated, or below the float range) is shortlisted too; the
+        point gets the MeandroError of ``radius_at`` there (ConfigError or
+        OutOfRegime) if no earlier sheet holds it.  No point's outcome
+        raises.
         """
         scale = 1.0 + margin
         if ends is not None:
@@ -575,7 +577,7 @@ class Perforation:
             near = ~(dist >= bound + _ABS_SLACK * (1.0 + np.abs(column) + dist))
             if not everywhere:
                 near &= live
-        out: list[tuple[int, complex] | ConfigError | None] = [None] * len(zs)
+        out: list[tuple[int, complex] | MeandroError | None] = [None] * len(zs)
         rows, cols = np.nonzero(near)  # by point, then by sheet
         for i, n in zip(rows.tolist(), ns[cols].tolist()):
             if out[i] is None:
@@ -583,7 +585,7 @@ class Perforation:
                 try:
                     if d < self.radius_at(n) * scale:
                         out[i] = n, pole
-                except ConfigError as exc:
+                except MeandroError as exc:
                     out[i] = exc
         return out
 
@@ -703,16 +705,16 @@ def _sheet_blocks(family: PoleFamily, cutoff: int) -> Iterator[np.ndarray]:
 def residual_membership(
     perf: Perforation, z: complex, cutoff: int = 10_000, margin: float = 0.0
 ) -> Membership:
-    """``residual_memberships`` at the one point z; raises its ConfigError."""
+    """``residual_memberships`` at the one point z; raises its MeandroError."""
     verdict = residual_memberships(perf, [z], cutoff, margin)[0]
-    if isinstance(verdict, ConfigError):
+    if isinstance(verdict, MeandroError):
         raise verdict
     return verdict
 
 
 def residual_memberships(
     perf: Perforation, zs: Sequence[complex], cutoff: int = 10_000, margin: float = 0.0
-) -> list[Membership | ConfigError]:
+) -> list[Membership | MeandroError]:
     """Decide whether each point of zs survives every removed disc, up to a sheet cutoff.
 
     Membership requires |z - p| >= r_n*(1 + margin) for every pole p of every
@@ -723,20 +725,20 @@ def residual_memberships(
     may hold a point, and the scalar ``nearest_pole`` and ``radius_at``
     decide each shortlisted sheet in order (``Perforation.first_blocked_all``).
     A point's first sheet that holds it is its witness, as in a
-    sheet-by-sheet scan, and the point then leaves the scan.  Beyond the
-    cutoff, sheets are discharged when a lower bound on the distance from z
-    to all remaining poles dominates the supremum of the remaining radii;
-    with an explicit radius table the tail cannot be bounded and the
-    verdict is Unknown.  Entry i is the verdict at zs[i], or the ConfigError
-    of a sheet with no tabulated radius that the scan of zs[i] reaches.
+    sheet-by-sheet scan, and the point then leaves the scan.  Entry i is the
+    verdict at zs[i], or the MeandroError of the first sheet without a float
+    radius that the scan of zs[i] reaches (ConfigError where none is
+    tabulated, OutOfRegime where it is below the float range).
 
-    The same bounds end a scan early: after a block whose last sheet L is
-    below the cutoff, a point z still in doubt is In if d =
-    ``tail_distance_bound(z, L)`` is inf or d >= tail_sup(L)*(1 + margin)*
-    (1 + 1e-9) + 8*eps*(1 + |z| + d).  The full scan would agree: d bounds
-    the distance to every pole after L and tail_sup(L) >= r_n there, so no
-    later disc holds z, and both bounds are monotone in the cutoff, so the
-    tail test at the cutoff passes too.  The slacks cover float poles an ulp
+    One test, ``_tail_clears``, discharges the sheets after a sheet L: z is
+    In if d = ``tail_distance_bound(z, L)`` is inf or d >= tail_sup(L)*
+    (1 + margin)*(1 + 1e-9) + 8*eps*(1 + |z| + d).  d bounds the distance
+    to every pole after L and tail_sup(L) >= r_n there, so no later disc
+    holds z.  It gives the verdict at the cutoff (Unknown where it fails,
+    as always with an explicit radius table), and it ends a scan early:
+    after a block whose last sheet L is below the cutoff, a point still in
+    doubt that passes it is In, and the full scan would agree, as both
+    bounds are monotone in the cutoff.  The slacks cover float poles an ulp
     or so off the exact ones (roots of unity lie about 1e-16 off the circle,
     more than r_L - r_(L+1) near L = 1e5).
     """
@@ -748,7 +750,7 @@ def residual_memberships(
         raise ValueError("z must be finite")
 
     family = perf.poles
-    out: list[Membership | ConfigError | None] = [None] * len(zs)
+    out: list[Membership | MeandroError | None] = [None] * len(zs)
     live = list(range(len(zs)))
     for ns in _sheet_blocks(family, cutoff):
         if not live:
@@ -757,7 +759,7 @@ def residual_memberships(
         for start in range(0, len(live), size):
             group = live[start : start + size]
             for i, hit in zip(group, perf.first_blocked_all(ns, [zs[i] for i in group], margin)):
-                if isinstance(hit, ConfigError):
+                if isinstance(hit, MeandroError):
                     out[i] = hit
                 elif hit is not None:
                     out[i] = Membership(MembershipState.OUT, sheet=hit[0], pole=hit[1])
@@ -800,19 +802,15 @@ def _tail_clears(perf: Perforation, z: complex, sheet: int, margin: float, last:
 
 
 def _tail_membership(perf: Perforation, z: complex, cutoff: int, margin: float) -> Membership:
-    """The verdict at z once no sheet up to the cutoff holds it."""
-    tail_dist = perf.poles.tail_distance_bound(z, cutoff)
-    if tail_dist is None:
-        return Membership(MembershipState.UNKNOWN, note="unscanned sheets beyond cutoff")
-    if tail_dist == math.inf:
+    """The verdict at z once no sheet up to the cutoff holds it: In where ``_tail_clears`` clears the rest."""
+    if _tail_clears(perf, z, cutoff, margin):
         return Membership(MembershipState.IN)
-    tail_radius = perf.radius.tail_sup(cutoff)
-    if tail_radius is None:
+    if perf.poles.tail_distance_bound(z, cutoff) is None:
+        return Membership(MembershipState.UNKNOWN, note="unscanned sheets beyond cutoff")
+    if perf.radius.tail_sup(cutoff) is None:
         return Membership(
             MembershipState.UNKNOWN, note="explicit radius table cannot bound tail sheets"
         )
-    if tail_dist >= tail_radius * (1.0 + margin):
-        return Membership(MembershipState.IN)
     return Membership(MembershipState.UNKNOWN, note="tail bound too weak at this cutoff")
 
 
@@ -844,11 +842,12 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
     Shamos and Hoey's closest pair.  The entries are the poles up to the
     cutoff in sheet order (rows of ``poles_table``, equal to
     ``poles_on_sheet``), the radii come from ``radius.values``, and the
-    first sheet without a usable radius raises the error of its
-    ``radius_at``.  Entry i can violate the condition only with a later
-    entry j with |Re p_j - Re p_i| <= lambda*(r_i + max_(k>i) r_k)*slack;
-    ``searchsorted`` finds those, in a window widened by 1e-12 relative.
-    The candidate pairs are tested in numpy with a small slack, at most
+    first sheet whose radius is NaN there (untabulated, or below the float
+    range) raises the error of its ``radius_at``.  Entry i can violate the
+    condition only with a later entry j with |Re p_j - Re p_i| <=
+    lambda*(r_i + max_(k>i) r_k)*slack; ``searchsorted`` finds those, in a
+    window widened by 1e-12 relative.  The candidate pairs are tested in
+    numpy with a small slack, at most
     65 536 at a time, so memory stays bounded even when many poles share a
     real part.  The scalar test decides the survivors in pair-scan order,
     by (i, j), so the first violating pair found is the witness.
@@ -875,10 +874,9 @@ def cauchy_radius_check(perf: Perforation, cutoff: int) -> CauchyFlag:
         sheets = np.arange(family.n_min, cutoff + 1)
     else:
         sheets = np.array([n for n in family.sheets() if n <= cutoff], dtype=np.int64)
-    radii = perf.radius.values(sheets)  # OutOfRegime where a Diophantine radius leaves the float range
-    # NaN: no tabulated radius; 0: a radius that underflows.
-    for k in np.flatnonzero(~(radii > 0.0)).tolist():
-        perf.radius_at(int(sheets[k]))  # raises where the sheet-by-sheet loop did
+    radii = perf.radius.values(sheets)
+    for n in sheets[np.isnan(radii)][:1].tolist():
+        perf.radius_at(n)  # the ConfigError or OutOfRegime of the first sheet without a float radius
     table = family.poles_table(sheets)
     if table is None:
         rows = [family.poles_on_sheet(n) for n in sheets.tolist()]

@@ -36,8 +36,10 @@ radii clear it of every later disc, or, at an accumulation point of the
 poles, their distance power law clears it of every disc up to the last
 sheet; at most points of an evaluation and at a jet's accumulation point
 this happens after the first block.  In any other pass every point is
-checked on every sheet it needs, so that a radius below the float range
-raises its OutOfRegime there.  What stays per lane is a jet's scalar tails,
+checked on every sheet it needs.  A sheet whose radius is NaN in
+``radius.values`` (untabulated, or below the float range) gives each point
+that reaches it the error of ``radius_at`` there, as ``first_blocked_all``
+returns it for that point.  What stays per lane is a jet's scalar tails,
 and per point the scalar confirmations of the shortlists.
 
 Every lane stops on one rule (``_CertifiedStop``): at the first sheet
@@ -75,7 +77,10 @@ exact limit is checked there.
 
 A term that is not finite (overflow of the block arithmetic) at or before a
 lane's stopping sheet ends its point with OutOfRegime; terms computed past
-the stop are never used.
+the stop are never used.  A jet's limit at a running sum past the float
+range is -inf, so no lane stops there, and the point ends on its first
+non-finite term in (sheet, order) order or, after the block, on the
+overflow of the lane's sum.
 
 A family gives its terms through two methods alone, both on a block of
 sheets: ``taylor_coefficients`` and ``term_grid``.  Row i of
@@ -89,6 +94,7 @@ from __future__ import annotations
 import abc
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,7 +272,9 @@ class _Group:
 
     ``clean[r]`` counts the row's finite terms before its first non-finite
     one, and ``bad[r]`` says whether it has one.  A lane's tolerance at a
-    magnitude v is max(abs_tol, rel_tol * max(v, floor)).
+    magnitude v is max(abs_tol, rel_tol * max(v, floor)), and -inf (no
+    limit) where v is not finite, so no lane stops on a running sum past
+    the float range.
     ``_CertifiedStop.scan`` gives for the rows the block index of each
     one's stopping sheet (the block's length where it holds none) and the
     tail there.
@@ -280,8 +288,8 @@ class _Group:
         self.clean = np.where(self.bad, fine.argmin(axis=1), len(ns))
 
     def tol(self, v: np.ndarray) -> np.ndarray:
-        """The tolerances at the magnitudes v, elementwise."""
-        return np.maximum(self.abs_tol, self.rel_tol * np.maximum(v, self.floor))
+        """The tolerances at the magnitudes v, elementwise; -inf where v is not finite."""
+        return np.where(v < math.inf, np.maximum(self.abs_tol, self.rel_tol * np.maximum(v, self.floor)), -math.inf)
 
     def sums(self, rows=slice(None)) -> np.ndarray:
         """Running sums of the lanes ``rows`` through each sheet of the block."""
@@ -411,11 +419,12 @@ class _CertifiedStop:
             return np.where(ends < g.clean, ends, len(g.ns)), self.stop_tail[g.lanes]
         ns, lanes, ks, cleans = g.ns.tolist(), g.lanes.tolist(), g.k.tolist(), g.clean.tolist()
         ends, tails = np.full(len(lanes), len(ns)), np.zeros(len(lanes))
-        # Every limit of the block is at most U, the one at |acc| + sum |terms|.
+        # Every limit of the block is at most U, the one at |acc| + sum |terms|,
+        # or at the largest float, which no finite running sum exceeds.
         mags = np.abs(g.terms).sum(axis=1)
         for r in np.flatnonzero(g.bad).tolist():
             mags[r] = np.abs(g.terms[r, : g.clean[r]]).sum()
-        bound = (g.tol(np.abs(g.acc) + mags) * (1.0 + 1e-9)).tolist()
+        bound = (g.tol(np.minimum(np.abs(g.acc) + mags, sys.float_info.max)) * (1.0 + 1e-9)).tolist()
         firsts = [
             _search(lambda j: self._tail(lane, k, ns[j]), lambda j: bound[r], 0, clean - 1) if clean else 0
             for r, (lane, k, clean) in enumerate(zip(lanes, ks, cleans))
@@ -488,14 +497,6 @@ def _block_sums(terms: np.ndarray, lens: np.ndarray, padded: bool) -> tuple[np.n
     return sums, weights
 
 
-def _first_blocked(perf: Perforation, ns: np.ndarray, z: complex, end: int):
-    """``first_blocked_all`` for the point z alone, or the OutOfRegime it raises."""
-    try:
-        return perf.first_blocked_all(ns, [z], ends=[end])[0]
-    except OutOfRegime as exc:
-        return exc
-
-
 def _sum_derivative_series(
     seq: TermSequence,
     zs: list,
@@ -524,16 +525,19 @@ def _sum_derivative_series(
 
     Pole clearance is checked once per sheet, on every sheet up to the
     furthest one a point's orders need, until the point is cleared: in a
-    pass whose last sheet has a float radius, after a block whose last
-    sheet is L, ``geometry._tail_clears`` at L (the residual scan's
-    discharge rule, or the poles' distance power law up to the last sheet
-    of the pass) proves that no disc of a later sheet that the pass can
-    reach holds the point, and first_blocked_all then passes it over.
-    A point whose tail policy refuses it ends with that error before any
-    term.  Otherwise its error is the first in sheet order: a removed disc
-    holding it (PoleProximity), a term that is not finite (OutOfRegime); a
-    block sum past the float range (OutOfRegime) ends it after the block,
-    and running out of sheets ends it with TolUnreachable.
+    pass whose last sheet has a float radius (not NaN in
+    ``radius.values``), after a block whose last sheet is L,
+    ``geometry._tail_clears`` at L (the residual scan's discharge rule, or
+    the poles' distance power law up to the last sheet of the pass) proves
+    that no disc of a later sheet that the pass can reach holds the point,
+    and first_blocked_all then passes it over.  A point whose tail policy
+    refuses it ends with that error before any term.  Otherwise a sheet
+    without a float radius in a block (the ConfigError or OutOfRegime that
+    first_blocked_all gives the point) comes before the block's other
+    errors, and those come in sheet order: a removed disc holding it
+    (PoleProximity), a term that is not finite (OutOfRegime).  A lane's sum
+    past the float range after a block (OutOfRegime) ends it then, and
+    running out of sheets ends it with TolUnreachable.
 
     Each lane's kept terms of a block are added by ``_block_sums``, and the
     block sums are accumulated with Neumaier's compensation, in two (lanes,
@@ -568,11 +572,7 @@ def _sum_derivative_series(
         last = min(last, seq.n_max)
     rule = _CertifiedStop(seq, zs, width, last, [None if p in errors else t for p, t in enumerate(tails)])
     # Points are cleared only in a pass whose last sheet has a float radius.
-    clearable = True
-    try:
-        seq.perforation.radius_at(last)
-    except MeandroError:
-        clearable = False
+    clearable = not np.isnan(seq.perforation.radius.values(np.array([last]))[0])
 
     def sum_block(ns: np.ndarray, pts: np.ndarray) -> None:
         """Sum the block of sheets ns for the open lanes of these points, as one lane group."""
@@ -607,14 +607,9 @@ def _sum_derivative_series(
         if not cleared[where].all():  # a cleared point clears every disc of the block
             check = np.flatnonzero(~cleared[where])
             point_reach = np.maximum.reduceat(reach, np.searchsorted(ids, pts * width))
-            perf, near = seq.perforation, points[pts[check]].tolist()
-            limits = (point_reach[check] + 1).tolist()
-            try:
-                blocked = perf.first_blocked_all(ns, near, ends=limits)
-            except OutOfRegime:  # a radius below the float range, up to some point's end
-                blocked = [_first_blocked(perf, ns, z, end) for z, end in zip(near, limits)]
-            for p, hit in zip(pts[check].tolist(), blocked):
-                if isinstance(hit, MeandroError):  # a lone call raises it at once
+            near, limits = points[pts[check]].tolist(), (point_reach[check] + 1).tolist()
+            for p, hit in zip(pts[check].tolist(), seq.perforation.first_blocked_all(ns, near, ends=limits)):
+                if isinstance(hit, MeandroError):  # a sheet without a float radius: before the block's other errors
                     errors[p] = hit
                 elif hit is not None:
                     firsts.append((p, hit[0] - lo, -1, PoleProximity(*hit)))
@@ -631,8 +626,8 @@ def _sum_derivative_series(
             sums, weights = _block_sums(g.terms[rows], reach[rows] + 1, width > 1)
             acc_s[lanes], acc_c[lanes] = s, c = _neumaier_step(acc_s[lanes], acc_c[lanes], sums)
             acc_w[lanes] += weights + np.abs(c).sum(axis=1)
-        if not np.isfinite(sums).all():
-            for r in np.flatnonzero(~np.isfinite(sums).all(axis=1)).tolist():
+        if not np.isfinite(s).all():  # the lane's sum through the block is past the float range
+            for r in np.flatnonzero(~np.isfinite(s).all(axis=1)).tolist():
                 k, n = int(ks[rows][r]), lo + int(reach[rows][r])
                 err = OutOfRegime(f"the order-{k} sum over sheets {lo} to {n} overflows a float", order=k, sheet=n)
                 errors.setdefault(int(ids[rows][r]) // width, err)

@@ -541,25 +541,35 @@ def test_json_format(runner, tmp_path):
 
 
 def test_overflowing_jet_is_a_typed_error(runner, tmp_path):
-    # At x = 0.95 the meander's coefficient terms of orders near 150 overflow a float; the CLI reports it.
+    # At x = 0.95 the meander's coefficient terms of orders near 150 overflow
+    # a float; the first non-finite one, in (sheet, order) order, is the
+    # order-150 term on sheet 119, and the CLI reports it.
     cfg = _write_config(tmp_path, {"model": dict(MEANDER, x=0.95), "jet": {"z0": [0, 0], "order": 150}})
     result = runner.invoke(main, ["jet", "--config", cfg, "--json"])
     assert result.exit_code == 1
-    payload = json.loads(result.stderr)
-    assert payload["error"] == "OutOfRegime"
-    assert "sheet 127" in payload["detail"] and "order-148" in payload["detail"]
+    assert json.loads(result.stderr) == {
+        "error": "OutOfRegime", "detail": "order-150 derivative term on sheet 119 is not finite"
+    }
 
 
-@pytest.mark.parametrize("order", [160, 161])
-def test_a_block_sum_past_the_float_range_is_a_typed_error(runner, tmp_path, order):
-    # The order-160 terms are finite, but their exact sum over sheets 65 to
-    # 191 overflows a float.
+@pytest.mark.parametrize(
+    "order, detail",
+    [
+        # The order-160 terms are finite, but their sum over the block of
+        # sheets 65 to 192 overflows a float; the lane keeps its terms to
+        # the block's end, as it never stops on a sum past the float range.
+        (160, "the order-160 sum over sheets 65 to 192 overflows a float"),
+        # The order-161 term on sheet 174 is not finite, and a term comes
+        # before the sum of its block.
+        (161, "order-161 derivative term on sheet 174 is not finite"),
+    ],
+    ids=["160", "161"],
+)
+def test_a_block_sum_past_the_float_range_is_a_typed_error(runner, tmp_path, order, detail):
     cfg = _write_config(tmp_path, {"model": MEANDER, "jet": {"z0": [0, 0], "order": order}})
     result = runner.invoke(main, ["jet", "--config", cfg, "--json"])
     assert result.exit_code == 1
-    assert json.loads(result.stderr) == {
-        "error": "OutOfRegime", "detail": "the order-160 sum over sheets 65 to 191 overflows a float"
-    }
+    assert json.loads(result.stderr) == {"error": "OutOfRegime", "detail": detail}
     assert "Traceback" not in result.stderr
 
 

@@ -1,22 +1,20 @@
 """Golden outputs of the ``curve``, ``covering``, ``polar`` and ``gevrey`` commands, byte for byte.
 
 Each case is a command, a config and its extra options; its stdout is kept
-in ``tests/data/cli_golden/<case>.csv``.  The files are written by running
-this module as a script from the repository root:
+in ``tests/data/cli_golden/<case>.csv``.  The files are written with every
+other golden file (see ``golden.py``):
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/golden.py
 
 Rewrite them only for a change that is meant to move printed values, and
 say so in CHANGES.md.
 """
 
-import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from meandro.cli import main
+import golden
 
 DATA = Path(__file__).parent / "data" / "cli_golden"
 
@@ -60,29 +58,11 @@ CASES = {
 }
 
 
-def _run(tmp_dir: Path, name: str):
+def pinned(tmp_dir: Path, name: str) -> str:
     command, config, extra = CASES[name]
-    path = tmp_dir / f"{name}.json"
-    path.write_text(json.dumps(config))
-    return CliRunner().invoke(main, [command, "--config", str(path), *extra])
+    return golden.run(tmp_dir, name, command, config, extra)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_command_output_matches_golden(tmp_path, name):
-    result = _run(tmp_path, name)
-    assert result.exit_code == 0
-    assert result.stderr == ""
-    assert result.stdout == (DATA / f"{name}.csv").read_text(encoding="utf-8")
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    DATA.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
-            result = _run(Path(tmp), name)
-            if result.exit_code != 0 or result.stderr:
-                raise SystemExit(f"{name}: exit {result.exit_code}, stderr {result.stderr!r}")
-            (DATA / f"{name}.csv").write_text(result.stdout, encoding="utf-8")
-            print(f"{name}: {result.stdout.count(chr(10)) - 1} rows")
+    assert pinned(tmp_path, name) == (DATA / f"{name}.csv").read_text(encoding="utf-8")

@@ -2,22 +2,20 @@
 
 Each case is a config, its extra options and the exit code it must give;
 its stdout is kept in ``tests/data/eval_golden/<case>.csv``.  The files are
-written by running this module as a script from the repository root:
+written with every other golden file (see ``golden.py``):
 
-    PYTHONPATH=src python tests/test_eval_golden.py
+    PYTHONPATH=src python tests/golden.py
 
 Rewrite them only for a change that is meant to move printed values, and
 say so in CHANGES.md.
 """
 
-import json
 import math
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from meandro.cli import main
+import golden
 
 DATA = Path(__file__).parent / "data" / "eval_golden"
 
@@ -101,29 +99,10 @@ CASES = {
 }
 
 
-def _run(tmp_dir: Path, name: str):
-    config, extra, _ = CASES[name]
-    path = tmp_dir / f"{name}.json"
-    path.write_text(json.dumps(config))
-    return CliRunner().invoke(main, ["eval", "--config", str(path), *extra])
+def pinned(tmp_dir: Path, name: str) -> str:
+    return golden.run(tmp_dir, name, "eval", *CASES[name])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_eval_output_matches_golden(tmp_path, name):
-    result = _run(tmp_path, name)
-    assert result.exit_code == CASES[name][2]
-    assert result.stderr == ""
-    assert result.stdout == (DATA / f"{name}.csv").read_text(encoding="utf-8")
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    DATA.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
-            result = _run(Path(tmp), name)
-            if result.exit_code != CASES[name][2] or result.stderr:
-                raise SystemExit(f"{name}: exit {result.exit_code}, stderr {result.stderr!r}")
-            (DATA / f"{name}.csv").write_text(result.stdout, encoding="utf-8")
-            print(f"{name}: {result.stdout.count(chr(10)) - 1} rows")
+    assert pinned(tmp_path, name) == (DATA / f"{name}.csv").read_text(encoding="utf-8")

@@ -60,15 +60,17 @@ def test_diophantine_radius_values():
 
 
 def test_diophantine_radius_below_the_float_range_is_out_of_regime():
-    # (n + shift)**alpha overflows from sheet 2 on at alpha = 2000.
+    # (n + shift)**alpha overflows from sheet 2 on at alpha = 2000: values
+    # marks those sheets NaN, as a table marks an untabulated one, and the
+    # scalar methods raise the error of the first.
     r = DiophantineRadius(0.05, 2000)
     assert r.value(1) == 0.05
-    for call in (lambda: r.value(2), lambda: r.tail_sup(7), lambda: r.values(np.arange(1, 65))):
-        with pytest.raises(OutOfRegime, match="below the float range") as info:
+    radii = r.values(np.arange(1, 65))
+    assert radii[0] == 0.05 and np.isnan(radii[1:]).all()
+    for call in (lambda: r.value(2), lambda: r.tail_sup(7)):
+        with pytest.raises(OutOfRegime, match="below the float range on sheet 2 ") as info:
             call()
         assert info.value.witness["alpha"] == 2000.0
-    with pytest.raises(OutOfRegime, match="sheet 2 "):
-        r.values(np.arange(1, 65))
 
 
 def test_integer_diophantine_exponent_gives_float_radii():
@@ -294,6 +296,31 @@ def test_membership_errors_in_sheet_order():
     assert out.pole == pytest.approx(-1 + 0j, abs=1e-15)
     with pytest.raises(ConfigError, match="sheet 6"):
         residual_membership(perf, 0.5 + 0j, cutoff=40)
+
+
+def test_a_radius_below_the_float_range_is_the_error_of_each_point_that_meets_it():
+    # Sheet 1's disc holds -1 + 0.01j; the other two points reach sheet 2,
+    # whose radius is below the float range, and get its error as their entry.
+    perf = Perforation(MeanderPoles(), DiophantineRadius(0.05, 2000))
+    out, *errors = residual_memberships(perf, [-1 + 0.01j, -0.01, 0.3 + 0.3j])
+    assert (out.state, out.sheet, out.pole) == (MembershipState.OUT, 1, -1)
+    for err in errors:
+        assert isinstance(err, OutOfRegime) and err.witness == {"sheet": 2, "alpha": 2000.0}
+        assert str(err) == "the radius c/(n + shift)**alpha is below the float range on sheet 2 (alpha = 2000)"
+    with pytest.raises(OutOfRegime, match="on sheet 2 "):
+        residual_membership(perf, -0.01)
+
+
+def test_the_verdict_at_the_cutoff_carries_the_rounding_slack():
+    # |z| - 1 exceeds r_500 = 2e-7 by 2e-15, less than the 8*eps*(1 + |z| + d)
+    # that covers float poles a few ulps off the circle, so the bound at the
+    # cutoff cannot clear z.  The golden angle keeps z off every disc up to
+    # the cutoff.
+    perf = _qlog_perf(0.05)
+    z = (1 + 2e-7 * (1 + 1e-8)) * cmath.exp(1j * math.pi * (math.sqrt(5) - 1))
+    verdict = residual_membership(perf, z, cutoff=500)
+    assert (verdict.state, verdict.note) == (MembershipState.UNKNOWN, "tail bound too weak at this cutoff")
+    assert residual_membership(perf, z, cutoff=2000)
 
 
 def _membership_reference(perf, z, cutoff, margin):

@@ -4,10 +4,10 @@ Each case is a config and its extra options; the columns k, a_re and a_im
 of its stdout are kept in ``tests/data/jet_golden/<case>.csv``.  The
 tail_bound column is not pinned: it is the certified tail at the stopping
 sheet, which moves whenever the tail bounds get tighter.  It is checked
-against the tolerance instead.  The files are written by running this
-module as a script from the repository root:
+against the tolerance instead.  The files are written with every other
+golden file (see ``golden.py``):
 
-    PYTHONPATH=src python tests/test_jet_golden.py
+    PYTHONPATH=src python tests/golden.py
 
 Rewrite them only for a change that is meant to move printed coefficients,
 and say so in CHANGES.md.
@@ -15,13 +15,11 @@ and say so in CHANGES.md.
 
 import csv
 import io
-import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from meandro.cli import main
+import golden
 
 DATA = Path(__file__).parent / "data" / "jet_golden"
 
@@ -45,39 +43,21 @@ CASES = {
 }
 
 
-def _run(tmp_dir: Path, name: str):
-    config, extra = CASES[name]
-    path = tmp_dir / f"{name}.json"
-    path.write_text(json.dumps(config))
-    return CliRunner().invoke(main, ["jet", "--config", str(path), *extra])
-
-
 def _columns(text: str) -> str:
     rows = csv.reader(io.StringIO(text))
     return "".join(",".join(row[:3]) + "\n" for row in rows)
 
 
+def pinned(tmp_dir: Path, name: str) -> str:
+    return _columns(golden.run(tmp_dir, name, "jet", *CASES[name]))
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_jet_coefficients_match_golden(tmp_path, name):
-    result = _run(tmp_path, name)
-    assert result.exit_code == 0
-    assert result.stderr == ""
-    assert _columns(result.stdout) == (DATA / f"{name}.csv").read_text(encoding="utf-8")
+    stdout = golden.run(tmp_path, name, "jet", *CASES[name])
+    assert _columns(stdout) == (DATA / f"{name}.csv").read_text(encoding="utf-8")
     # The jet sums to rel_tol 1e-10: order k stops once its tail is within
     # 1e-10 * max(|a_k|, 1), and the printed tail adds the sum's rounding to it.
-    for row in csv.DictReader(io.StringIO(result.stdout)):
+    for row in csv.DictReader(io.StringIO(stdout)):
         a_k = abs(complex(float(row["a_re"]), float(row["a_im"])))
         assert float(row["tail_bound"]) <= 1e-10 * max(a_k, 1.0) * (1.0 + 1e-6)
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    DATA.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(CASES):
-            result = _run(Path(tmp), name)
-            if result.exit_code != 0 or result.stderr:
-                raise SystemExit(f"{name}: exit {result.exit_code}, stderr {result.stderr!r}")
-            (DATA / f"{name}.csv").write_text(_columns(result.stdout), encoding="utf-8")
-            print(f"{name}: {result.stdout.count(chr(10)) - 1} rows")

@@ -456,13 +456,22 @@ def test_the_block_methods_are_the_whole_term_interface():
 
 def test_overflowing_jet_raises_out_of_regime():
     # At x = 0.95 the coefficient terms x**n * n**k of orders near 150 pass
-    # the float range from sheet 119 on; the first non-finite one, in sheet
-    # order, is of order 148 on sheet 127 (a lane whose running sum leaves
-    # the float range ends with the sum's error after its block).
-    with pytest.raises(OutOfRegime, match="order-148 .* sheet 127"):
+    # the float range; the first non-finite one, in (sheet, order) order, is
+    # of order 150 on sheet 119.  No lane stops on a running sum past the
+    # float range, so the point ends on that term.
+    with pytest.raises(OutOfRegime, match="order-150 .* sheet 119 "):
         taylor_jet(MeanderModel(0.95), 0j, 150)
     with pytest.raises(OutOfRegime, match="exceeds 170"):
         taylor_jet(MeanderModel(0.5, c=0.1), 0j, 171)
+
+
+def test_a_jet_whose_running_sum_passes_the_float_range_is_out_of_regime():
+    # At x = 0.5016 every block sum of the order-159 lane is finite, but the
+    # lane's sum through sheet 448 passes the float range: a typed error, not
+    # a NaN coefficient.  At x = 0.50155 the coefficient is about 1.77e308.
+    assert np.isfinite(taylor_jet(MeanderModel(0.50155, c=0.1), 0j, 159).coefficients).all()
+    with pytest.raises(OutOfRegime, match="^the order-159 sum over sheets 193 to 448 overflows a float$"):
+        taylor_jet(MeanderModel(0.5016, c=0.1), 0j, 159)
 
 
 def test_zero_sum_general_point_in_a_removed_disc():
